@@ -5,7 +5,7 @@ vector classification, diagonalization, reflections, isometry factorization,
 Pin lifts, group membership, idempotents, ideals, representation matrices,
 and the center.  Results go to stdout, error text to stderr.  Exit codes:
 0 success, 1 domain error (degenerate form, non-isometry, non-invertible,
-cap exceeded, ...), 2 parse or usage error.
+cap or coefficient budget exceeded, ...), 2 parse or usage error.
 
 JSON mode emits one object with keys {command, signature, result, checks};
 all rationals are rendered as exact strings "a/b".  The --approx flag adds
@@ -29,7 +29,6 @@ from .core_algebra import (
     blade_name,
     geometric_product,
     multiplication_table,
-    norm,
 )
 from .errors import (
     CliffordError,
@@ -39,13 +38,7 @@ from .errors import (
     UnexpectedDimension,
 )
 from .expr import parse_multivector, pretty_print
-from .groups import (
-    in_clifford_group,
-    in_pin,
-    in_spin,
-    lift_isometry,
-    twisted_adjoint_matrix,
-)
+from .groups import lift_isometry, membership, twisted_adjoint_matrix
 from .quadratic_space import (
     BilinearForm,
     cartan_dieudonne_factor,
@@ -253,13 +246,13 @@ def cmd_lift(args, sig: Signature):
 
 def cmd_check(args, sig: Signature):
     x = parse_multivector(args.expression, sig)
-    n_mv = norm(x)
-    n_text = _rat(n_mv.scalar_part()) if n_mv.is_scalar() else None
+    facts = membership(x)
+    n_text = _rat(facts.n_value) if facts.n_value is not None else None
     result = {
         "element": pretty_print(x),
-        "in_clifford_group": in_clifford_group(x),
-        "in_pin": in_pin(x),
-        "in_spin": in_spin(x),
+        "in_clifford_group": facts.in_clifford_group,
+        "in_pin": facts.in_pin,
+        "in_spin": facts.in_spin,
         "n_value": n_text,
     }
     lines = [

@@ -10,12 +10,13 @@ decided exactly.  All values are immutable and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _linalg
 from .errors import (
+    CoefficientTooLarge,
     DimensionCapExceeded,
     DimensionMismatch,
     NotAVector,
@@ -27,6 +28,12 @@ Rational = Fraction
 Blade = int
 
 DEFAULT_DIMENSION_CAP = 10
+
+# Largest numerator or denominator, in bits, that powers and rendering accept.
+# It sits below CPython's 4300-digit limit on converting an int to text.
+MAX_COEFFICIENT_BITS = 8192
+# Longest decimal integer literal the parsers accept; 10^2457 < 2^8192.
+MAX_LITERAL_DIGITS = MAX_COEFFICIENT_BITS * 3 // 10
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -118,6 +125,30 @@ def blade_name(mask: Blade, n: int) -> str:
     return "e{" + ",".join(str(i) for i in indices) + "}"
 
 
+def _rational(value) -> Rational:
+    """An exact coefficient from an int or Fraction; anything else is a TypeError.
+
+    A float is refused rather than silently becoming the Fraction of its
+    53-bit binary value.
+    """
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
+
+
+def check_coefficient_bits(x: "Multivector") -> None:
+    """Raise CoefficientTooLarge when a coefficient exceeds MAX_COEFFICIENT_BITS."""
+    for value in x._coeffs.values():
+        if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
+            raise CoefficientTooLarge(
+                f"a coefficient exceeds the budget of {MAX_COEFFICIENT_BITS} bits"
+            )
+
+
+def _nonzero(coeffs: dict) -> dict:
+    return {mask: value for mask, value in coeffs.items() if value}
+
+
 def _check_blade(mask: Blade, sig: Signature) -> None:
     if not 0 <= mask < (1 << sig.n):
         raise ValueError(f"blade mask {mask} out of range for signature {sig}")
@@ -177,7 +208,7 @@ class Multivector:
             for mask, value in dict(coeffs).items():
                 if not 0 <= mask < limit:
                     raise ValueError(f"blade mask {mask} out of range for signature {sig}")
-                value = Fraction(value)
+                value = _rational(value)
                 if value:
                     clean[mask] = value
         object.__setattr__(self, "_coeffs", clean)
@@ -187,7 +218,7 @@ class Multivector:
         """Internal constructor: coeffs already validated Fractions, may hold zeros."""
         self = object.__new__(cls)
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "_coeffs", {m: c for m, c in coeffs.items() if c})
+        object.__setattr__(self, "_coeffs", _nonzero(coeffs))
         return self
 
     def __setattr__(self, name, value):
@@ -201,7 +232,7 @@ class Multivector:
 
     @classmethod
     def scalar(cls, sig: Signature, value) -> "Multivector":
-        return cls._raw(sig, {0: Fraction(value)})
+        return cls._raw(sig, {0: _rational(value)})
 
     @classmethod
     def one(cls, sig: Signature) -> "Multivector":
@@ -210,7 +241,7 @@ class Multivector:
     @classmethod
     def basis_blade(cls, sig: Signature, mask: Blade, coefficient=1) -> "Multivector":
         _check_blade(mask, sig)
-        return cls._raw(sig, {mask: Fraction(coefficient)})
+        return cls._raw(sig, {mask: _rational(coefficient)})
 
     @classmethod
     def generator(cls, sig: Signature, index: int) -> "Multivector":
@@ -299,16 +330,22 @@ class Multivector:
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return scalar_mul(Fraction(1, 1) / Fraction(other), self)
-        return NotImplemented
+        return scalar_mul(1 / _rational(other), self)
 
     def __pow__(self, exponent):
+        """Repeated squaring; CoefficientTooLarge once a coefficient passes the budget."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = Multivector.one(self.sig)
-        for _ in range(exponent):
-            result = geometric_product(result, self)
+        square = self
+        while exponent:
+            if exponent & 1:
+                result = geometric_product(result, square)
+                check_coefficient_bits(result)
+            exponent >>= 1
+            if exponent:
+                square = geometric_product(square, square)
+                check_coefficient_bits(square)
         return result
 
 
@@ -317,15 +354,16 @@ def _require_same_signature(x: Multivector, y: Multivector) -> None:
         raise SignatureMismatch(f"signatures differ: {x.sig} vs {y.sig}")
 
 
-def geometric_product(x: Multivector, y: Multivector) -> Multivector:
-    """Bilinear extension of the blade product; associative and unital."""
-    _require_same_signature(x, y)
-    sig = x.sig
+def _product(x: dict, y: dict, sig: Signature) -> dict:
+    """Product of two coefficient maps; the result may hold zeros.
+
+    The coefficients may be Fractions or ints; ints stay ints.
+    """
     neg_mask = _negative_mask(sig)
     zero_mask = _zero_mask(sig)
     acc: dict = {}
-    for a, ca in x._coeffs.items():
-        for b, cb in y._coeffs.items():
+    for a, ca in x.items():
+        for b, cb in y.items():
             sign = _blade_mul_sign(a, b, neg_mask, zero_mask)
             if sign == 0:
                 continue
@@ -333,7 +371,13 @@ def geometric_product(x: Multivector, y: Multivector) -> Multivector:
             term = ca * cb if sign == 1 else -(ca * cb)
             prior = acc.get(mask)
             acc[mask] = term if prior is None else prior + term
-    return Multivector._raw(sig, acc)
+    return acc
+
+
+def geometric_product(x: Multivector, y: Multivector) -> Multivector:
+    """Bilinear extension of the blade product; associative and unital."""
+    _require_same_signature(x, y)
+    return Multivector._raw(x.sig, _product(x._coeffs, y._coeffs, x.sig))
 
 
 def add(x: Multivector, y: Multivector) -> Multivector:
@@ -346,7 +390,7 @@ def add(x: Multivector, y: Multivector) -> Multivector:
 
 
 def scalar_mul(c, x: Multivector) -> Multivector:
-    c = Fraction(c)
+    c = _rational(c)
     return Multivector._raw(x.sig, {mask: c * value for mask, value in x._coeffs.items()})
 
 
@@ -426,9 +470,7 @@ def embed_vector(coords, sig: Signature) -> Multivector:
     coords = list(coords)
     if len(coords) != sig.n:
         raise DimensionMismatch(f"expected {sig.n} coordinates, got {len(coords)}")
-    return Multivector._raw(
-        sig, {1 << i: Fraction(value) for i, value in enumerate(coords) if Fraction(value)}
-    )
+    return Multivector._raw(sig, {1 << i: _rational(value) for i, value in enumerate(coords)})
 
 
 def extract_vector(x: Multivector) -> list[Rational]:
@@ -442,34 +484,58 @@ def extract_vector(x: Multivector) -> list[Rational]:
 
 
 def inverse(x: Multivector) -> Multivector:
-    """Two-sided inverse, found by solving L_x y = 1 exactly.
+    """Two-sided inverse, computed inside the algebra.
 
-    L_x is the 2^n x 2^n matrix of left multiplication by x on the blade
-    basis.  A right inverse in a finite-dimensional unital associative
-    algebra is automatically two-sided; both sides are still checked.
+    x is first scaled to integer coefficients, x = X / scale, and all the
+    work below runs in int arithmetic on X; the result is converted once.
+
+    Fast path: when N = X * conjugate(X) is a nonzero scalar (exactly the
+    Clifford-group case), x^-1 = scale * conjugate(X) / N.  A right inverse
+    in a finite-dimensional algebra is two-sided, so nothing is checked.
+
+    General path: the Faddeev-LeVerrier recursion run on multivectors
+    (Shirokov, 2021).  Let m be the size of a faithful matrix representation
+    on which the trace is m times the scalar part: 2^ceil(n/2) for a regular
+    signature, 2^n (the left regular representation) when s > 0.  With
+    M_1 = 1, each step sets U_k = X * M_k and c_k = -(m/k) <U_k>_0, and
+    M_{k+1} = U_k + c_k.  Every c_k is a characteristic-polynomial
+    coefficient of an integer matrix, hence an integer.  Cayley-Hamilton
+    gives X^-1 = -M_m / c_m, and c_m = 0 exactly when x is not invertible.
+    Both sides are checked: x * y = y * x = 1 for y = -scale * M_m / c_m
+    reads X * M_m = M_m * X = -c_m.
     """
-    sig = x.sig
-    dim = 1 << sig.n
     if x.is_zero():
         raise NotInvertible("zero is not invertible")
-    columns = []
-    for b in range(dim):
-        col = [_ZERO] * dim
-        for a, ca in x._coeffs.items():
-            coef, mask = blade_mul(a, b, sig)
-            if coef:
-                col[mask] += ca * coef
-        columns.append(col)
-    matrix = [[columns[c][r] for c in range(dim)] for r in range(dim)]
-    rhs = [_ONE] + [_ZERO] * (dim - 1)
-    solution = _linalg.solve(matrix, rhs)
-    if solution is None:
+    sig = x.sig
+    scale = math.lcm(*(value.denominator for value in x._coeffs.values()))
+    scaled = {
+        mask: value.numerator * (scale // value.denominator) for mask, value in x._coeffs.items()
+    }
+    conj = {
+        mask: -value if _involution_negates("conjugate", mask.bit_count()) else value
+        for mask, value in scaled.items()
+    }
+    n_x = _nonzero(_product(scaled, conj, sig))
+    if n_x.keys() == {0}:
+        return Multivector._raw(
+            sig, {mask: Fraction(scale * value, n_x[0]) for mask, value in conj.items()}
+        )
+    size = 1 << (sig.n if sig.s else (sig.n + 1) // 2)
+    m_k = {0: 1}
+    for k in range(1, size + 1):
+        u_k = _product(scaled, m_k, sig)
+        c_k = -size * u_k.get(0, 0) // k  # exact: c_k is an integer
+        if k == size:
+            break
+        u_k[0] = u_k.get(0, 0) + c_k
+        m_k = _nonzero(u_k)
+    if not c_k:
         raise NotInvertible("element has no inverse")
-    y = Multivector._raw(sig, {mask: value for mask, value in enumerate(solution)})
-    one = Multivector.one(sig)
-    if geometric_product(x, y) != one or geometric_product(y, x) != one:
+    if _nonzero(u_k) != {0: -c_k} or _nonzero(_product(m_k, scaled, sig)) != {0: -c_k}:
         raise NotInvertible("element has no two-sided inverse")
-    return y
+    return Multivector._raw(
+        sig, {mask: Fraction(-scale * value, c_k) for mask, value in m_k.items()}
+    )
 
 
 def multiplication_table(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP):

@@ -73,6 +73,10 @@ class SearchFailed(CliffordError):
     """Deterministic search exhausted its space without success."""
 
 
+class CoefficientTooLarge(CliffordError):
+    """A coefficient's numerator or denominator passed the fixed bit budget."""
+
+
 class ParseError(CliffordError):
     """Malformed expression, vector, or matrix text.
 

@@ -18,6 +18,12 @@ There is no implicit multiplication and no float literal; negative numbers
 are formed with the unary minus.  pretty_print emits terms in ascending
 blade-mask order with canonical ascending blade names and round-trips
 through parse.
+
+Limits: nesting (parentheses, function calls, unary minus) deeper than
+MAX_NESTING_DEPTH and integer literals longer than MAX_LITERAL_DIGITS are
+ParseErrors.  A product, power or function value, or a printed coefficient,
+whose numerator or denominator passes MAX_COEFFICIENT_BITS raises
+CoefficientTooLarge.
 """
 
 from __future__ import annotations
@@ -26,9 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core_algebra import (
+    MAX_LITERAL_DIGITS,
     Multivector,
     Signature,
     blade_name,
+    check_coefficient_bits,
     clifford_conjugation,
     even_part,
     grade_involution,
@@ -48,6 +56,11 @@ FUNCTIONS = {
 }
 
 _SYMBOLS = set("+-*/^(){},")
+
+# Parentheses, function calls and unary minus each nest one level.  The
+# parser recurses about four frames per level, so this stays well inside
+# Python's default recursion limit of 1000.
+MAX_NESTING_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -127,6 +140,7 @@ class _Parser:
         self.tokens = tokens
         self.sig = sig
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -146,6 +160,20 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {token.text!r}", token.pos)
         return self.advance()
 
+    def nested(self, parse, token: Token):
+        """Run one nested parse, refusing to go deeper than MAX_NESTING_DEPTH."""
+        if self.depth == MAX_NESTING_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING_DEPTH} levels", token.pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
+    def integer(self, token: Token) -> int:
+        if len(token.text) > MAX_LITERAL_DIGITS:
+            raise ParseError(f"number has more than {MAX_LITERAL_DIGITS} digits", token.pos)
+        return int(token.text)
+
     def parse_expr(self):
         node = self.parse_term()
         while self.at_symbol("+") or self.at_symbol("-"):
@@ -162,8 +190,7 @@ class _Parser:
 
     def parse_factor(self):
         if self.at_symbol("-"):
-            self.advance()
-            return Neg(self.parse_factor())
+            return Neg(self.nested(self.parse_factor, self.advance()))
         node = self.parse_atom()
         if self.at_symbol("^"):
             self.advance()
@@ -171,34 +198,33 @@ class _Parser:
             if token.kind != "number":
                 raise ParseError("exponent must be a non-negative integer", token.pos)
             self.advance()
-            node = Pow(node, int(token.text))
+            node = Pow(node, self.integer(token))
         return node
 
     def parse_atom(self):
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            value = Fraction(int(token.text))
+            value = Fraction(self.integer(token))
             if self.at_symbol("/"):
                 self.advance()
                 denom = self.peek()
                 if denom.kind != "number":
                     raise ParseError("expected denominator digits", denom.pos)
                 self.advance()
-                if int(denom.text) == 0:
+                denominator = self.integer(denom)
+                if denominator == 0:
                     raise ParseError("zero denominator", denom.pos)
-                value = Fraction(int(token.text), int(denom.text))
+                value /= denominator
             return Num(value)
         if token.kind == "symbol" and token.text == "(":
-            self.advance()
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr, self.advance())
             self.expect_symbol(")")
             return node
         if token.kind == "name":
             if token.text in FUNCTIONS:
                 self.advance()
-                self.expect_symbol("(")
-                node = self.parse_expr()
+                node = self.nested(self.parse_expr, self.expect_symbol("("))
                 self.expect_symbol(")")
                 return Call(token.text, node)
             if token.text[0] == "e":
@@ -265,15 +291,27 @@ def evaluate(node, sig: Signature) -> Multivector:
     if isinstance(node, Pow):
         return evaluate(node.base, sig) ** node.exponent
     if isinstance(node, Call):
-        return FUNCTIONS[node.fn](evaluate(node.arg, sig))
+        value = FUNCTIONS[node.fn](evaluate(node.arg, sig))
+        check_coefficient_bits(value)  # N squares coefficient sizes
+        return value
     if isinstance(node, BinOp):
-        left = evaluate(node.left, sig)
-        right = evaluate(node.right, sig)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
+        # a chain a op b op c ... parses left-deep; fold it in a loop, so its
+        # length never turns into recursion depth
+        chain = []
+        while isinstance(node, BinOp):
+            chain.append(node)
+            node = node.left
+        value = evaluate(node, sig)
+        for link in reversed(chain):
+            right = evaluate(link.right, sig)
+            if link.op == "+":
+                value = value + right
+            elif link.op == "-":
+                value = value - right
+            else:
+                value = value * right
+                check_coefficient_bits(value)
+        return value
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -286,7 +324,9 @@ def pretty_print(x: Multivector) -> str:
     """Canonical text form: ascending blade masks, exact coefficients.
 
     The output round-trips: parse_multivector(pretty_print(x), x.sig) == x.
+    CoefficientTooLarge when a coefficient passes MAX_COEFFICIENT_BITS.
     """
+    check_coefficient_bits(x)
     terms = x.terms()
     if not terms:
         return "0"

@@ -106,15 +106,7 @@ def twisted_adjoint_matrix(x: Multivector) -> IsometryMatrix:
     return IsometryMatrix.from_rows(BilinearForm.from_signature(sig), rows)
 
 
-def in_clifford_group(x: Multivector) -> bool:
-    """True iff x is invertible and its twisted adjoint keeps every e_i in V.
-
-    Checking the basis vectors suffices because v maps linearly to the image.
-    """
-    try:
-        x_inv = inverse(x)
-    except NotInvertible:
-        return False
+def _is_stable(x: Multivector, x_inv: Multivector) -> bool:
     sig = x.sig
     for i in range(sig.n):
         coords = [Fraction(1) if j == i else Fraction(0) for j in range(sig.n)]
@@ -123,6 +115,41 @@ def in_clifford_group(x: Multivector) -> bool:
         except NotStable:
             return False
     return True
+
+
+@dataclass(frozen=True)
+class Membership:
+    """Group facts of one element; n_value is None when x * conjugate(x) is not a scalar."""
+
+    in_clifford_group: bool
+    in_pin: bool
+    in_spin: bool
+    n_value: Rational | None
+
+
+def membership(x: Multivector) -> Membership:
+    """Clifford group, Pin and Spin membership from one inverse and one norm.
+
+    x is in the Clifford group iff it is invertible and its twisted adjoint
+    keeps every e_i in V (v maps linearly to the image, so the basis
+    suffices); in Pin iff also its norm is +1 or -1; in Spin iff also even.
+    """
+    value = norm(x)
+    n_value = value.scalar_part() if value.is_scalar() else None
+    try:
+        x_inv = inverse(x)
+    except NotInvertible:
+        group = False
+    else:
+        group = _is_stable(x, x_inv)
+    pin = group and n_value in (1, -1)
+    spin = pin and even_part(x) == x
+    return Membership(group, pin, spin, n_value)
+
+
+def in_clifford_group(x: Multivector) -> bool:
+    """True iff x is invertible and its twisted adjoint keeps every e_i in V."""
+    return membership(x).in_clifford_group
 
 
 def norm_scalar(x: Multivector) -> Rational:
@@ -146,19 +173,13 @@ def in_pin(x: Multivector, sig: Signature | None = None) -> bool:
     coincides with the kernel-of-N formulation (a tested property).
     """
     _check_expected_signature(x, sig)
-    if not in_clifford_group(x):
-        return False
-    try:
-        value = norm_scalar(x)
-    except NotInGroup:
-        return False
-    return value in (1, -1)
+    return membership(x).in_pin
 
 
 def in_spin(x: Multivector, sig: Signature | None = None) -> bool:
     """Pin membership restricted to the even subalgebra."""
     _check_expected_signature(x, sig)
-    return even_part(x) == x and in_pin(x)
+    return membership(x).in_spin
 
 
 def _is_rational_square(value: Fraction) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .core_algebra import Signature
+from .core_algebra import MAX_LITERAL_DIGITS, Signature
 from .errors import (
     DegenerateForm,
     DimensionMismatch,
@@ -318,6 +318,8 @@ def parse_rational(text: str) -> Fraction:
     stripped = text.strip()
     if not _RATIONAL_RE.fullmatch(stripped):
         raise ParseError(f"bad rational {stripped!r}; expected \"a\" or \"a/b\"")
+    if any(len(part.lstrip("+-")) > MAX_LITERAL_DIGITS for part in stripped.split("/")):
+        raise ParseError(f"rational has more than {MAX_LITERAL_DIGITS} digits")
     return Fraction(stripped)
 
 

@@ -17,6 +17,7 @@ from cliffalg import (
     BilinearForm,
     Multivector,
     Signature,
+    blade_mul,
     geometric_product,
     quadratic_value,
     reflection_matrix,
@@ -59,6 +60,33 @@ def word_to_multivector(indices, sig: Signature) -> Multivector:
     for i in indices:
         out = geometric_product(out, Multivector.generator(sig, i))
     return out
+
+
+def dense_inverse(x: Multivector):
+    """Two-sided inverse by solving L_x y = 1 exactly, or None when there is none.
+
+    L_x is the 2^n x 2^n matrix of left multiplication by x on the blade
+    basis.  This is the reference the in-algebra inverse is tested against.
+    """
+    sig = x.sig
+    dim = 1 << sig.n
+    columns = []
+    for b in range(dim):
+        col = [Fraction(0)] * dim
+        for a, ca in x.terms():
+            coef, mask = blade_mul(a, b, sig)
+            if coef:
+                col[mask] += ca * coef
+        columns.append(col)
+    matrix = [[columns[c][r] for c in range(dim)] for r in range(dim)]
+    solution = _linalg.solve(matrix, [Fraction(1)] + [Fraction(0)] * (dim - 1))
+    if solution is None:
+        return None
+    y = Multivector(sig, dict(enumerate(solution)))
+    one = Multivector.one(sig)
+    if geometric_product(x, y) != one or geometric_product(y, x) != one:
+        return None
+    return y
 
 
 def all_signatures(max_n: int, degenerate: bool = True):

@@ -4,10 +4,11 @@ argument handling, and the JSON envelope."""
 import json
 import math
 import pathlib
+import time
 
 import pytest
 
-from cliffalg import ParseError, Signature
+from cliffalg import ParseError, Signature, groups
 from cliffalg.cli import _merge_option_values, parse_signature, run
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -111,10 +112,53 @@ class TestExitCodes:
         code, out, err = run_text(capsys, argv)
         assert code == 2
 
+    def test_deep_nesting_rejected_cleanly(self, capsys):
+        deep = "(" * 400 + "1+e1" + ")" * 400
+        code, out, err = run_text(capsys, ["eval", "--sig", "2,0", deep])
+        assert code == 2
+        assert err.startswith("error: ") and "nests deeper" in err
+
+    def test_long_flat_sum_evaluates(self, capsys):
+        code, out, err = run_text(capsys, ["eval", "--sig", "2,0", "+".join(["1"] * 1500)])
+        assert code == 0
+        assert out == "1500\n"
+
+    @pytest.mark.parametrize("exponent", [30000, 10**9])
+    def test_oversized_power_exits_1_quickly(self, capsys, exponent):
+        start = time.perf_counter()
+        code, out, err = run_text(capsys, ["eval", "--sig", "0,1", f"(1+e1)^{exponent}"])
+        assert time.perf_counter() - start < 2
+        assert code == 1
+        assert err.startswith("error: ") and "bits" in err
+
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    def test_oversized_literal_exits_2(self, capsys, command):
+        code, out, err = run_text(capsys, [command, "--sig", "1,0", "1" * 5000])
+        assert code == 2
+        assert err.startswith("error: ") and "digits" in err
+
     def test_success_exits_0(self, capsys):
         code, out, err = run_text(capsys, ["eval", "--sig", "2,0", "1+e1"])
         assert code == 0
         assert err == ""
+
+
+class TestCheck:
+    @pytest.mark.parametrize(
+        "sig, element", [("0,2", "3/5+4/5*e12"), ("2,0", "3/5*e1+4/5*e2")]
+    )
+    def test_inverts_once(self, capsys, monkeypatch, sig, element):
+        calls = []
+        original = groups.inverse
+
+        def counted(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(groups, "inverse", counted)
+        payload = run_json(capsys, ["check", "--sig", sig, "--json", element])
+        assert len(calls) == 1
+        assert payload["result"]["in_pin"] is True
 
 
 class TestDimensionCap:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliffalg import (
+    CoefficientTooLarge,
     DimensionCapExceeded,
     Multivector,
     NotAVector,
@@ -35,7 +36,13 @@ from cliffalg import (
     reversion,
     scalar_mul,
 )
-from support import all_signatures, normalize_word, rand_multivector, rand_vector
+from support import (
+    all_signatures,
+    dense_inverse,
+    normalize_word,
+    rand_multivector,
+    rand_vector,
+)
 
 SMALL_SIGS = all_signatures(3)
 
@@ -148,6 +155,27 @@ def multivectors(sig):
 HYP_SIG = Signature(1, 1, 1)
 
 
+@st.composite
+def inverse_cases(draw):
+    """Dense, sparse, or zero-divisor d * (1 +- u) with u^2 = +1, n <= 5, s > 0 included."""
+    n = draw(st.integers(0, 5))
+    p = draw(st.integers(0, n))
+    q = draw(st.integers(0, n - p))
+    sig = Signature(p, q, n - p - q)
+    dim = 1 << n
+    values = draw(st.lists(small_fractions(), min_size=dim, max_size=dim))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero divisor"]))
+    if kind == "sparse":
+        keep = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+        values = [v if k else 0 for v, k in zip(values, keep)]
+    x = Multivector(sig, dict(enumerate(values)))
+    units = [m for m in range(1, dim) if blade_mul(m, m, sig)[0] == 1]
+    if kind == "zero divisor" and units:
+        u = Multivector.basis_blade(sig, draw(st.sampled_from(units)))
+        x = geometric_product(x, 1 + u if draw(st.booleans()) else 1 - u)
+    return x
+
+
 class TestAlgebraLaws:
     @settings(max_examples=40, deadline=None)
     @given(multivectors(HYP_SIG), multivectors(HYP_SIG), multivectors(HYP_SIG))
@@ -185,6 +213,22 @@ class TestAlgebraLaws:
         assert e1**0 == 1
         with pytest.raises(ValueError):
             e1 ** (-1)
+
+    def test_power_matches_repeated_product(self):
+        sig = Signature(1, 1, 1)
+        x = Multivector(sig, {0: Fraction(1, 2), 0b001: 1, 0b011: -2, 0b110: Fraction(1, 3)})
+        expected = Multivector.one(sig)
+        for k in range(12):
+            assert x**k == expected
+            expected = geometric_product(expected, x)
+
+    def test_power_coefficient_budget(self):
+        x = Multivector(Signature(0, 1), {0: 1, 1: 1})
+        with pytest.raises(CoefficientTooLarge):
+            x**30000
+        with pytest.raises(CoefficientTooLarge):
+            x ** (10**9)
+        assert Multivector.generator(Signature(0, 1), 1) ** (10**9) == 1
 
 
 class TestInvolutions:
@@ -325,6 +369,24 @@ class TestInverse:
                 assert geometric_product(y, x) == one
                 found += 1
 
+    @settings(max_examples=80, deadline=None)
+    @given(inverse_cases())
+    def test_matches_dense_solve(self, x):
+        expected = dense_inverse(x)
+        try:
+            y = inverse(x)
+        except NotInvertible:
+            y = None
+        assert y == expected
+
+    def test_dense_element_of_cl44(self):
+        sig = Signature(4, 4)
+        x = rand_multivector(random.Random(31), sig, density=1.0)
+        y = inverse(x)
+        one = Multivector.one(sig)
+        assert geometric_product(x, y) == one
+        assert geometric_product(y, x) == one
+
     def test_norm_of_vector(self):
         rng = random.Random(29)
         sig = Signature(1, 2)
@@ -354,6 +416,22 @@ class TestMultivectorType:
     def test_validation(self):
         with pytest.raises(ValueError):
             Multivector(Signature(1, 0), {5: 1})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda sig: Multivector(sig, {0: 0.1}),
+            lambda sig: Multivector(sig, {0: "1/2"}),
+            lambda sig: Multivector.scalar(sig, 0.5),
+            lambda sig: Multivector.basis_blade(sig, 0b01, 0.5),
+            lambda sig: embed_vector([0.5, 1], sig),
+            lambda sig: scalar_mul(0.5, Multivector.one(sig)),
+            lambda sig: Multivector.one(sig) / 0.5,
+        ],
+    )
+    def test_inexact_coefficients_rejected(self, build):
+        with pytest.raises(TypeError):
+            build(Signature(2, 0))
 
     def test_zero_pruning_and_terms_sorted(self):
         sig = Signature(2, 0)
