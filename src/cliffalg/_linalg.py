@@ -33,10 +33,6 @@ def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def zeros(rows, cols):
-    return [[ZERO] * cols for _ in range(rows)]
-
-
 def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 
@@ -130,12 +126,6 @@ def rank(m):
     return len(rref(m)[1]) if m else 0
 
 
-def row_space_basis(m):
-    """Canonical (RREF) basis of the row space."""
-    reduced, pivots = rref(m)
-    return [reduced[i] for i in range(len(pivots))]
-
-
 def solve(a, b):
     """One exact solution of A x = b, or None when the system is inconsistent.
 
@@ -165,25 +155,6 @@ def matrix_inverse(m):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in reduced[:n]]
-
-
-def nullspace_basis(m):
-    """Canonical basis of the kernel of A, read off the RREF."""
-    if not m:
-        return []
-    cols = len(m[0])
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * cols
-        vec[free] = ONE
-        for row_index, c in enumerate(pivots):
-            vec[c] = -reduced[row_index][free]
-        basis.append(vec)
-    return basis
 
 
 def coordinates_in_basis(basis_rows, target):

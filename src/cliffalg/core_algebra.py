@@ -154,24 +154,35 @@ def _check_blade(mask: Blade, sig: Signature) -> None:
         raise ValueError(f"blade mask {mask} out of range for signature {sig}")
 
 
-def _merge_swaps(a: Blade, b: Blade) -> int:
-    """Transpositions needed to interleave the factors of b into a."""
-    total = 0
-    rest = b
-    while rest:
-        low = rest & -rest
-        total += (a >> low.bit_length()).bit_count()
-        rest ^= low
-    return total
+def _reorder_parity(a: Blade) -> int:
+    """Bit t is set when a has an odd number of factors above generator t+1.
+
+    A suffix XOR of a >> 1 by doubling shifts: ceil(log2 n) steps, not n.
+    """
+    parity = a >> 1
+    shift = 1
+    while parity >> shift:
+        parity ^= parity >> shift
+        shift <<= 1
+    return parity
 
 
-def _blade_mul_sign(a: Blade, b: Blade, neg_mask: int, zero_mask: int) -> int:
-    """Sign of the blade product as an int in {1, -1, 0}."""
-    shared = a & b
-    if shared & zero_mask:
-        return 0
-    exponent = _merge_swaps(a, b) + (shared & neg_mask).bit_count()
-    return -1 if exponent & 1 else 1
+def _blade_mul_signs(a: Blade, bs, neg_mask: int, zero_mask: int) -> list[int]:
+    """Signs of the blade products a * b for each b in bs, as ints in {1, -1, 0}.
+
+    Sorting the factors of b into a moves each one past the factors of a
+    above it, (b & _reorder_parity(a)).bit_count() transpositions in all,
+    and each shared generator squaring to -1 flips the sign once more; the
+    two parities fold into one mask per a.  The sign is 0 exactly when a
+    shared generator squares to 0.
+    """
+    flips = _reorder_parity(a) ^ (a & neg_mask)
+    null = a & zero_mask
+    return [0 if b & null else -1 if (b & flips).bit_count() & 1 else 1 for b in bs]
+
+
+# Blade coefficients indexed by sign; index -1 is the last entry.
+_SIGN_COEFFICIENTS = (_ZERO, _ONE, _MINUS_ONE)
 
 
 def blade_mul(a: Blade, b: Blade, sig: Signature) -> tuple[Rational, Blade]:
@@ -183,12 +194,8 @@ def blade_mul(a: Blade, b: Blade, sig: Signature) -> tuple[Rational, Blade]:
     """
     _check_blade(a, sig)
     _check_blade(b, sig)
-    sign = _blade_mul_sign(a, b, _negative_mask(sig), _zero_mask(sig))
-    if sign == 1:
-        return _ONE, a ^ b
-    if sign == -1:
-        return _MINUS_ONE, a ^ b
-    return _ZERO, a ^ b
+    sign = _blade_mul_signs(a, (b,), _negative_mask(sig), _zero_mask(sig))[0]
+    return _SIGN_COEFFICIENTS[sign], a ^ b
 
 
 class Multivector:
@@ -362,10 +369,10 @@ def _product(x: dict, y: dict, sig: Signature) -> dict:
     neg_mask = _negative_mask(sig)
     zero_mask = _zero_mask(sig)
     acc: dict = {}
+    y_terms = y.items()
     for a, ca in x.items():
-        for b, cb in y.items():
-            sign = _blade_mul_sign(a, b, neg_mask, zero_mask)
-            if sign == 0:
+        for (b, cb), sign in zip(y_terms, _blade_mul_signs(a, y, neg_mask, zero_mask)):
+            if not sign:
                 continue
             mask = a ^ b
             term = ca * cb if sign == 1 else -(ca * cb)
@@ -541,8 +548,9 @@ def inverse(x: Multivector) -> Multivector:
 def multiplication_table(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP):
     """Complete blade product table, table[a][b] = (coefficient, mask).
 
-    Uses a per-row parity mask so the 4^n entries cost one AND and one
-    popcount each; the kernel agrees with blade_mul on every pair (tested).
+    Each row takes the signs of a against every b from the kernel that
+    blade_mul and geometric_product use, so the reordering parity of a is
+    computed once per row and each entry costs one AND and one popcount.
     """
     if sig.n > cap:
         raise DimensionCapExceeded(f"signature {sig} has n={sig.n} > cap {cap}")
@@ -551,18 +559,6 @@ def multiplication_table(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP):
     zero_mask = _zero_mask(sig)
     table = []
     for a in range(dim):
-        # bit t of parity holds the parity of the factor count of a above index t+1
-        parity = 0
-        for t in range(sig.n):
-            if (a >> (t + 1)).bit_count() & 1:
-                parity |= 1 << t
-        row = []
-        for b in range(dim):
-            shared = a & b
-            if shared & zero_mask:
-                row.append((_ZERO, a ^ b))
-                continue
-            exponent = (b & parity).bit_count() + (shared & neg_mask).bit_count()
-            row.append((_MINUS_ONE if exponent & 1 else _ONE, a ^ b))
-        table.append(row)
+        signs = _blade_mul_signs(a, range(dim), neg_mask, zero_mask)
+        table.append([(_SIGN_COEFFICIENTS[sign], a ^ b) for b, sign in enumerate(signs)])
     return table

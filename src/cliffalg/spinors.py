@@ -71,19 +71,22 @@ def _blades_commute(a: int, b: int, sig: Signature) -> bool:
 
 
 def _dependent_on(masks, candidate: int) -> bool:
-    """True when some nonempty sub-product of masks lands on candidate.
+    """True when some sub-product of masks lands on candidate.
 
-    Blade products live on XOR of masks, so a sub-product of the chosen
-    blades times the candidate is scalar exactly when the masks XOR to 0.
+    Blade products live on XOR of masks, so this asks whether candidate lies
+    in the GF(2) span of masks: reduce it against an echelon basis of the
+    masks, highest leading bit first, and see whether it reaches 0.
     """
-    for size in range(len(masks) + 1):
-        for subset in itertools.combinations(masks, size):
-            acc = candidate
-            for m in subset:
-                acc ^= m
-            if acc == 0:
-                return True
-    return False
+    basis: list[int] = []  # distinct leading bits, in descending order
+    for mask in masks:
+        for v in basis:
+            mask = min(mask, mask ^ v)
+        if mask:
+            basis.append(mask)
+            basis.sort(reverse=True)
+    for v in basis:
+        candidate = min(candidate, candidate ^ v)
+    return candidate == 0
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,13 @@ def _from_coords(sig: Signature, coords) -> Multivector:
     return Multivector(sig, {mask: value for mask, value in enumerate(coords) if value})
 
 
+def _blade_image_span(sig: Signature, image) -> tuple[tuple[Multivector, ...], tuple[int, ...]]:
+    """RREF basis of span{image(b) : b a basis blade} and its pivot blade masks."""
+    rows = [_coords(image(Multivector.basis_blade(sig, b))) for b in range(1 << sig.n)]
+    reduced, pivots = _linalg.rref(rows)
+    return tuple(_from_coords(sig, reduced[i]) for i in range(len(pivots))), tuple(pivots)
+
+
 def _require_idempotent(f: Multivector) -> None:
     if geometric_product(f, f) != f:
         raise NotIdempotent("element does not satisfy f*f = f")
@@ -221,11 +231,8 @@ class IdealBasis:
 def left_ideal_basis(f: Multivector) -> IdealBasis:
     """Exact row reduction of {b * f : b a basis blade} to a canonical basis."""
     _require_idempotent(f)
-    sig = f.sig
-    rows = [_coords(geometric_product(Multivector.basis_blade(sig, b), f)) for b in range(1 << sig.n)]
-    reduced, pivot_cols = _linalg.rref(rows)
-    basis = tuple(_from_coords(sig, reduced[i]) for i in range(len(pivot_cols)))
-    return IdealBasis(f, basis, len(pivot_cols), tuple(pivot_cols))
+    basis, pivots = _blade_image_span(f.sig, lambda b: geometric_product(b, f))
+    return IdealBasis(f, basis, len(basis), pivots)
 
 
 def left_ideal_dimension(f: Multivector) -> int:
@@ -242,20 +249,17 @@ def left_ideal_dimension(f: Multivector) -> int:
     return int(value)
 
 
-def _commutation_sign(a: int, b: int) -> int:
-    """+1 when blades a and b commute, -1 when they anticommute (s = 0 forms)."""
-    exponent = a.bit_count() * b.bit_count() - (a & b).bit_count()
-    return -1 if exponent & 1 else 1
-
-
 def peirce_dimension(f: Multivector, g: Multivector) -> int:
     """dim f*A*g as the trace of the projector x -> f * x * g.
 
     For basis blades, m * b * m' contributes to blade b only when m = m',
-    and then m * b * m = sigma(m,b) * tau_m * b with sigma the commutation
-    sign and tau_m the scalar square of m.  Hence the trace is
-    sum_m f_m g_m tau_m sum_b sigma(m,b), which stays cheap in high
-    dimension.  Agrees with the row-reduction rank (tested).
+    and then m * b * m = sigma(m,b) * tau_m * b with sigma(m,b) = +-1 as m
+    and b commute or anticommute and tau_m the scalar square of m.  Hence
+    the trace is sum_m f_m g_m tau_m sum_b sigma(m,b).  The inner sum is
+    2^n when m is central and 0 otherwise (a non-central m anticommutes
+    with exactly half the blades), and on a regular form the central
+    blades are 1 and, for odd n, the pseudoscalar.  Agrees with the
+    row-reduction rank (tested).
     """
     if f.sig != g.sig:
         raise SignatureMismatch(f"signatures differ: {f.sig} vs {g.sig}")
@@ -265,15 +269,11 @@ def peirce_dimension(f: Multivector, g: Multivector) -> int:
     _require_idempotent(f)
     _require_idempotent(g)
     dim = 1 << sig.n
-    g_coeffs = dict(g.terms())
+    central = (0, dim - 1) if sig.n % 2 else (0,)
     total = Fraction(0)
-    for mask, f_value in f.terms():
-        g_value = g_coeffs.get(mask)
-        if g_value is None:
-            continue
+    for mask in central:
         tau = blade_mul(mask, mask, sig)[0]
-        sigma_sum = sum(_commutation_sign(mask, b) for b in range(dim))
-        total += f_value * g_value * tau * sigma_sum
+        total += f.coefficient(mask) * g.coefficient(mask) * tau * dim
     assert total.denominator == 1 and total >= 0
     return int(total)
 
@@ -372,13 +372,7 @@ def division_ring_info(f: Multivector) -> DivisionRingInfo:
     primitive and is reported as UnexpectedDimension.
     """
     _require_idempotent(f)
-    sig = f.sig
-    rows = []
-    for b in range(1 << sig.n):
-        sandwich = geometric_product(geometric_product(f, Multivector.basis_blade(sig, b)), f)
-        rows.append(_coords(sandwich))
-    reduced = _linalg.row_space_basis(rows)
-    basis = tuple(_from_coords(sig, row) for row in reduced)
+    basis, _ = _blade_image_span(f.sig, lambda b: geometric_product(geometric_product(f, b), f))
     dim = len(basis)
     if dim == 1:
         kind = "R"
@@ -413,10 +407,7 @@ def algebra_center(sig: Signature) -> tuple[Multivector, ...]:
         raise DegenerateForm("center computation requires a regular signature")
     members = []
     for mask in range(1 << sig.n):
-        if all(
-            blade_mul(mask, g, sig)[0] == blade_mul(g, mask, sig)[0]
-            for g in _generator_masks(sig)
-        ):
+        if all(_blades_commute(mask, g, sig) for g in _generator_masks(sig)):
             members.append(mask)
     return tuple(Multivector.basis_blade(sig, mask) for mask in members)
 
@@ -503,10 +494,9 @@ def interbasis_element(f_i: Multivector, f_j: Multivector):
     dim = 1 << sig.n
 
     def sandwich_basis(left, right):
-        rows = []
-        for b in range(dim):
-            rows.append(_coords(geometric_product(geometric_product(left, Multivector.basis_blade(sig, b)), right)))
-        return [_from_coords(sig, row) for row in _linalg.row_space_basis(rows)]
+        return _blade_image_span(
+            sig, lambda b: geometric_product(geometric_product(left, b), right)
+        )[0]
 
     space_ij = sandwich_basis(f_i, f_j)
     if not space_ij:

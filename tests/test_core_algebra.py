@@ -68,7 +68,11 @@ class TestBladeProduct:
                         assert blade_from_indices(word, sig.n) == mask
 
     def test_oracle_spot_checks_n5(self):
-        for sig in [Signature(5, 0), Signature(0, 5), Signature(2, 2, 1), Signature(1, 3, 1)]:
+        # up to the default cap 10 and the CLI maximum 16; from n = 10 on the
+        # reordering parity takes a fourth doubling step
+        sigs = [Signature(5, 0), Signature(0, 5), Signature(2, 2, 1), Signature(1, 3, 1)]
+        sigs += [Signature(9, 0), Signature(5, 4, 1), Signature(8, 8)]
+        for sig in sigs:
             rng = random.Random(501)
             dim = 1 << sig.n
             for _ in range(300):
