@@ -43,7 +43,7 @@ def mat_mul(a, b):
     if len(a[0]) != len(b):
         raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in bt] for row in a]
 
 
 def mat_vec(m, v):

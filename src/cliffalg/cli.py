@@ -52,6 +52,7 @@ from .quadratic_space import (
     reflection_matrix,
 )
 from .spinors import (
+    _idempotents,
     algebra_center,
     build_idempotent_set,
     division_ring_info,
@@ -292,10 +293,9 @@ def cmd_idempotents(args, sig: Signature):
 
 def cmd_ideal(args, sig: Signature):
     if args.faithful:
-        ideal = faithful_ideal(sig)
+        ideal = faithful_ideal(sig, cap=args.cap)
     else:
-        idems = build_idempotent_set(find_commuting_blades(sig, cap=args.cap)).idems
-        ideal = left_ideal_basis(idems[0])
+        ideal = left_ideal_basis(next(_idempotents(find_commuting_blades(sig, cap=args.cap))))
     division = None
     try:
         info = division_ring_info(ideal.generator)
@@ -319,7 +319,7 @@ def cmd_ideal(args, sig: Signature):
 
 
 def cmd_rep(args, sig: Signature):
-    ideal = faithful_ideal(sig)
+    ideal = faithful_ideal(sig, cap=args.cap)
     x = parse_multivector(args.expression, sig)
     matrix = regular_rep_matrix(x, ideal)
     unital = _linalg.mat_eq(

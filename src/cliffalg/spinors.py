@@ -3,7 +3,8 @@
 A complete set of 2^k primitive orthogonal idempotents is built from k
 commuting, multiplicatively independent basis blades squaring to +1, with
 k = q - r(q - p) where r is the Radon-Hurwitz sequence.  Minimal left ideals
-are spanned by exact row reduction of the blade images b * f; the division
+are spanned by exact row reduction of the blade images b * f, one block per
+coset of the GF(2) span of the idempotent's support masks; the division
 ring f * A * f fixes the coefficient ring (R, C, or H) of the spinor module;
 the center decides simplicity; E_ij elements realize the equivalence of the
 minimal representations inside one simple component.
@@ -70,23 +71,35 @@ def _blades_commute(a: int, b: int, sig: Signature) -> bool:
     return blade_mul(a, b, sig)[0] == blade_mul(b, a, sig)[0]
 
 
+def _reduce_mask(mask: int, basis) -> int:
+    """mask reduced against a GF(2) echelon basis with distinct leading bits, highest first.
+
+    The result has no leading bit of the basis set: 0 exactly when mask lies
+    in the span, and otherwise the same value for every mask of its coset.
+    """
+    for v in basis:
+        mask = min(mask, mask ^ v)
+    return mask
+
+
+def _echelon_basis(masks) -> list[int]:
+    """GF(2) echelon basis of the span of masks, leading bits distinct and descending."""
+    basis: list[int] = []
+    for mask in masks:
+        mask = _reduce_mask(mask, basis)
+        if mask:
+            basis.append(mask)
+            basis.sort(reverse=True)
+    return basis
+
+
 def _dependent_on(masks, candidate: int) -> bool:
     """True when some sub-product of masks lands on candidate.
 
     Blade products live on XOR of masks, so this asks whether candidate lies
-    in the GF(2) span of masks: reduce it against an echelon basis of the
-    masks, highest leading bit first, and see whether it reaches 0.
+    in the GF(2) span of masks.
     """
-    basis: list[int] = []  # distinct leading bits, in descending order
-    for mask in masks:
-        for v in basis:
-            mask = min(mask, mask ^ v)
-        if mask:
-            basis.append(mask)
-            basis.sort(reverse=True)
-    for v in basis:
-        candidate = min(candidate, candidate ^ v)
-    return candidate == 0
+    return _reduce_mask(candidate, _echelon_basis(masks)) == 0
 
 
 @dataclass(frozen=True)
@@ -169,11 +182,10 @@ class IdempotentSet:
                     raise ValueError("idempotents are not pairwise orthogonal")
 
 
-def build_idempotent_set(blades: CommutingBladeSet) -> IdempotentSet:
-    """Expand every sign choice of prod (1 + eps * u) / 2 over the blade set."""
+def _idempotents(blades: CommutingBladeSet):
+    """Yield prod (1 + eps_t u_t) / 2 for every sign choice, eps = +1 before -1."""
     sig = blades.sig
     one = Multivector.one(sig)
-    idems = []
     for signs in itertools.product((1, -1), repeat=len(blades.blades)):
         f = one
         for eps, mask in zip(signs, blades.blades):
@@ -182,8 +194,12 @@ def build_idempotent_set(blades: CommutingBladeSet) -> IdempotentSet:
                 Multivector.basis_blade(sig, mask, Fraction(eps, 2)),
             )
             f = geometric_product(f, factor)
-        idems.append(f)
-    return IdempotentSet(tuple(idems), blades)
+        yield f
+
+
+def build_idempotent_set(blades: CommutingBladeSet) -> IdempotentSet:
+    """Expand every sign choice of prod (1 + eps * u) / 2 over the blade set."""
+    return IdempotentSet(tuple(_idempotents(blades)), blades)
 
 
 def _coords(x: Multivector) -> list[Fraction]:
@@ -193,15 +209,31 @@ def _coords(x: Multivector) -> list[Fraction]:
     return out
 
 
-def _from_coords(sig: Signature, coords) -> Multivector:
-    return Multivector(sig, {mask: value for mask, value in enumerate(coords) if value})
+def _blade_image_span(
+    sig: Signature, image, factors
+) -> tuple[tuple[Multivector, ...], tuple[int, ...]]:
+    """RREF basis of span{image(b) : b a basis blade} and its pivot blade masks.
 
-
-def _blade_image_span(sig: Signature, image) -> tuple[tuple[Multivector, ...], tuple[int, ...]]:
-    """RREF basis of span{image(b) : b a basis blade} and its pivot blade masks."""
-    rows = [_coords(image(Multivector.basis_blade(sig, b))) for b in range(1 << sig.n)]
-    reduced, pivots = _linalg.rref(rows)
-    return tuple(_from_coords(sig, reduced[i]) for i in range(len(pivots))), tuple(pivots)
+    image(b) must be a product of b with the given factors, so its blades lie
+    in the coset b + S, S the GF(2) span of the factors' support masks.  Up
+    to a column permutation the 2^n x 2^n matrix of images is then block
+    diagonal with one |S| x |S| block per coset.  Each block is row-reduced
+    over its coset's columns in ascending mask order and the rows are merged
+    by pivot mask; RREF is unique, so the result is the RREF of the full
+    matrix with columns in ascending mask order.
+    """
+    span = _echelon_basis(mask for x in factors for mask, _ in x.terms())
+    cosets: dict[int, list[int]] = {}
+    for b in range(1 << sig.n):
+        cosets.setdefault(_reduce_mask(b, span), []).append(b)
+    pivot_rows = []
+    for blades in cosets.values():
+        images = [image(Multivector.basis_blade(sig, b)) for b in blades]
+        reduced, pivots = _linalg.rref([[x.coefficient(c) for c in blades] for x in images])
+        pivot_rows += [(blades[c], dict(zip(blades, reduced[i]))) for i, c in enumerate(pivots)]
+    pivot_rows.sort(key=lambda item: item[0])
+    basis = tuple(Multivector(sig, coeffs) for _, coeffs in pivot_rows)
+    return basis, tuple(mask for mask, _ in pivot_rows)
 
 
 def _require_idempotent(f: Multivector) -> None:
@@ -231,7 +263,7 @@ class IdealBasis:
 def left_ideal_basis(f: Multivector) -> IdealBasis:
     """Exact row reduction of {b * f : b a basis blade} to a canonical basis."""
     _require_idempotent(f)
-    basis, pivots = _blade_image_span(f.sig, lambda b: geometric_product(b, f))
+    basis, pivots = _blade_image_span(f.sig, lambda b: geometric_product(b, f), (f,))
     return IdealBasis(f, basis, len(basis), pivots)
 
 
@@ -372,7 +404,9 @@ def division_ring_info(f: Multivector) -> DivisionRingInfo:
     primitive and is reported as UnexpectedDimension.
     """
     _require_idempotent(f)
-    basis, _ = _blade_image_span(f.sig, lambda b: geometric_product(geometric_product(f, b), f))
+    basis, _ = _blade_image_span(
+        f.sig, lambda b: geometric_product(geometric_product(f, b), f), (f,)
+    )
     dim = len(basis)
     if dim == 1:
         kind = "R"
@@ -428,34 +462,42 @@ def is_simple(sig: Signature) -> bool:
     return blade_mul(z_mask, z_mask, sig)[0] == -1
 
 
-def faithful_ideal(sig: Signature) -> IdealBasis:
+def faithful_ideal(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP) -> IdealBasis:
     """A left ideal on which left multiplication is faithful.
 
     For a simple algebra any minimal ideal works and the first idempotent of
     the canonical set is used.  For a split algebra the ideal of f + g is
     returned, with f and g minimal idempotents absorbed by the two central
-    idempotents (1 + z)/2 and (1 - z)/2.
+    idempotents (1 + z)/2 and (1 - z)/2, each the first in canonical order.
+    Only the idempotents up to those are built; left_ideal_basis checks
+    that its generator is idempotent, which for f + g forces fg + gf = 0.
     """
-    idems = build_idempotent_set(find_commuting_blades(sig)).idems
+    blades = find_commuting_blades(sig, cap)
     if is_simple(sig):
-        return left_ideal_basis(idems[0])
+        return left_ideal_basis(next(_idempotents(blades)))
     center = algebra_center(sig)
     one = Multivector.one(sig)
     c_plus = scalar_mul(_HALF, add(one, center[1]))
     c_minus = scalar_mul(_HALF, add(one, scalar_mul(-1, center[1])))
-    f = next(h for h in idems if geometric_product(h, c_plus) == h)
-    g = next(h for h in idems if geometric_product(h, c_minus) == h)
+    f = next(h for h in _idempotents(blades) if geometric_product(h, c_plus) == h)
+    g = next(h for h in _idempotents(blades) if geometric_product(h, c_minus) == h)
     return left_ideal_basis(add(f, g))
 
 
 def _coordinates_against(ideal: IdealBasis, y: Multivector):
-    """Coordinates of y in the RREF ideal basis, or None when y leaves the span."""
-    coords = _coords(y)
-    coefficients = [coords[p] for p in ideal.pivots]
-    reconstructed = Multivector.zero(ideal.sig)
+    """Coordinates of y in the RREF ideal basis, or None when y leaves the span.
+
+    Basis element i is 1 on pivot i and 0 on every other pivot, so the
+    coordinates are y's pivot coefficients; y is in the span exactly when
+    they rebuild it.
+    """
+    coefficients = [y.coefficient(p) for p in ideal.pivots]
+    acc: dict = {}
     for c, b in zip(coefficients, ideal.basis):
-        reconstructed = add(reconstructed, scalar_mul(c, b))
-    if reconstructed != y:
+        if c:
+            for mask, value in b._coeffs.items():
+                acc[mask] = acc.get(mask, 0) + c * value
+    if Multivector(ideal.sig, acc) != y:
         return None
     return coefficients
 
@@ -495,7 +537,7 @@ def interbasis_element(f_i: Multivector, f_j: Multivector):
 
     def sandwich_basis(left, right):
         return _blade_image_span(
-            sig, lambda b: geometric_product(geometric_product(left, b), right)
+            sig, lambda b: geometric_product(geometric_product(left, b), right), (left, right)
         )[0]
 
     space_ij = sandwich_basis(f_i, f_j)

@@ -89,6 +89,20 @@ def dense_inverse(x: Multivector):
     return y
 
 
+def full_blade_image_span(sig: Signature, image):
+    """RREF basis of span{image(b) : b a basis blade} and its pivot masks.
+
+    Row-reduces all 2^n images at once over all 2^n blade columns.  This is
+    the reference the coset-block spinors._blade_image_span is tested against.
+    """
+    dim = 1 << sig.n
+    images = [image(Multivector.basis_blade(sig, b)) for b in range(dim)]
+    rows = [[x.coefficient(m) for m in range(dim)] for x in images]
+    reduced, pivots = _linalg.rref(rows)
+    basis = tuple(Multivector(sig, dict(enumerate(reduced[i]))) for i in range(len(pivots)))
+    return basis, tuple(pivots)
+
+
 def all_signatures(max_n: int, degenerate: bool = True):
     """Every (p, q, s) with 0 <= p+q+s <= max_n (s = 0 only when degenerate=False)."""
     out = []

@@ -175,6 +175,17 @@ class TestDimensionCap:
         payload = run_json(capsys, ["eval", "--sig", "6,5", "--cap", "11", "--json", "1"])
         assert payload["result"]["value"] == "1"
 
+    def test_rep_at_default_cap(self, capsys):
+        payload = run_json(capsys, ["rep", "--sig", "5,5", "--json", "e{1}+e{2}"])
+        matrix = payload["result"]["matrix"]
+        assert payload["result"]["ideal_dimension"] == 32
+        assert len(matrix) == 32 and all(len(row) == 32 for row in matrix)
+        assert payload["checks"] == {"homomorphism_square": True, "unital": True}
+
+    def test_raised_cap_reaches_faithful_ideal(self, capsys):
+        payload = run_json(capsys, ["rep", "--sig", "6,5", "--cap", "11", "--json", "e{1}"])
+        assert payload["result"]["ideal_dimension"] == 64
+
     def test_lowered_cap_blocks(self, capsys):
         code, out, err = run_text(capsys, ["table", "--sig", "4,0", "--cap", "3"])
         assert code == 1

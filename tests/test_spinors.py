@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffalg import _linalg
 from cliffalg import (
@@ -15,6 +16,7 @@ from cliffalg import (
     IdempotentSet,
     Multivector,
     NotIdempotent,
+    NotInvertible,
     NotSimple,
     Signature,
     SignatureMismatch,
@@ -28,6 +30,7 @@ from cliffalg import (
     geometric_product,
     idempotent_count_exponent,
     interbasis_element,
+    inverse,
     is_simple,
     left_ideal_basis,
     left_ideal_dimension,
@@ -37,7 +40,8 @@ from cliffalg import (
     representation_intertwiner,
     scalar_mul,
 )
-from support import all_signatures, rand_multivector
+from cliffalg.spinors import _blade_image_span
+from support import all_signatures, full_blade_image_span, rand_multivector
 
 REGULAR_SIGS_4 = [s for s in all_signatures(4, degenerate=False)]
 REGULAR_SIGS_5 = [s for s in all_signatures(5, degenerate=False)]
@@ -190,10 +194,18 @@ class TestIdeals:
                 assert len(ideal.basis) == ideal.dim
 
     def test_trace_shortcut_in_high_dimension(self):
-        # n = 8: the RREF route would reduce a 256 x 256 matrix; the trace is instant
+        # n = 8: the trace needs no row reduction at all
         idems = canonical_idempotents(Signature(8, 0))
         assert [left_ideal_dimension(f) for f in idems] == [16] * 16
         assert sum(left_ideal_dimension(f) for f in idems) == 256
+
+    @pytest.mark.parametrize("pq", [(4, 4), (1, 7), (8, 0)])
+    def test_row_reduction_in_high_dimension(self, pq):
+        sig = Signature(*pq)
+        f = canonical_idempotents(sig)[0]
+        ideal = left_ideal_basis(f)
+        assert ideal.dim == 1 << (sig.n - idempotent_count_exponent(sig))
+        assert ideal.dim == left_ideal_dimension(f)
 
     def test_ideal_closed_under_left_multiplication(self):
         rng = random.Random(307)
@@ -212,6 +224,61 @@ class TestIdeals:
             left_ideal_basis(Multivector.generator(sig, 1))
         with pytest.raises(NotIdempotent):
             left_ideal_dimension(2 * Multivector.one(sig))
+
+
+@st.composite
+def span_cases(draw):
+    """(sig, image, factors) with image(b) = b*x, x*b*x or f*b*x, n <= 6.
+
+    f is a canonical idempotent.  x is one too, a sum f + g of two of them,
+    1 (one blade per block), a = 1 + c*m for a blade m (blocks of two whose
+    pivots interleave), or an idempotent conjugated by an invertible a:
+    a = 1 + c*m widens the blocks past the support span of f, and a dense
+    integer a gives one block with small coefficients.
+    """
+    n = draw(st.integers(0, 6))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    one = Multivector.one(sig)
+    idems = canonical_idempotents(sig)
+    f = draw(st.sampled_from(idems))
+    g = draw(st.sampled_from(idems))
+    kinds = ["idempotent", "f+g", "one", "1+c*m", "sparse conjugate", "dense conjugate"]
+    kind = draw(st.sampled_from(kinds))
+    m = draw(st.integers(0, (1 << n) - 1))
+    a = add(one, Multivector.basis_blade(sig, m, draw(st.integers(1, 2))))
+    if kind == "dense conjugate":
+        values = draw(st.lists(st.integers(-2, 2), min_size=1 << n, max_size=1 << n))
+        a = Multivector(sig, dict(enumerate(values)))
+    if kind == "idempotent":
+        x = g
+    elif kind == "f+g":
+        x = add(f, g)
+    elif kind == "one":
+        x = one
+    elif kind == "1+c*m":
+        x = a
+    else:
+        try:
+            x = geometric_product(geometric_product(a, g), inverse(a))
+        except NotInvertible:
+            x = g
+    form = draw(st.sampled_from(["left", "double", "sandwich"]))
+    if form == "double" and kind == "dense conjugate":
+        form = "left"  # x*b*x for a dense x costs 4^n term pairs per blade
+    if form == "left":
+        return sig, lambda b: geometric_product(b, x), (x,)
+    if form == "double":
+        return sig, lambda b: geometric_product(geometric_product(x, b), x), (x,)
+    return sig, lambda b: geometric_product(geometric_product(f, b), x), (f, x)
+
+
+class TestBladeImageSpan:
+    @settings(max_examples=50, deadline=None)
+    @given(span_cases())
+    def test_coset_blocks_match_full_reduction(self, case):
+        sig, image, factors = case
+        assert _blade_image_span(sig, image, factors) == full_blade_image_span(sig, image)
 
 
 class TestPeirce:
