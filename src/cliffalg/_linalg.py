@@ -52,15 +52,6 @@ def mat_vec(m, v):
     return [sum(x * y for x, y in zip(row, v)) for row in m]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, m):
-    c = Fraction(c)
-    return [[c * x for x in row] for row in m]
-
-
 def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
@@ -120,10 +111,6 @@ def rref(m):
         if r == rows:
             break
     return work, pivots
-
-
-def rank(m):
-    return len(rref(m)[1]) if m else 0
 
 
 def solve(a, b):

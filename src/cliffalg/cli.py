@@ -106,10 +106,9 @@ def _form_from_matrix_text(text: str) -> BilinearForm:
         raise ParseError(str(exc)) from None
 
 
-def _entry_text(coefficient: Fraction, mask: int, n: int) -> str:
+def _entry_text(coefficient: Fraction, mask: int, name: str) -> str:
     if coefficient == 0:
         return "0"
-    name = blade_name(mask, n)
     if mask == 0:
         return _rat(coefficient)
     if coefficient == 1:
@@ -133,7 +132,7 @@ def cmd_table(args, sig: Signature):
     dim = 1 << sig.n
     names = [blade_name(mask, sig.n) for mask in range(dim)]
     entries = [
-        [_entry_text(coefficient, mask, sig.n) for coefficient, mask in row] for row in table
+        [_entry_text(coefficient, mask, names[mask]) for coefficient, mask in row] for row in table
     ]
     result = {"blades": names, "entries": entries}
     checks = {}
@@ -275,7 +274,7 @@ def cmd_idempotents(args, sig: Signature):
         "blades": [blade_name(mask, sig.n) for mask in blades.blades],
         "idempotents": [pretty_print(f) for f in idset.idems],
     }
-    # certified by IdempotentSet construction, which checks all three
+    # certified by IdempotentSet construction; orthogonality follows from the others
     checks = {"idempotent": True, "pairwise_orthogonal": True, "sum_to_one": True}
     lines = [
         f"exponent: {result['exponent']}",

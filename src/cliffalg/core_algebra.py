@@ -422,17 +422,8 @@ def odd_part(x: Multivector) -> Multivector:
     )
 
 
-_INVOLUTION_KINDS = ("grade", "reverse", "conjugate")
-
-
-def _involution_negates(kind: str, grade: int) -> bool:
-    if kind == "grade":
-        return grade % 2 == 1
-    if kind == "reverse":
-        return grade % 4 in (2, 3)
-    if kind == "conjugate":
-        return grade % 4 in (1, 2)
-    raise ValueError(f"unknown involution kind {kind!r}; expected one of {_INVOLUTION_KINDS}")
+# Grades mod 4 whose blades each involution negates.
+_INVOLUTION_NEGATES = {"grade": (1, 3), "reverse": (2, 3), "conjugate": (1, 2)}
 
 
 def involution(x: Multivector, kind: str) -> Multivector:
@@ -442,12 +433,13 @@ def involution(x: Multivector, kind: str) -> Multivector:
     kind "reverse": sign (-1)^(k(k-1)/2), the antiautomorphism reversing
     products.  kind "conjugate": their composition, sign (-1)^(k(k+1)/2).
     """
+    negated = _INVOLUTION_NEGATES.get(kind)
+    if negated is None:
+        raise ValueError(
+            f"unknown involution kind {kind!r}; expected one of {tuple(_INVOLUTION_NEGATES)}"
+        )
     return Multivector._raw(
-        x.sig,
-        {
-            mask: (-value if _involution_negates(kind, mask.bit_count()) else value)
-            for mask, value in x._coeffs.items()
-        },
+        x.sig, {m: -v if m.bit_count() % 4 in negated else v for m, v in x._coeffs.items()}
     )
 
 
@@ -463,13 +455,23 @@ def clifford_conjugation(x: Multivector) -> Multivector:
     return involution(x, "conjugate")
 
 
-def norm(x: Multivector) -> Multivector:
-    """The full product x * conjugate(x).
+def _integer_scaled(x: Multivector) -> tuple[dict, int]:
+    """(X, scale) with integer coefficients X and x = X / scale."""
+    scale = math.lcm(*(value.denominator for value in x._coeffs.values()))
+    return {mask: v.numerator * (scale // v.denominator) for mask, v in x._coeffs.items()}, scale
 
-    A multivector in general; a scalar exactly when x lies in the
+
+def norm(x: Multivector) -> Multivector:
+    """The full product x * conjugate(x), formed once in int arithmetic.
+
+    A multivector in general; a nonzero scalar when x lies in the
     Clifford-Lipschitz group of a regular form.
     """
-    return geometric_product(x, clifford_conjugation(x))
+    scaled, scale = _integer_scaled(x)
+    conj, _ = _integer_scaled(clifford_conjugation(x))  # same denominators, same scale
+    square = scale * scale
+    product = _product(scaled, conj, x.sig)
+    return Multivector._raw(x.sig, {mask: Fraction(v, square) for mask, v in product.items()})
 
 
 def embed_vector(coords, sig: Signature) -> Multivector:
@@ -491,42 +493,36 @@ def extract_vector(x: Multivector) -> list[Rational]:
 
 
 def inverse(x: Multivector) -> Multivector:
-    """Two-sided inverse, computed inside the algebra.
+    """Two-sided inverse: conjugate(x) / N when N = norm(x) is a nonzero scalar.
 
-    x is first scaled to integer coefficients, x = X / scale, and all the
-    work below runs in int arithmetic on X; the result is converted once.
-
-    Fast path: when N = X * conjugate(X) is a nonzero scalar (exactly the
-    Clifford-group case), x^-1 = scale * conjugate(X) / N.  A right inverse
-    in a finite-dimensional algebra is two-sided, so nothing is checked.
-
-    General path: the Faddeev-LeVerrier recursion run on multivectors
-    (Shirokov, 2021).  Let m be the size of a faithful matrix representation
-    on which the trace is m times the scalar part: 2^ceil(n/2) for a regular
-    signature, 2^n (the left regular representation) when s > 0.  With
-    M_1 = 1, each step sets U_k = X * M_k and c_k = -(m/k) <U_k>_0, and
-    M_{k+1} = U_k + c_k.  Every c_k is a characteristic-polynomial
-    coefficient of an integer matrix, hence an integer.  Cayley-Hamilton
-    gives X^-1 = -M_m / c_m, and c_m = 0 exactly when x is not invertible.
-    Both sides are checked: x * y = y * x = 1 for y = -scale * M_m / c_m
-    reads X * M_m = M_m * X = -c_m.
+    A right inverse in a finite-dimensional algebra is two-sided, so that
+    path checks nothing; otherwise _faddeev_leverrier_inverse decides.
     """
     if x.is_zero():
         raise NotInvertible("zero is not invertible")
+    value = norm(x)
+    if value and value.is_scalar():
+        return scalar_mul(1 / value.scalar_part(), clifford_conjugation(x))
+    return _faddeev_leverrier_inverse(x)
+
+
+def _faddeev_leverrier_inverse(x: Multivector) -> Multivector:
+    """Two-sided inverse by the Faddeev-LeVerrier recursion on multivectors.
+
+    x is scaled to integer coefficients, x = X / scale, and all the work
+    below runs in int arithmetic on X; the result is converted once.  The
+    recursion follows Shirokov (2021).  Let m be the size of a faithful
+    matrix representation on which the trace is m times the scalar part:
+    2^ceil(n/2) for a regular signature, 2^n (the left regular
+    representation) when s > 0.  With M_1 = 1, each step sets U_k = X * M_k
+    and c_k = -(m/k) <U_k>_0, and M_{k+1} = U_k + c_k.  Every c_k is a
+    characteristic-polynomial coefficient of an integer matrix, hence an
+    integer.  Cayley-Hamilton gives X^-1 = -M_m / c_m, and c_m = 0 exactly
+    when x is not invertible.  Both sides are checked: x * y = y * x = 1 for
+    y = -scale * M_m / c_m reads X * M_m = M_m * X = -c_m.
+    """
     sig = x.sig
-    scale = math.lcm(*(value.denominator for value in x._coeffs.values()))
-    scaled = {
-        mask: value.numerator * (scale // value.denominator) for mask, value in x._coeffs.items()
-    }
-    conj = {
-        mask: -value if _involution_negates("conjugate", mask.bit_count()) else value
-        for mask, value in scaled.items()
-    }
-    n_x = _nonzero(_product(scaled, conj, sig))
-    if n_x.keys() == {0}:
-        return Multivector._raw(
-            sig, {mask: Fraction(scale * value, n_x[0]) for mask, value in conj.items()}
-        )
+    scaled, scale = _integer_scaled(x)
     size = 1 << (sig.n if sig.s else (sig.n + 1) // 2)
     m_k = {0: 1}
     for k in range(1, size + 1):

@@ -23,6 +23,7 @@ from .core_algebra import (
     Multivector,
     Rational,
     Signature,
+    _faddeev_leverrier_inverse,
     clifford_conjugation,
     embed_vector,
     even_part,
@@ -79,41 +80,37 @@ class LiftResult:
         return {mask: float(value) * scale for mask, value in self.element.terms()}
 
 
-def _twisted_apply(x: Multivector, x_inv: Multivector, coords) -> list[Rational]:
-    sig = x.sig
-    v = embed_vector(coords, sig)
-    image = geometric_product(geometric_product(grade_involution(x), v), x_inv)
+def _twisted_image(x_hat: Multivector, x_inv: Multivector, v: Multivector) -> list[Rational]:
+    image = geometric_product(geometric_product(x_hat, v), x_inv)
     try:
         return extract_vector(image)
     except NotAVector as exc:
         raise NotStable(f"twisted adjoint leaves the vector space: {exc}") from None
 
 
+def _twisted_columns(x: Multivector, x_inv: Multivector) -> list[list[Rational]]:
+    """rho_x(e_i) for each generator in turn; NotStable at the first that leaves V."""
+    generators = [Multivector.basis_blade(x.sig, 1 << i) for i in range(x.sig.n)]
+    x_hat = grade_involution(x)
+    return [_twisted_image(x_hat, x_inv, e) for e in generators]
+
+
 def twisted_adjoint_apply(x: Multivector, coords) -> list[Rational]:
     """grade_involution(x) * v * x^-1 as coordinates; NotStable if not grade 1."""
-    return _twisted_apply(x, inverse(x), coords)
+    return _twisted_image(grade_involution(x), inverse(x), embed_vector(coords, x.sig))
 
 
 def twisted_adjoint_matrix(x: Multivector) -> IsometryMatrix:
     """Matrix with columns rho_x(e_i), certified against the standard form."""
-    sig = x.sig
-    x_inv = inverse(x)
-    columns = []
-    for i in range(sig.n):
-        coords = [Fraction(1) if j == i else Fraction(0) for j in range(sig.n)]
-        columns.append(_twisted_apply(x, x_inv, coords))
-    rows = [[columns[c][r] for c in range(sig.n)] for r in range(sig.n)]
-    return IsometryMatrix.from_rows(BilinearForm.from_signature(sig), rows)
+    columns = _twisted_columns(x, inverse(x))
+    return IsometryMatrix.from_rows(BilinearForm.from_signature(x.sig), zip(*columns))
 
 
 def _is_stable(x: Multivector, x_inv: Multivector) -> bool:
-    sig = x.sig
-    for i in range(sig.n):
-        coords = [Fraction(1) if j == i else Fraction(0) for j in range(sig.n)]
-        try:
-            _twisted_apply(x, x_inv, coords)
-        except NotStable:
-            return False
+    try:
+        _twisted_columns(x, x_inv)
+    except NotStable:
+        return False
     return True
 
 
@@ -128,20 +125,26 @@ class Membership:
 
 
 def membership(x: Multivector) -> Membership:
-    """Clifford group, Pin and Spin membership from one inverse and one norm.
+    """Clifford group, Pin and Spin membership from one norm.
 
     x is in the Clifford group iff it is invertible and its twisted adjoint
     keeps every e_i in V (v maps linearly to the image, so the basis
     suffices); in Pin iff also its norm is +1 or -1; in Spin iff also even.
+    A nonzero scalar N = x * conjugate(x) gives x^-1 = conjugate(x) / N, and
+    N = 0 a zero divisor.  A non-scalar N rules x out when s = 0 (Lounesto,
+    2001) but not when s > 0 (1 - e123 in Cl(0,0,3)): only then does
+    Faddeev-LeVerrier run.
     """
     value = norm(x)
     n_value = value.scalar_part() if value.is_scalar() else None
-    try:
-        x_inv = inverse(x)
-    except NotInvertible:
-        group = False
-    else:
-        group = _is_stable(x, x_inv)
+    group = False
+    if n_value:
+        group = _is_stable(x, scalar_mul(1 / n_value, clifford_conjugation(x)))
+    elif n_value is None and x.sig.s:
+        try:
+            group = _is_stable(x, _faddeev_leverrier_inverse(x))
+        except NotInvertible:
+            pass
     pin = group and n_value in (1, -1)
     spin = pin and even_part(x) == x
     return Membership(group, pin, spin, n_value)

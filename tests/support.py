@@ -18,11 +18,27 @@ from cliffalg import (
     Multivector,
     Signature,
     blade_mul,
+    clifford_conjugation,
+    even_part,
     geometric_product,
+    grade_involution,
     quadratic_value,
     reflection_matrix,
 )
 from cliffalg import _linalg
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(c, m):
+    c = Fraction(c)
+    return [[c * x for x in row] for row in m]
+
+
+def rank(m):
+    return len(_linalg.rref(m)[1]) if m else 0
 
 
 def normalize_word(indices, sig: Signature):
@@ -87,6 +103,38 @@ def dense_inverse(x: Multivector):
     if geometric_product(x, y) != one or geometric_product(y, x) != one:
         return None
     return y
+
+
+def reference_membership(x: Multivector):
+    """(in_clifford_group, in_pin, in_spin, n_value) by the direct definitions.
+
+    N = x * conjugate(x) in Fractions, the inverse from dense_inverse, and
+    stability read off grade_involution(x) * e_i * x^-1 for every generator.
+    This is the reference groups.membership is tested against.
+    """
+    sig = x.sig
+    value = geometric_product(x, clifford_conjugation(x))
+    n_value = value.scalar_part() if value.is_scalar() else None
+    x_inv = dense_inverse(x)
+    group = x_inv is not None and all(
+        geometric_product(
+            geometric_product(grade_involution(x), Multivector.generator(sig, i)), x_inv
+        ).grades()
+        in ((), (1,))
+        for i in range(1, sig.n + 1)
+    )
+    pin = group and n_value in (1, -1)
+    spin = pin and even_part(x) == x
+    return group, pin, spin, n_value
+
+
+def pairwise_orthogonal(idems) -> bool:
+    """True iff f * g = g * f = 0 for every pair of distinct members."""
+    return all(
+        geometric_product(f, g).is_zero() and geometric_product(g, f).is_zero()
+        for i, f in enumerate(idems)
+        for g in idems[i + 1 :]
+    )
 
 
 def full_blade_image_span(sig: Signature, image):

@@ -4,11 +4,12 @@ argument handling, and the JSON envelope."""
 import json
 import math
 import pathlib
+import random
 import time
 
 import pytest
 
-from cliffalg import ParseError, Signature, groups
+from cliffalg import ParseError, Signature, blade_name, cli, core_algebra
 from cliffalg.cli import _merge_option_values, parse_signature, run
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -143,22 +144,61 @@ class TestExitCodes:
         assert err == ""
 
 
+def count_membership_products(monkeypatch):
+    """Calls to core_algebra._product inside each groups.membership call of cli.run.
+
+    Returns a list that gets one count per membership call; the products made
+    while parsing the element are not counted.
+    """
+    total = [0]
+    counts = []
+    product, membership = core_algebra._product, cli.membership
+
+    def counted_product(*args):
+        total[0] += 1
+        return product(*args)
+
+    def counted_membership(x):
+        start = total[0]
+        facts = membership(x)
+        counts.append(total[0] - start)
+        return facts
+
+    monkeypatch.setattr(core_algebra, "_product", counted_product)
+    monkeypatch.setattr(cli, "membership", counted_membership)
+    return counts
+
+
 class TestCheck:
     @pytest.mark.parametrize(
         "sig, element", [("0,2", "3/5+4/5*e12"), ("2,0", "3/5*e1+4/5*e2")]
     )
     def test_inverts_once(self, capsys, monkeypatch, sig, element):
-        calls = []
-        original = groups.inverse
-
-        def counted(x):
-            calls.append(x)
-            return original(x)
-
-        monkeypatch.setattr(groups, "inverse", counted)
+        # one product forms N = x * conjugate(x), which gives the inverse
+        # conjugate(x) / N; each generator's twisted image takes two more
+        counts = count_membership_products(monkeypatch)
         payload = run_json(capsys, ["check", "--sig", sig, "--json", element])
-        assert len(calls) == 1
+        assert counts == [1 + 2 * parse_signature(sig).n]
         assert payload["result"]["in_pin"] is True
+
+    @pytest.mark.parametrize(
+        "sig, element", [("2,0", "1+e1"), ("3,0", "1+e1+e23"), ("1,3", "1+e2+e134")]
+    )
+    def test_non_group_element_forms_norm_only(self, capsys, monkeypatch, sig, element):
+        # on a regular form N that is zero or not a scalar rules x out
+        counts = count_membership_products(monkeypatch)
+        payload = run_json(capsys, ["check", "--sig", sig, "--json", element])
+        assert counts == [1]
+        assert payload["result"]["in_clifford_group"] is False
+
+    def test_dense_element_of_cl55(self, capsys, monkeypatch):
+        rng = random.Random(55)
+        terms = [f"{rng.choice([-3, -2, -1, 1, 2, 3])}*{blade_name(m, 10)}" for m in range(1024)]
+        counts = count_membership_products(monkeypatch)
+        payload = run_json(capsys, ["check", "--sig", "5,5", "--json", "--", "+".join(terms)])
+        assert counts == [1]
+        assert payload["result"]["in_clifford_group"] is False
+        assert payload["result"]["n_value"] is None
 
 
 class TestDimensionCap:

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cliffalg import _linalg
 from cliffalg import (
@@ -21,6 +22,7 @@ from cliffalg import (
     NotStable,
     Signature,
     SignatureMismatch,
+    blade_mul,
     clifford_conjugation,
     embed_vector,
     geometric_product,
@@ -35,7 +37,14 @@ from cliffalg import (
     twisted_adjoint_apply,
     twisted_adjoint_matrix,
 )
-from support import rand_anisotropic_vector, rand_isometry, rand_vector
+from cliffalg.groups import membership
+from support import (
+    all_signatures,
+    rand_anisotropic_vector,
+    rand_isometry,
+    rand_vector,
+    reference_membership,
+)
 
 REGULAR_SIGS = [Signature(2, 0), Signature(0, 2), Signature(1, 1), Signature(3, 0), Signature(1, 3)]
 
@@ -154,6 +163,70 @@ class TestCliffordGroup:
         assert g.n_value == 1
         with pytest.raises(NotInvertible):
             GroupElement.from_multivector(Multivector.zero(sig))
+
+
+def small_fractions():
+    return st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def membership_cases(draw):
+    """Elements of every Cl(p,q,s) with n <= 5, degenerate ones included.
+
+    Kinds: a versor (product of up to three random vectors), a null vector,
+    a zero divisor x * (1 +- u) with u^2 = 1, a dense element, and a versor
+    times 1 + c*m.  For the last, s > 0 and m is a product of at least
+    min(s, 3) null generators; from three of them on N is not a scalar, yet
+    the element is often in the group.
+    """
+    kind = draw(st.sampled_from(["versor", "null vector", "zero divisor", "unipotent", "dense"]))
+    sigs = all_signatures(5)
+    if kind == "unipotent":
+        sigs = [s for s in sigs if s.s]
+    elif kind == "null vector":
+        sigs = [s for s in sigs if s.s or (s.p and s.q)]
+    sig = draw(st.sampled_from(sigs))
+    n, dim = sig.n, 1 << sig.n
+    one = Multivector.one(sig)
+    if kind == "null vector":
+        # c times the sum of the null generators, or c * (e_1 + e_(p+1))
+        pick = range(sig.p + sig.q, n) if sig.s else (0, sig.p)
+        c = draw(small_fractions().filter(bool))
+        return Multivector(sig, {1 << i: c for i in pick})
+    if kind == "dense":
+        values = draw(st.lists(small_fractions(), min_size=dim, max_size=dim))
+        return Multivector(sig, dict(enumerate(values)))
+    x = one
+    for _ in range(draw(st.integers(0, 3))):
+        coords = draw(st.lists(small_fractions(), min_size=n, max_size=n))
+        x = geometric_product(x, embed_vector(coords, sig))
+    if kind == "zero divisor":
+        units = [m for m in range(1, dim) if blade_mul(m, m, sig)[0] == 1]
+        if units:
+            u = Multivector.basis_blade(sig, draw(st.sampled_from(units)))
+            x = geometric_product(x, one + u if draw(st.booleans()) else one - u)
+    elif kind == "unipotent":
+        null = range(sig.p + sig.q, n)
+        chosen = draw(st.lists(st.sampled_from(null), min_size=min(sig.s, 3), unique=True))
+        m = sum(1 << i for i in chosen)
+        x = geometric_product(x, one + Multivector.basis_blade(sig, m, draw(small_fractions())))
+    return x
+
+
+class TestMembership:
+    @settings(max_examples=100, deadline=None)
+    @given(membership_cases())
+    @example(Multivector(Signature(0, 0, 3), {0: 1, 0b111: -1}))
+    def test_matches_reference(self, x):
+        facts = membership(x)
+        expected = reference_membership(x)
+        assert (facts.in_clifford_group, facts.in_pin, facts.in_spin, facts.n_value) == expected
+
+    def test_degenerate_member_with_non_scalar_norm(self):
+        # 1 - e123 is in the group of Cl(0,0,3) though its norm 1 - 2*e123 is not a scalar
+        x = Multivector(Signature(0, 0, 3), {0: 1, 0b111: -1})
+        facts = membership(x)
+        assert facts.in_clifford_group and facts.n_value is None
 
 
 class TestNorm:

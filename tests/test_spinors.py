@@ -41,7 +41,15 @@ from cliffalg import (
     scalar_mul,
 )
 from cliffalg.spinors import _blade_image_span
-from support import all_signatures, full_blade_image_span, rand_multivector
+from support import (
+    all_signatures,
+    full_blade_image_span,
+    mat_add,
+    mat_scale,
+    pairwise_orthogonal,
+    rand_multivector,
+    rank,
+)
 
 REGULAR_SIGS_4 = [s for s in all_signatures(4, degenerate=False)]
 REGULAR_SIGS_5 = [s for s in all_signatures(5, degenerate=False)]
@@ -59,7 +67,7 @@ def sandwich_rank(f, g):
     for b in range(dim):
         x = geometric_product(geometric_product(f, Multivector.basis_blade(sig, b)), g)
         rows.append([x.coefficient(m) for m in range(dim)])
-    return _linalg.rank(rows)
+    return rank(rows)
 
 
 class TestCounting:
@@ -147,6 +155,30 @@ class TestBladeSearch:
             assert len(find_commuting_blades(sig).blades) == idempotent_count_exponent(sig)
 
 
+@st.composite
+def conjugated_sets(draw):
+    """A canonical idempotent set, n <= 5, conjugated by a random unit: u * f_i * u^-1.
+
+    u is dense with small integer coefficients, or 1 + c*m for a blade m.
+    """
+    n = draw(st.integers(0, 5))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    blades = find_commuting_blades(sig)
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(-2, 2), min_size=1 << n, max_size=1 << n))
+        u = Multivector(sig, dict(enumerate(values)))
+    else:
+        m = draw(st.integers(0, (1 << n) - 1))
+        u = add(Multivector.one(sig), Multivector.basis_blade(sig, m, draw(st.integers(1, 2))))
+    try:
+        u_inv = inverse(u)
+    except NotInvertible:
+        u, u_inv = Multivector.one(sig), Multivector.one(sig)
+    idems = build_idempotent_set(blades).idems
+    return tuple(geometric_product(geometric_product(u, f), u_inv) for f in idems), blades
+
+
 class TestIdempotentSets:
     def test_invariants_sweep(self):
         # the validating constructor re-proves idempotency, orthogonality, sum
@@ -170,6 +202,27 @@ class TestIdempotentSets:
     def test_eight_dimensional_euclidean_set(self):
         idems = canonical_idempotents(Signature(8, 0))
         assert len(idems) == 16
+
+    def test_canonical_sets_pairwise_orthogonal(self):
+        # the constructor checks only idempotency and the sum; orthogonality follows
+        for sig in all_signatures(6, degenerate=False):
+            assert pairwise_orthogonal(canonical_idempotents(sig))
+
+    @settings(max_examples=40, deadline=None)
+    @given(conjugated_sets())
+    def test_conjugated_sets_pairwise_orthogonal(self, case):
+        idems, blades = case
+        idset = IdempotentSet(idems, blades)  # passes both checks
+        assert pairwise_orthogonal(idset.idems)
+
+    def test_non_orthogonal_pair_rejected(self):
+        sig = Signature(2, 0)
+        half = Fraction(1, 2)
+        f = Multivector(sig, {0: half, 0b01: half})
+        g = Multivector(sig, {0: half, 0b10: half})
+        assert not pairwise_orthogonal((f, g))
+        with pytest.raises(ValueError, match="sum"):
+            IdempotentSet((f, g), find_commuting_blades(sig))
 
 
 class TestIdeals:
@@ -485,7 +538,7 @@ class TestRegularRepresentation:
         y = rand_multivector(rng, sig)
         assert _linalg.mat_eq(
             regular_rep_matrix(add(x, y), ideal),
-            _linalg.mat_add(regular_rep_matrix(x, ideal), regular_rep_matrix(y, ideal)),
+            mat_add(regular_rep_matrix(x, ideal), regular_rep_matrix(y, ideal)),
         )
 
     def test_generator_images_satisfy_relations(self):
@@ -499,13 +552,13 @@ class TestRegularRepresentation:
             identity = _linalg.identity(ideal.dim)
             for i, m in enumerate(images, start=1):
                 square = _linalg.mat_mul(m, m)
-                expected = _linalg.mat_scale(Fraction(sig.generator_square(i)), identity)
+                expected = mat_scale(Fraction(sig.generator_square(i)), identity)
                 assert _linalg.mat_eq(square, expected)
             for a in range(len(images)):
                 for b in range(a + 1, len(images)):
                     ab = _linalg.mat_mul(images[a], images[b])
                     ba = _linalg.mat_mul(images[b], images[a])
-                    assert _linalg.mat_eq(ab, _linalg.mat_scale(Fraction(-1), ba))
+                    assert _linalg.mat_eq(ab, mat_scale(Fraction(-1), ba))
 
     def test_spacetime_gamma_matrices(self):
         sig = Signature(1, 3)
