@@ -106,18 +106,6 @@ def _form_from_matrix_text(text: str) -> BilinearForm:
         raise ParseError(str(exc)) from None
 
 
-def _entry_text(coefficient: Fraction, mask: int, name: str) -> str:
-    if coefficient == 0:
-        return "0"
-    if mask == 0:
-        return _rat(coefficient)
-    if coefficient == 1:
-        return name
-    if coefficient == -1:
-        return "-" + name
-    return f"{_rat(coefficient)}*{name}"
-
-
 def _grid_lines(header: list, rows: list) -> list:
     table = [header] + rows
     widths = [max(len(row[c]) for row in table) for c in range(len(header))]
@@ -131,9 +119,9 @@ def cmd_table(args, sig: Signature):
     table = multiplication_table(sig, cap=args.cap)
     dim = 1 << sig.n
     names = [blade_name(mask, sig.n) for mask in range(dim)]
-    entries = [
-        [_entry_text(coefficient, mask, names[mask]) for coefficient, mask in row] for row in table
-    ]
+    # every coefficient is 0, 1 or -1, so its numerator indexes the entry text
+    texts = [("0", name, "-" + name) for name in names]
+    entries = [[texts[mask][coefficient.numerator] for coefficient, mask in row] for row in table]
     result = {"blades": names, "entries": entries}
     checks = {}
     lines = _grid_lines([""] + names, [[names[a]] + entries[a] for a in range(dim)])

@@ -61,8 +61,19 @@ class GroupElement:
 
     @classmethod
     def from_multivector(cls, x: Multivector) -> "GroupElement":
-        inv = inverse(x)  # raises NotInvertible
-        return cls(x, inv, norm_scalar(x))
+        """NotInvertible for a non-invertible x, else NotInGroup unless N is a scalar.
+
+        N = x * conjugate(x) is formed once; a nonzero scalar N gives
+        x^-1 = conjugate(x) / N, and N = 0 makes x a zero divisor.
+        """
+        value = norm(x)
+        if not value.is_scalar():
+            _faddeev_leverrier_inverse(x)  # NotInvertible takes precedence
+            raise NotInGroup("norm is not a scalar")
+        n_value = value.scalar_part()
+        if not n_value:
+            raise NotInvertible("element is a zero divisor")
+        return cls(x, scalar_mul(1 / n_value, clifford_conjugation(x)), n_value)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ ring f * A * f fixes the coefficient ring (R, C, or H) of the spinor module;
 the center decides simplicity; E_ij elements realize the equivalence of the
 minimal representations inside one simple component.
 
+Trace lemma: x -> x * f and x -> f * x * f are idempotent linear maps that
+keep every coset block, and over Q the rank of an idempotent map is its
+trace.  Both traces come from blade signs alone, block by block, so each
+block is reduced only until it reaches its known rank.
+
 Everything here requires a regular signature (s = 0).
 """
 
@@ -23,6 +28,9 @@ from .core_algebra import (
     DEFAULT_DIMENSION_CAP,
     Multivector,
     Signature,
+    _blade_mul_signs,
+    _negative_mask,
+    _zero_mask,
     add,
     blade_mul,
     blade_name,
@@ -212,7 +220,7 @@ def _coords(x: Multivector) -> list[Fraction]:
 
 
 def _blade_image_span(
-    sig: Signature, image, factors
+    sig: Signature, image, factors, rank=None
 ) -> tuple[tuple[Multivector, ...], tuple[int, ...]]:
     """RREF basis of span{image(b) : b a basis blade} and its pivot blade masks.
 
@@ -223,6 +231,13 @@ def _blade_image_span(
     over its coset's columns in ascending mask order and the rows are merged
     by pivot mask; RREF is unique, so the result is the RREF of the full
     matrix with columns in ascending mask order.
+
+    rank(blades), when given, is the rank of the block on those blades.  A
+    projector (an idempotent map such as x -> x * f) keeps every block, and
+    over Q the rank of a projector is its trace, which the callers read off
+    blade signs.  Blocks of rank 0 are skipped, and a block's images are
+    formed one blade at a time only until they reach its rank: the RREF of a
+    spanning set is that of the whole block.
     """
     span = _echelon_basis(mask for x in factors for mask, _ in x.terms())
     cosets: dict[int, list[int]] = {}
@@ -230,12 +245,55 @@ def _blade_image_span(
         cosets.setdefault(_reduce_mask(b, span), []).append(b)
     pivot_rows = []
     for blades in cosets.values():
-        images = [image(Multivector.basis_blade(sig, b)) for b in blades]
-        reduced, pivots = _linalg.rref([[x.coefficient(c) for c in blades] for x in images])
-        pivot_rows += [(blades[c], dict(zip(blades, reduced[i]))) for i, c in enumerate(pivots)]
+        target = None if rank is None else rank(blades)
+        rows: list = []
+        pivots: list = []
+        for b in blades:
+            if len(pivots) == target:
+                break
+            x = image(Multivector.basis_blade(sig, b))
+            if x.is_zero():
+                continue
+            rows.append([x.coefficient(c) for c in blades])
+            if target is not None:
+                rows, pivots = _linalg.rref(rows)
+                rows = rows[: len(pivots)]
+        if target is None:
+            rows, pivots = _linalg.rref(rows)
+        assert target is None or len(pivots) == target, "block rank differs from its trace"
+        pivot_rows += [(blades[c], dict(zip(blades, rows[i]))) for i, c in enumerate(pivots)]
     pivot_rows.sort(key=lambda item: item[0])
     basis = tuple(Multivector(sig, coeffs) for _, coeffs in pivot_rows)
     return basis, tuple(mask for mask, _ in pivot_rows)
+
+
+def _trace_rank(trace: Fraction) -> int:
+    """The rank of a projector from its trace, which over Q is a natural number."""
+    assert trace.denominator == 1 and trace >= 0, f"projector trace {trace} is not a rank"
+    return int(trace)
+
+
+def _sandwich_trace(f: Multivector, blades) -> int:
+    """Trace, hence rank, of x -> f * x * f on the span of the given blades.
+
+    m * b * m' has a term on b only for m = m', and m * b * m = tau_m
+    sigma(m,b) b, with tau_m the scalar square of m and sigma(m,b) the sign
+    of m * b times that of b * m.  So the trace is
+    sum_b sum_m f_m^2 tau_m sigma(m,b), read off blade signs alone.
+    """
+    sig = f.sig
+    neg_mask, zero_mask = _negative_mask(sig), _zero_mask(sig)
+    terms = f.terms()
+    masks = [m for m, _ in terms]
+    right = [_blade_mul_signs(b, masks, neg_mask, zero_mask) for b in blades]
+    trace = Fraction(0)
+    for i, (m, value) in enumerate(terms):
+        left = _blade_mul_signs(m, blades, neg_mask, zero_mask)
+        sigma_sum = sum(sign * signs[i] for sign, signs in zip(left, right))
+        if sigma_sum:
+            tau = _blade_mul_signs(m, (m,), neg_mask, zero_mask)[0]
+            trace += value * value * tau * sigma_sum
+    return _trace_rank(trace)
 
 
 def _require_idempotent(f: Multivector) -> None:
@@ -263,9 +321,17 @@ class IdealBasis:
 
 
 def left_ideal_basis(f: Multivector) -> IdealBasis:
-    """Exact row reduction of {b * f : b a basis blade} to a canonical basis."""
+    """Exact row reduction of {b * f : b a basis blade} to a canonical basis.
+
+    Each block of blades has rank |block| <f>_0, its share of the trace
+    behind left_ideal_dimension; for a canonical idempotent that is 1, so
+    one product per block suffices.
+    """
     _require_idempotent(f)
-    basis, pivots = _blade_image_span(f.sig, lambda b: geometric_product(b, f), (f,))
+    f0 = f.scalar_part()
+    basis, pivots = _blade_image_span(
+        f.sig, lambda b: geometric_product(b, f), (f,), lambda blades: _trace_rank(len(blades) * f0)
+    )
     return IdealBasis(f, basis, len(basis), pivots)
 
 
@@ -278,9 +344,7 @@ def left_ideal_dimension(f: Multivector) -> int:
     len(left_ideal_basis(f).basis); this form stays cheap in high dimension.
     """
     _require_idempotent(f)
-    value = f.scalar_part() * (1 << f.sig.n)
-    assert value.denominator == 1 and value >= 0
-    return int(value)
+    return _trace_rank(f.scalar_part() * (1 << f.sig.n))
 
 
 def peirce_dimension(f: Multivector, g: Multivector) -> int:
@@ -302,14 +366,11 @@ def peirce_dimension(f: Multivector, g: Multivector) -> int:
         raise DegenerateForm("Peirce dimensions require a regular signature")
     _require_idempotent(f)
     _require_idempotent(g)
-    dim = 1 << sig.n
-    central = (0, dim - 1) if sig.n % 2 else (0,)
     total = Fraction(0)
-    for mask in central:
+    for mask in _central_masks(sig):
         tau = blade_mul(mask, mask, sig)[0]
-        total += f.coefficient(mask) * g.coefficient(mask) * tau * dim
-    assert total.denominator == 1 and total >= 0
-    return int(total)
+        total += f.coefficient(mask) * g.coefficient(mask) * tau
+    return _trace_rank(total * (1 << sig.n))
 
 
 @dataclass(frozen=True)
@@ -400,14 +461,19 @@ def _classify_quaternionic(basis, f: Multivector) -> bool:
 def division_ring_info(f: Multivector) -> DivisionRingInfo:
     """Basis of f*A*f with its kind: dim 1 -> R, 2 -> C, 4 -> H.
 
-    The dimension is cross-checked structurally: for C a traceless element
-    must square to a negative multiple of f, for H three pairwise
-    anticommuting such units must exist.  Any other outcome means f is not
-    primitive and is reported as UnexpectedDimension.
+    Only the blocks to which _sandwich_trace gives a nonzero rank are
+    reduced: at most four for a primitive f.  The dimension is cross-checked
+    structurally: for C a traceless element must square to a negative
+    multiple of f, for H three pairwise anticommuting such units must exist.
+    Any other outcome means f is not primitive and is reported as
+    UnexpectedDimension.
     """
     _require_idempotent(f)
     basis, _ = _blade_image_span(
-        f.sig, lambda b: geometric_product(geometric_product(f, b), f), (f,)
+        f.sig,
+        lambda b: geometric_product(geometric_product(f, b), f),
+        (f,),
+        lambda blades: _sandwich_trace(f, blades),
     )
     dim = len(basis)
     if dim == 1:
@@ -427,25 +493,27 @@ def division_ring_info(f: Multivector) -> DivisionRingInfo:
     return DivisionRingInfo(basis, dim, kind)
 
 
-def _generator_masks(sig: Signature):
-    return [1 << i for i in range(sig.n)]
+def _central_masks(sig: Signature) -> tuple[int, ...]:
+    """Masks of the central blades: 1 and, for odd n, the pseudoscalar.
 
-
-def algebra_center(sig: Signature) -> tuple[Multivector, ...]:
-    """Canonical basis of the center, from [x, e_i] = 0 for all generators.
-
-    On a regular form the commutator system is diagonal in the blade basis:
-    [b, e_i] is a single signed blade on mask b XOR e_i, and distinct b map
-    to distinct masks, so a blade belongs to the center exactly when it
-    commutes with every generator.
+    On a regular form blades m and b commute or anticommute as
+    |m||b| - |m & b| is even or odd, so m commutes with every generator
+    exactly when m = 0 or m is the pseudoscalar of an odd n.
     """
     if sig.s:
         raise DegenerateForm("center computation requires a regular signature")
-    members = []
-    for mask in range(1 << sig.n):
-        if all(_blades_commute(mask, g, sig) for g in _generator_masks(sig)):
-            members.append(mask)
-    return tuple(Multivector.basis_blade(sig, mask) for mask in members)
+    return (0, (1 << sig.n) - 1) if sig.n % 2 else (0,)
+
+
+def algebra_center(sig: Signature) -> tuple[Multivector, ...]:
+    """Canonical basis of the center: the central blades, in mask order.
+
+    On a regular form the commutator system is diagonal in the blade basis:
+    [b, e_i] is a single signed blade on mask b XOR e_i, and distinct b map
+    to distinct masks, so the center is spanned by the blades that commute
+    with every generator (see _central_masks).
+    """
+    return tuple(Multivector.basis_blade(sig, mask) for mask in _central_masks(sig))
 
 
 def is_simple(sig: Signature) -> bool:
@@ -456,12 +524,8 @@ def is_simple(sig: Signature) -> bool:
     into two simple components exactly when z*z = +1 (then (1 +- z)/2 are
     central idempotents); z*z = -1 leaves the algebra simple.
     """
-    center = algebra_center(sig)
-    if len(center) == 1:
-        return True
-    assert len(center) == 2, "regular Clifford center has dimension 1 or 2"
-    z_mask = center[1].terms()[0][0]
-    return blade_mul(z_mask, z_mask, sig)[0] == -1
+    masks = _central_masks(sig)
+    return len(masks) == 1 or blade_mul(masks[1], masks[1], sig)[0] == -1
 
 
 def faithful_ideal(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP) -> IdealBasis:

@@ -25,7 +25,7 @@ from cliffalg import (
     quadratic_value,
     reflection_matrix,
 )
-from cliffalg import _linalg
+from cliffalg import _linalg, core_algebra
 
 
 def mat_add(a, b):
@@ -39,6 +39,22 @@ def mat_scale(c, m):
 
 def rank(m):
     return len(_linalg.rref(m)[1]) if m else 0
+
+
+def count_products(monkeypatch):
+    """A one-element list counting the calls to core_algebra._product from now on.
+
+    Every geometric product, norm and inverse step goes through _product.
+    """
+    calls = [0]
+    product = core_algebra._product
+
+    def counted_product(*args):
+        calls[0] += 1
+        return product(*args)
+
+    monkeypatch.setattr(core_algebra, "_product", counted_product)
+    return calls
 
 
 def normalize_word(indices, sig: Signature):
@@ -134,6 +150,22 @@ def pairwise_orthogonal(idems) -> bool:
         geometric_product(f, g).is_zero() and geometric_product(g, f).is_zero()
         for i, f in enumerate(idems)
         for g in idems[i + 1 :]
+    )
+
+
+def reference_center(sig: Signature):
+    """Masks of the blades that commute with every generator, blade by blade.
+
+    This is the reference the closed form of spinors.algebra_center is
+    tested against.
+    """
+    return tuple(
+        mask
+        for mask in range(1 << sig.n)
+        if all(
+            blade_mul(mask, 1 << i, sig)[0] == blade_mul(1 << i, mask, sig)[0]
+            for i in range(sig.n)
+        )
     )
 
 

@@ -9,8 +9,9 @@ import time
 
 import pytest
 
-from cliffalg import ParseError, Signature, blade_name, cli, core_algebra
+from cliffalg import ParseError, Signature, blade_name, cli
 from cliffalg.cli import _merge_option_values, parse_signature, run
+from support import count_products
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
@@ -150,13 +151,9 @@ def count_membership_products(monkeypatch):
     Returns a list that gets one count per membership call; the products made
     while parsing the element are not counted.
     """
-    total = [0]
+    total = count_products(monkeypatch)
     counts = []
-    product, membership = core_algebra._product, cli.membership
-
-    def counted_product(*args):
-        total[0] += 1
-        return product(*args)
+    membership = cli.membership
 
     def counted_membership(x):
         start = total[0]
@@ -164,7 +161,6 @@ def count_membership_products(monkeypatch):
         counts.append(total[0] - start)
         return facts
 
-    monkeypatch.setattr(core_algebra, "_product", counted_product)
     monkeypatch.setattr(cli, "membership", counted_membership)
     return counts
 
@@ -221,6 +217,15 @@ class TestDimensionCap:
         assert payload["result"]["ideal_dimension"] == 32
         assert len(matrix) == 32 and all(len(row) == 32 for row in matrix)
         assert payload["checks"] == {"homomorphism_square": True, "unital": True}
+
+    def test_ideal_at_default_cap_reduces_to_rank(self, capsys, monkeypatch):
+        # one product per ideal block and one double product for f*A*f = R,
+        # where forming every image took 3111 products
+        calls = count_products(monkeypatch)
+        payload = run_json(capsys, ["ideal", "--sig", "5,5", "--json"])
+        assert calls[0] <= 100
+        assert payload["result"]["dimension"] == 32
+        assert payload["result"]["division_ring"] == {"dimension": 1, "kind": "R"}
 
     def test_raised_cap_reaches_faithful_ideal(self, capsys):
         payload = run_json(capsys, ["rep", "--sig", "6,5", "--cap", "11", "--json", "e{1}"])

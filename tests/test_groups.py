@@ -40,6 +40,7 @@ from cliffalg import (
 from cliffalg.groups import membership
 from support import (
     all_signatures,
+    count_products,
     rand_anisotropic_vector,
     rand_isometry,
     rand_vector,
@@ -163,6 +164,27 @@ class TestCliffordGroup:
         assert g.n_value == 1
         with pytest.raises(NotInvertible):
             GroupElement.from_multivector(Multivector.zero(sig))
+
+    def test_group_element_forms_norm_once(self, monkeypatch):
+        sig = Signature(2, 0)
+        x = Multivector(sig, {0b01: 3, 0b10: 4})
+        calls = count_products(monkeypatch)
+        g = GroupElement.from_multivector(x)
+        assert calls == [1]
+        monkeypatch.undo()
+        assert g.n_value == -25  # conjugate(v) = -v
+        assert geometric_product(x, g.inv) == Multivector.one(sig)
+
+    def test_group_element_rejects_zero_divisors(self):
+        # 1 + e1 in Cl(1,0) has N = 0; 1 + e123 in Cl(0,3) has N = 2 + 2*e123
+        # and (1 + e123)(1 - e123) = 0
+        with pytest.raises(NotInvertible):
+            GroupElement.from_multivector(Multivector(Signature(1, 0), {0: 1, 1: 1}))
+        with pytest.raises(NotInvertible):
+            GroupElement.from_multivector(Multivector(Signature(0, 3), {0: 1, 0b111: 1}))
+        # in Cl(3,0) 1 + e123 is invertible, but N = 2*e123 is not a scalar
+        with pytest.raises(NotInGroup):
+            GroupElement.from_multivector(Multivector(Signature(3, 0), {0: 1, 0b111: 1}))
 
 
 def small_fractions():

@@ -49,6 +49,7 @@ from support import (
     pairwise_orthogonal,
     rand_multivector,
     rank,
+    reference_center,
 )
 
 REGULAR_SIGS_4 = [s for s in all_signatures(4, degenerate=False)]
@@ -279,15 +280,20 @@ class TestIdeals:
             left_ideal_dimension(2 * Multivector.one(sig))
 
 
-@st.composite
-def span_cases(draw):
-    """(sig, image, factors) with image(b) = b*x, x*b*x or f*b*x, n <= 6.
+SPAN_KINDS = ["idempotent", "f+g", "one", "1+c*m", "sparse conjugate", "dense conjugate"]
+IDEMPOTENT_KINDS = [kind for kind in SPAN_KINDS if kind != "1+c*m"]
 
-    f is a canonical idempotent.  x is one too, a sum f + g of two of them,
-    1 (one blade per block), a = 1 + c*m for a blade m (blocks of two whose
-    pivots interleave), or an idempotent conjugated by an invertible a:
-    a = 1 + c*m widens the blocks past the support span of f, and a dense
-    integer a gives one block with small coefficients.
+
+@st.composite
+def span_elements(draw, kinds=SPAN_KINDS):
+    """(sig, f, x, kind) on a regular signature with n <= 6.
+
+    f is a canonical idempotent.  x is one too, a sum f + g of two distinct
+    ones, 1 (one blade per block), a = 1 + c*m for a blade m (blocks of two
+    whose pivots interleave), or an idempotent conjugated by an invertible
+    a: a = 1 + c*m widens the blocks past the support span of f, and a dense
+    integer a gives one block with small coefficients.  Every kind but
+    1 + c*m is idempotent.
     """
     n = draw(st.integers(0, 6))
     p = draw(st.integers(0, n))
@@ -296,7 +302,6 @@ def span_cases(draw):
     idems = canonical_idempotents(sig)
     f = draw(st.sampled_from(idems))
     g = draw(st.sampled_from(idems))
-    kinds = ["idempotent", "f+g", "one", "1+c*m", "sparse conjugate", "dense conjugate"]
     kind = draw(st.sampled_from(kinds))
     m = draw(st.integers(0, (1 << n) - 1))
     a = add(one, Multivector.basis_blade(sig, m, draw(st.integers(1, 2))))
@@ -306,7 +311,7 @@ def span_cases(draw):
     if kind == "idempotent":
         x = g
     elif kind == "f+g":
-        x = add(f, g)
+        x = add(f, g) if f != g else g
     elif kind == "one":
         x = one
     elif kind == "1+c*m":
@@ -316,6 +321,13 @@ def span_cases(draw):
             x = geometric_product(geometric_product(a, g), inverse(a))
         except NotInvertible:
             x = g
+    return sig, f, x, kind
+
+
+@st.composite
+def span_cases(draw):
+    """(sig, image, factors) with image(b) = b*x, x*b*x or f*b*x (see span_elements)."""
+    sig, f, x, kind = draw(span_elements())
     form = draw(st.sampled_from(["left", "double", "sandwich"]))
     if form == "double" and kind == "dense conjugate":
         form = "left"  # x*b*x for a dense x costs 4^n term pairs per blade
@@ -332,6 +344,36 @@ class TestBladeImageSpan:
     def test_coset_blocks_match_full_reduction(self, case):
         sig, image, factors = case
         assert _blade_image_span(sig, image, factors) == full_blade_image_span(sig, image)
+
+
+class TestRankPath:
+    """left_ideal_basis and division_ring_info reduce each block only up to
+    the rank its trace gives; the result must equal the full reduction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(span_elements(IDEMPOTENT_KINDS))
+    def test_left_ideal_matches_full_reduction(self, case):
+        sig, _, x, _ = case
+        ideal = left_ideal_basis(x)
+        expected = full_blade_image_span(sig, lambda b: geometric_product(b, x))
+        assert (ideal.basis, ideal.pivots) == expected
+        assert ideal.dim == left_ideal_dimension(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(span_elements(IDEMPOTENT_KINDS))
+    def test_division_ring_matches_full_reduction(self, case):
+        sig, _, x, _ = case
+        expected, _ = full_blade_image_span(
+            sig, lambda b: geometric_product(geometric_product(x, b), x)
+        )
+        try:
+            info = division_ring_info(x)
+        except UnexpectedDimension:
+            # only a non-primitive x, whose ideal is not minimal, may be refused
+            minimal = 1 << (sig.n - idempotent_count_exponent(sig))
+            assert left_ideal_dimension(x) > minimal
+            return
+        assert info.basis == expected
 
 
 class TestPeirce:
@@ -430,9 +472,13 @@ class TestCenter:
         ]
 
     def test_dimension_parity_sweep(self):
-        for sig in all_signatures(6, degenerate=False):
+        # the closed form against the blade-by-blade commutation loop
+        for sig in all_signatures(7, degenerate=False):
             center = algebra_center(sig)
             assert len(center) == (2 if sig.n % 2 else 1)
+            assert [z.terms() for z in center] == [
+                ((mask, Fraction(1)),) for mask in reference_center(sig)
+            ], sig
 
     def test_members_commute_with_everything(self):
         rng = random.Random(311)
