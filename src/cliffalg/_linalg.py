@@ -101,7 +101,8 @@ def rref(m):
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         pivot = work[r][c]
-        work[r] = [x / pivot for x in work[r]]
+        if pivot != 1:
+            work[r] = [x / pivot for x in work[r]]
         for i in range(rows):
             if i != r and work[i][c] != 0:
                 factor = work[i][c]

@@ -232,12 +232,17 @@ def _blade_image_span(
     by pivot mask; RREF is unique, so the result is the RREF of the full
     matrix with columns in ascending mask order.
 
-    rank(blades), when given, is the rank of the block on those blades.  A
-    projector (an idempotent map such as x -> x * f) keeps every block, and
-    over Q the rank of a projector is its trace, which the callers read off
-    blade signs.  Blocks of rank 0 are skipped, and a block's images are
-    formed one blade at a time only until they reach its rank: the RREF of a
-    spanning set is that of the whole block.
+    Each block's images are formed one blade at a time, zero images are
+    skipped, and the rows are row-reduced after every new one.
+    rank(blades), when given, is the rank of the block on those blades: the
+    block stops at that rank, since the RREF of a spanning set is that of
+    the whole block, and blocks of rank 0 form no image.  A projector (an
+    idempotent map such as x -> x * f) keeps every block, and over Q the
+    rank of a projector is its trace, which the callers read off blade
+    signs.  The assertion below catches only a rank above the block's true
+    rank; a rank below it would stop the block early unnoticed, so the
+    result rests on the trace lemma, which the tests check against the full
+    reduction.
     """
     span = _echelon_basis(mask for x in factors for mask, _ in x.terms())
     cosets: dict[int, list[int]] = {}
@@ -255,12 +260,9 @@ def _blade_image_span(
             if x.is_zero():
                 continue
             rows.append([x.coefficient(c) for c in blades])
-            if target is not None:
-                rows, pivots = _linalg.rref(rows)
-                rows = rows[: len(pivots)]
-        if target is None:
             rows, pivots = _linalg.rref(rows)
-        assert target is None or len(pivots) == target, "block rank differs from its trace"
+            rows = rows[: len(pivots)]
+        assert target is None or len(pivots) == target, "block spans less than its trace"
         pivot_rows += [(blades[c], dict(zip(blades, rows[i]))) for i, c in enumerate(pivots)]
     pivot_rows.sort(key=lambda item: item[0])
     basis = tuple(Multivector(sig, coeffs) for _, coeffs in pivot_rows)
