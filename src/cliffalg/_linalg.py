@@ -144,9 +144,3 @@ def matrix_inverse(m):
         return None
     return [row[n:] for row in reduced[:n]]
 
-
-def coordinates_in_basis(basis_rows, target):
-    """Coefficients expressing target as a combination of basis rows, or None."""
-    if not basis_rows:
-        return None if any(x != 0 for x in target) else []
-    return solve(transpose(basis_rows), list(target))

@@ -124,6 +124,8 @@ def cmd_table(args, sig: Signature):
     entries = [[texts[mask][coefficient.numerator] for coefficient, mask in row] for row in table]
     result = {"blades": names, "entries": entries}
     checks = {}
+    if args.json:
+        return result, checks, []  # run prints no text lines in JSON mode
     lines = _grid_lines([""] + names, [[names[a]] + entries[a] for a in range(dim)])
     return result, checks, lines
 

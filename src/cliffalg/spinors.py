@@ -14,7 +14,13 @@ keep every coset block, and over Q the rank of an idempotent map is its
 trace.  Both traces come from blade signs alone, block by block, so each
 block is reduced only until it reaches its known rank.
 
-Everything here requires a regular signature (s = 0).
+Wedderburn: Cl(p,q) is one or two copies of M_m(D) for a single division
+ring D, so f * A * f is a division ring exactly when its dimension is
+dim D, and it is then a copy of D.  division_ring_info reads the kind off
+that dimension; on a degenerate Cl(p,q,s) the same holds with D that of
+the regular part Cl(p,q) (see there).
+
+Everything else here requires a regular signature (s = 0).
 """
 
 from __future__ import annotations
@@ -384,91 +390,25 @@ class DivisionRingInfo:
     kind: str  # "R", "C", or "H"
 
 
-def _coordinates_in_span(vectors, target):
-    """Coefficients of target against the given coordinate rows, or None."""
-    return _linalg.coordinates_in_basis([_coords(v) for v in vectors], _coords(target))
-
-
-def _scalar_multiple_of(x: Multivector, base: Multivector):
-    """lambda with x = lambda * base, or None."""
-    coeffs = _coordinates_in_span([base], x)
-    return coeffs[0] if coeffs is not None else None
-
-
-def _square_decomposition(u: Multivector, f: Multivector):
-    """(alpha, beta) with u*u = alpha*f + beta*u, or None outside that plane."""
-    coeffs = _coordinates_in_span([f, u], geometric_product(u, u))
-    return (coeffs[0], coeffs[1]) if coeffs is not None else None
-
-
-def _traceless_part(u: Multivector, f: Multivector):
-    if _scalar_multiple_of(u, f) is not None:
-        return Multivector.zero(u.sig)
-    decomposition = _square_decomposition(u, f)
-    if decomposition is None:
-        return None
-    _, beta = decomposition
-    return add(u, scalar_mul(-beta / 2, f))
-
-
-def _anticommutator(x: Multivector, y: Multivector) -> Multivector:
-    return add(geometric_product(x, y), geometric_product(y, x))
-
-
-def _negative_square_scalar(u: Multivector, f: Multivector):
-    """mu < 0 with u*u = mu*f, or None."""
-    mu = _scalar_multiple_of(geometric_product(u, u), f)
-    if mu is None or mu >= 0:
-        return None
-    return mu
-
-
-def _classify_quaternionic(basis, f: Multivector) -> bool:
-    """Exhibit three pairwise anticommuting units with negative square."""
-    traceless = []
-    for u in basis:
-        w = _traceless_part(u, f)
-        if w is None:
-            return False
-        if not w.is_zero():
-            traceless.append(w)
-    if not traceless:
-        return False
-    u1 = traceless[0]
-    nu = _negative_square_scalar(u1, f)
-    if nu is None:
-        return False
-    u2 = None
-    for w in traceless[1:]:
-        paired = _scalar_multiple_of(_anticommutator(u1, w), f)
-        if paired is None:
-            return False
-        candidate = add(w, scalar_mul(-paired / (2 * nu), u1))
-        if not candidate.is_zero():
-            u2 = candidate
-            break
-    if u2 is None:
-        return False
-    u3 = geometric_product(u1, u2)
-    units = (u1, u2, u3)
-    for u in units:
-        if _negative_square_scalar(u, f) is None:
-            return False
-    for a, b in itertools.combinations(units, 2):
-        if not _anticommutator(a, b).is_zero():
-            return False
-    return True
+_DIVISION_RING_KINDS = {1: "R", 2: "C", 4: "H"}
 
 
 def division_ring_info(f: Multivector) -> DivisionRingInfo:
     """Basis of f*A*f with its kind: dim 1 -> R, 2 -> C, 4 -> H.
 
     Only the blocks to which _sandwich_trace gives a nonzero rank are
-    reduced: at most four for a primitive f.  The dimension is cross-checked
-    structurally: for C a traceless element must square to a negative
-    multiple of f, for H three pairwise anticommuting such units must exist.
-    Any other outcome means f is not primitive and is reported as
-    UnexpectedDimension.
+    reduced: at most four for a primitive f.  The kind follows from that
+    dimension and the signature.  Let J be the radical of A = Cl(p,q,s),
+    spanned by the blades with a null generator (J = 0 when s = 0), and
+    x -> x' the quotient map onto A/J = Cl(p,q).  It maps f*A*f onto
+    f'*(A/J)*f' with kernel f*J*f, a nilpotent ideal of f*A*f, and f' != 0
+    since f = f^(s+1) and J^(s+1) = 0.  Every simple component of Cl(p,q)
+    is a matrix algebra over one division ring D, so by Wedderburn theory
+    f'*(A/J)*f' is a sum of M_k(D) with sum k^2 >= 1, and 1 exactly when
+    f' is primitive.  Hence dim f*A*f >= dim D, with equality exactly when
+    f*J*f = 0 and f' is primitive, that is, exactly when f*A*f is a
+    division ring, and then it is a copy of D.  Any other dimension is
+    reported as UnexpectedDimension.
     """
     _require_idempotent(f)
     basis, _ = _blade_image_span(
@@ -477,22 +417,16 @@ def division_ring_info(f: Multivector) -> DivisionRingInfo:
         (f,),
         lambda blades: _sandwich_trace(f, blades),
     )
-    dim = len(basis)
-    if dim == 1:
-        kind = "R"
-    elif dim == 2:
-        candidate = next((u for u in basis if _scalar_multiple_of(u, f) is None), None)
-        w = _traceless_part(candidate, f) if candidate is not None else None
-        if w is None or w.is_zero() or _negative_square_scalar(w, f) is None:
-            raise UnexpectedDimension("f*A*f of dimension 2 splits; f is not primitive")
-        kind = "C"
-    elif dim == 4:
-        if not _classify_quaternionic(basis, f):
-            raise UnexpectedDimension("f*A*f of dimension 4 is not quaternionic")
-        kind = "H"
-    else:
-        raise UnexpectedDimension(f"f*A*f has dimension {dim}, expected 1, 2, or 4")
-    return DivisionRingInfo(basis, dim, kind)
+    # a simple Cl(p,q) is M_m(D) with m = 2^k, so 2^n = m^2 dim D; a split
+    # one is two copies of M_m(D) with 2^k = 2m, so 2^n = 2 m^2 dim D
+    regular = Signature(f.sig.p, f.sig.q)
+    k = idempotent_count_exponent(regular)
+    dim = 1 << (regular.n - 2 * k + (not is_simple(regular)))
+    if len(basis) != dim:
+        raise UnexpectedDimension(
+            f"f*A*f has dimension {len(basis)}, not {dim}: it is not a division ring"
+        )
+    return DivisionRingInfo(basis, dim, _DIVISION_RING_KINDS[dim])
 
 
 def _central_masks(sig: Signature) -> tuple[int, ...]:

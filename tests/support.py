@@ -10,6 +10,7 @@ exact targets for the worked-example isomorphism checks.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from cliffalg import (
     BilinearForm,
     Multivector,
     Signature,
+    add,
     blade_mul,
     clifford_conjugation,
     even_part,
@@ -24,6 +26,7 @@ from cliffalg import (
     grade_involution,
     quadratic_value,
     reflection_matrix,
+    scalar_mul,
 )
 from cliffalg import _linalg, core_algebra
 
@@ -181,6 +184,120 @@ def full_blade_image_span(sig: Signature, image):
     reduced, pivots = _linalg.rref(rows)
     basis = tuple(Multivector(sig, dict(enumerate(reduced[i]))) for i in range(len(pivots)))
     return basis, tuple(pivots)
+
+
+def coordinates_in_basis(basis_rows, target):
+    """Coefficients expressing target as a combination of basis rows, or None."""
+    if not basis_rows:
+        return None if any(x != 0 for x in target) else []
+    return _linalg.solve(_linalg.transpose(basis_rows), list(target))
+
+
+def _coords(x: Multivector):
+    return [x.coefficient(mask) for mask in range(1 << x.sig.n)]
+
+
+def _coordinates_in_span(vectors, target):
+    """Coefficients of target against the given coordinate rows, or None."""
+    return coordinates_in_basis([_coords(v) for v in vectors], _coords(target))
+
+
+def _scalar_multiple_of(x: Multivector, base: Multivector):
+    """lambda with x = lambda * base, or None."""
+    coeffs = _coordinates_in_span([base], x)
+    return coeffs[0] if coeffs is not None else None
+
+
+def _square_decomposition(u: Multivector, f: Multivector):
+    """(alpha, beta) with u*u = alpha*f + beta*u, or None outside that plane."""
+    coeffs = _coordinates_in_span([f, u], geometric_product(u, u))
+    return (coeffs[0], coeffs[1]) if coeffs is not None else None
+
+
+def _traceless_part(u: Multivector, f: Multivector):
+    if _scalar_multiple_of(u, f) is not None:
+        return Multivector.zero(u.sig)
+    decomposition = _square_decomposition(u, f)
+    if decomposition is None:
+        return None
+    _, beta = decomposition
+    return add(u, scalar_mul(-beta / 2, f))
+
+
+def _anticommutator(x: Multivector, y: Multivector) -> Multivector:
+    return add(geometric_product(x, y), geometric_product(y, x))
+
+
+def _negative_square_scalar(u: Multivector, f: Multivector):
+    """mu < 0 with u*u = mu*f, or None."""
+    mu = _scalar_multiple_of(geometric_product(u, u), f)
+    if mu is None or mu >= 0:
+        return None
+    return mu
+
+
+def _classify_quaternionic(basis, f: Multivector) -> bool:
+    """Exhibit three pairwise anticommuting units with negative square."""
+    traceless = []
+    for u in basis:
+        w = _traceless_part(u, f)
+        if w is None:
+            return False
+        if not w.is_zero():
+            traceless.append(w)
+    if not traceless:
+        return False
+    u1 = traceless[0]
+    nu = _negative_square_scalar(u1, f)
+    if nu is None:
+        return False
+    u2 = None
+    for w in traceless[1:]:
+        paired = _scalar_multiple_of(_anticommutator(u1, w), f)
+        if paired is None:
+            return False
+        candidate = add(w, scalar_mul(-paired / (2 * nu), u1))
+        if not candidate.is_zero():
+            u2 = candidate
+            break
+    if u2 is None:
+        return False
+    u3 = geometric_product(u1, u2)
+    units = (u1, u2, u3)
+    for u in units:
+        if _negative_square_scalar(u, f) is None:
+            return False
+    for a, b in itertools.combinations(units, 2):
+        if not _anticommutator(a, b).is_zero():
+            return False
+    return True
+
+
+def reference_division_ring(f: Multivector):
+    """Kind "R", "C" or "H" of f*A*f from its element structure, or None.
+
+    The basis comes from full_blade_image_span.  Dimension 1 is R; for C a
+    traceless element must square to a negative multiple of f, and for H
+    three pairwise anticommuting such units must exist.  Any other outcome
+    means f*A*f is no division ring, and gives None.  f must be idempotent.
+    This is the reference spinors.division_ring_info, which decides the kind
+    from the dimension and the signature, is tested against.
+    """
+    basis, _ = full_blade_image_span(
+        f.sig, lambda b: geometric_product(geometric_product(f, b), f)
+    )
+    dim = len(basis)
+    if dim == 1:
+        return "R"
+    if dim == 2:
+        candidate = next((u for u in basis if _scalar_multiple_of(u, f) is None), None)
+        w = _traceless_part(candidate, f) if candidate is not None else None
+        if w is None or w.is_zero() or _negative_square_scalar(w, f) is None:
+            return None
+        return "C"
+    if dim == 4:
+        return "H" if _classify_quaternionic(basis, f) else None
+    return None
 
 
 def all_signatures(max_n: int, degenerate: bool = True):

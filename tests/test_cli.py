@@ -358,6 +358,14 @@ class TestJsonEnvelope:
         payload = run_json(capsys, ["eval", "--sig", "2,0", "--json", "1"])
         assert payload["signature"] == [2, 0, 0]
 
+    def test_table_json_builds_no_text_grid(self, capsys, monkeypatch):
+        def no_grid(header, rows):
+            raise AssertionError("text grid built in JSON mode")
+
+        monkeypatch.setattr(cli, "_grid_lines", no_grid)
+        payload = run_json(capsys, ["table", "--sig", "2,1", "--json"])
+        assert len(payload["result"]["entries"]) == 8
+
     def test_diagonalize_reports_computed_signature(self, capsys):
         payload = run_json(capsys, ["diagonalize", "--json", "--matrix", "1,1;1,1"])
         assert payload["signature"] == [1, 0, 1]

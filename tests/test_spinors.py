@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cliffalg import _linalg
 from cliffalg import (
@@ -43,6 +43,7 @@ from cliffalg import (
 from cliffalg.spinors import _blade_image_span
 from support import (
     all_signatures,
+    count_products,
     full_blade_image_span,
     mat_add,
     mat_scale,
@@ -50,6 +51,7 @@ from support import (
     rand_multivector,
     rank,
     reference_center,
+    reference_division_ring,
 )
 
 REGULAR_SIGS_4 = [s for s in all_signatures(4, degenerate=False)]
@@ -414,6 +416,35 @@ class TestPeirce:
             peirce_dimension(2 * f, f)
 
 
+@st.composite
+def degenerate_idempotents(draw):
+    """An idempotent of Cl(p,q,s) with s >= 1 and n <= 5.
+
+    A canonical Cl(p,q) idempotent f, embedded in Cl(p,q,s), a sum f + g of
+    two of them (g alone when f = g), or f conjugated by a = 1 + c*m for a
+    blade m, which may contain a null generator.
+    """
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(1, n))
+    p = draw(st.integers(0, n - s))
+    regular = Signature(p, n - s - p)
+    sig = Signature(regular.p, regular.q, s)
+    idems = [Multivector(sig, dict(f.terms())) for f in canonical_idempotents(regular)]
+    f = draw(st.sampled_from(idems))
+    g = draw(st.sampled_from(idems))
+    kind = draw(st.sampled_from(["idempotent", "f+g", "conjugate"]))
+    if kind == "f+g":
+        return g if f == g else add(f, g)
+    if kind == "conjugate":
+        m = draw(st.integers(0, (1 << n) - 1))
+        a = add(Multivector.one(sig), Multivector.basis_blade(sig, m, draw(st.integers(1, 2))))
+        try:
+            return geometric_product(geometric_product(a, f), inverse(a))
+        except NotInvertible:
+            return f
+    return f
+
+
 def expected_kind(sig):
     mod = (sig.p - sig.q) % 8
     if mod in (0, 1, 2):
@@ -444,21 +475,52 @@ class TestDivisionRing:
         f = canonical_idempotents(Signature(3, 0))[0]
         info = division_ring_info(f)
         assert info.kind == "C"
-        # the non-scalar basis element squares to a negative multiple of f
-        w = next(u for u in info.basis if u.terms() != f.terms())
         assert info.dim == 2
+        # the basis element off the line of f squares to a negative multiple of f
+        w = next(u for u in info.basis if u != scalar_mul(u.scalar_part() / f.scalar_part(), f))
+        square = geometric_product(w, w)
+        mu = square.scalar_part() / f.scalar_part()
+        assert square == scalar_mul(mu, f)
+        assert mu < 0
 
     def test_non_primitive_rejected(self):
-        # 1 in Cl(2,0) spans all of M2(R): dimension 4 but not quaternionic
+        # 1 in Cl(2,0) spans all of M2(R): dimension 4, where D = R has dimension 1
         with pytest.raises(UnexpectedDimension):
             division_ring_info(Multivector.one(Signature(2, 0)))
-        # 1 in Cl(1,0) = R + R: dimension 2 with an idempotent direction
+        # 1 in Cl(1,0) = R + R: dimension 2, where D = R has dimension 1
         with pytest.raises(UnexpectedDimension):
             division_ring_info(Multivector.one(Signature(1, 0)))
 
     def test_non_idempotent_rejected(self):
         with pytest.raises(NotIdempotent):
             division_ring_info(Multivector.generator(Signature(2, 0), 1))
+
+    @pytest.mark.parametrize("pq, products", [((0, 2), 9), ((3, 0), 5)])
+    def test_product_count(self, monkeypatch, pq, products):
+        # f*f once, then f*b*f for one blade per basis element of f*A*f
+        f = canonical_idempotents(Signature(*pq))[0]
+        calls = count_products(monkeypatch)
+        info = division_ring_info(f)
+        assert calls[0] == products == 1 + 2 * info.dim
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            span_elements(idempotent_only=True).map(lambda case: case[2]),
+            degenerate_idempotents(),
+        )
+    )
+    # (1 + e1)/2 in Cl(1,0,1) is R, (1 + e123)/2 in Cl(0,3,1) is H, and
+    # 1 in Cl(0,0,1) is refused: f*A*f = Cl(0,0,1) holds the nilpotent e1
+    @example(Multivector(Signature(1, 0, 1), {0: Fraction(1, 2), 0b1: Fraction(1, 2)}))
+    @example(Multivector(Signature(0, 3, 1), {0: Fraction(1, 2), 0b111: Fraction(1, 2)}))
+    @example(Multivector.one(Signature(0, 0, 1)))
+    def test_matches_structural_classifier(self, x):
+        try:
+            kind = division_ring_info(x).kind
+        except UnexpectedDimension:
+            kind = None
+        assert kind == reference_division_ring(x)
 
 
 class TestCenter:
