@@ -429,6 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parse_args leaves the parser unchanged and fills a new namespace
+# on every call, so runs share nothing through it.
+_PARSER = build_parser()
+
 _VALUE_OPTIONS = ("--sig", "--matrix", "--vector", "--cap")
 
 
@@ -455,9 +459,8 @@ def _merge_option_values(argv: list) -> list:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_merge_option_values(list(argv)))
+        args = _PARSER.parse_args(_merge_option_values(list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -495,27 +495,45 @@ def extract_vector(x: Multivector) -> list[Rational]:
 def inverse(x: Multivector) -> Multivector:
     """Two-sided inverse: conjugate(x) / N when N = norm(x) is a nonzero scalar.
 
-    A right inverse in a finite-dimensional algebra is two-sided, so that
-    path checks nothing; otherwise _faddeev_leverrier_inverse decides.
+    Otherwise _faddeev_leverrier_inverse decides on a regular signature.
+    When s > 0, write x = a + nu with a the part of x free of null
+    generators and nu in the radical J spanned by the blades that contain
+    one; J^(s+1) = 0.  A = Cl(p,q,s) maps onto A/J = Cl(p,q) with kernel J,
+    so x is invertible exactly when a is invertible in Cl(p,q).  Newton's
+    step y -> y * (2 - x * y) squares the residual 1 - x * y, which starts
+    in J at y = a^-1, so s.bit_length() steps reach x * y = 1.  A right
+    inverse in a finite-dimensional algebra is two-sided, so neither path
+    checks the result.
     """
     if x.is_zero():
         raise NotInvertible("zero is not invertible")
     value = norm(x)
     if value and value.is_scalar():
         return scalar_mul(1 / value.scalar_part(), clifford_conjugation(x))
-    return _faddeev_leverrier_inverse(x)
+    sig = x.sig
+    if not sig.s:
+        return _faddeev_leverrier_inverse(x)
+    regular = Signature(sig.p, sig.q)
+    limit = 1 << regular.n
+    a = Multivector._raw(regular, {m: v for m, v in x._coeffs.items() if m < limit})
+    try:
+        y = Multivector._raw(sig, inverse(a)._coeffs)
+    except NotInvertible:
+        raise NotInvertible("element has no inverse modulo the null generators") from None
+    for _ in range(sig.s.bit_length()):
+        y = geometric_product(y, 2 - geometric_product(x, y))
+    return y
 
 
 def _faddeev_leverrier_inverse(x: Multivector) -> Multivector:
-    """Two-sided inverse by the Faddeev-LeVerrier recursion on multivectors.
+    """Two-sided inverse on a regular signature by the Faddeev-LeVerrier recursion.
 
     x is scaled to integer coefficients, x = X / scale, and all the work
     below runs in int arithmetic on X; the result is converted once.  The
-    recursion follows Shirokov (2021).  Let m be the size of a faithful
-    matrix representation on which the trace is m times the scalar part:
-    2^ceil(n/2) for a regular signature, 2^n (the left regular
-    representation) when s > 0.  With M_1 = 1, each step sets U_k = X * M_k
-    and c_k = -(m/k) <U_k>_0, and M_{k+1} = U_k + c_k.  Every c_k is a
+    recursion follows Shirokov (2021).  Cl(p,q) has a faithful matrix
+    representation of size m = 2^ceil(n/2) on which the trace is m times
+    the scalar part.  With M_1 = 1, each step sets U_k = X * M_k and
+    c_k = -(m/k) <U_k>_0, and M_{k+1} = U_k + c_k.  Every c_k is a
     characteristic-polynomial coefficient of an integer matrix, hence an
     integer.  Cayley-Hamilton gives X^-1 = -M_m / c_m, and c_m = 0 exactly
     when x is not invertible.  Both sides are checked: x * y = y * x = 1 for
@@ -523,7 +541,7 @@ def _faddeev_leverrier_inverse(x: Multivector) -> Multivector:
     """
     sig = x.sig
     scaled, scale = _integer_scaled(x)
-    size = 1 << (sig.n if sig.s else (sig.n + 1) // 2)
+    size = 1 << ((sig.n + 1) // 2)
     m_k = {0: 1}
     for k in range(1, size + 1):
         u_k = _product(scaled, m_k, sig)

@@ -23,7 +23,6 @@ from .core_algebra import (
     Multivector,
     Rational,
     Signature,
-    _faddeev_leverrier_inverse,
     clifford_conjugation,
     embed_vector,
     even_part,
@@ -68,7 +67,7 @@ class GroupElement:
         """
         value = norm(x)
         if not value.is_scalar():
-            _faddeev_leverrier_inverse(x)  # NotInvertible takes precedence
+            inverse(x)  # NotInvertible takes precedence
             raise NotInGroup("norm is not a scalar")
         n_value = value.scalar_part()
         if not n_value:
@@ -144,7 +143,7 @@ def membership(x: Multivector) -> Membership:
     A nonzero scalar N = x * conjugate(x) gives x^-1 = conjugate(x) / N, and
     N = 0 a zero divisor.  A non-scalar N rules x out when s = 0 (Lounesto,
     2001) but not when s > 0 (1 - e123 in Cl(0,0,3)): only then does
-    Faddeev-LeVerrier run.
+    inverse run, and it forms N once more.
     """
     value = norm(x)
     n_value = value.scalar_part() if value.is_scalar() else None
@@ -153,7 +152,7 @@ def membership(x: Multivector) -> Membership:
         group = _is_stable(x, scalar_mul(1 / n_value, clifford_conjugation(x)))
     elif n_value is None and x.sig.s:
         try:
-            group = _is_stable(x, _faddeev_leverrier_inverse(x))
+            group = _is_stable(x, inverse(x))
         except NotInvertible:
             pass
     pin = group and n_value in (1, -1)

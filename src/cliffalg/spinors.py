@@ -9,10 +9,12 @@ ring f * A * f fixes the coefficient ring (R, C, or H) of the spinor module;
 the center decides simplicity; E_ij elements realize the equivalence of the
 minimal representations inside one simple component.
 
-Trace lemma: x -> x * f and x -> f * x * f are idempotent linear maps that
-keep every coset block, and over Q the rank of an idempotent map is its
-trace.  Both traces come from blade signs alone, block by block, so each
-block is reduced only until it reaches its known rank.
+Trace lemma: for idempotents l and r, x -> l * x * r is an idempotent
+linear map that keeps every coset block, and over Q the rank of an
+idempotent map is its trace.  The ideal A * f (l = 1, r = f), the division
+ring f * A * f and the Peirce spaces f_i * A * f_j are all such images.
+Their traces come from blade masks alone, block by block, so each block is
+reduced only until it reaches its known rank.
 
 Wedderburn: Cl(p,q) is one or two copies of M_m(D) for a single division
 ring D, so f * A * f is a division ring exactly when its dimension is
@@ -226,49 +228,56 @@ def _coords(x: Multivector) -> list[Fraction]:
 
 
 def _blade_image_span(
-    sig: Signature, image, factors, rank=None
+    left: Multivector, right: Multivector
 ) -> tuple[tuple[Multivector, ...], tuple[int, ...]]:
-    """RREF basis of span{image(b) : b a basis blade} and its pivot blade masks.
+    """RREF basis of left * A * right and its pivot blade masks.
 
-    image(b) must be a product of b with the given factors, so its blades lie
-    in the coset b + S, S the GF(2) span of the factors' support masks.  Up
-    to a column permutation the 2^n x 2^n matrix of images is then block
-    diagonal with one |S| x |S| block per coset.  Each block is row-reduced
-    over its coset's columns in ascending mask order and the rows are merged
-    by pivot mask; RREF is unique, so the result is the RREF of the full
-    matrix with columns in ascending mask order.
+    left and right are idempotents, so x -> left * x * right is a projector
+    (left * (left * x * right) * right = left * x * right), and over Q the
+    rank of a projector is its trace.  The image of a blade b lies in the
+    coset b + S, S the GF(2) span of the factors' support masks, so up to a
+    column permutation the 2^n x 2^n matrix of blade images is block
+    diagonal with one |S| x |S| block per coset; the projector keeps every
+    block, so each block's rank is its own trace (_sandwich_ranks).
 
     Each block's images are formed one blade at a time, zero images are
-    skipped, and the rows are row-reduced after every new one.
-    rank(blades), when given, is the rank of the block on those blades: the
-    block stops at that rank, since the RREF of a spanning set is that of
-    the whole block, and blocks of rank 0 form no image.  A projector (an
-    idempotent map such as x -> x * f) keeps every block, and over Q the
-    rank of a projector is its trace, which the callers read off blade
-    signs.  The assertion below catches only a rank above the block's true
-    rank; a rank below it would stop the block early unnoticed, so the
-    result rests on the trace lemma, which the tests check against the full
-    reduction.
+    skipped, and the rows are row-reduced after every new one until the
+    block reaches its rank: the RREF of a spanning set is that of the whole
+    block.  Each block is reduced over its coset's columns in ascending mask
+    order and the rows are merged by pivot mask; RREF is unique, so the
+    result is the RREF of the full matrix with columns in ascending mask
+    order.  The assertion catches a block that spans less than its trace; a
+    trace too low would stop a block early unnoticed, so the tests check
+    the result against the full reduction.
     """
-    span = _echelon_basis(mask for x in factors for mask, _ in x.terms())
+    sig = left.sig
+    neg_mask, zero_mask = _negative_mask(sig), _zero_mask(sig)
+    span = _echelon_basis([*left._coeffs, *right._coeffs])
     cosets: dict[int, list[int]] = {}
     for b in range(1 << sig.n):
         cosets.setdefault(_reduce_mask(b, span), []).append(b)
+    ranks = _sandwich_ranks(left, right, span, cosets)
     pivot_rows = []
-    for blades in cosets.values():
-        target = None if rank is None else rank(blades)
+    for leader, blades in cosets.items():
+        target = ranks[leader]
         rows: list = []
         pivots: list = []
         for b in blades:
             if len(pivots) == target:
                 break
-            x = image(Multivector.basis_blade(sig, b))
+            signs = _blade_mul_signs(b, right._coeffs, neg_mask, zero_mask)
+            b_right = {
+                b ^ m: v if sign == 1 else -v
+                for (m, v), sign in zip(right._coeffs.items(), signs)
+                if sign
+            }
+            x = geometric_product(left, Multivector._raw(sig, b_right))
             if x.is_zero():
                 continue
             rows.append([x.coefficient(c) for c in blades])
             rows, pivots = _linalg.rref(rows)
             rows = rows[: len(pivots)]
-        assert target is None or len(pivots) == target, "block spans less than its trace"
+        assert len(pivots) == target, "block spans less than its trace"
         pivot_rows += [(blades[c], dict(zip(blades, rows[i]))) for i, c in enumerate(pivots)]
     pivot_rows.sort(key=lambda item: item[0])
     basis = tuple(Multivector(sig, coeffs) for _, coeffs in pivot_rows)
@@ -281,27 +290,31 @@ def _trace_rank(trace: Fraction) -> int:
     return int(trace)
 
 
-def _sandwich_trace(f: Multivector, blades) -> int:
-    """Trace, hence rank, of x -> f * x * f on the span of the given blades.
+def _sandwich_ranks(left: Multivector, right: Multivector, span, leaders) -> dict[int, int]:
+    """Trace, hence rank, of x -> left * x * right on each block b + S, keyed by b.
 
     m * b * m' has a term on b only for m = m', and m * b * m = tau_m
-    sigma(m,b) b, with tau_m the scalar square of m and sigma(m,b) the sign
-    of m * b times that of b * m.  So the trace is
-    sum_b sum_m f_m^2 tau_m sigma(m,b), read off blade signs alone.
+    sigma(m,b) b, with tau_m the scalar square of m and sigma(m,b) =
+    (-1)^(|m||b| - |m & b|) the sign by which m and b commute (a null
+    generator shared by m and b makes tau_m = 0).  So the trace on b + S is
+    sum_m left_m right_m tau_m times the sum of sigma(m,.) over b + S.  As a
+    function of b, sigma(m,b) is the GF(2) character (-1)^|b & c|, with
+    c = m for even |m| and c the complement of m for odd |m|; its sum over
+    b + S is |S| (-1)^|b & c| when it is trivial on S (|v & c| even for
+    every v in span, a GF(2) basis of S) and 0 otherwise.
     """
-    sig = f.sig
-    neg_mask, zero_mask = _negative_mask(sig), _zero_mask(sig)
-    terms = f.terms()
-    masks = [m for m, _ in terms]
-    right = [_blade_mul_signs(b, masks, neg_mask, zero_mask) for b in blades]
-    trace = Fraction(0)
-    for i, (m, value) in enumerate(terms):
-        left = _blade_mul_signs(m, blades, neg_mask, zero_mask)
-        sigma_sum = sum(sign * signs[i] for sign, signs in zip(left, right))
-        if sigma_sum:
-            tau = _blade_mul_signs(m, (m,), neg_mask, zero_mask)[0]
-            trace += value * value * tau * sigma_sum
-    return _trace_rank(trace)
+    sig = left.sig
+    full = (1 << sig.n) - 1
+    characters = []
+    for m, value in left._coeffs.items():
+        c = full ^ m if m.bit_count() & 1 else m
+        if m in right._coeffs and not any((v & c).bit_count() & 1 for v in span):
+            weight = value * right._coeffs[m] * blade_mul(m, m, sig)[0] * (1 << len(span))
+            characters.append((c, weight))
+    return {
+        b: _trace_rank(sum(-w if (b & c).bit_count() & 1 else w for c, w in characters))
+        for b in leaders
+    }
 
 
 def _require_idempotent(f: Multivector) -> None:
@@ -336,10 +349,7 @@ def left_ideal_basis(f: Multivector) -> IdealBasis:
     one product per block suffices.
     """
     _require_idempotent(f)
-    f0 = f.scalar_part()
-    basis, pivots = _blade_image_span(
-        f.sig, lambda b: geometric_product(b, f), (f,), lambda blades: _trace_rank(len(blades) * f0)
-    )
+    basis, pivots = _blade_image_span(Multivector.one(f.sig), f)
     return IdealBasis(f, basis, len(basis), pivots)
 
 
@@ -358,14 +368,10 @@ def left_ideal_dimension(f: Multivector) -> int:
 def peirce_dimension(f: Multivector, g: Multivector) -> int:
     """dim f*A*g as the trace of the projector x -> f * x * g.
 
-    For basis blades, m * b * m' contributes to blade b only when m = m',
-    and then m * b * m = sigma(m,b) * tau_m * b with sigma(m,b) = +-1 as m
-    and b commute or anticommute and tau_m the scalar square of m.  Hence
-    the trace is sum_m f_m g_m tau_m sum_b sigma(m,b).  The inner sum is
-    2^n when m is central and 0 otherwise (a non-central m anticommutes
-    with exactly half the blades), and on a regular form the central
-    blades are 1 and, for odd n, the pseudoscalar.  Agrees with the
-    row-reduction rank (tested).
+    The whole algebra is one block: the coset of 0 under the span of all
+    generators.  Its trace (_sandwich_ranks) keeps only the masks whose
+    character is trivial on every blade, the central blades 1 and, for odd
+    n, the pseudoscalar.  Agrees with the row-reduction rank (tested).
     """
     if f.sig != g.sig:
         raise SignatureMismatch(f"signatures differ: {f.sig} vs {g.sig}")
@@ -374,11 +380,7 @@ def peirce_dimension(f: Multivector, g: Multivector) -> int:
         raise DegenerateForm("Peirce dimensions require a regular signature")
     _require_idempotent(f)
     _require_idempotent(g)
-    total = Fraction(0)
-    for mask in _central_masks(sig):
-        tau = blade_mul(mask, mask, sig)[0]
-        total += f.coefficient(mask) * g.coefficient(mask) * tau
-    return _trace_rank(total * (1 << sig.n))
+    return _sandwich_ranks(f, g, [1 << i for i in range(sig.n)], [0])[0]
 
 
 @dataclass(frozen=True)
@@ -396,7 +398,7 @@ _DIVISION_RING_KINDS = {1: "R", 2: "C", 4: "H"}
 def division_ring_info(f: Multivector) -> DivisionRingInfo:
     """Basis of f*A*f with its kind: dim 1 -> R, 2 -> C, 4 -> H.
 
-    Only the blocks to which _sandwich_trace gives a nonzero rank are
+    Only the blocks to which _sandwich_ranks gives a nonzero rank are
     reduced: at most four for a primitive f.  The kind follows from that
     dimension and the signature.  Let J be the radical of A = Cl(p,q,s),
     spanned by the blades with a null generator (J = 0 when s = 0), and
@@ -411,12 +413,7 @@ def division_ring_info(f: Multivector) -> DivisionRingInfo:
     reported as UnexpectedDimension.
     """
     _require_idempotent(f)
-    basis, _ = _blade_image_span(
-        f.sig,
-        lambda b: geometric_product(geometric_product(f, b), f),
-        (f,),
-        lambda blades: _sandwich_trace(f, blades),
-    )
+    basis, _ = _blade_image_span(f, f)
     # a simple Cl(p,q) is M_m(D) with m = 2^k, so 2^n = m^2 dim D; a split
     # one is two copies of M_m(D) with 2^k = 2m, so 2^n = 2 m^2 dim D
     regular = Signature(f.sig.p, f.sig.q)
@@ -536,17 +533,11 @@ def interbasis_element(f_i: Multivector, f_j: Multivector):
         return f_i, f_i
     sig = f_i.sig
     dim = 1 << sig.n
-
-    def sandwich_basis(left, right):
-        return _blade_image_span(
-            sig, lambda b: geometric_product(geometric_product(left, b), right), (left, right)
-        )[0]
-
-    space_ij = sandwich_basis(f_i, f_j)
+    space_ij, _ = _blade_image_span(f_i, f_j)
     if not space_ij:
         raise NotSimple("f_i * A * f_j is zero; the idempotents sit in different components")
     e_ij = space_ij[0]
-    space_ji = sandwich_basis(f_j, f_i)
+    space_ji, _ = _blade_image_span(f_j, f_i)
     if not space_ji:
         raise NotSimple("f_j * A * f_i is zero; the idempotents sit in different components")
     # solve e_ij * v = f_i and v * e_ij = f_j for v in span(space_ji)

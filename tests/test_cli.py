@@ -219,8 +219,8 @@ class TestDimensionCap:
         assert payload["checks"] == {"homomorphism_square": True, "unital": True}
 
     def test_ideal_at_default_cap_reduces_to_rank(self, capsys, monkeypatch):
-        # one product per ideal block and one double product for f*A*f = R,
-        # where forming every image took 3111 products
+        # one product per ideal block and one for f*A*f = R, where forming
+        # every image took 3111 products
         calls = count_products(monkeypatch)
         payload = run_json(capsys, ["ideal", "--sig", "5,5", "--json"])
         assert calls[0] <= 100
@@ -257,6 +257,17 @@ class TestArgumentHandling:
     def test_double_dash_guards_positional(self, capsys):
         payload = run_json(capsys, ["eval", "--sig", "0,2", "--json", "--", "-e12"])
         assert payload["result"]["value"] == "-e12"
+
+    def test_back_to_back_runs_share_no_state(self, capsys):
+        # one parser serves every run; flags and --cap must not carry over
+        faithful = run_text(capsys, ["ideal", "--sig", "0,3", "--faithful"])
+        plain = run_text(capsys, ["ideal", "--sig", "0,3"])
+        assert faithful[0] == plain[0] == 0
+        assert faithful[1] != plain[1]
+        assert plain == run_text(capsys, ["ideal", "--sig", "0,3"])
+        assert run_text(capsys, ["center", "--sig", "6,5", "--cap", "11"])[0] == 0
+        code, _, err = run_text(capsys, ["center", "--sig", "6,5"])
+        assert code == 1 and "cap 10" in err
 
     def test_merge_helper(self):
         merged = _merge_option_values(["--sig", "0,2", "--matrix", "-1,0;0,1", "x"])

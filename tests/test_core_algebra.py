@@ -180,6 +180,34 @@ def inverse_cases(draw):
     return x
 
 
+@st.composite
+def degenerate_inverse_cases(draw):
+    """A unit, a zero divisor or a radical element of Cl(p,q,s), s >= 1, n <= 5.
+
+    The radical J is spanned by the blades with a null generator.  A unit is
+    a + nu with a dense integer part a free of null generators (almost
+    always invertible in Cl(p,q)) and nu in J; a zero divisor is such an
+    element times 1 +- u with u^2 = +1; a radical element lies in J.
+    """
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(1, n))
+    p = draw(st.integers(0, n - s))
+    sig = Signature(p, n - s - p, s)
+    regular = 1 << (n - s)
+    values = draw(st.lists(small_fractions(), min_size=1 << n, max_size=1 << n))
+    a = {m: draw(st.integers(-3, 3)) for m in range(regular)}
+    kind = draw(st.sampled_from(["unit", "zero divisor", "radical"]))
+    x = Multivector(sig, {m: v for m, v in enumerate(values) if m >= regular})
+    if kind == "radical":
+        return x
+    x = add(x, Multivector(sig, a))
+    units = [m for m in range(1, regular) if blade_mul(m, m, sig)[0] == 1]
+    if kind == "zero divisor" and units:
+        u = Multivector.basis_blade(sig, draw(st.sampled_from(units)))
+        x = geometric_product(x, 1 + u if draw(st.booleans()) else 1 - u)
+    return x
+
+
 class TestAlgebraLaws:
     @settings(max_examples=40, deadline=None)
     @given(multivectors(HYP_SIG), multivectors(HYP_SIG), multivectors(HYP_SIG))
@@ -376,6 +404,16 @@ class TestInverse:
     @settings(max_examples=80, deadline=None)
     @given(inverse_cases())
     def test_matches_dense_solve(self, x):
+        expected = dense_inverse(x)
+        try:
+            y = inverse(x)
+        except NotInvertible:
+            y = None
+        assert y == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(degenerate_inverse_cases())
+    def test_radical_split_matches_dense_solve(self, x):
         expected = dense_inverse(x)
         try:
             y = inverse(x)
