@@ -7,6 +7,8 @@ pivoting is lowest-index-first, so results are deterministic.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 from .errors import DimensionMismatch
@@ -37,13 +39,27 @@ def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 
 
+def _integer_matrix(m):
+    """(M, scale) with integer entries M and m = M / scale, scale the least."""
+    scale = math.lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
+
+
 def mat_mul(a, b):
+    """Product of two int or Fraction matrices, with Fraction entries.
+
+    Each factor is scaled to integers over one denominator, so every dot
+    product runs in int arithmetic and each entry is one Fraction.
+    """
     if not a or not b:
         return []
     if len(a[0]) != len(b):
         raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in bt] for row in a]
+    a_int, a_scale = _integer_matrix(a)
+    b_int, b_scale = _integer_matrix(b)
+    scale = a_scale * b_scale
+    bt = transpose(b_int)
+    return [[Fraction(sum(map(operator.mul, row, col)), scale) for col in bt] for row in a_int]
 
 
 def mat_vec(m, v):

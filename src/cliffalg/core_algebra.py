@@ -6,6 +6,17 @@ blades lands on the XOR of their masks, with a sign from the transposition
 parity of interleaving the factors times the squares of shared generators.
 Coefficients are exact rationals, so every identity used downstream is
 decided exactly.  All values are immutable and all operations are pure.
+
+Every geometric product runs on one integer kernel: each operand is scaled
+to integer numerators over its least common denominator (_integer_scaled),
+_product multiplies the integer maps, and one Fraction is built per output
+blade from the product of the two denominators (_scaled_product).  Each
+term pair then costs one int product instead of a Fraction product with
+its gcd.  norm and the Newton steps of inverse go through it;
+Faddeev-LeVerrier and the spinor coordinate reads (spinors.IdealBasis) run
+_product on integer maps they scale once.  The cost grows with the bit length of the common denominator,
+so an element whose denominators are many distinct primes multiplies
+slower than with Fractions (about 2,000 bits is the crossover).
 """
 
 from __future__ import annotations
@@ -364,7 +375,8 @@ def _require_same_signature(x: Multivector, y: Multivector) -> None:
 def _product(x: dict, y: dict, sig: Signature) -> dict:
     """Product of two coefficient maps; the result may hold zeros.
 
-    The coefficients may be Fractions or ints; ints stay ints.
+    Every product of the library runs here on integer maps (see
+    _scaled_product), one int product per term pair.
     """
     neg_mask = _negative_mask(sig)
     zero_mask = _zero_mask(sig)
@@ -381,10 +393,34 @@ def _product(x: dict, y: dict, sig: Signature) -> dict:
     return acc
 
 
+def _integer_scaled(coeffs: dict) -> tuple[dict, int]:
+    """(X, scale) with integer coefficients X and coeffs = X / scale, scale the least."""
+    scale = math.lcm(*[value.denominator for value in coeffs.values()])
+    if scale == 1:
+        return {mask: v.numerator for mask, v in coeffs.items()}, 1
+    return {mask: v.numerator * (scale // v.denominator) for mask, v in coeffs.items()}, scale
+
+
+def _scaled_product(x: dict, y: dict, sig: Signature) -> tuple[dict, int]:
+    """(P, scale) with an integer map P, which may hold zeros, and x * y = P / scale.
+
+    Both operands are scaled to integers first, so each term pair costs one
+    int product and the rationals are rebuilt once per output blade.
+    """
+    x_int, x_scale = _integer_scaled(x)
+    y_int, y_scale = _integer_scaled(y)
+    return _product(x_int, y_int, sig), x_scale * y_scale
+
+
 def geometric_product(x: Multivector, y: Multivector) -> Multivector:
     """Bilinear extension of the blade product; associative and unital."""
     _require_same_signature(x, y)
-    return Multivector._raw(x.sig, _product(x._coeffs, y._coeffs, x.sig))
+    product, scale = _scaled_product(x._coeffs, y._coeffs, x.sig)
+    if scale == 1:
+        coeffs = {mask: Fraction(v) for mask, v in product.items() if v}
+    else:
+        coeffs = {mask: Fraction(v, scale) for mask, v in product.items() if v}
+    return Multivector._raw(x.sig, coeffs)
 
 
 def add(x: Multivector, y: Multivector) -> Multivector:
@@ -455,23 +491,13 @@ def clifford_conjugation(x: Multivector) -> Multivector:
     return involution(x, "conjugate")
 
 
-def _integer_scaled(x: Multivector) -> tuple[dict, int]:
-    """(X, scale) with integer coefficients X and x = X / scale."""
-    scale = math.lcm(*(value.denominator for value in x._coeffs.values()))
-    return {mask: v.numerator * (scale // v.denominator) for mask, v in x._coeffs.items()}, scale
-
-
 def norm(x: Multivector) -> Multivector:
-    """The full product x * conjugate(x), formed once in int arithmetic.
+    """The full product x * conjugate(x).
 
     A multivector in general; a nonzero scalar when x lies in the
     Clifford-Lipschitz group of a regular form.
     """
-    scaled, scale = _integer_scaled(x)
-    conj, _ = _integer_scaled(clifford_conjugation(x))  # same denominators, same scale
-    square = scale * scale
-    product = _product(scaled, conj, x.sig)
-    return Multivector._raw(x.sig, {mask: Fraction(v, square) for mask, v in product.items()})
+    return geometric_product(x, clifford_conjugation(x))
 
 
 def embed_vector(coords, sig: Signature) -> Multivector:
@@ -507,7 +533,11 @@ def inverse(x: Multivector) -> Multivector:
     """
     if x.is_zero():
         raise NotInvertible("zero is not invertible")
-    value = norm(x)
+    return _inverse_given_norm(x, norm(x))
+
+
+def _inverse_given_norm(x: Multivector, value: Multivector) -> Multivector:
+    """inverse(x) for a nonzero x whose norm the caller already holds as value."""
     if value and value.is_scalar():
         return scalar_mul(1 / value.scalar_part(), clifford_conjugation(x))
     sig = x.sig
@@ -540,7 +570,7 @@ def _faddeev_leverrier_inverse(x: Multivector) -> Multivector:
     y = -scale * M_m / c_m reads X * M_m = M_m * X = -c_m.
     """
     sig = x.sig
-    scaled, scale = _integer_scaled(x)
+    scaled, scale = _integer_scaled(x._coeffs)
     size = 1 << ((sig.n + 1) // 2)
     m_k = {0: 1}
     for k in range(1, size + 1):

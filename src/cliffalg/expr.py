@@ -35,6 +35,7 @@ from .core_algebra import (
     MAX_LITERAL_DIGITS,
     Multivector,
     Signature,
+    blade_mul,
     blade_name,
     check_coefficient_bits,
     clifford_conjugation,
@@ -281,11 +282,13 @@ def evaluate(node, sig: Signature) -> Multivector:
     if isinstance(node, Num):
         return Multivector.scalar(sig, node.value)
     if isinstance(node, BladeSym):
-        # reduce the written generator word through the algebra relations
-        out = Multivector.one(sig)
+        # reduce the written generator word through the algebra relations,
+        # one blade sign per letter; a null square makes the word zero
+        coefficient, mask = 1, 0
         for i in node.indices:
-            out = out * Multivector.generator(sig, i)
-        return out
+            sign, mask = blade_mul(mask, 1 << (i - 1), sig)
+            coefficient *= sign
+        return Multivector.basis_blade(sig, mask, coefficient)
     if isinstance(node, Neg):
         return -evaluate(node.arg, sig)
     if isinstance(node, Pow):

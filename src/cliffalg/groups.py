@@ -23,6 +23,7 @@ from .core_algebra import (
     Multivector,
     Rational,
     Signature,
+    _inverse_given_norm,
     clifford_conjugation,
     embed_vector,
     even_part,
@@ -67,7 +68,7 @@ class GroupElement:
         """
         value = norm(x)
         if not value.is_scalar():
-            inverse(x)  # NotInvertible takes precedence
+            _inverse_given_norm(x, value)  # NotInvertible takes precedence
             raise NotInGroup("norm is not a scalar")
         n_value = value.scalar_part()
         if not n_value:
@@ -142,8 +143,8 @@ def membership(x: Multivector) -> Membership:
     suffices); in Pin iff also its norm is +1 or -1; in Spin iff also even.
     A nonzero scalar N = x * conjugate(x) gives x^-1 = conjugate(x) / N, and
     N = 0 a zero divisor.  A non-scalar N rules x out when s = 0 (Lounesto,
-    2001) but not when s > 0 (1 - e123 in Cl(0,0,3)): only then does
-    inverse run, and it forms N once more.
+    2001) but not when s > 0 (1 - e123 in Cl(0,0,3)): only then does the
+    inverse run, from the N already formed.
     """
     value = norm(x)
     n_value = value.scalar_part() if value.is_scalar() else None
@@ -152,7 +153,7 @@ def membership(x: Multivector) -> Membership:
         group = _is_stable(x, scalar_mul(1 / n_value, clifford_conjugation(x)))
     elif n_value is None and x.sig.s:
         try:
-            group = _is_stable(x, inverse(x))
+            group = _is_stable(x, _inverse_given_norm(x, value))
         except NotInvertible:
             pass
     pin = group and n_value in (1, -1)

@@ -28,16 +28,19 @@ Everything else here requires a regular signature (s = 0).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import _linalg
+from . import _linalg, core_algebra
 from .core_algebra import (
     DEFAULT_DIMENSION_CAP,
     Multivector,
     Signature,
     _blade_mul_signs,
+    _integer_scaled,
     _negative_mask,
+    _nonzero,
     _zero_mask,
     add,
     blade_mul,
@@ -324,17 +327,30 @@ def _require_idempotent(f: Multivector) -> None:
 
 @dataclass(frozen=True)
 class IdealBasis:
-    """Row-reduced basis of the left ideal generated by an idempotent."""
+    """Row-reduced basis of the left ideal generated by an idempotent.
+
+    The basis is also held as integer maps B_i over one common denominator
+    d, b_i = B_i / d, which the stabilization check and every coordinate
+    read work on.
+    """
 
     generator: Multivector
     basis: tuple[Multivector, ...]
     dim: int
     pivots: tuple[int, ...]  # RREF pivot blade masks, used for coordinate reads
+    _integer_basis: tuple[list[dict], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for b in self.basis:
-            if geometric_product(b, self.generator) != b:
+        # b * f = b reads B * F = scale_f * B with f = F / scale_f
+        generator, generator_scale = _integer_scaled(self.generator._coeffs)
+        scaled = [_integer_scaled(b._coeffs) for b in self.basis]
+        scale = math.lcm(*(row_scale for _, row_scale in scaled))
+        rows = [{m: v * (scale // row_scale) for m, v in row.items()} for row, row_scale in scaled]
+        for row in rows:
+            fixed = {m: generator_scale * v for m, v in row.items()}
+            if _nonzero(core_algebra._product(row, generator, self.sig)) != fixed:
                 raise ValueError("basis element is not stabilized by the generator")
+        object.__setattr__(self, "_integer_basis", (rows, scale))
 
     @property
     def sig(self) -> Signature:
@@ -413,6 +429,11 @@ def division_ring_info(f: Multivector) -> DivisionRingInfo:
     reported as UnexpectedDimension.
     """
     _require_idempotent(f)
+    return _division_ring_info(f)
+
+
+def _division_ring_info(f: Multivector) -> DivisionRingInfo:
+    """division_ring_info for an f already known to be idempotent."""
     basis, _ = _blade_image_span(f, f)
     # a simple Cl(p,q) is M_m(D) with m = 2^k, so 2^n = m^2 dim D; a split
     # one is two copies of M_m(D) with 2^k = 2m, so 2^n = 2 m^2 dim D
@@ -483,35 +504,41 @@ def faithful_ideal(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP) -> IdealBas
     return left_ideal_basis(add(f, g))
 
 
-def _coordinates_against(ideal: IdealBasis, y: Multivector):
-    """Coordinates of y in the RREF ideal basis, or None when y leaves the span.
+def _coordinates_against(ideal: IdealBasis, y: dict, scale: int):
+    """Coordinates of y / scale in the RREF ideal basis, or None when it leaves the span.
 
-    Basis element i is 1 on pivot i and 0 on every other pivot, so the
-    coordinates are y's pivot coefficients; y is in the span exactly when
-    they rebuild it.
+    y is an integer map.  Basis element i is 1 on pivot i and 0 on every
+    other pivot, so the coordinates are the pivot coefficients y[p_i] /
+    scale, and y / scale is in the span exactly when they rebuild it: over
+    the integer basis B_i = d * b_i that reads sum_i y[p_i] B_i = d * y.
     """
-    coefficients = [y.coefficient(p) for p in ideal.pivots]
+    rows, d = ideal._integer_basis
+    pivot_values = [y.get(p, 0) for p in ideal.pivots]
     acc: dict = {}
-    for c, b in zip(coefficients, ideal.basis):
+    for c, row in zip(pivot_values, rows):
         if c:
-            for mask, value in b._coeffs.items():
+            for mask, value in row.items():
                 acc[mask] = acc.get(mask, 0) + c * value
-    if Multivector(ideal.sig, acc) != y:
+    if _nonzero(acc) != {mask: d * value for mask, value in y.items() if value}:
         return None
-    return coefficients
+    return [Fraction(c, scale) for c in pivot_values]
 
 
 def regular_rep_matrix(x: Multivector, ideal: IdealBasis):
     """Matrix of left multiplication by x on the ideal basis (columns = images).
 
     Column j holds the coordinates of x * basis_j, so the map is a unital
-    homomorphism: rep(x*y) = rep(x) rep(y).
+    homomorphism: rep(x*y) = rep(x) rep(y).  With x = X / scale_x and
+    basis_j = B_j / d, the image is X * B_j / (scale_x d), formed in ints.
     """
     if x.sig != ideal.sig:
         raise SignatureMismatch(f"signatures differ: {x.sig} vs {ideal.sig}")
+    x_int, x_scale = _integer_scaled(x._coeffs)
+    rows, scale = ideal._integer_basis
     columns = []
-    for b in ideal.basis:
-        coords = _coordinates_against(ideal, geometric_product(x, b))
+    for row in rows:
+        image = core_algebra._product(x_int, row, x.sig)
+        coords = _coordinates_against(ideal, image, x_scale * scale)
         if coords is None:
             raise NoSolution("image leaves the ideal span")
         columns.append(coords)
@@ -577,9 +604,12 @@ def representation_intertwiner(f_i: Multivector, f_j: Multivector) -> Representa
     target = left_ideal_basis(f_j)
 
     def map_matrix(ideal_from, ideal_to, mover):
+        mover_int, mover_scale = _integer_scaled(mover._coeffs)
+        rows, scale = ideal_from._integer_basis
         columns = []
-        for b in ideal_from.basis:
-            coords = _coordinates_against(ideal_to, geometric_product(b, mover))
+        for row in rows:
+            image = core_algebra._product(row, mover_int, mover.sig)
+            coords = _coordinates_against(ideal_to, image, scale * mover_scale)
             if coords is None:
                 raise NoSolution("intertwiner image leaves the target ideal")
             columns.append(coords)

@@ -60,6 +60,56 @@ def count_products(monkeypatch):
     return calls
 
 
+def reference_product(x: Multivector, y: Multivector) -> Multivector:
+    """x * y term pair by term pair in Fraction arithmetic.
+
+    The loop geometric_product ran before its integer kernel: one Fraction
+    product and one Fraction sum per term pair.  This is the reference the
+    integer kernel is tested against.
+    """
+    sig = x.sig
+    neg_mask = core_algebra._negative_mask(sig)
+    zero_mask = core_algebra._zero_mask(sig)
+    y_terms = y.terms()
+    acc: dict = {}
+    for a, ca in x.terms():
+        signs = core_algebra._blade_mul_signs(a, [b for b, _ in y_terms], neg_mask, zero_mask)
+        for (b, cb), sign in zip(y_terms, signs):
+            if sign:
+                acc[a ^ b] = acc.get(a ^ b, Fraction(0)) + sign * ca * cb
+    return Multivector(sig, acc)
+
+
+def reference_mat_mul(a, b):
+    """Matrix product entry by entry in Fraction arithmetic; [] for an empty factor."""
+    if not a or not b:
+        return []
+    return [
+        [sum((Fraction(a[i][k]) * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def reference_rep_matrix(x: Multivector, ideal):
+    """Matrix of left multiplication by x on an RREF ideal basis, in Fractions.
+
+    Column j holds the pivot coefficients of x * basis_j, and they must
+    rebuild it (None otherwise).  This is the reference the integer form of
+    spinors.regular_rep_matrix is tested against.
+    """
+    columns = []
+    for b in ideal.basis:
+        image = reference_product(x, b)
+        coefficients = [image.coefficient(p) for p in ideal.pivots]
+        rebuilt = Multivector.zero(x.sig)
+        for c, basis_element in zip(coefficients, ideal.basis):
+            rebuilt = add(rebuilt, scalar_mul(c, basis_element))
+        if rebuilt != image:
+            return None
+        columns.append(coefficients)
+    return [[column[r] for column in columns] for r in range(len(ideal.basis))]
+
+
 def normalize_word(indices, sig: Signature):
     """(sign, ascending index tuple) of a generator word, by bubble rewriting.
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cliffalg import (
     CoefficientTooLarge,
@@ -42,6 +42,7 @@ from support import (
     normalize_word,
     rand_multivector,
     rand_vector,
+    reference_product,
 )
 
 SMALL_SIGS = all_signatures(3)
@@ -206,6 +207,57 @@ def degenerate_inverse_cases(draw):
         u = Multivector.basis_blade(sig, draw(st.sampled_from(units)))
         x = geometric_product(x, 1 + u if draw(st.booleans()) else 1 - u)
     return x
+
+
+@st.composite
+def product_cases(draw):
+    """Two operands of one Cl(p,q,s), n <= 6: empty, scalar, one term, sparse or dense."""
+    n = draw(st.integers(0, 6))
+    p = draw(st.integers(0, n))
+    q = draw(st.integers(0, n - p))
+    sig = Signature(p, q, n - p - q)
+    fractions = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+
+    def operand():
+        kind = draw(st.sampled_from(["empty", "scalar", "one term", "sparse", "dense"]))
+        if kind == "empty":
+            return Multivector.zero(sig)
+        if kind == "scalar":
+            return Multivector.scalar(sig, draw(fractions))
+        if kind == "one term":
+            mask = draw(st.integers(0, (1 << n) - 1))
+            return Multivector.basis_blade(sig, mask, draw(fractions))
+        masks = range(1 << n)
+        if kind == "sparse":
+            masks = draw(st.lists(st.sampled_from(masks), max_size=6))
+        return Multivector(sig, {m: draw(fractions) for m in masks})
+
+    return operand(), operand()
+
+
+# pairwise-coprime denominators: the common denominator is their product
+_COPRIME = Signature(2, 1, 1)
+
+
+class TestIntegerKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(product_cases())
+    @example(
+        (
+            Multivector(_COPRIME, {m: Fraction(m + 1, d) for m, d in enumerate([2, 3, 5, 7, 11, 13, 17, 19])}),
+            Multivector(_COPRIME, {m: Fraction(1 - m, d) for m, d in zip(range(8, 16), [23, 29, 31, 37, 41, 43, 47, 53])}),
+        )
+    )
+    def test_matches_fraction_loop(self, case):
+        x, y = case
+        assert geometric_product(x, y) == reference_product(x, y)
+        assert geometric_product(y, x) == reference_product(y, x)
+
+    def test_norm_is_product_with_conjugate(self):
+        rng = random.Random(409)
+        for sig in all_signatures(4):
+            x = rand_multivector(rng, sig, density=0.7)
+            assert norm(x) == reference_product(x, clifford_conjugation(x))
 
 
 class TestAlgebraLaws:

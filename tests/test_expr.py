@@ -1,6 +1,7 @@
 """Expression language: tokenizer, grammar, blade-symbol semantics,
 function atoms, error positions, and the canonical printer round trip."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from cliffalg import (
     reversion,
 )
 from cliffalg.expr import BinOp, BladeSym, Call, Neg, Num, Pow
-from support import all_signatures, rand_multivector, word_to_multivector
+from support import all_signatures, normalize_word, rand_multivector, word_to_multivector
 
 S02 = Signature(0, 2)
 S20 = Signature(2, 0)
@@ -82,6 +83,15 @@ class TestBladeSymbols:
         assert value("e11", S01) == -1
         assert value("e11", S20) == 1
         assert value("e11", Signature(0, 0, 1)) == 0
+
+    def test_written_words_match_rewriting_oracle(self):
+        # every word of up to four letters, folded by blade signs alone
+        sig = Signature(1, 1, 1)
+        for length in range(1, 5):
+            for word in itertools.product(range(1, 4), repeat=length):
+                sign, indices = normalize_word(word, sig)
+                text = "e" + "".join(map(str, word))
+                assert value(text, sig) == sign * word_to_multivector(indices, sig)
 
     def test_braced_form(self):
         assert value("e{1,2}", S02) == value("e12", S02)

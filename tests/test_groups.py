@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cliffalg import _linalg
+from cliffalg import _linalg, core_algebra, groups
 from cliffalg import (
     BilinearForm,
     DegenerateForm,
@@ -191,6 +191,20 @@ def small_fractions():
     return st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
+def count_norms(monkeypatch):
+    """A one-element list counting the calls to norm from groups and core_algebra."""
+    calls = [0]
+    norm = core_algebra.norm
+
+    def counted_norm(x):
+        calls[0] += 1
+        return norm(x)
+
+    monkeypatch.setattr(core_algebra, "norm", counted_norm)
+    monkeypatch.setattr(groups, "norm", counted_norm)
+    return calls
+
+
 @st.composite
 def membership_cases(draw):
     """Elements of every Cl(p,q,s) with n <= 5, degenerate ones included.
@@ -249,6 +263,17 @@ class TestMembership:
         x = Multivector(Signature(0, 0, 3), {0: 1, 0b111: -1})
         facts = membership(x)
         assert facts.in_clifford_group and facts.n_value is None
+
+    def test_degenerate_path_forms_each_norm_once(self, monkeypatch):
+        # N of 1 - e123, then N of its part 1 in Cl(0,0) inside the inverse
+        calls = count_norms(monkeypatch)
+        x = Multivector(Signature(0, 0, 3), {0: 1, 0b111: -1})
+        assert membership(x).in_clifford_group
+        assert calls == [2]
+        calls[0] = 0
+        with pytest.raises(NotInGroup):
+            GroupElement.from_multivector(x)
+        assert calls == [2]
 
 
 class TestNorm:

@@ -1,0 +1,49 @@
+"""Exact linear algebra: the integer matrix product against a Fraction loop."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cliffalg import DimensionMismatch, _linalg
+from support import reference_mat_mul
+
+
+def random_matrix(rng, rows, cols, kind):
+    def entry():
+        value = rng.randint(-9, 9)
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return value
+        return Fraction(value, rng.choice([1, 2, 3, 5, 7, 11, 12]))
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+class TestMatMul:
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+    def test_matches_fraction_loop(self, kind):
+        rng = random.Random(f"mat_mul {kind}")
+        for rows, inner, cols in [(1, 1, 1), (2, 3, 4), (4, 4, 4), (5, 1, 3), (3, 6, 1)]:
+            a = random_matrix(rng, rows, inner, kind)
+            b = random_matrix(rng, inner, cols, kind)
+            product = _linalg.mat_mul(a, b)
+            assert product == reference_mat_mul(a, b)
+            assert all(type(x) is Fraction for row in product for x in row)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[0]], [[Fraction(3, 7)]]),
+            ([[Fraction(-2, 3)]], [[Fraction(9, 4)]]),
+            ([[0, 0], [0, 0]], [[Fraction(1, 2), 3], [4, Fraction(5, 6)]]),
+            ([[Fraction(0)] * 3] * 2, [[Fraction(0)] * 2] * 3),
+            ([], [[1]]),
+            ([[1]], []),
+        ],
+    )
+    def test_zero_and_single_entry(self, a, b):
+        assert _linalg.mat_mul(a, b) == reference_mat_mul(a, b)
+
+    def test_shape_checked(self):
+        with pytest.raises(DimensionMismatch):
+            _linalg.mat_mul([[1, 2]], [[1, 2]])

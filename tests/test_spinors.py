@@ -13,6 +13,7 @@ from cliffalg import _linalg
 from cliffalg import (
     CommutingBladeSet,
     DegenerateForm,
+    IdealBasis,
     IdempotentSet,
     Multivector,
     NotIdempotent,
@@ -52,6 +53,7 @@ from support import (
     rank,
     reference_center,
     reference_division_ring,
+    reference_rep_matrix,
 )
 
 REGULAR_SIGS_4 = [s for s in all_signatures(4, degenerate=False)]
@@ -229,6 +231,15 @@ class TestIdempotentSets:
 
 
 class TestIdeals:
+    def test_basis_element_not_fixed_by_generator_rejected(self):
+        # (1 - f) * f = 0, so 1 - f is no element of A * f
+        f = canonical_idempotents(Signature(2, 0))[0]
+        ideal = left_ideal_basis(f)
+        basis = ideal.basis[:-1] + (add(Multivector.one(f.sig), scalar_mul(-1, f)),)
+        IdealBasis(f, ideal.basis, ideal.dim, ideal.pivots)
+        with pytest.raises(ValueError, match="not stabilized"):
+            IdealBasis(f, basis, ideal.dim, ideal.pivots)
+
     def test_whole_algebra_from_one(self):
         sig = Signature(0, 2)
         ideal = left_ideal_basis(Multivector.one(sig))
@@ -688,6 +699,16 @@ class TestRegularRepresentation:
         ideal = faithful_ideal(Signature(2, 0))
         with pytest.raises(SignatureMismatch):
             regular_rep_matrix(Multivector.one(Signature(0, 2)), ideal)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_reference(self, data):
+        sig = data.draw(st.sampled_from(all_signatures(6, degenerate=False)))
+        ideal = faithful_ideal(sig)
+        fractions = st.fractions(min_value=-20, max_value=20, max_denominator=13)
+        masks = data.draw(st.lists(st.integers(0, (1 << sig.n) - 1), max_size=1 << sig.n))
+        x = Multivector(sig, {m: data.draw(fractions) for m in masks})
+        assert regular_rep_matrix(x, ideal) == reference_rep_matrix(x, ideal)
 
     def test_faithful_means_injective_on_split(self):
         # distinct elements never collide in the matrix image
