@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows, rows are lists of Fraction.  Every function is
-pure: arguments are never mutated, results are freshly allocated.  All
-pivoting is lowest-index-first, so results are deterministic.
+Matrices are lists of rows.  Entries may be int or Fraction; every result
+entry is a Fraction.  Every function is pure: arguments are never mutated,
+results are freshly allocated.  All pivoting is lowest-index-first, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def determinant(m):
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionMismatch("determinant needs a square matrix")
-    work = [list(row) for row in m]
+    work = to_matrix(m)
     det = ONE
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
@@ -106,7 +107,7 @@ def rref(m):
 
     Returns (reduced, pivot_columns).  Zero rows are kept at the bottom.
     """
-    work = [list(row) for row in m]
+    work = to_matrix(m)
     rows = len(work)
     cols = len(work[0]) if work else 0
     pivots = []
@@ -147,16 +148,3 @@ def solve(a, b):
     for row_index, c in enumerate(pivots):
         x[c] = reduced[row_index][-1]
     return x
-
-
-def matrix_inverse(m):
-    """Exact inverse, or None when the matrix is singular."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DimensionMismatch("inverse needs a square matrix")
-    augmented = [list(row) + ident_row for row, ident_row in zip(m, identity(n))]
-    reduced, pivots = rref(augmented)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in reduced[:n]]
-

@@ -44,6 +44,7 @@ from .quadratic_space import (
     cartan_dieudonne_factor,
     classify_vector,
     format_matrix,
+    format_rational,
     format_vector,
     orthogonal_diagonalize,
     parse_matrix,
@@ -82,12 +83,8 @@ def parse_signature(text: str) -> Signature:
     return Signature(*numbers)
 
 
-def _rat(value) -> str:
-    return str(Fraction(value))
-
-
 def _vec(values) -> list:
-    return [_rat(v) for v in values]
+    return [format_rational(v) for v in values]
 
 
 def _mat(rows) -> list:
@@ -145,8 +142,12 @@ def cmd_classify(args, sig: Signature):
     form = BilinearForm.from_signature(sig)
     kind = classify_vector(form, v)
     value = quadratic_value(form, v)
-    result = {"vector": _vec(v), "quadratic_value": _rat(value), "class": kind}
-    lines = [f"vector: {format_vector(v)}", f"quadratic value: {_rat(value)}", f"class: {kind}"]
+    result = {"vector": _vec(v), "quadratic_value": format_rational(value), "class": kind}
+    lines = [
+        f"vector: {format_vector(v)}",
+        f"quadratic value: {result['quadratic_value']}",
+        f"class: {kind}",
+    ]
     if args.approx:
         result["quadratic_value_approx"] = float(value)
         lines.insert(2, f"quadratic value approx: {float(value)}")
@@ -213,7 +214,7 @@ def cmd_lift(args, sig: Signature):
     matches = twisted_adjoint_matrix(lift.element).rows() == _linalg.to_matrix(rows)
     result = {
         "element": pretty_print(lift.element),
-        "n_value": _rat(lift.n_value),
+        "n_value": format_rational(lift.n_value),
         "reflection_count": lift.reflection_count,
         "needs_normalization": lift.needs_normalization,
     }
@@ -237,7 +238,7 @@ def cmd_lift(args, sig: Signature):
 def cmd_check(args, sig: Signature):
     x = parse_multivector(args.expression, sig)
     facts = membership(x)
-    n_text = _rat(facts.n_value) if facts.n_value is not None else None
+    n_text = format_rational(facts.n_value) if facts.n_value is not None else None
     result = {
         "element": pretty_print(x),
         "in_clifford_group": facts.in_clifford_group,

@@ -147,13 +147,16 @@ def _rational(value) -> Rational:
     raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
 
 
+def check_rational_bits(value: Fraction) -> None:
+    """Raise CoefficientTooLarge when a numerator or denominator exceeds MAX_COEFFICIENT_BITS."""
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
+        raise CoefficientTooLarge(f"a coefficient exceeds the budget of {MAX_COEFFICIENT_BITS} bits")
+
+
 def check_coefficient_bits(x: "Multivector") -> None:
     """Raise CoefficientTooLarge when a coefficient exceeds MAX_COEFFICIENT_BITS."""
     for value in x._coeffs.values():
-        if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
-            raise CoefficientTooLarge(
-                f"a coefficient exceeds the budget of {MAX_COEFFICIENT_BITS} bits"
-            )
+        check_rational_bits(value)
 
 
 def _nonzero(coeffs: dict) -> dict:

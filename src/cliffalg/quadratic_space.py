@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .core_algebra import MAX_LITERAL_DIGITS, Signature
+from .core_algebra import MAX_LITERAL_DIGITS, Signature, check_rational_bits
 from .errors import (
     DegenerateForm,
     DimensionMismatch,
@@ -244,49 +244,18 @@ def det_sign(m) -> int:
     return 1 if det > 0 else -1
 
 
-def _factor_against_diagonal(diag, m):
-    """Reflection vectors for an isometry m of the regular diagonal form diag.
-
-    Settles basis directions lowest index first.  One reflection through
-    (M e_i - e_i) maps the current image back to e_i when that difference is
-    anisotropic; otherwise the difference is isotropic, which forces
-    Phi(M e_i + e_i) = 4 * diag[i] != 0, and the pair s_{e_i} after
-    s_{M e_i + e_i} does the same job.  Both fix every earlier basis vector,
-    so at most 2n reflections are emitted.
-    """
-    n = len(diag)
-    form = BilinearForm.diagonal(diag)
-    cur = [list(row) for row in m]
-    vectors = []
-
-    def apply_reflection(w):
-        nonlocal cur
-        cur = _linalg.mat_mul(reflection_matrix(form, w).rows(), cur)
-        vectors.append(list(w))
-
-    for i in range(n):
-        image = [cur[r][i] for r in range(n)]
-        unit = [_ONE if r == i else _ZERO for r in range(n)]
-        if image == unit:
-            continue
-        difference = [x - y for x, y in zip(image, unit)]
-        if quadratic_value(form, difference) != 0:
-            apply_reflection(difference)
-        else:
-            apply_reflection([x + y for x, y in zip(image, unit)])
-            apply_reflection(unit)
-    if not _linalg.mat_eq(cur, _linalg.identity(n)):
-        raise NotAnIsometry("factorization did not terminate at the identity")
-    return vectors
-
-
 def cartan_dieudonne_factor(form: BilinearForm, m) -> list[list[Fraction]]:
     """Anisotropic vectors w_1..w_k with s_{w_1} o ... o s_{w_k} = M, k <= 2n.
 
     The form must be regular and M an exact isometry of it.  The composition
     is matrix-product order: the product of the reflection matrices taken in
-    list order equals M.  A non-diagonal form is first diagonalized and the
-    reflection vectors are mapped back through the congruence basis.
+    list order equals M.
+
+    C starts at M and settles the form's own orthogonal basis v_1..v_n in
+    order.  s_w with w = C v_i - v_i maps C v_i back to v_i when w is
+    anisotropic; otherwise Phi(C v_i + v_i) = 4 Phi(v_i) != 0, and s_{v_i}
+    after s_{C v_i + v_i} does the same job.  Each fixes every earlier v_j,
+    so at most 2n reflections are emitted before C reaches the identity.
     """
     rows = m.rows() if isinstance(m, IsometryMatrix) else _linalg.to_matrix(m)
     diagonalization = orthogonal_diagonalize(form)
@@ -294,17 +263,33 @@ def cartan_dieudonne_factor(form: BilinearForm, m) -> list[list[Fraction]]:
         raise DegenerateForm("factorization requires a regular form")
     if not is_isometry(form, rows):
         raise NotAnIsometry("matrix does not preserve the bilinear form")
-    basis = diagonalization.basis_rows()
-    already_diagonal = _linalg.mat_eq(basis, _linalg.identity(form.n))
-    if already_diagonal:
-        reduced = rows
-    else:
-        basis_inv = _linalg.matrix_inverse(basis)
-        reduced = _linalg.mat_mul(basis_inv, _linalg.mat_mul(rows, basis))
-    vectors = _factor_against_diagonal(diagonalization.diag, reduced)
-    if already_diagonal:
-        return vectors
-    return [_linalg.mat_vec(basis, w) for w in vectors]
+    b = form.rows()
+    columns = _linalg.transpose(rows)  # C, column by column
+    vectors = []
+
+    def reflect(w) -> bool:
+        """Apply s_w to every column of C; False, changing nothing, when Phi(w) = 0."""
+        bw = _linalg.mat_vec(b, w)  # phi(e_i, w) per row
+        qw = _linalg.dot(w, bw)
+        if qw == 0:
+            return False
+        for column in columns:
+            t = 2 * _linalg.dot(column, bw) / qw
+            if t:
+                column[:] = [x - t * y for x, y in zip(column, w)]
+        vectors.append(w)
+        return True
+
+    for v in _linalg.transpose(diagonalization.basis_rows()):
+        image = _linalg.mat_vec(_linalg.transpose(columns), v)
+        if image == v:
+            continue
+        if not reflect([x - y for x, y in zip(image, v)]):
+            reflect([x + y for x, y in zip(image, v)])
+            reflect(v)
+    if not _linalg.mat_eq(columns, _linalg.identity(form.n)):
+        raise NotAnIsometry("factorization did not terminate at the identity")
+    return vectors
 
 
 # text format shared with the CLI
@@ -340,8 +325,18 @@ def parse_matrix(text: str) -> list[list[Fraction]]:
     return rows
 
 
+def format_rational(value) -> str:
+    """Exactly "a" or "a/b"; CoefficientTooLarge past MAX_COEFFICIENT_BITS.
+
+    The budget keeps every rendering far below the digit limit of str(int).
+    """
+    value = Fraction(value)
+    check_rational_bits(value)
+    return str(value)
+
+
 def format_vector(v) -> str:
-    return ",".join(str(Fraction(x)) for x in v)
+    return ",".join(format_rational(x) for x in v)
 
 
 def format_matrix(rows) -> str:

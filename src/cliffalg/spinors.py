@@ -260,6 +260,10 @@ def _blade_image_span(
     for b in range(1 << sig.n):
         cosets.setdefault(_reduce_mask(b, span), []).append(b)
     ranks = _sandwich_ranks(left, right, span, cosets)
+    # RREF ignores a common scale, so the images are formed and reduced as
+    # the integer maps L * b * R with left = L / l and right = R / r
+    left_int, _ = _integer_scaled(left._coeffs)
+    right_int, _ = _integer_scaled(right._coeffs)
     pivot_rows = []
     for leader, blades in cosets.items():
         target = ranks[leader]
@@ -268,16 +272,17 @@ def _blade_image_span(
         for b in blades:
             if len(pivots) == target:
                 break
-            signs = _blade_mul_signs(b, right._coeffs, neg_mask, zero_mask)
+            signs = _blade_mul_signs(b, right_int, neg_mask, zero_mask)
             b_right = {
                 b ^ m: v if sign == 1 else -v
-                for (m, v), sign in zip(right._coeffs.items(), signs)
+                for (m, v), sign in zip(right_int.items(), signs)
                 if sign
             }
-            x = geometric_product(left, Multivector._raw(sig, b_right))
-            if x.is_zero():
+            x = core_algebra._product(left_int, b_right, sig)
+            row = [x.get(c, 0) for c in blades]
+            if not any(row):
                 continue
-            rows.append([x.coefficient(c) for c in blades])
+            rows.append(row)
             rows, pivots = _linalg.rref(rows)
             rows = rows[: len(pivots)]
         assert len(pivots) == target, "block spans less than its trace"
@@ -524,25 +529,37 @@ def _coordinates_against(ideal: IdealBasis, y: dict, scale: int):
     return [Fraction(c, scale) for c in pivot_values]
 
 
+def _map_matrix(source: IdealBasis, target: IdealBasis, x: Multivector, on_left: bool):
+    """Matrix from source's basis to target's of psi -> x * psi (on_left) or psi * x.
+
+    Column j holds the target coordinates of the image of basis_j.  With
+    x = X / scale_x and basis_j = B_j / d, the image is X * B_j / (scale_x d)
+    (or B_j * X / (scale_x d)), formed in ints.
+    """
+    x_int, x_scale = _integer_scaled(x._coeffs)
+    rows, scale = source._integer_basis
+    columns = []
+    for row in rows:
+        if on_left:
+            image = core_algebra._product(x_int, row, x.sig)
+        else:
+            image = core_algebra._product(row, x_int, x.sig)
+        coords = _coordinates_against(target, image, x_scale * scale)
+        if coords is None:
+            raise NoSolution("image leaves the target ideal")
+        columns.append(coords)
+    return [[column[r] for column in columns] for r in range(target.dim)]
+
+
 def regular_rep_matrix(x: Multivector, ideal: IdealBasis):
     """Matrix of left multiplication by x on the ideal basis (columns = images).
 
     Column j holds the coordinates of x * basis_j, so the map is a unital
-    homomorphism: rep(x*y) = rep(x) rep(y).  With x = X / scale_x and
-    basis_j = B_j / d, the image is X * B_j / (scale_x d), formed in ints.
+    homomorphism: rep(x*y) = rep(x) rep(y).
     """
     if x.sig != ideal.sig:
         raise SignatureMismatch(f"signatures differ: {x.sig} vs {ideal.sig}")
-    x_int, x_scale = _integer_scaled(x._coeffs)
-    rows, scale = ideal._integer_basis
-    columns = []
-    for row in rows:
-        image = core_algebra._product(x_int, row, x.sig)
-        coords = _coordinates_against(ideal, image, x_scale * scale)
-        if coords is None:
-            raise NoSolution("image leaves the ideal span")
-        columns.append(coords)
-    return [[columns[c][r] for c in range(len(columns))] for r in range(ideal.dim)]
+    return _map_matrix(ideal, ideal, x, on_left=True)
 
 
 def interbasis_element(f_i: Multivector, f_j: Multivector):
@@ -603,20 +620,8 @@ def representation_intertwiner(f_i: Multivector, f_j: Multivector) -> Representa
     source = left_ideal_basis(f_i)
     target = left_ideal_basis(f_j)
 
-    def map_matrix(ideal_from, ideal_to, mover):
-        mover_int, mover_scale = _integer_scaled(mover._coeffs)
-        rows, scale = ideal_from._integer_basis
-        columns = []
-        for row in rows:
-            image = core_algebra._product(row, mover_int, mover.sig)
-            coords = _coordinates_against(ideal_to, image, scale * mover_scale)
-            if coords is None:
-                raise NoSolution("intertwiner image leaves the target ideal")
-            columns.append(coords)
-        return [[columns[c][r] for c in range(len(columns))] for r in range(ideal_to.dim)]
-
-    forward = map_matrix(source, target, e_ij)
-    backward = map_matrix(target, source, e_ji)
+    forward = _map_matrix(source, target, e_ij, on_left=False)
+    backward = _map_matrix(target, source, e_ji, on_left=False)
     if not _linalg.mat_eq(_linalg.mat_mul(forward, backward), _linalg.identity(target.dim)):
         raise NoSolution("intertwiner is not invertible")
     if not _linalg.mat_eq(_linalg.mat_mul(backward, forward), _linalg.identity(source.dim)):

@@ -24,6 +24,7 @@ from cliffalg import (
     even_part,
     geometric_product,
     grade_involution,
+    orthogonal_diagonalize,
     quadratic_value,
     reflection_matrix,
     scalar_mul,
@@ -393,6 +394,43 @@ def rand_isometry(rng: random.Random, form: BilinearForm, reflections: int):
         w = rand_anisotropic_vector(rng, form)
         m = _linalg.mat_mul(m, reflection_matrix(form, w).rows())
     return m
+
+
+def reference_cartan_dieudonne(form: BilinearForm, m):
+    """Reflection vectors of the isometry m of a regular form, by a basis change.
+
+    M is conjugated into the orthogonal basis P of orthogonal_diagonalize,
+    D = P^-1 M P with P^-1 from Gauss-Jordan on [P | I], and D is factored
+    against the diagonal form: basis directions lowest index first, one
+    reflection matrix per step, through D e_i - e_i when it is anisotropic
+    and otherwise through D e_i + e_i and then e_i.  The vectors are mapped
+    back through P.  This is the reference the factorization in the form's
+    own basis, quadratic_space.cartan_dieudonne_factor, is tested against.
+    """
+    n = form.n
+    diagonalization = orthogonal_diagonalize(form)
+    basis = diagonalization.basis_rows()
+    reduced, pivots = _linalg.rref([row + unit for row, unit in zip(basis, _linalg.identity(n))])
+    assert pivots == list(range(n)), "congruence basis is singular"
+    basis_inv = [row[n:] for row in reduced]
+    current = _linalg.mat_mul(basis_inv, _linalg.mat_mul(_linalg.to_matrix(m), basis))
+    diagonal = BilinearForm.diagonal(diagonalization.diag)
+    vectors = []
+    for i in range(n):
+        image = [current[r][i] for r in range(n)]
+        unit = _linalg.identity(n)[i]
+        if image == unit:
+            continue
+        difference = [x - y for x, y in zip(image, unit)]
+        if quadratic_value(diagonal, difference) != 0:
+            steps = [difference]
+        else:
+            steps = [[x + y for x, y in zip(image, unit)], unit]
+        for w in steps:
+            current = _linalg.mat_mul(reflection_matrix(diagonal, w).rows(), current)
+            vectors.append(_linalg.mat_vec(basis, w))
+    assert _linalg.mat_eq(current, _linalg.identity(n)), "factorization did not reach the identity"
+    return vectors
 
 
 # exact models for the worked-example isomorphisms

@@ -16,6 +16,11 @@ from support import count_products
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
 
+# three random 2400-digit integers: each parses (MAX_LITERAL_DIGITS = 2457), but a
+# product of two passes MAX_COEFFICIENT_BITS and the 4300-digit limit of str(int)
+_rng = random.Random("oversized results")
+A, B, C = (str(_rng.randrange(10**2399, 10**2400)) for _ in range(3))
+
 
 def run_json(capsys, argv):
     code = run(argv)
@@ -138,6 +143,22 @@ class TestExitCodes:
         code, out, err = run_text(capsys, [command, "--sig", "1,0", "1" * 5000])
         assert code == 2
         assert err.startswith("error: ") and "digits" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--sig", "1,1", f"{A},{B}"],
+            ["classify", "--sig", "2,0", f"{'9' * 2400},{'7' * 2400}"],
+            ["reflect", "--sig", "2,0", "--vector", f"{A},{B}"],
+            ["diagonalize", "--matrix", f"{A},{B};{B},{C}"],
+        ],
+        ids=["classify-1,1", "classify-2,0", "reflect", "diagonalize"],
+    )
+    def test_oversized_result_exits_1(self, capsys, argv):
+        code, out, err = run_text(capsys, argv)
+        assert code == 1
+        assert err.startswith("error: ") and "bits" in err
+        assert "Traceback" not in err
 
     def test_success_exits_0(self, capsys):
         code, out, err = run_text(capsys, ["eval", "--sig", "2,0", "1+e1"])

@@ -1,4 +1,5 @@
-"""Exact linear algebra: the integer matrix product against a Fraction loop."""
+"""Exact linear algebra: the integer matrix product against a Fraction loop,
+and exact results from integer input."""
 
 import random
 from fractions import Fraction
@@ -47,3 +48,27 @@ class TestMatMul:
     def test_shape_checked(self):
         with pytest.raises(DimensionMismatch):
             _linalg.mat_mul([[1, 2]], [[1, 2]])
+
+
+class TestExactInput:
+    """int and Fraction entries in, Fractions out: no entry may become a float."""
+
+    def test_rref(self):
+        reduced, pivots = _linalg.rref([[2, 1], [4, 3]])
+        assert (reduced, pivots) == ([[1, 0], [0, 1]], [0, 1])
+        reduced, pivots = _linalg.rref([[3, 1, 0], [6, 2, Fraction(1, 2)]])
+        assert (reduced, pivots) == ([[1, Fraction(1, 3), 0], [0, 0, 1]], [0, 2])
+        for matrix in ([[2, 1], [4, 3]], [[3, 1, 0], [6, 2, Fraction(1, 2)]]):
+            assert all(type(x) is Fraction for row in _linalg.rref(matrix)[0] for x in row)
+
+    def test_determinant(self):
+        for matrix, value in [([[2, 1], [4, 3]], 2), ([[3]], 3), ([[1, 2], [2, 4]], 0), ([], 1)]:
+            det = _linalg.determinant(matrix)
+            assert det == value and type(det) is Fraction
+
+    def test_solve(self):
+        assert _linalg.solve([[2, 1], [4, 3]], [1, 1]) == [1, -1]
+        assert _linalg.solve([[3]], [1]) == [Fraction(1, 3)]
+        assert _linalg.solve([[1, 1], [2, 2]], [1, 3]) is None
+        for a, b in [([[2, 1], [4, 3]], [1, 1]), ([[3]], [1]), ([[1, 1], [2, 2]], [1, 2])]:
+            assert all(type(x) is Fraction for x in _linalg.solve(a, b))

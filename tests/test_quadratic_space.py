@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cliffalg import _linalg
 from cliffalg import (
@@ -33,7 +34,13 @@ from cliffalg import (
     reflection_matrix,
     signature_of,
 )
-from support import rand_anisotropic_vector, rand_fraction, rand_isometry, rand_vector
+from support import (
+    rand_anisotropic_vector,
+    rand_fraction,
+    rand_isometry,
+    rand_vector,
+    reference_cartan_dieudonne,
+)
 
 
 def rand_symmetric(rng, n, span=4):
@@ -43,6 +50,36 @@ def rand_symmetric(rng, n, span=4):
             value = Fraction(rng.randint(-span, span))
             rows[i][j] = rows[j][i] = value
     return rows
+
+
+@st.composite
+def regular_isometries(draw):
+    """(form, M): a regular form with n <= 5, diagonal or not, and a product of reflections."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        form = BilinearForm.diagonal(draw(st.lists(entry.filter(bool), min_size=n, max_size=n)))
+    else:
+        upper = iter(draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = next(upper)
+        form = BilinearForm.from_rows(rows)
+        assume(signature_of(form)[2] == 0)
+    m = _linalg.identity(n)
+    for w in draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=2 * n)):
+        if quadratic_value(form, w) != 0:
+            m = _linalg.mat_mul(m, reflection_matrix(form, w).rows())
+    return form, m
+
+
+# M v_1 - v_1 = (-1, 0, 1) is isotropic for the first basis vector v_1 = e_1 of
+# this non-diagonal form, so the factorization takes the pair branch there
+ISOTROPIC_PAIR_CASE = (
+    BilinearForm.from_rows([[-1, 1, -1], [1, 0, 0], [-1, 0, -1]]),
+    [[0, Fraction(1, 2), -1], [0, 1, 0], [1, Fraction(-3, 2), 2]],
+)
 
 
 def congruence_holds(form, result):
@@ -269,6 +306,22 @@ class TestCartanDieudonne:
         vectors = cartan_dieudonne_factor(form, m)
         assert len(vectors) <= 4
         assert _linalg.mat_eq(self.recompose(form, vectors), m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(regular_isometries())
+    @example(ISOTROPIC_PAIR_CASE)
+    def test_matches_basis_change_reference(self, case):
+        form, m = case
+        assert cartan_dieudonne_factor(form, m) == reference_cartan_dieudonne(form, m)
+
+    def test_isotropic_difference_takes_the_pair(self):
+        form, m = ISOTROPIC_PAIR_CASE
+        assert [row[0] for row in orthogonal_diagonalize(form).basis_rows()] == [1, 0, 0]
+        image = [row[0] for row in m]
+        assert quadratic_value(form, [image[0] - 1] + image[1:]) == 0
+        # s_{C v_1 + v_1} and then s_{v_1}; C v_1 = v_1 afterwards and nothing is left
+        assert cartan_dieudonne_factor(form, m) == [[1, 0, 1], [1, 0, 0]]
+        assert _linalg.mat_eq(self.recompose(form, [[1, 0, 1], [1, 0, 0]]), m)
 
     def test_degenerate_form_rejected(self):
         form = BilinearForm.from_signature(Signature(1, 0, 1))
