@@ -27,7 +27,9 @@ from .core_algebra import (
     Multivector,
     Signature,
     blade_name,
+    embed_vector,
     geometric_product,
+    grade_involution,
     multiplication_table,
 )
 from .errors import (
@@ -38,14 +40,12 @@ from .errors import (
     UnexpectedDimension,
 )
 from .expr import parse_multivector, pretty_print
-from .groups import lift_isometry, membership, twisted_adjoint_matrix
+from .groups import lift_isometry, membership
 from .quadratic_space import (
     BilinearForm,
     cartan_dieudonne_factor,
     classify_vector,
-    format_matrix,
     format_rational,
-    format_vector,
     orthogonal_diagonalize,
     parse_matrix,
     parse_vector,
@@ -91,8 +91,39 @@ def _mat(rows) -> list:
     return [_vec(row) for row in rows]
 
 
+def _joined(matrix: list) -> str:
+    """The shared matrix text of entries already rendered by _mat."""
+    return ";".join(",".join(row) for row in matrix)
+
+
+def _approx(convert, *args):
+    """convert(*args) for an --approx field; CliffordError past the float range."""
+    try:
+        return convert(*args)
+    except OverflowError:
+        raise CliffordError("a value is outside the float range of --approx") from None
+
+
 def _approx_terms(x: Multivector) -> dict:
-    return {blade_name(mask, x.sig.n): float(value) for mask, value in x.terms()}
+    return {blade_name(mask, x.sig.n): _approx(float, value) for mask, value in x.terms()}
+
+
+def _twisted_adjoint_matches(x: Multivector, rows) -> bool:
+    """True iff the twisted adjoint of x is M, checked without inverting x.
+
+    lift_isometry has refused s > 0 and checked that M is an isometry, so
+    M = rho_y for some y in the Clifford group.  If gi(x)*e_i = (M e_i)*x for
+    every i, then z = y^-1 * x has gi(z)*e_i = e_i*z for every i.  Blade by
+    blade, gi(e_A)*e_i = -e_i*e_A when e_i is in A, and e_i is invertible, so
+    z has no blade holding any e_i: z is a scalar, and x != 0 gives
+    rho_x = rho_y = M.
+    """
+    x_hat = grade_involution(x)
+    return not x.is_zero() and all(
+        geometric_product(x_hat, Multivector.basis_blade(x.sig, 1 << i))
+        == geometric_product(embed_vector(column, x.sig), x)
+        for i, column in enumerate(zip(*rows))
+    )
 
 
 def _form_from_matrix_text(text: str) -> BilinearForm:
@@ -144,13 +175,13 @@ def cmd_classify(args, sig: Signature):
     value = quadratic_value(form, v)
     result = {"vector": _vec(v), "quadratic_value": format_rational(value), "class": kind}
     lines = [
-        f"vector: {format_vector(v)}",
+        f"vector: {','.join(result['vector'])}",
         f"quadratic value: {result['quadratic_value']}",
         f"class: {kind}",
     ]
     if args.approx:
-        result["quadratic_value_approx"] = float(value)
-        lines.insert(2, f"quadratic value approx: {float(value)}")
+        result["quadratic_value_approx"] = _approx(float, value)
+        lines.insert(2, f"quadratic value approx: {result['quadratic_value_approx']}")
     return result, {}, lines
 
 
@@ -171,13 +202,13 @@ def cmd_diagonalize(args, sig: Signature):
     }
     checks = {"congruence": congruent}
     lines = [
-        f"basis: {format_matrix(basis)}",
-        f"diagonal: {format_vector(diagonal)}",
+        f"basis: {_joined(result['basis'])}",
+        f"diagonal: {','.join(result['diagonal'])}",
         f"signature: ({outcome.signature[0]},{outcome.signature[1]},{outcome.signature[2]})",
         f"congruence check: {'pass' if congruent else 'FAIL'}",
     ]
     if args.approx:
-        result["diagonal_approx"] = [float(d) for d in diagonal]
+        result["diagonal_approx"] = [_approx(float, d) for d in diagonal]
     return result, checks, lines
 
 
@@ -188,7 +219,7 @@ def cmd_reflect(args, sig: Signature):
     rows = matrix.rows()
     result = {"matrix": _mat(rows)}
     checks = {"isometry": True}  # certified by IsometryMatrix construction
-    lines = [f"matrix: {format_matrix(rows)}"]
+    lines = [f"matrix: {_joined(result['matrix'])}"]
     return result, checks, lines
 
 
@@ -203,7 +234,7 @@ def cmd_factor(args, sig: Signature):
     result = {"vectors": [_vec(w) for w in vectors], "count": len(vectors)}
     checks = {"recomposition": recomposition, "count_le_2n": len(vectors) <= 2 * sig.n}
     lines = [f"count: {len(vectors)}"]
-    lines += [f"w{i + 1}: {format_vector(w)}" for i, w in enumerate(vectors)]
+    lines += [f"w{i + 1}: {','.join(w)}" for i, w in enumerate(result["vectors"])]
     lines.append(f"recomposition check: {'pass' if recomposition else 'FAIL'}")
     return result, checks, lines
 
@@ -211,7 +242,7 @@ def cmd_factor(args, sig: Signature):
 def cmd_lift(args, sig: Signature):
     rows = parse_matrix(args.matrix)
     lift = lift_isometry(sig, rows)
-    matches = twisted_adjoint_matrix(lift.element).rows() == _linalg.to_matrix(rows)
+    matches = _twisted_adjoint_matches(lift.element, rows)
     result = {
         "element": pretty_print(lift.element),
         "n_value": format_rational(lift.n_value),
@@ -228,7 +259,8 @@ def cmd_lift(args, sig: Signature):
     ]
     if args.approx:
         approx = {
-            blade_name(mask, sig.n): value for mask, value in lift.approx_normalized().items()
+            blade_name(mask, sig.n): value
+            for mask, value in _approx(lift.approx_normalized).items()
         }
         result["approx_normalized"] = approx
         lines.append(f"approx normalized: {approx}")
@@ -323,7 +355,7 @@ def cmd_rep(args, sig: Signature):
     checks = {"unital": unital, "homomorphism_square": square}
     lines = [
         f"ideal dimension: {ideal.dim}",
-        f"matrix: {format_matrix(matrix)}",
+        f"matrix: {_joined(result['matrix'])}",
         f"unital check: {'pass' if unital else 'FAIL'}",
         f"homomorphism check (x*x): {'pass' if square else 'FAIL'}",
     ]

@@ -1,4 +1,4 @@
-"""Parsing, evaluation, and printing of multivector expressions.
+"""Parsing and printing of multivector expressions.
 
 Grammar (whitespace between tokens is ignored):
 
@@ -10,20 +10,26 @@ Grammar (whitespace between tokens is ignored):
     rational := uint ('/' uint)?
     blade    := 'e' digit+  |  'e' '{' uint (',' uint)* '}'
 
-A blade symbol records its generator indices exactly as written: repeated
-or out-of-order indices are allowed and reduce on evaluation through the
-algebra relations, so "e21" evaluates to -e12 and "e11" in Cl(0,1) to -1.
-The digit form is only accepted when the algebra has at most 9 generators.
-There is no implicit multiplication and no float literal; negative numbers
-are formed with the unary minus.  pretty_print emits terms in ascending
-blade-mask order with canonical ascending blade names and round-trips
-through parse.
+parse_multivector reads the text once and computes the value as it reads;
+there is no syntax tree.  A blade symbol is the word of generators exactly
+as written: repeated or out-of-order indices are allowed and reduce through
+the algebra relations, so "e21" evaluates to -e12 and "e11" in Cl(0,1) to
+-1.  The digit form is only accepted when the algebra has at most 9
+generators.  There is no implicit multiplication and no float literal;
+negative numbers are formed with the unary minus.  pretty_print emits terms
+in ascending blade-mask order with canonical ascending blade names and
+round-trips through parse_multivector.
 
 Limits: nesting (parentheses, function calls, unary minus) deeper than
 MAX_NESTING_DEPTH and integer literals longer than MAX_LITERAL_DIGITS are
 ParseErrors.  A product, power or function value, or a printed coefficient,
 whose numerator or denominator passes MAX_COEFFICIENT_BITS raises
 CoefficientTooLarge.
+
+A character outside the token set is a ParseError before anything is
+evaluated; otherwise the first error from the left wins, so a well-formed
+prefix that passes the budget raises CoefficientTooLarge even if the text
+is malformed further on ("2^9000 )"; "e1^2 )" is a ParseError).
 """
 
 from __future__ import annotations
@@ -102,40 +108,6 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class BladeSym:
-    indices: tuple[int, ...]  # generator indices exactly as written
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: object
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "+", "-", or "*"
-    left: object
-    right: object
-
-
 class _Parser:
     def __init__(self, tokens: list[Token], sig: Signature):
         self.tokens = tokens
@@ -166,43 +138,45 @@ class _Parser:
         if self.depth == MAX_NESTING_DEPTH:
             raise ParseError(f"expression nests deeper than {MAX_NESTING_DEPTH} levels", token.pos)
         self.depth += 1
-        node = parse()
+        value = parse()
         self.depth -= 1
-        return node
+        return value
 
     def integer(self, token: Token) -> int:
         if len(token.text) > MAX_LITERAL_DIGITS:
             raise ParseError(f"number has more than {MAX_LITERAL_DIGITS} digits", token.pos)
         return int(token.text)
 
-    def parse_expr(self):
-        node = self.parse_term()
+    def parse_expr(self) -> Multivector:
+        value = self.parse_term()
         while self.at_symbol("+") or self.at_symbol("-"):
             op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
-        return node
+            term = self.parse_term()
+            value = value + term if op == "+" else value - term
+        return value
 
-    def parse_term(self):
-        node = self.parse_factor()
+    def parse_term(self) -> Multivector:
+        value = self.parse_factor()
         while self.at_symbol("*"):
             self.advance()
-            node = BinOp("*", node, self.parse_factor())
-        return node
+            value = value * self.parse_factor()
+            check_coefficient_bits(value)
+        return value
 
-    def parse_factor(self):
+    def parse_factor(self) -> Multivector:
         if self.at_symbol("-"):
-            return Neg(self.nested(self.parse_factor, self.advance()))
-        node = self.parse_atom()
+            return -self.nested(self.parse_factor, self.advance())
+        value = self.parse_atom()
         if self.at_symbol("^"):
             self.advance()
             token = self.peek()
             if token.kind != "number":
                 raise ParseError("exponent must be a non-negative integer", token.pos)
             self.advance()
-            node = Pow(node, self.integer(token))
-        return node
+            value = value ** self.integer(token)  # checks the budget per squaring
+        return value
 
-    def parse_atom(self):
+    def parse_atom(self) -> Multivector:
         token = self.peek()
         if token.kind == "number":
             self.advance()
@@ -217,23 +191,25 @@ class _Parser:
                 if denominator == 0:
                     raise ParseError("zero denominator", denom.pos)
                 value /= denominator
-            return Num(value)
+            return Multivector.scalar(self.sig, value)
         if token.kind == "symbol" and token.text == "(":
-            node = self.nested(self.parse_expr, self.advance())
+            value = self.nested(self.parse_expr, self.advance())
             self.expect_symbol(")")
-            return node
+            return value
         if token.kind == "name":
             if token.text in FUNCTIONS:
                 self.advance()
-                node = self.nested(self.parse_expr, self.expect_symbol("("))
+                argument = self.nested(self.parse_expr, self.expect_symbol("("))
                 self.expect_symbol(")")
-                return Call(token.text, node)
+                value = FUNCTIONS[token.text](argument)
+                check_coefficient_bits(value)  # N squares coefficient sizes
+                return value
             if token.text[0] == "e":
                 return self.parse_blade()
             raise ParseError(f"unknown name {token.text!r}", token.pos)
         raise ParseError(f"unexpected token {token.text!r}", token.pos)
 
-    def parse_blade(self):
+    def parse_blade(self) -> Multivector:
         token = self.advance()
         if len(token.text) > 1:
             digits = token.text[1:]
@@ -244,83 +220,42 @@ class _Parser:
                     "digit blade form is ambiguous beyond 9 generators; use e{i,j,...}",
                     token.pos,
                 )
-            indices = tuple(int(d) for d in digits)
+            indices = [int(d) for d in digits]
         else:
             # bare "e": braced form e{1,2,...}
-            self.expect_symbol("{")
-            collected = []
-            while True:
+            indices = []
+            separator = self.expect_symbol("{")
+            while separator.text != "}":
                 number = self.peek()
                 if number.kind != "number":
                     raise ParseError("expected generator index", number.pos)
                 self.advance()
-                collected.append(int(number.text))
-                if self.at_symbol(","):
-                    self.advance()
-                    continue
-                break
-            self.expect_symbol("}")
-            indices = tuple(collected)
+                indices.append(self.integer(number))
+                separator = self.advance() if self.at_symbol(",") else self.expect_symbol("}")
         for i in indices:
             if i < 1 or i > self.sig.n:
                 raise ParseError(f"generator index {i} out of range 1..{self.sig.n}", token.pos)
-        return BladeSym(indices)
-
-
-def parse(text: str, sig: Signature):
-    """Parse an expression into an AST, validating blade names against sig."""
-    parser = _Parser(_tokenize(text), sig)
-    node = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected token {trailing.text!r}", trailing.pos)
-    return node
-
-
-def evaluate(node, sig: Signature) -> Multivector:
-    """Evaluate an AST to an exact multivector in Cl(sig)."""
-    if isinstance(node, Num):
-        return Multivector.scalar(sig, node.value)
-    if isinstance(node, BladeSym):
         # reduce the written generator word through the algebra relations,
         # one blade sign per letter; a null square makes the word zero
         coefficient, mask = 1, 0
-        for i in node.indices:
-            sign, mask = blade_mul(mask, 1 << (i - 1), sig)
+        for i in indices:
+            sign, mask = blade_mul(mask, 1 << (i - 1), self.sig)
             coefficient *= sign
-        return Multivector.basis_blade(sig, mask, coefficient)
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, sig)
-    if isinstance(node, Pow):
-        return evaluate(node.base, sig) ** node.exponent
-    if isinstance(node, Call):
-        value = FUNCTIONS[node.fn](evaluate(node.arg, sig))
-        check_coefficient_bits(value)  # N squares coefficient sizes
-        return value
-    if isinstance(node, BinOp):
-        # a chain a op b op c ... parses left-deep; fold it in a loop, so its
-        # length never turns into recursion depth
-        chain = []
-        while isinstance(node, BinOp):
-            chain.append(node)
-            node = node.left
-        value = evaluate(node, sig)
-        for link in reversed(chain):
-            right = evaluate(link.right, sig)
-            if link.op == "+":
-                value = value + right
-            elif link.op == "-":
-                value = value - right
-            else:
-                value = value * right
-                check_coefficient_bits(value)
-        return value
-    raise TypeError(f"not an expression node: {node!r}")
+        return Multivector.basis_blade(self.sig, mask, coefficient)
 
 
 def parse_multivector(text: str, sig: Signature) -> Multivector:
-    """Parse and evaluate in one step."""
-    return evaluate(parse(text, sig), sig)
+    """Parse an expression and evaluate it to an exact multivector in Cl(sig)."""
+    parser = _Parser(_tokenize(text), sig)
+    value = parser.parse_expr()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        raise ParseError(f"unexpected token {trailing.text!r}", trailing.pos)
+    return value
+
+
+# the short public name: the same function object, not a wrapper
+parse = parse_multivector
 
 
 def pretty_print(x: Multivector) -> str:

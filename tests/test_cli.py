@@ -8,9 +8,25 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cliffalg import ParseError, Signature, blade_name, cli
-from cliffalg.cli import _merge_option_values, parse_signature, run
+from cliffalg import (
+    BilinearForm,
+    CliffordError,
+    LiftResult,
+    Multivector,
+    ParseError,
+    Signature,
+    _linalg,
+    blade_name,
+    cli,
+    groups,
+    lift_isometry,
+    quadratic_value,
+    reflection_matrix,
+    twisted_adjoint_matrix,
+)
+from cliffalg.cli import _merge_option_values, _twisted_adjoint_matches, parse_signature, run
 from support import count_products
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -158,6 +174,27 @@ class TestExitCodes:
         code, out, err = run_text(capsys, argv)
         assert code == 1
         assert err.startswith("error: ") and "bits" in err
+        assert "Traceback" not in err
+
+    def test_oversized_braced_index_exits_2(self, capsys):
+        code, out, err = run_text(capsys, ["eval", "--sig", "2,0", "e{" + "1" * 5000 + "}"])
+        assert code == 2
+        assert err.startswith("error: ") and "digits" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--approx", "--sig", "1,0", "1" + "0" * 400],
+            ["eval", "--approx", "--sig", "1,0", "1" + "0" * 400],
+            ["diagonalize", "--approx", "--matrix", "1" + "0" * 400],
+        ],
+        ids=["classify", "eval", "diagonalize"],
+    )
+    def test_approx_past_float_range_exits_1(self, capsys, argv):
+        code, out, err = run_text(capsys, argv)
+        assert code == 1
+        assert err.startswith("error: ") and "float range" in err
         assert "Traceback" not in err
 
     def test_success_exits_0(self, capsys):
@@ -404,3 +441,69 @@ class TestJsonEnvelope:
         payload = run_json(capsys, ["diagonalize", "--json", "--matrix", "1,1;1,1"])
         assert payload["signature"] == [1, 0, 1]
         assert payload["result"]["signature"] == [1, 0, 1]
+
+
+def reference_matches(x: Multivector, m) -> bool:
+    """The twisted adjoint matrix of x, formed through its inverse, equals m."""
+    try:
+        return twisted_adjoint_matrix(x).rows() == _linalg.to_matrix(m)
+    except CliffordError:
+        return False
+
+
+@st.composite
+def regular_lifts(draw):
+    """(M, x): a product of reflections on a regular Cl(p,q), n <= 5, and its lift."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    form = BilinearForm.from_signature(sig)
+    m = _linalg.identity(n)
+    for w in draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=2 * n)):
+        if quadratic_value(form, w) != 0:
+            m = _linalg.mat_mul(m, reflection_matrix(form, w).rows())
+    return m, lift_isometry(sig, m).element
+
+
+class TestLiftCheck:
+    LIFT = ["lift", "--sig", "2,1", "--json", "--matrix", "0,1,0;1,0,0;0,0,-1"]
+
+    def run_tampered(self, capsys, monkeypatch, tamper):
+        def tampered_lift(sig, m):
+            lift = lift_isometry(sig, m)
+            return LiftResult(tamper(lift.element), lift.n_value, lift.reflection_count, False)
+
+        monkeypatch.setattr(cli, "lift_isometry", tampered_lift)
+        return run_json(capsys, self.LIFT)["checks"]["twisted_adjoint_matches"]
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda x: x * Multivector.generator(x.sig, 1),
+            lambda x: x + 1,
+            lambda x: Multivector.zero(x.sig),
+        ],
+        ids=["times-e1", "plus-one", "zero"],
+    )
+    def test_wrong_element_fails(self, capsys, monkeypatch, tamper):
+        assert self.run_tampered(capsys, monkeypatch, tamper) is False
+
+    def test_rescaled_element_passes(self, capsys, monkeypatch):
+        assert self.run_tampered(capsys, monkeypatch, lambda x: 2 * x) is True
+
+    def test_forms_no_inverse(self, capsys, monkeypatch):
+        def no_inverse(x):
+            raise AssertionError("lift check formed an inverse")
+
+        monkeypatch.setattr(groups, "inverse", no_inverse)
+        assert run_json(capsys, self.LIFT)["checks"]["twisted_adjoint_matches"] is True
+
+    @settings(max_examples=150, deadline=None)
+    @given(regular_lifts(), st.integers(0, 31), st.fractions(-3, 3, max_denominator=3))
+    def test_agrees_with_twisted_adjoint_matrix(self, case, mask, weight):
+        m, x = case
+        assert _twisted_adjoint_matches(x, m) is True
+        assert reference_matches(x, m) is True
+        blade = Multivector.basis_blade(x.sig, mask % (1 << x.sig.n), weight)
+        for tampered in (x + blade, x * blade, blade * x, weight * x):
+            assert _twisted_adjoint_matches(tampered, m) == reference_matches(tampered, m)
