@@ -11,14 +11,19 @@ Grammar (whitespace between tokens is ignored):
     blade    := 'e' digit+  |  'e' '{' uint (',' uint)* '}'
 
 parse_multivector reads the text once and computes the value as it reads;
-there is no syntax tree.  A blade symbol is the word of generators exactly
-as written: repeated or out-of-order indices are allowed and reduce through
-the algebra relations, so "e21" evaluates to -e12 and "e11" in Cl(0,1) to
--1.  The digit form is only accepted when the algebra has at most 9
-generators.  There is no implicit multiplication and no float literal;
-negative numbers are formed with the unary minus.  pretty_print emits terms
-in ascending blade-mask order with canonical ascending blade names and
-round-trips through parse_multivector.
+there is no syntax tree.  A sum accumulates its terms in one coefficient
+map, so evaluating a sum of monomials takes time linear in its number of
+terms, and a scalar factor rescales the other factor without the product
+kernel; only a product of two non-scalars is a geometric product.  A digit
+is a decimal digit (str.isdecimal, what int() reads): "²" is not one.  A
+blade symbol is the word of generators exactly as written: repeated or
+out-of-order indices are allowed and reduce through the algebra relations,
+so "e21" evaluates to -e12 and "e11" in Cl(0,1) to -1.  The digit form is
+only accepted when the algebra has at most 9 generators.  There is no
+implicit multiplication and no float literal; negative numbers are formed
+with the unary minus.  pretty_print emits terms in ascending blade-mask
+order with canonical ascending blade names and round-trips through
+parse_multivector.
 
 Limits: nesting (parentheses, function calls, unary minus) deeper than
 MAX_NESTING_DEPTH and integer literals longer than MAX_LITERAL_DIGITS are
@@ -34,22 +39,27 @@ is malformed further on ("2^9000 )"; "e1^2 )" is a ParseError).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core_algebra import (
+    _SIGN_COEFFICIENTS,
     MAX_LITERAL_DIGITS,
     Multivector,
     Signature,
-    blade_mul,
+    _blade_mul_signs,
+    _negative_mask,
+    _zero_mask,
     blade_name,
     check_coefficient_bits,
     clifford_conjugation,
     even_part,
+    geometric_product,
     grade_involution,
     norm,
     odd_part,
     reversion,
+    scalar_mul,
 )
 from .errors import ParseError
 
@@ -70,8 +80,7 @@ _SYMBOLS = set("+-*/^(){},")
 MAX_NESTING_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "number", "name", "symbol", "end"
     text: str
     pos: int
@@ -85,9 +94,10 @@ def _tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # isdecimal is exactly what int() reads: "²" is no digit here
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(Token("number", text[i:j], i))
             i = j
@@ -114,6 +124,8 @@ class _Parser:
         self.sig = sig
         self.index = 0
         self.depth = 0
+        self.negative_mask = _negative_mask(sig)
+        self.zero_mask = _zero_mask(sig)
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -148,18 +160,35 @@ class _Parser:
         return int(token.text)
 
     def parse_expr(self) -> Multivector:
-        value = self.parse_term()
+        # one coefficient map for the whole sum: each term adds in place
+        acc = dict(self.parse_term()._coeffs)
         while self.at_symbol("+") or self.at_symbol("-"):
-            op = self.advance().text
-            term = self.parse_term()
-            value = value + term if op == "+" else value - term
-        return value
+            negate = self.advance().text == "-"
+            for mask, coefficient in self.parse_term()._coeffs.items():
+                if negate:
+                    coefficient = -coefficient
+                prior = acc.get(mask)
+                total = coefficient if prior is None else prior + coefficient
+                if total:
+                    acc[mask] = total
+                else:
+                    # removed as add() removes it: a blade that cancels and
+                    # comes back is stored last, as in x + y
+                    del acc[mask]
+        return Multivector._raw(self.sig, acc)
 
     def parse_term(self) -> Multivector:
         value = self.parse_factor()
         while self.at_symbol("*"):
             self.advance()
-            value = value * self.parse_factor()
+            factor = self.parse_factor()
+            # a scalar factor (0 included) rescales without the product kernel
+            if value.is_scalar():
+                value = scalar_mul(value.scalar_part(), factor)
+            elif factor.is_scalar():
+                value = scalar_mul(factor.scalar_part(), value)
+            else:
+                value = geometric_product(value, factor)
             check_coefficient_bits(value)
         return value
 
@@ -180,7 +209,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            value = Fraction(self.integer(token))
+            numerator, denominator = self.integer(token), 1
             if self.at_symbol("/"):
                 self.advance()
                 denom = self.peek()
@@ -190,8 +219,7 @@ class _Parser:
                 denominator = self.integer(denom)
                 if denominator == 0:
                     raise ParseError("zero denominator", denom.pos)
-                value /= denominator
-            return Multivector.scalar(self.sig, value)
+            return Multivector._raw(self.sig, {0: Fraction(numerator, denominator)})
         if token.kind == "symbol" and token.text == "(":
             value = self.nested(self.parse_expr, self.advance())
             self.expect_symbol(")")
@@ -213,7 +241,7 @@ class _Parser:
         token = self.advance()
         if len(token.text) > 1:
             digits = token.text[1:]
-            if not digits.isdigit():
+            if not digits.isdecimal():
                 raise ParseError(f"unknown name {token.text!r}", token.pos)
             if self.sig.n > 9:
                 raise ParseError(
@@ -237,11 +265,12 @@ class _Parser:
                 raise ParseError(f"generator index {i} out of range 1..{self.sig.n}", token.pos)
         # reduce the written generator word through the algebra relations,
         # one blade sign per letter; a null square makes the word zero
-        coefficient, mask = 1, 0
+        sign, mask = 1, 0
         for i in indices:
-            sign, mask = blade_mul(mask, 1 << (i - 1), self.sig)
-            coefficient *= sign
-        return Multivector.basis_blade(self.sig, mask, coefficient)
+            bit = 1 << (i - 1)
+            sign *= _blade_mul_signs(mask, (bit,), self.negative_mask, self.zero_mask)[0]
+            mask ^= bit
+        return Multivector._raw(self.sig, {mask: _SIGN_COEFFICIENTS[sign]})
 
 
 def parse_multivector(text: str, sig: Signature) -> Multivector:

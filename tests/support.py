@@ -24,9 +24,11 @@ from cliffalg import (
     even_part,
     geometric_product,
     grade_involution,
+    odd_part,
     orthogonal_diagonalize,
     quadratic_value,
     reflection_matrix,
+    reversion,
     scalar_mul,
 )
 from cliffalg import _linalg, core_algebra
@@ -146,6 +148,98 @@ def word_to_multivector(indices, sig: Signature) -> Multivector:
     for i in indices:
         out = geometric_product(out, Multivector.generator(sig, i))
     return out
+
+
+# An expression tree is one of
+#   ("num", numerator, denominator or None)   a non-negative rational literal
+#   ("blade", indices, braced)                a written generator word
+#   ("sum", first, [("+" | "-", term), ...])
+#   ("product", [factor, factor, ...])
+#   ("neg", tree)
+#   ("pow", tree, exponent)
+#   ("call", name, tree)                      name a key of expr.FUNCTIONS
+# Precedence of what each kind renders to: a sum, a term, a factor, an atom.
+_LEVEL = {"sum": 0, "product": 1, "neg": 2, "pow": 2, "num": 3, "blade": 3, "call": 3}
+
+
+def render_expression(tree) -> str:
+    """The text of an expression tree, parenthesized only where the grammar needs it."""
+
+    def operand(child, level):
+        text = render_expression(child)
+        return text if _LEVEL[child[0]] >= level else f"({text})"
+
+    kind = tree[0]
+    if kind == "num":
+        _, numerator, denominator = tree
+        return str(numerator) if denominator is None else f"{numerator}/{denominator}"
+    if kind == "blade":
+        _, indices, braced = tree
+        if braced:
+            return "e{" + ",".join(map(str, indices)) + "}"
+        return "e" + "".join(map(str, indices))
+    if kind == "sum":
+        _, first, rest = tree
+        return operand(first, 1) + "".join(f" {op} {operand(t, 1)}" for op, t in rest)
+    if kind == "product":
+        return " * ".join(operand(factor, 2) for factor in tree[1])
+    if kind == "neg":
+        return "-" + operand(tree[1], 2)
+    if kind == "pow":
+        return f"{operand(tree[1], 3)}^{tree[2]}"
+    _, name, argument = tree
+    return f"{name}({render_expression(argument)})"
+
+
+REFERENCE_FUNCTIONS = {
+    "rev": reversion,
+    "gi": grade_involution,
+    "conj": clifford_conjugation,
+    "even": even_part,
+    "odd": odd_part,
+    "N": lambda x: geometric_product(x, clifford_conjugation(x)),
+}
+
+
+def reference_value(tree, sig: Signature) -> Multivector:
+    """The value of an expression tree, folded with geometric_product, add and scalar_mul.
+
+    No text is parsed: this is the reference the evaluating parser is
+    tested against.  A blade word is the product of its generators, and a
+    power the product of that many copies of its base.
+    """
+    kind = tree[0]
+    one = Multivector.one(sig)
+    if kind == "num":
+        _, numerator, denominator = tree
+        return scalar_mul(Fraction(numerator, denominator or 1), one)
+    if kind == "blade":
+        value = one
+        for i in tree[1]:
+            value = geometric_product(value, Multivector.generator(sig, i))
+        return value
+    if kind == "sum":
+        _, first, rest = tree
+        value = reference_value(first, sig)
+        for op, term in rest:
+            term_value = reference_value(term, sig)
+            value = add(value, term_value if op == "+" else scalar_mul(-1, term_value))
+        return value
+    if kind == "product":
+        value = one
+        for factor in tree[1]:
+            value = geometric_product(value, reference_value(factor, sig))
+        return value
+    if kind == "neg":
+        return scalar_mul(-1, reference_value(tree[1], sig))
+    if kind == "pow":
+        base = reference_value(tree[1], sig)
+        value = one
+        for _ in range(tree[2]):
+            value = geometric_product(value, base)
+        return value
+    _, name, argument = tree
+    return REFERENCE_FUNCTIONS[name](reference_value(argument, sig))
 
 
 def dense_inverse(x: Multivector):

@@ -3,8 +3,11 @@ argument handling, and the JSON envelope."""
 
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -96,6 +99,10 @@ class TestExitCodes:
             ["diagonalize", "--matrix", "0,1;2,0"],
             ["diagonalize", "--matrix", "1,2;3,4;5,6"],
             ["lift", "--sig", "2,0", "--matrix", "0.5,0;0,1"],
+            # superscript digits pass str.isdigit but not int()
+            ["eval", "--sig", "2,0", "--", "2^²"],
+            ["eval", "--sig", "2,0", "--", "1/²"],
+            ["check", "--sig", "2,0", "--", "e²"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -196,6 +203,26 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ") and "float range" in err
         assert "Traceback" not in err
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # as in `cliffalg table --sig 4,4 | head -c 50`: the table is far
+        # larger than a pipe buffer, so the reader closes while it is written
+        package_root = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        process = subprocess.Popen(
+            [sys.executable, "-m", "cliffalg", "table", "--sig", "4,4"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        os.close(write_end)
+        assert os.read(read_end, 50)
+        os.close(read_end)
+        _, err = process.communicate(timeout=60)
+        assert process.returncode == 1
+        assert b"Traceback" not in err
 
     def test_success_exits_0(self, capsys):
         code, out, err = run_text(capsys, ["eval", "--sig", "2,0", "1+e1"])

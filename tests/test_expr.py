@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cliffalg import (
     CoefficientTooLarge,
@@ -23,7 +24,16 @@ from cliffalg import (
     pretty_print,
     reversion,
 )
-from support import all_signatures, normalize_word, rand_multivector, word_to_multivector
+from support import (
+    REFERENCE_FUNCTIONS,
+    all_signatures,
+    count_products,
+    normalize_word,
+    rand_multivector,
+    reference_value,
+    render_expression,
+    word_to_multivector,
+)
 
 S02 = Signature(0, 2)
 S20 = Signature(2, 0)
@@ -71,6 +81,78 @@ class TestGrammar:
     def test_short_name_is_the_same_function(self):
         # wrapping either name by identity must see every parse
         assert expr.parse is parse_multivector
+
+    def test_decimal_digits_of_any_script(self):
+        # int() reads every decimal digit, not only ASCII ones
+        assert value("٣*e1", S20) == 3 * Multivector.generator(S20, 1)
+        assert value("e١٢", S02) == value("e12", S02)
+
+
+@st.composite
+def expression_trees(draw):
+    """(signature, tree): regular and degenerate signatures with n <= 5, and
+    a random expression tree over their generators (see support.render_expression)."""
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(0, n))
+    p = draw(st.integers(0, n - s))
+    sig = Signature(p, n - s - p, s)
+    numbers = st.builds(
+        lambda a, b: ("num", a, b), st.integers(0, 9), st.none() | st.integers(1, 5)
+    )
+    blades = st.builds(
+        lambda word, braced: ("blade", tuple(word), braced),
+        st.lists(st.integers(1, n), min_size=1, max_size=4),
+        st.booleans(),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(
+                lambda first, rest: ("sum", first, rest),
+                children,
+                st.lists(st.tuples(st.sampled_from("+-"), children), min_size=1, max_size=3),
+            ),
+            st.builds(lambda factors: ("product", factors), st.lists(children, min_size=2, max_size=3)),
+            st.builds(lambda child: ("neg", child), children),
+            st.builds(lambda child, k: ("pow", child, k), children, st.integers(0, 4)),
+            st.builds(
+                lambda name, child: ("call", name, child), st.sampled_from(sorted(expr.FUNCTIONS)), children
+            ),
+        )
+
+    return sig, draw(st.recursive(numbers | blades, extend, max_leaves=8))
+
+
+E1 = ("blade", (1,), False)
+
+
+class TestEvaluation:
+    def test_reference_covers_every_function(self):
+        assert set(REFERENCE_FUNCTIONS) == set(expr.FUNCTIONS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(expression_trees())
+    # a blade that cancels and comes back; zero and rational factors on either side
+    @example((Signature(1, 1, 1), ("sum", E1, [("-", E1), ("+", ("blade", (3, 2, 3), True))])))
+    @example(
+        (
+            Signature(2, 0, 1),
+            ("product", [("num", 0, None), ("blade", (2, 1), False), ("num", 3, 4), E1]),
+        )
+    )
+    def test_matches_reference_fold(self, case):
+        sig, tree = case
+        assert parse_multivector(render_expression(tree), sig) == reference_value(tree, sig)
+
+    def test_sum_of_monomials_forms_no_product(self, monkeypatch):
+        # every term but the scalar one is written c*blade with |c| > 1
+        sig = Signature(4, 0)
+        x = Multivector(sig, {m: (m + 2) * (-1) ** m for m in range(16)})
+        text = pretty_print(x)
+        assert text.count("*") == 15
+        calls = count_products(monkeypatch)
+        assert value(text, sig) == x
+        assert calls == [0]
 
 
 class TestBladeSymbols:
@@ -180,6 +262,9 @@ class TestParseErrors:
             "e",
             "2/e1",
             "e1^-1",
+            "2^²",
+            "1/²",
+            "e²",
         ],
     )
     def test_rejected(self, text):
