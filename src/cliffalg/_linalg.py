@@ -4,6 +4,13 @@ Matrices are lists of rows.  Entries may be int or Fraction; every result
 entry is a Fraction.  Every function is pure: arguments are never mutated,
 results are freshly allocated.  All pivoting is lowest-index-first, so
 results are deterministic.
+
+mat_mul and determinant scale their input to integers over one denominator
+and build one Fraction per result entry: the product runs int dot products,
+and the determinant is fraction-free (Bareiss) elimination, whose every
+division is exact.  rref and solve stay on Fractions: the spinor commands
+call them most, on matrices so small that a fraction-free rref measured
+4-5% slower there.
 """
 
 from __future__ import annotations
@@ -59,8 +66,13 @@ def mat_mul(a, b):
     a_int, a_scale = _integer_matrix(a)
     b_int, b_scale = _integer_matrix(b)
     scale = a_scale * b_scale
-    bt = transpose(b_int)
-    return [[Fraction(sum(map(operator.mul, row, col)), scale) for col in bt] for row in a_int]
+    return [[Fraction(x, scale) for x in row] for row in _integer_product(a_int, b_int)]
+
+
+def _integer_product(a, b):
+    """Product of two int matrices of matching shape, in int arithmetic."""
+    bt = transpose(b)
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(m, v):
@@ -80,26 +92,41 @@ def dot(u, v):
 
 
 def determinant(m):
-    """Exact determinant by Gaussian elimination with lowest-index pivots."""
+    """Exact determinant: one Fraction, det(M) / scale**n for m = M / scale."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionMismatch("determinant needs a square matrix")
-    work = to_matrix(m)
-    det = ONE
+    work, scale = _integer_matrix(to_matrix(m))
+    return Fraction(_integer_determinant(work), scale**n)
+
+
+def _integer_determinant(m):
+    """Determinant of a square int matrix by Bareiss elimination; 1 when 0 x 0.
+
+    Pivots are lowest-index-first and a row swap flips the sign.  Each update
+    (pivot * x - lead * y) // previous divides exactly (Sylvester's identity:
+    every entry after step k is a (k+1) x (k+1) minor of m), so all entries
+    stay integers no larger than those minors and the last pivot is det m.
+    """
+    n = len(m)
+    work = [list(row) for row in m]
+    sign = 1
+    previous = 1
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
         if pivot_row is None:
-            return ZERO
+            return 0
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
+            sign = -sign
         pivot = work[col][col]
-        det *= pivot
+        tail = work[col][col + 1:]
         for r in range(col + 1, n):
-            factor = work[r][col] / pivot
-            if factor:
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return det
+            row = work[r]
+            lead = row[col]
+            row[col + 1:] = [(pivot * x - lead * y) // previous for x, y in zip(row[col + 1:], tail)]
+        previous = pivot
+    return sign * previous
 
 
 def rref(m):

@@ -12,6 +12,9 @@ entries by ',', rationals written "a/b" or "a".
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +29,6 @@ from .errors import (
     ParseError,
     ZeroVector,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _freeze(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -205,34 +205,46 @@ def reflection_matrix(form: BilinearForm, x) -> IsometryMatrix:
 
     Requires Phi(x) != 0.  Fixes the hyperplane orthogonal to x, negates x,
     has determinant -1, and depends only on the line through x.
+
+    With X the integer numerators of x and G those of the form, entry (r, c)
+    is (delta_rc q - 2 (G X)_c X_r) / q for q = X^T G X, one Fraction each;
+    q = 0 exactly when Phi(x) = 0.  The result is still certified by
+    IsometryMatrix.
     """
     x = _linalg.to_vector(x)
     if len(x) != form.n:
         raise DimensionMismatch(f"expected a vector of length {form.n}")
-    qx = quadratic_value(form, x)
-    if qx == 0:
+    (numerators,), _ = _linalg._integer_matrix([x])
+    g, _ = _linalg._integer_matrix(form.mat)
+    gx = [sum(map(operator.mul, row, numerators)) for row in g]  # phi(e_i, x), up to a factor > 0
+    q = sum(map(operator.mul, numerators, gx))
+    if q == 0:
         raise IsotropicVector("reflection axis must be anisotropic")
-    bx = _linalg.mat_vec(form.rows(), x)  # phi(e_i, x) per row
-    n = form.n
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            value = _ONE if r == c else _ZERO
-            row.append(value - 2 * bx[c] * x[r] / qx)
-        rows.append(row)
+    rows = [
+        [Fraction((q if r == c else 0) - 2 * gx_c * x_r, q) for c, gx_c in enumerate(gx)]
+        for r, x_r in enumerate(numerators)
+    ]
     return IsometryMatrix.from_rows(form, rows)
 
 
 def is_isometry(form: BilinearForm, rows) -> bool:
-    """Exact check M^T B M = B and M invertible."""
-    rows = _linalg.to_matrix(rows)
+    """Exact check M^T B M = B and M invertible; False for a matrix of the wrong shape.
+
+    With M = m / s and B = G / g in integers the identity reads
+    m^T G m = s^2 G, which is compared entry by entry in int arithmetic.
+    The determinant test matters on a degenerate form: there a singular M
+    can satisfy the identity.
+    """
+    rows = [list(row) for row in rows]
     if len(rows) != form.n or any(len(r) != form.n for r in rows):
         return False
-    b = form.rows()
-    if not _linalg.mat_eq(_linalg.mat_mul(_linalg.mat_mul(_linalg.transpose(rows), b), rows), b):
+    m, scale = _linalg._integer_matrix(_linalg.to_matrix(rows))
+    g, _ = _linalg._integer_matrix(form.mat)
+    moved = _linalg._integer_product(_linalg._integer_product(_linalg.transpose(m), g), m)
+    square = scale * scale
+    if any(x != square * y for moved_row, g_row in zip(moved, g) for x, y in zip(moved_row, g_row)):
         return False
-    return _linalg.determinant(rows) != 0
+    return _linalg._integer_determinant(m) != 0
 
 
 def det_sign(m) -> int:
@@ -256,6 +268,13 @@ def cartan_dieudonne_factor(form: BilinearForm, m) -> list[list[Fraction]]:
     anisotropic; otherwise Phi(C v_i + v_i) = 4 Phi(v_i) != 0, and s_{v_i}
     after s_{C v_i + v_i} does the same job.  Each fixes every earlier v_j,
     so at most 2n reflections are emitted before C reaches the identity.
+
+    The loop runs in int arithmetic.  C = c / d holds integer columns c over
+    one denominator d > 0, and the form is its integer numerator matrix G.  A
+    reflection through an integer axis W with q = W^T G W maps each column
+    to q col - 2 (col^T G W) W and d to d q; the content gcd(d, c) is then
+    divided out, so d stays the least positive denominator instead of growing
+    as the product of every q, and C = I exactly when d = 1 and c = I.
     """
     rows = m.rows() if isinstance(m, IsometryMatrix) else _linalg.to_matrix(m)
     diagonalization = orthogonal_diagonalize(form)
@@ -263,31 +282,41 @@ def cartan_dieudonne_factor(form: BilinearForm, m) -> list[list[Fraction]]:
         raise DegenerateForm("factorization requires a regular form")
     if not is_isometry(form, rows):
         raise NotAnIsometry("matrix does not preserve the bilinear form")
-    b = form.rows()
-    columns = _linalg.transpose(rows)  # C, column by column
+    g, _ = _linalg._integer_matrix(form.mat)
+    columns, d = _linalg._integer_matrix(_linalg.transpose(rows))
     vectors = []
 
-    def reflect(w) -> bool:
-        """Apply s_w to every column of C; False, changing nothing, when Phi(w) = 0."""
-        bw = _linalg.mat_vec(b, w)  # phi(e_i, w) per row
-        qw = _linalg.dot(w, bw)
-        if qw == 0:
+    def reflect(w, scale) -> bool:
+        """Apply s_w to every column of C, w = W / scale; False, changing nothing, when Phi(w) = 0."""
+        nonlocal d
+        gw = [sum(map(operator.mul, row, w)) for row in g]
+        q = sum(map(operator.mul, w, gw))
+        if q == 0:
             return False
+        vectors.append([Fraction(x, scale) for x in w])
         for column in columns:
-            t = 2 * _linalg.dot(column, bw) / qw
-            if t:
-                column[:] = [x - t * y for x, y in zip(column, w)]
-        vectors.append(w)
+            t = 2 * sum(map(operator.mul, column, gw))
+            column[:] = [q * x - t * y for x, y in zip(column, w)]
+        d *= q
+        content = math.gcd(d, *itertools.chain.from_iterable(columns))
+        if d < 0:
+            content = -content
+        if content != 1:
+            d //= content
+            for column in columns:
+                column[:] = [x // content for x in column]
         return True
 
     for v in _linalg.transpose(diagonalization.basis_rows()):
-        image = _linalg.mat_vec(_linalg.transpose(columns), v)
-        if image == v:
+        (v,), v_scale = _linalg._integer_matrix([v])
+        image = [sum(map(operator.mul, row, v)) for row in zip(*columns)]  # c v = d C v
+        dv = [d * x for x in v]
+        if image == dv:
             continue
-        if not reflect([x - y for x, y in zip(image, v)]):
-            reflect([x + y for x, y in zip(image, v)])
-            reflect(v)
-    if not _linalg.mat_eq(columns, _linalg.identity(form.n)):
+        if not reflect([x - y for x, y in zip(image, dv)], d * v_scale):
+            reflect([x + y for x, y in zip(image, dv)], d * v_scale)
+            reflect(v, v_scale)
+    if d != 1 or not _linalg.mat_eq(columns, _linalg.identity(form.n)):
         raise NotAnIsometry("factorization did not terminate at the identity")
     return vectors
 

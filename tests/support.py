@@ -93,6 +93,57 @@ def reference_mat_mul(a, b):
     ]
 
 
+def reference_determinant(m):
+    """Determinant by Gaussian elimination in Fraction arithmetic, lowest-index pivots.
+
+    The loop _linalg.determinant ran before its fraction-free (Bareiss) form:
+    one Fraction division per row and one Fraction product per entry.
+    """
+    work = [[Fraction(x) for x in row] for row in m]
+    n = len(work)
+    det = Fraction(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            det = -det
+        pivot = work[col][col]
+        det *= pivot
+        for r in range(col + 1, n):
+            factor = work[r][col] / pivot
+            if factor:
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return det
+
+
+def reference_is_isometry(form: BilinearForm, rows) -> bool:
+    """M^T B M = B and det M != 0, in Fraction arithmetic; False for a wrong shape."""
+    rows = [list(row) for row in rows]
+    if len(rows) != form.n or any(len(r) != form.n for r in rows):
+        return False
+    b = form.rows()
+    if reference_mat_mul(reference_mat_mul(_linalg.transpose(rows), b), rows) != b:
+        return False
+    return reference_determinant(rows) != 0
+
+
+def reference_reflection_matrix(form: BilinearForm, x):
+    """Rows of s_x, entry (r, c) = delta_rc - 2 (B x)_c x_r / Phi(x), in Fractions.
+
+    None when Phi(x) = 0.  The formula reflection_matrix evaluated before it
+    moved to integer numerators.
+    """
+    x = [Fraction(v) for v in x]
+    bx = [sum((Fraction(b) * v for b, v in zip(row, x)), Fraction(0)) for row in form.rows()]
+    qx = sum((u * v for u, v in zip(x, bx)), Fraction(0))
+    if qx == 0:
+        return None
+    n = form.n
+    return [[(1 if r == c else 0) - 2 * bx[c] * x[r] / qx for c in range(n)] for r in range(n)]
+
+
 def reference_rep_matrix(x: Multivector, ideal):
     """Matrix of left multiplication by x on an RREF ideal basis, in Fractions.
 

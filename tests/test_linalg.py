@@ -1,13 +1,14 @@
-"""Exact linear algebra: the integer matrix product against a Fraction loop,
-and exact results from integer input."""
+"""Exact linear algebra: the integer matrix product and the Bareiss
+determinant against Fraction loops, and exact results from integer input."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cliffalg import DimensionMismatch, _linalg
-from support import reference_mat_mul
+from support import reference_determinant, reference_mat_mul
 
 
 def random_matrix(rng, rows, cols, kind):
@@ -48,6 +49,46 @@ class TestMatMul:
     def test_shape_checked(self):
         with pytest.raises(DimensionMismatch):
             _linalg.mat_mul([[1, 2]], [[1, 2]])
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n matrix, n <= 7, of int, Fraction or mixed entries; some rows
+    may be combinations of earlier ones, so singular and rank-deficient
+    matrices come up often, and so do zero leading entries."""
+    n = draw(st.integers(0, 7))
+    integer = st.integers(-6, 6)
+    fraction = st.builds(Fraction, integer, st.integers(1, 12))
+    entry = draw(st.sampled_from([integer, fraction, st.one_of(integer, fraction)]))
+    rows = []
+    for _ in range(n):
+        if rows and draw(st.integers(0, 3)) == 0:
+            weights = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return draw(st.permutations(rows)) if rows else rows
+
+
+class TestDeterminant:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    @example([])
+    @example([[Fraction(-5, 3)]])
+    @example([[0, 1], [1, 0]])
+    @example([[0, 2, 1], [0, 1, 3], [4, 1, Fraction(1, 2)]])
+    @example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    @example([[2, 1, 0, 0], [4, 2, 1, 0], [0, 0, 0, 3], [1, 1, 1, 1]])
+    def test_matches_fraction_elimination(self, m):
+        det = _linalg.determinant(m)
+        assert det == reference_determinant(m)
+        assert type(det) is Fraction
+
+    def test_shape_checked(self):
+        with pytest.raises(DimensionMismatch):
+            _linalg.determinant([[1, 2]])
+        with pytest.raises(DimensionMismatch):
+            _linalg.determinant([[1, 2], [3]])
 
 
 class TestExactInput:

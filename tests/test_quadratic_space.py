@@ -40,6 +40,8 @@ from support import (
     rand_isometry,
     rand_vector,
     reference_cartan_dieudonne,
+    reference_is_isometry,
+    reference_reflection_matrix,
 )
 
 
@@ -53,24 +55,54 @@ def rand_symmetric(rng, n, span=4):
 
 
 @st.composite
-def regular_isometries(draw):
-    """(form, M): a regular form with n <= 5, diagonal or not, and a product of reflections."""
+def forms(draw, regular=True):
+    """A form with 1 <= n <= 5, diagonal or not; with regular=False it may be degenerate."""
     n = draw(st.integers(1, 5))
     entry = st.integers(-3, 3)
     if draw(st.booleans()):
-        form = BilinearForm.diagonal(draw(st.lists(entry.filter(bool), min_size=n, max_size=n)))
-    else:
-        upper = iter(draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)))
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = next(upper)
-        form = BilinearForm.from_rows(rows)
+        diagonal_entry = entry.filter(bool) if regular else entry
+        return BilinearForm.diagonal(draw(st.lists(diagonal_entry, min_size=n, max_size=n)))
+    upper = iter(draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Fraction(next(upper), draw(st.sampled_from([1, 1, 2, 3])))
+    form = BilinearForm.from_rows(rows)
+    if regular:
         assume(signature_of(form)[2] == 0)
+    return form
+
+
+@st.composite
+def regular_isometries(draw):
+    """(form, M): a regular form with n <= 5, diagonal or not, and a product of reflections."""
+    form = draw(forms())
+    n = form.n
+    entry = st.integers(-3, 3)
     m = _linalg.identity(n)
     for w in draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=2 * n)):
         if quadratic_value(form, w) != 0:
             m = _linalg.mat_mul(m, reflection_matrix(form, w).rows())
+    return form, m
+
+
+@st.composite
+def isometry_candidates(draw):
+    """(form, M) on a form that may be degenerate: a product of reflections, the
+    same with one entry changed, or, on a diagonal form, the same with its
+    radical columns zeroed, which keeps M^T B M = B but makes M singular."""
+    form = draw(forms(regular=False))
+    n = form.n
+    m = _linalg.identity(n)
+    for w in draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=n)):
+        if quadratic_value(form, w) != 0:
+            m = _linalg.mat_mul(m, reflection_matrix(form, w).rows())
+    change = draw(st.sampled_from(["none", "entry", "radical"]))
+    if change == "entry":
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[r][c] += draw(st.sampled_from([-1, 1, Fraction(1, 2), Fraction(-2, 3)]))
+    elif change == "radical" and all(form.mat[i][j] == 0 for i in range(n) for j in range(n) if i != j):
+        m = [[x if form.mat[c][c] else Fraction(0) for c, x in enumerate(row)] for row in m]
     return form, m
 
 
@@ -214,6 +246,18 @@ class TestReflection:
         for u in ([1, -1, 0], [0, 0, 1]):
             assert _linalg.mat_vec(rows, _linalg.to_vector(u)) == _linalg.to_vector(u)
 
+    @settings(max_examples=150, deadline=None)
+    @given(forms(), st.data())
+    def test_matches_fraction_formula(self, form, data):
+        entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+        x = data.draw(st.lists(entry, min_size=form.n, max_size=form.n))
+        expected = reference_reflection_matrix(form, x)
+        if expected is None:
+            with pytest.raises(IsotropicVector):
+                reflection_matrix(form, x)
+        else:
+            assert reflection_matrix(form, x).rows() == expected
+
     def test_isotropic_axis_rejected(self):
         form = BilinearForm.from_signature(Signature(1, 1))
         with pytest.raises(IsotropicVector):
@@ -234,6 +278,25 @@ class TestIsometryChecks:
         assert is_isometry(form, [[0, -1], [1, 0]])
         assert not is_isometry(form, [[2, 0], [0, 1]])
         assert not is_isometry(form, [[1, 0]])
+
+    def test_wrong_shape_is_false(self):
+        form = BilinearForm.from_signature(Signature(2, 0))
+        assert not is_isometry(form, [[1, 0], [0]])
+        assert not is_isometry(form, [[1, 0, 0], [0, 1, 0]])
+
+    def test_singular_matrix_on_degenerate_form(self):
+        # M^T B M = B holds; only the determinant rules M out
+        form = BilinearForm.diagonal([1, 0])
+        m = [[1, 0], [0, 0]]
+        assert _linalg.mat_eq(_linalg.mat_mul(_linalg.mat_mul(_linalg.transpose(m), form.rows()), m), form.rows())
+        assert not is_isometry(form, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(isometry_candidates())
+    @example((BilinearForm.diagonal([Fraction(1, 2), -3]), [[1, 0], [0, -1]]))
+    def test_matches_fraction_check(self, case):
+        form, m = case
+        assert is_isometry(form, m) == reference_is_isometry(form, m)
 
     def test_certified_wrapper(self):
         form = BilinearForm.diagonal([1, 1])
@@ -310,6 +373,8 @@ class TestCartanDieudonne:
     @settings(max_examples=150, deadline=None)
     @given(regular_isometries())
     @example(ISOTROPIC_PAIR_CASE)
+    # swapping e_2 and e_3 is s_w for w = e_3 - e_2 with Phi(w) = -2 < 0
+    @example((BilinearForm.diagonal([1, -1, -1]), [[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
     def test_matches_basis_change_reference(self, case):
         form, m = case
         assert cartan_dieudonne_factor(form, m) == reference_cartan_dieudonne(form, m)
