@@ -85,12 +85,6 @@ def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def dot(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths differ")
-    return sum(x * y for x, y in zip(u, v))
-
-
 def determinant(m):
     """Exact determinant: one Fraction, det(M) / scale**n for m = M / scale."""
     n = len(m)

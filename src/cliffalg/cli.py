@@ -54,10 +54,10 @@ from .quadratic_space import (
     reflection_matrix,
 )
 from .spinors import (
-    _division_ring_info,
     _idempotents,
     algebra_center,
     build_idempotent_set,
+    division_ring_info,
     faithful_ideal,
     find_commuting_blades,
     idempotent_count_exponent,
@@ -321,8 +321,7 @@ def cmd_ideal(args, sig: Signature):
         ideal = left_ideal_basis(next(_idempotents(find_commuting_blades(sig, cap=args.cap))))
     division = None
     try:
-        # left_ideal_basis has checked that the generator is idempotent
-        info = _division_ring_info(ideal.generator)
+        info = division_ring_info(ideal.generator)
         division = {"dimension": info.dim, "kind": info.kind}
     except UnexpectedDimension:
         pass  # faithful generator of a split algebra is not primitive

@@ -531,8 +531,8 @@ def inverse(x: Multivector) -> Multivector:
     so x is invertible exactly when a is invertible in Cl(p,q).  Newton's
     step y -> y * (2 - x * y) squares the residual 1 - x * y, which starts
     in J at y = a^-1, so s.bit_length() steps reach x * y = 1.  A right
-    inverse in a finite-dimensional algebra is two-sided, so neither path
-    checks the result.
+    inverse in a finite-dimensional algebra is two-sided, so only
+    _faddeev_leverrier_inverse checks its result (on both sides).
     """
     if x.is_zero():
         raise NotInvertible("zero is not invertible")

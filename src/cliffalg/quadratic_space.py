@@ -111,13 +111,21 @@ class DiagonalizationResult:
         return [list(row) for row in self.basis]
 
 
+def _integer_phi(g, w) -> tuple[list[int], int]:
+    """(G W, W^T G W) for an integer form matrix G and an integer vector W."""
+    gw = [sum(map(operator.mul, row, w)) for row in g]
+    return gw, sum(map(operator.mul, w, gw))
+
+
 def evaluate_form(form: BilinearForm, u, v) -> Fraction:
-    """u^T B v."""
+    """u^T B v, read as U^T G V / (s^2 g) with u, v = U / s, V / s and B = G / g in integers."""
     u = _linalg.to_vector(u)
     v = _linalg.to_vector(v)
     if len(u) != form.n or len(v) != form.n:
         raise DimensionMismatch(f"expected vectors of length {form.n}")
-    return _linalg.dot(u, _linalg.mat_vec(form.rows(), v))
+    (u_int, v_int), s = _linalg._integer_matrix([u, v])
+    g, g_scale = _linalg._integer_matrix(form.mat)
+    return Fraction(sum(map(operator.mul, u_int, _integer_phi(g, v_int)[0])), s * s * g_scale)
 
 
 def quadratic_value(form: BilinearForm, u) -> Fraction:
@@ -216,8 +224,7 @@ def reflection_matrix(form: BilinearForm, x) -> IsometryMatrix:
         raise DimensionMismatch(f"expected a vector of length {form.n}")
     (numerators,), _ = _linalg._integer_matrix([x])
     g, _ = _linalg._integer_matrix(form.mat)
-    gx = [sum(map(operator.mul, row, numerators)) for row in g]  # phi(e_i, x), up to a factor > 0
-    q = sum(map(operator.mul, numerators, gx))
+    gx, q = _integer_phi(g, numerators)  # gx_i is phi(e_i, x), up to a factor > 0
     if q == 0:
         raise IsotropicVector("reflection axis must be anisotropic")
     rows = [
@@ -289,8 +296,7 @@ def cartan_dieudonne_factor(form: BilinearForm, m) -> list[list[Fraction]]:
     def reflect(w, scale) -> bool:
         """Apply s_w to every column of C, w = W / scale; False, changing nothing, when Phi(w) = 0."""
         nonlocal d
-        gw = [sum(map(operator.mul, row, w)) for row in g]
-        q = sum(map(operator.mul, w, gw))
+        gw, q = _integer_phi(g, w)
         if q == 0:
             return False
         vectors.append([Fraction(x, scale) for x in w])

@@ -81,15 +81,6 @@ def idempotent_count_exponent(sig: Signature) -> int:
     return k
 
 
-def _blade_squares_to_one(mask: int, sig: Signature) -> bool:
-    coef, out = blade_mul(mask, mask, sig)
-    return out == 0 and coef == 1
-
-
-def _blades_commute(a: int, b: int, sig: Signature) -> bool:
-    return blade_mul(a, b, sig)[0] == blade_mul(b, a, sig)[0]
-
-
 def _reduce_mask(mask: int, basis) -> int:
     """mask reduced against a GF(2) echelon basis with distinct leading bits, highest first.
 
@@ -112,13 +103,20 @@ def _echelon_basis(masks) -> list[int]:
     return basis
 
 
-def _dependent_on(masks, candidate: int) -> bool:
-    """True when some sub-product of masks lands on candidate.
+def _admissible(mask: int, chosen, sig: Signature) -> str | None:
+    """None when mask may join the chosen blades, else the message of the first test it fails.
 
-    Blade products live on XOR of masks, so this asks whether candidate lies
-    in the GF(2) span of masks.
+    |a||b| - |a & b| is even exactly when blades a and b commute, as neither
+    holds a null generator once the square test has passed.
     """
-    return _reduce_mask(candidate, _echelon_basis(masks)) == 0
+    if _blade_mul_signs(mask, (mask,), _negative_mask(sig), _zero_mask(sig))[0] != 1:
+        return "blade {} does not square to +1"
+    grade = mask.bit_count()
+    if any((grade * other.bit_count() - (mask & other).bit_count()) & 1 for other in chosen):
+        return "blade {} does not commute with the set"
+    if not _reduce_mask(mask, _echelon_basis(chosen)):
+        return "blades are not multiplicatively independent"
+    return None
 
 
 @dataclass(frozen=True)
@@ -129,51 +127,45 @@ class CommutingBladeSet:
     blades: tuple[int, ...]
 
     def __post_init__(self):
-        seen = []
-        for mask in self.blades:
-            if not _blade_squares_to_one(mask, self.sig):
-                raise ValueError(f"blade {blade_name(mask, self.sig.n)} does not square to +1")
-            if any(not _blades_commute(mask, other, self.sig) for other in seen):
-                raise ValueError(f"blade {blade_name(mask, self.sig.n)} does not commute with the set")
-            if _dependent_on(seen, mask):
-                raise ValueError("blades are not multiplicatively independent")
-            seen.append(mask)
+        for i, mask in enumerate(self.blades):
+            core_algebra._check_blade(mask, self.sig)
+            failed = _admissible(mask, self.blades[:i], self.sig)
+            if failed:
+                raise ValueError(failed.format(blade_name(mask, self.sig.n)))
 
 
 def find_commuting_blades(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP) -> CommutingBladeSet:
-    """Deterministic search for k commuting independent +1-square blades.
+    """k commuting independent +1-square blades, in one ascending pass, which never backtracks.
 
-    Depth-first over blade masks in ascending order, so the result is the
-    lexicographically smallest solution.  Exhaustion would contradict the
-    counting theorem and is reported as SearchFailed.
+    The pass takes each mask that _admissible accepts against the blades
+    taken so far, and stops at k.  Let S hold j < k of them and f = prod_{u
+    in S} (1 + u)/2.  dim A*f = 2^(n-j) exceeds 2^(n-k), that of a minimal
+    left ideal, so f*A*f is not a division ring.  For a blade b, f*b*f is
+    f*b when b commutes with all of S and 0 otherwise, and f*b = +-f*b'
+    exactly when b' is in b + span(S).  So f*A*f is a twisted group algebra
+    of C(S)/span(S), C(S) the blades commuting with S, whose basis elements
+    square to +-f.  Were every non-identity one of square -f, any two would
+    anticommute (a commuting pair has a product of square +f); three
+    independent ones cannot (the product of two commutes with the third),
+    so f*A*f would be R, C or H.  Hence some b outside span(S) commutes with
+    S and squares to +1.  It is never behind the scan: the tests pass on
+    subsets of S, so when the scan passed b it would have taken it.  The
+    pass thus reaches k with the choices of a depth-first search in
+    ascending order: the lexicographically smallest set.  SearchFailed
+    would contradict this argument.
     """
     if sig.s:
         raise DegenerateForm("blade search requires a regular signature")
     if sig.n > cap:
         raise DimensionCapExceeded(f"signature {sig} has n={sig.n} > cap {cap}")
     k = idempotent_count_exponent(sig)
-    dim = 1 << sig.n
     chosen: list[int] = []
-
-    def admissible(mask: int) -> bool:
-        return (
-            _blade_squares_to_one(mask, sig)
-            and all(_blades_commute(mask, other, sig) for other in chosen)
-            and not _dependent_on(chosen, mask)
-        )
-
-    def extend(start: int) -> bool:
+    for mask in range(1, 1 << sig.n):
         if len(chosen) == k:
-            return True
-        for mask in range(start, dim):
-            if admissible(mask):
-                chosen.append(mask)
-                if extend(mask + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not extend(1):
+            break
+        if _admissible(mask, chosen, sig) is None:
+            chosen.append(mask)
+    if len(chosen) < k:
         raise SearchFailed(f"no commuting blade set of size {k} in Cl{sig}")
     return CommutingBladeSet(sig, tuple(chosen))
 
@@ -434,11 +426,6 @@ def division_ring_info(f: Multivector) -> DivisionRingInfo:
     reported as UnexpectedDimension.
     """
     _require_idempotent(f)
-    return _division_ring_info(f)
-
-
-def _division_ring_info(f: Multivector) -> DivisionRingInfo:
-    """division_ring_info for an f already known to be idempotent."""
     basis, _ = _blade_image_span(f, f)
     # a simple Cl(p,q) is M_m(D) with m = 2^k, so 2^n = m^2 dim D; a split
     # one is two copies of M_m(D) with 2^k = 2m, so 2^n = 2 m^2 dim D
@@ -494,18 +481,16 @@ def faithful_ideal(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP) -> IdealBas
     the canonical set is used.  For a split algebra the ideal of f + g is
     returned, with f and g minimal idempotents absorbed by the two central
     idempotents (1 + z)/2 and (1 - z)/2, each the first in canonical order.
+    z is central, so h * (1 +- z)/2 = h exactly when z * h = +-h.
     Only the idempotents up to those are built; left_ideal_basis checks
     that its generator is idempotent, which for f + g forces fg + gf = 0.
     """
     blades = find_commuting_blades(sig, cap)
     if is_simple(sig):
         return left_ideal_basis(next(_idempotents(blades)))
-    center = algebra_center(sig)
-    one = Multivector.one(sig)
-    c_plus = scalar_mul(_HALF, add(one, center[1]))
-    c_minus = scalar_mul(_HALF, add(one, scalar_mul(-1, center[1])))
-    f = next(h for h in _idempotents(blades) if geometric_product(h, c_plus) == h)
-    g = next(h for h in _idempotents(blades) if geometric_product(h, c_minus) == h)
+    z = algebra_center(sig)[1]
+    f = next(h for h in _idempotents(blades) if geometric_product(z, h) == h)
+    g = next(h for h in _idempotents(blades) if geometric_product(z, h) == -h)
     return left_ideal_basis(add(f, g))
 
 

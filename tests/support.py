@@ -27,6 +27,7 @@ from cliffalg import (
     odd_part,
     orthogonal_diagonalize,
     quadratic_value,
+    radon_hurwitz,
     reflection_matrix,
     reversion,
     scalar_mul,
@@ -366,6 +367,53 @@ def reference_center(sig: Signature):
             for i in range(sig.n)
         )
     )
+
+
+def reference_commuting_blades(sig: Signature) -> tuple[int, ...] | None:
+    """k commuting independent +1-square blades by depth-first search with backtracking.
+
+    The search find_commuting_blades ran before its one ascending pass:
+    masks in ascending order, every test through blade_mul, and
+    independence read off every nonempty sub-product of the chosen masks.
+    None when no set of size k exists.
+    """
+    k = sig.q - radon_hurwitz(sig.q - sig.p)
+    chosen: list[int] = []
+
+    def admissible(mask: int) -> bool:
+        coef, out = blade_mul(mask, mask, sig)
+        if out != 0 or coef != 1:
+            return False
+        if any(blade_mul(mask, other, sig)[0] != blade_mul(other, mask, sig)[0] for other in chosen):
+            return False
+        for size in range(1, len(chosen) + 1):
+            for subset in itertools.combinations(chosen, size):
+                product = 0
+                for other in subset:
+                    product ^= other
+                if product == mask:
+                    return False
+        return True
+
+    def extend(start: int) -> bool:
+        if len(chosen) == k:
+            return True
+        for mask in range(start, 1 << sig.n):
+            if admissible(mask):
+                chosen.append(mask)
+                if extend(mask + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return tuple(chosen) if extend(1) else None
+
+
+def reference_evaluate_form(form: BilinearForm, u, v) -> Fraction:
+    """u^T B v entry by entry in Fraction arithmetic, as evaluate_form read it before integers."""
+    rows = form.rows()
+    bv = [sum((Fraction(b) * Fraction(x) for b, x in zip(row, v)), Fraction(0)) for row in rows]
+    return sum((Fraction(x) * y for x, y in zip(u, bv)), Fraction(0))
 
 
 def full_blade_image_span(sig: Signature, image):

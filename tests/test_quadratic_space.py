@@ -40,9 +40,23 @@ from support import (
     rand_isometry,
     rand_vector,
     reference_cartan_dieudonne,
+    reference_evaluate_form,
     reference_is_isometry,
     reference_reflection_matrix,
 )
+
+
+@st.composite
+def forms_and_vectors(draw):
+    """A symmetric form with n <= 5, dense and with denominators, and two vectors of length n."""
+    n = draw(st.integers(0, 5))
+    entries = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entries)
+    vector = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), min_size=n, max_size=n)
+    return BilinearForm.from_rows(rows), draw(vector), draw(vector)
 
 
 def rand_symmetric(rng, n, span=4):
@@ -148,6 +162,17 @@ class TestBilinearForm:
         assert quadratic_value(form, [1, 1]) == 2
         with pytest.raises(DimensionMismatch):
             evaluate_form(form, [1], [0, 1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(forms_and_vectors())
+    def test_evaluate_matches_fraction_formula(self, case):
+        form, u, v = case
+        assert evaluate_form(form, u, v) == reference_evaluate_form(form, u, v)
+        assert quadratic_value(form, u) == reference_evaluate_form(form, u, u)
+        with pytest.raises(DimensionMismatch):
+            evaluate_form(form, u + [1], v)
+        with pytest.raises(DimensionMismatch):
+            quadratic_value(form, v + [Fraction(1, 3)])
 
 
 class TestClassify:

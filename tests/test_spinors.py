@@ -41,7 +41,7 @@ from cliffalg import (
     representation_intertwiner,
     scalar_mul,
 )
-from cliffalg.spinors import _blade_image_span
+from cliffalg.spinors import _admissible, _blade_image_span
 from support import (
     all_signatures,
     count_products,
@@ -52,6 +52,7 @@ from support import (
     rand_multivector,
     rank,
     reference_center,
+    reference_commuting_blades,
     reference_division_ring,
     reference_rep_matrix,
 )
@@ -115,6 +116,14 @@ class TestCounting:
             find_commuting_blades(Signature(0, 0, 1))
 
 
+@st.composite
+def scan_orders(draw):
+    """A regular signature with n <= 7 and its nonzero blade masks in a random order."""
+    n = draw(st.integers(0, 7))
+    p = draw(st.integers(0, n))
+    return Signature(p, n - p), draw(st.permutations(range(1, 1 << n)))
+
+
 class TestBladeSearch:
     def test_frozen_small_results(self):
         assert find_commuting_blades(Signature(0, 2)).blades == ()
@@ -155,9 +164,34 @@ class TestBladeSearch:
         with pytest.raises(ValueError, match="independent"):
             CommutingBladeSet(Signature(2, 2), (0b0001, 0b0110, 0b0111))
 
+    def test_validation_rejects_out_of_range_masks(self):
+        sig = Signature(2, 0)
+        for mask in (-1, 1 << sig.n):
+            with pytest.raises(ValueError, match="out of range"):
+                CommutingBladeSet(sig, (mask,))
+
     def test_search_count_matches_exponent(self):
         for sig in REGULAR_SIGS_5:
             assert len(find_commuting_blades(sig).blades) == idempotent_count_exponent(sig)
+
+    def test_pass_matches_depth_first_search(self):
+        # the ascending pass never backtracks, so it takes the choices of a
+        # depth-first search in ascending order
+        for sig in all_signatures(10, degenerate=False):
+            assert find_commuting_blades(sig).blades == reference_commuting_blades(sig), sig
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_orders())
+    def test_every_maximal_greedy_set_has_k_blades(self, case):
+        # the lemma behind the pass: a set of j < k admissible blades always
+        # extends, so a greedy scan in any order ends with exactly k
+        sig, order = case
+        chosen: list[int] = []
+        for mask in order:
+            if _admissible(mask, chosen, sig) is None:
+                chosen.append(mask)
+        assert len(chosen) == idempotent_count_exponent(sig)
+        CommutingBladeSet(sig, tuple(chosen))
 
 
 @st.composite
