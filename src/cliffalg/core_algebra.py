@@ -137,11 +137,13 @@ def blade_name(mask: Blade, n: int) -> str:
 
 
 def _rational(value) -> Rational:
-    """An exact coefficient from an int or Fraction; anything else is a TypeError.
+    """An exact coefficient from an int or Fraction (returned as it is); anything else is a TypeError.
 
     A float is refused rather than silently becoming the Fraction of its
     53-bit binary value.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")

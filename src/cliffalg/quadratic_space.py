@@ -16,11 +16,11 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg
-from .core_algebra import MAX_LITERAL_DIGITS, Signature, check_rational_bits
+from .core_algebra import MAX_LITERAL_DIGITS, Signature, _rational, check_rational_bits
 from .errors import (
     DegenerateForm,
     DimensionMismatch,
@@ -32,14 +32,19 @@ from .errors import (
 
 
 def _freeze(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(_rational(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """An n x n symmetric rational matrix."""
+    """An n x n symmetric rational matrix.
+
+    It is also held as integer numerators G over one denominator g,
+    B = G / g, which every integer evaluation of the form reads.
+    """
 
     mat: tuple[tuple[Fraction, ...], ...]
+    _integer_form: tuple[tuple[tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.mat)
@@ -49,6 +54,8 @@ class BilinearForm:
             for j in range(i):
                 if self.mat[i][j] != self.mat[j][i]:
                     raise ValueError("bilinear form matrix must be symmetric")
+        g, scale = _linalg._integer_matrix(self.mat)
+        object.__setattr__(self, "_integer_form", (tuple(map(tuple, g)), scale))
 
     @classmethod
     def from_rows(cls, rows) -> "BilinearForm":
@@ -56,7 +63,7 @@ class BilinearForm:
 
     @classmethod
     def diagonal(cls, entries) -> "BilinearForm":
-        entries = [Fraction(x) for x in entries]
+        entries = [_rational(x) for x in entries]
         n = len(entries)
         return cls(_freeze([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]))
 
@@ -124,7 +131,7 @@ def evaluate_form(form: BilinearForm, u, v) -> Fraction:
     if len(u) != form.n or len(v) != form.n:
         raise DimensionMismatch(f"expected vectors of length {form.n}")
     (u_int, v_int), s = _linalg._integer_matrix([u, v])
-    g, g_scale = _linalg._integer_matrix(form.mat)
+    g, g_scale = form._integer_form
     return Fraction(sum(map(operator.mul, u_int, _integer_phi(g, v_int)[0])), s * s * g_scale)
 
 
@@ -223,7 +230,7 @@ def reflection_matrix(form: BilinearForm, x) -> IsometryMatrix:
     if len(x) != form.n:
         raise DimensionMismatch(f"expected a vector of length {form.n}")
     (numerators,), _ = _linalg._integer_matrix([x])
-    g, _ = _linalg._integer_matrix(form.mat)
+    g, _ = form._integer_form
     gx, q = _integer_phi(g, numerators)  # gx_i is phi(e_i, x), up to a factor > 0
     if q == 0:
         raise IsotropicVector("reflection axis must be anisotropic")
@@ -239,19 +246,20 @@ def is_isometry(form: BilinearForm, rows) -> bool:
 
     With M = m / s and B = G / g in integers the identity reads
     m^T G m = s^2 G, which is compared entry by entry in int arithmetic.
-    The determinant test matters on a degenerate form: there a singular M
-    can satisfy the identity.
+    M must also have full rank, which _linalg's one elimination reads off.
+    That test matters on a degenerate form: there a singular M can satisfy
+    the identity.
     """
     rows = [list(row) for row in rows]
     if len(rows) != form.n or any(len(r) != form.n for r in rows):
         return False
     m, scale = _linalg._integer_matrix(_linalg.to_matrix(rows))
-    g, _ = _linalg._integer_matrix(form.mat)
+    g, _ = form._integer_form
     moved = _linalg._integer_product(_linalg._integer_product(_linalg.transpose(m), g), m)
     square = scale * scale
     if any(x != square * y for moved_row, g_row in zip(moved, g) for x, y in zip(moved_row, g_row)):
         return False
-    return _linalg._integer_determinant(m) != 0
+    return len(_linalg._integer_rref(m)[1]) == form.n
 
 
 def det_sign(m) -> int:
@@ -289,7 +297,7 @@ def cartan_dieudonne_factor(form: BilinearForm, m) -> list[list[Fraction]]:
         raise DegenerateForm("factorization requires a regular form")
     if not is_isometry(form, rows):
         raise NotAnIsometry("matrix does not preserve the bilinear form")
-    g, _ = _linalg._integer_matrix(form.mat)
+    g, _ = form._integer_form
     columns, d = _linalg._integer_matrix(_linalg.transpose(rows))
     vectors = []
 
@@ -365,7 +373,7 @@ def format_rational(value) -> str:
 
     The budget keeps every rendering far below the digit limit of str(int).
     """
-    value = Fraction(value)
+    value = _rational(value)
     check_rational_bits(value)
     return str(value)
 

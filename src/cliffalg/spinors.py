@@ -236,14 +236,24 @@ def _blade_image_span(
     block, so each block's rank is its own trace (_sandwich_ranks).
 
     Each block's images are formed one blade at a time, zero images are
-    skipped, and the rows are row-reduced after every new one until the
-    block reaches its rank: the RREF of a spanning set is that of the whole
-    block.  Each block is reduced over its coset's columns in ascending mask
-    order and the rows are merged by pivot mask; RREF is unique, so the
-    result is the RREF of the full matrix with columns in ascending mask
-    order.  The assertion catches a block that spans less than its trace; a
-    trace too low would stop a block early unnoticed, so the tests check
-    the result against the full reduction.
+    skipped, and the block is row-reduced until it reaches its rank: the
+    RREF of a spanning set is that of the whole block.  Each block is
+    reduced over its coset's columns in ascending mask order and the rows
+    are merged by pivot mask; RREF is unique, so the result is the RREF of
+    the full matrix with columns in ascending mask order.  The assertion
+    catches a block that spans less than its trace; a trace too low would
+    stop a block early unnoticed, so the tests check the result against the
+    full reduction.
+
+    The images are integer rows and go straight to _linalg._integer_rref,
+    which returns d times the RREF.  Each reduction takes only as many new
+    images as the block still lacks in rank, so no image is formed that a
+    reduction after every image would not form too, and a block whose first
+    images are independent is reduced once.  Before the next batch is
+    appended, each kept row is divided by its content (the gcd of its
+    entries): otherwise the scale d of one reduction enters the next as a
+    factor of every pivot, and the entries grow with each step.  Each basis
+    coefficient is one Fraction over its row's pivot entry.
     """
     sig = left.sig
     neg_mask, zero_mask = _negative_mask(sig), _zero_mask(sig)
@@ -256,14 +266,10 @@ def _blade_image_span(
     # the integer maps L * b * R with left = L / l and right = R / r
     left_int, _ = _integer_scaled(left._coeffs)
     right_int, _ = _integer_scaled(right._coeffs)
-    pivot_rows = []
-    for leader, blades in cosets.items():
-        target = ranks[leader]
-        rows: list = []
-        pivots: list = []
+
+    def nonzero_images(blades):
+        """Integer rows of the nonzero images L * b * R, b in blades, over the columns blades."""
         for b in blades:
-            if len(pivots) == target:
-                break
             signs = _blade_mul_signs(b, right_int, neg_mask, zero_mask)
             b_right = {
                 b ^ m: v if sign == 1 else -v
@@ -272,13 +278,29 @@ def _blade_image_span(
             }
             x = core_algebra._product(left_int, b_right, sig)
             row = [x.get(c, 0) for c in blades]
-            if not any(row):
-                continue
-            rows.append(row)
-            rows, pivots = _linalg.rref(rows)
-            rows = rows[: len(pivots)]
+            if any(row):
+                yield row
+
+    pivot_rows = []
+    for leader, blades in cosets.items():
+        target = ranks[leader]
+        images = nonzero_images(blades)
+        kept: list = []
+        pivots: list = []
+        while len(pivots) < target:
+            batch = list(itertools.islice(images, target - len(pivots)))
+            if not batch:
+                break
+            reduced, pivots, _, _ = _linalg._integer_rref([*kept, *batch])
+            kept = []
+            for row in reduced[: len(pivots)]:
+                content = math.gcd(*row)
+                kept.append([entry // content for entry in row])
         assert len(pivots) == target, "block spans less than its trace"
-        pivot_rows += [(blades[c], dict(zip(blades, rows[i]))) for i, c in enumerate(pivots)]
+        pivot_rows += [
+            (blades[c], {b: Fraction(v, row[c]) for b, v in zip(blades, row) if v})
+            for row, c in zip(kept, pivots)
+        ]
     pivot_rows.sort(key=lambda item: item[0])
     basis = tuple(Multivector(sig, coeffs) for _, coeffs in pivot_rows)
     return basis, tuple(mask for mask, _ in pivot_rows)

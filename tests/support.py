@@ -45,7 +45,50 @@ def mat_scale(c, m):
 
 
 def rank(m):
-    return len(_linalg.rref(m)[1]) if m else 0
+    return len(reference_rref(m)[1]) if m else 0
+
+
+def reference_rref(m):
+    """Reduced row echelon form by Gauss-Jordan in Fraction arithmetic.
+
+    The loop the library's rref ran before its fraction-free form: one Fraction
+    division per pivot row and one Fraction product per updated entry.
+    Returns (reduced, pivot_columns) with zero rows kept at the bottom.
+    """
+    work = _linalg.to_matrix(m)
+    rows = len(work)
+    cols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pivot = work[r][c]
+        if pivot != 1:
+            work[r] = [x / pivot for x in work[r]]
+        for i in range(rows):
+            if i != r and work[i][c] != 0:
+                factor = work[i][c]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return work, pivots
+
+
+def reference_solve(a, b):
+    """One solution of A x = b through reference_rref, free variables 0; None if inconsistent."""
+    cols = len(a[0]) if a else 0
+    reduced, pivots = reference_rref([list(row) + [rhs] for row, rhs in zip(a, b)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for row_index, c in enumerate(pivots):
+        x[c] = reduced[row_index][-1]
+    return x
 
 
 def count_products(monkeypatch):
@@ -311,7 +354,7 @@ def dense_inverse(x: Multivector):
                 col[mask] += ca * coef
         columns.append(col)
     matrix = [[columns[c][r] for c in range(dim)] for r in range(dim)]
-    solution = _linalg.solve(matrix, [Fraction(1)] + [Fraction(0)] * (dim - 1))
+    solution = reference_solve(matrix, [Fraction(1)] + [Fraction(0)] * (dim - 1))
     if solution is None:
         return None
     y = Multivector(sig, dict(enumerate(solution)))
@@ -425,7 +468,7 @@ def full_blade_image_span(sig: Signature, image):
     dim = 1 << sig.n
     images = [image(Multivector.basis_blade(sig, b)) for b in range(dim)]
     rows = [[x.coefficient(m) for m in range(dim)] for x in images]
-    reduced, pivots = _linalg.rref(rows)
+    reduced, pivots = reference_rref(rows)
     basis = tuple(Multivector(sig, dict(enumerate(reduced[i]))) for i in range(len(pivots)))
     return basis, tuple(pivots)
 
@@ -434,7 +477,7 @@ def coordinates_in_basis(basis_rows, target):
     """Coefficients expressing target as a combination of basis rows, or None."""
     if not basis_rows:
         return None if any(x != 0 for x in target) else []
-    return _linalg.solve(_linalg.transpose(basis_rows), list(target))
+    return reference_solve(_linalg.transpose(basis_rows), list(target))
 
 
 def _coords(x: Multivector):
@@ -603,7 +646,7 @@ def reference_cartan_dieudonne(form: BilinearForm, m):
     n = form.n
     diagonalization = orthogonal_diagonalize(form)
     basis = diagonalization.basis_rows()
-    reduced, pivots = _linalg.rref([row + unit for row, unit in zip(basis, _linalg.identity(n))])
+    reduced, pivots = reference_rref([row + unit for row, unit in zip(basis, _linalg.identity(n))])
     assert pivots == list(range(n)), "congruence basis is singular"
     basis_inv = [row[n:] for row in reduced]
     current = _linalg.mat_mul(basis_inv, _linalg.mat_mul(_linalg.to_matrix(m), basis))

@@ -476,6 +476,10 @@ class TestLift:
         with pytest.raises(DimensionMismatch):
             lift_isometry(Signature(2, 0), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
+    def test_float_entries_rejected(self):
+        with pytest.raises(TypeError):
+            lift_isometry(Signature(2, 0), [[1.0, 0], [0, 1]])
+
 
 class TestKernelOfTwistedAdjoint:
     def test_scalars_only_in_regular_small_cases(self):

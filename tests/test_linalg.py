@@ -1,5 +1,6 @@
-"""Exact linear algebra: the integer matrix product and the Bareiss
-determinant against Fraction loops, and exact results from integer input."""
+"""Exact linear algebra: the integer matrix product and the one fraction-free
+elimination (rref, solve, determinant) against Fraction loops, exact results
+from integer input, and floats refused."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cliffalg import DimensionMismatch, _linalg
-from support import reference_determinant, reference_mat_mul
+from support import reference_determinant, reference_mat_mul, reference_rref, reference_solve
 
 
 def random_matrix(rng, rows, cols, kind):
@@ -79,6 +80,9 @@ class TestDeterminant:
     @example([[0, 2, 1], [0, 1, 3], [4, 1, Fraction(1, 2)]])
     @example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     @example([[2, 1, 0, 0], [4, 2, 1, 0], [0, 0, 0, 3], [1, 1, 1, 1]])
+    @example([[0, 0], [0, 0]])
+    @example([[1, 0, 2], [0, 0, 0], [3, 0, 1]])
+    @example([[-3, 1], [2, -Fraction(1, 2)]])
     def test_matches_fraction_elimination(self, m):
         det = _linalg.determinant(m)
         assert det == reference_determinant(m)
@@ -89,6 +93,91 @@ class TestDeterminant:
             _linalg.determinant([[1, 2]])
         with pytest.raises(DimensionMismatch):
             _linalg.determinant([[1, 2], [3]])
+
+
+@st.composite
+def matrices(draw):
+    """A rows x cols matrix, both <= 7, of int, Fraction or mixed entries.
+
+    Some rows are combinations of earlier ones (rank deficiency), some rows
+    and columns are zero, and the rows come in a random order, so zero
+    leading entries (pivots that need a swap) and negative pivots are
+    common.  rows = 0 gives [], and cols = 0 gives rows of [].
+    """
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    integer = st.integers(-6, 6)
+    fraction = st.builds(Fraction, integer, st.integers(1, 12))
+    entry = draw(st.sampled_from([integer, fraction, st.one_of(integer, fraction)]))
+    zero_columns = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=cols))
+    out = []
+    for _ in range(rows):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            out.append([0] * cols)
+        elif kind == 1 and out:
+            weights = draw(st.lists(st.integers(-2, 2), min_size=len(out), max_size=len(out)))
+            out.append([sum(w * row[j] for w, row in zip(weights, out)) for j in range(cols)])
+        else:
+            row = draw(st.lists(entry, min_size=cols, max_size=cols))
+            out.append([0 if j in zero_columns else x for j, x in enumerate(row)])
+    return draw(st.permutations(out)) if out else out
+
+
+class TestRref:
+    @settings(max_examples=400, deadline=None)
+    @given(matrices())
+    @example([])
+    @example([[]])
+    @example([[], []])
+    @example([[0, 0], [0, 0]])
+    @example([[0, 3], [2, 1]])
+    @example([[-2, 4, 1], [1, -2, Fraction(1, 2)], [0, 0, -3]])
+    @example([[1, 2], [2, 4], [3, 6], [0, 0]])
+    @example([[0, 0, 1], [0, 0, 0], [0, 5, 0]])
+    def test_matches_fraction_loop(self, m):
+        reduced, pivots = _linalg.rref(m)
+        assert (reduced, pivots) == reference_rref(m)
+        assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+@st.composite
+def systems(draw):
+    """(A, b) for A from matrices(); b = A x for a random x, or random (often inconsistent)."""
+    a = draw(matrices())
+    cols = len(a[0]) if a else 0
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols))
+        b = [sum(entry * y for entry, y in zip(row, x)) for row in a]
+    else:
+        b = draw(st.lists(st.integers(-5, 5), min_size=len(a), max_size=len(a)))
+    return a, b
+
+
+class TestSolve:
+    @settings(max_examples=400, deadline=None)
+    @given(systems())
+    @example(([], []))
+    @example(([[]], [0]))
+    @example(([[]], [1]))
+    @example(([[1, 1], [2, 2]], [1, 3]))
+    @example(([[0, 0], [0, 0]], [0, 1]))
+    @example(([[0, -2], [3, 1], [3, -1]], [4, 1, 5]))
+    def test_matches_fraction_loop(self, case):
+        a, b = case
+        x = _linalg.solve(a, b)
+        assert x == reference_solve(a, b)
+        if x is not None:
+            assert all(type(v) is Fraction for v in x)
+            assert [sum(entry * v for entry, v in zip(row, x)) for row in a] == b
+
+    def test_inconsistent_returns_none(self):
+        assert _linalg.solve([[1, 2], [2, 4], [0, 0]], [1, 2, 1]) is None
+        assert _linalg.solve([[]], [Fraction(1, 2)]) is None
+
+    def test_shape_checked(self):
+        with pytest.raises(DimensionMismatch):
+            _linalg.solve([[1, 2]], [1, 2])
 
 
 class TestExactInput:
@@ -113,3 +202,36 @@ class TestExactInput:
         assert _linalg.solve([[1, 1], [2, 2]], [1, 3]) is None
         for a, b in [([[2, 1], [4, 3]], [1, 1]), ([[3]], [1]), ([[1, 1], [2, 2]], [1, 2])]:
             assert all(type(x) is Fraction for x in _linalg.solve(a, b))
+
+
+class TestFloatsRefused:
+    """A float or a string is a TypeError, never a 53-bit Fraction."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: _linalg.to_matrix([[0.1, 1]]),
+            lambda: _linalg.to_vector([1, 0.5]),
+            lambda: _linalg.rref([[0.1, 1]]),
+            lambda: _linalg.determinant([[0.1]]),
+            lambda: _linalg.solve([[1.0]], [1]),
+            lambda: _linalg.solve([[1]], [0.1]),
+            lambda: _linalg.mat_mul([[0.1]], [[1]]),
+            lambda: _linalg.mat_mul([[1]], [[0.5]]),
+            lambda: _linalg.rref([["1"]]),
+        ],
+        ids=[
+            "to_matrix",
+            "to_vector",
+            "rref",
+            "determinant",
+            "solve-matrix",
+            "solve-rhs",
+            "mat_mul-left",
+            "mat_mul-right",
+            "rref-str",
+        ],
+    )
+    def test_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()

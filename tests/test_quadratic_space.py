@@ -23,6 +23,7 @@ from cliffalg import (
     det_sign,
     evaluate_form,
     format_matrix,
+    format_rational,
     format_vector,
     is_degenerate,
     is_isometry,
@@ -162,6 +163,12 @@ class TestBilinearForm:
         assert quadratic_value(form, [1, 1]) == 2
         with pytest.raises(DimensionMismatch):
             evaluate_form(form, [1], [0, 1])
+
+    def test_integer_numerators_held(self):
+        form = BilinearForm.from_rows([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 6)]])
+        assert form._integer_form == (((2, 3), (3, -1)), 6)
+        assert form == BilinearForm.from_rows(form.rows())
+        assert hash(form) == hash(BilinearForm.from_rows(form.rows()))
 
     @settings(max_examples=80, deadline=None)
     @given(forms_and_vectors())
@@ -333,6 +340,41 @@ class TestIsometryChecks:
         assert det_sign([[0, 1], [1, 0]]) == -1
         with pytest.raises(ValueError):
             det_sign([[1, 1], [1, 1]])
+
+
+class TestFloatsRefused:
+    """A float or a string is a TypeError, never a 53-bit Fraction."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: BilinearForm.from_rows([[0.1, 0], [0, 1]]),
+            lambda: BilinearForm.diagonal([1, 0.5]),
+            lambda: evaluate_form(BilinearForm.diagonal([1, 1]), [0.1, 0], [1, 0]),
+            lambda: quadratic_value(BilinearForm.diagonal([1, 1]), [1, 1.0]),
+            lambda: format_rational(0.1),
+            lambda: format_rational("1/2"),
+            lambda: format_vector([1, 0.1]),
+            lambda: is_isometry(BilinearForm.diagonal([1, 1]), [[1.0, 0], [0, 1]]),
+            lambda: IsometryMatrix.from_rows(BilinearForm.diagonal([1, 1]), [[1.0, 0], [0, 1]]),
+            lambda: reflection_matrix(BilinearForm.diagonal([1, 1]), [1.0, 0]),
+        ],
+        ids=[
+            "from_rows",
+            "diagonal",
+            "evaluate_form",
+            "quadratic_value",
+            "format_rational",
+            "format_rational-str",
+            "format_vector",
+            "is_isometry",
+            "IsometryMatrix",
+            "reflection_matrix",
+        ],
+    )
+    def test_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
 
 
 class TestCartanDieudonne:

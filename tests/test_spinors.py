@@ -391,10 +391,22 @@ def interleaving_case():
     return Multivector.one(sig), geometric_product(geometric_product(a, g), inverse(a))
 
 
+def dense_conjugate_case():
+    """(1, x) with x = a*g*a^-1 on Cl(3,3), g the first canonical idempotent
+    and a a dense integer element: one dense 64-blade block of rank 8.  A
+    span that fed each reduction's scaled rows into the next, one image at
+    a time, would let the scale compound and not finish."""
+    sig = Signature(3, 3)
+    a = Multivector(sig, {m: m % 5 - 2 or 1 for m in range(1 << sig.n)})
+    g = canonical_idempotents(sig)[0]
+    return Multivector.one(sig), geometric_product(geometric_product(a, g), inverse(a))
+
+
 class TestBladeImageSpan:
     @settings(max_examples=50, deadline=None)
     @given(span_cases())
     @example(interleaving_case())
+    @example(dense_conjugate_case())
     def test_coset_blocks_match_full_reduction(self, case):
         left, right = case
         expected = full_blade_image_span(
