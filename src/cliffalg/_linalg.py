@@ -79,10 +79,9 @@ def _integer_product(a, b):
     return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
-def mat_vec(m, v):
-    if m and len(m[0]) != len(v):
-        raise DimensionMismatch(f"matrix width {len(m[0])} does not match vector length {len(v)}")
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
+def _scaled_identity(n, scale):
+    """scale times the n x n identity, as an int matrix."""
+    return [[scale if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_eq(a, b):

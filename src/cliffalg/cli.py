@@ -54,7 +54,9 @@ from .quadratic_space import (
     reflection_matrix,
 )
 from .spinors import (
+    _fractions,
     _idempotents,
+    _map_matrix,
     algebra_center,
     build_idempotent_set,
     division_ring_info,
@@ -63,7 +65,6 @@ from .spinors import (
     idempotent_count_exponent,
     is_simple,
     left_ideal_basis,
-    regular_rep_matrix,
 )
 
 MAX_CAP = 16
@@ -344,14 +345,17 @@ def cmd_ideal(args, sig: Signature):
 def cmd_rep(args, sig: Signature):
     ideal = faithful_ideal(sig, cap=args.cap)
     x = parse_multivector(args.expression, sig)
-    matrix = regular_rep_matrix(x, ideal)
-    unital = _linalg.mat_eq(
-        regular_rep_matrix(Multivector.one(sig), ideal), _linalg.identity(ideal.dim)
-    )
-    square = _linalg.mat_eq(
-        regular_rep_matrix(geometric_product(x, x), ideal), _linalg.mat_mul(matrix, matrix)
-    )
-    result = {"ideal_dimension": ideal.dim, "matrix": _mat(matrix)}
+    # every matrix is an int matrix over one scale: R(x) = matrix / scale
+    matrix, scale = _map_matrix(ideal, ideal, x, on_left=True)
+    one, one_scale = _map_matrix(ideal, ideal, Multivector.one(sig), on_left=True)
+    unital = one == _linalg._scaled_identity(ideal.dim, one_scale)
+    # R(x*x) = R(x) R(x) reads M_xx * s_x^2 = s_xx * M_x M_x; x*x comes from the kernel
+    square_matrix, square_scale = _map_matrix(ideal, ideal, geometric_product(x, x), on_left=True)
+    scale_squared = scale * scale
+    square = [[scale_squared * v for v in row] for row in square_matrix] == [
+        [square_scale * v for v in row] for row in _linalg._integer_product(matrix, matrix)
+    ]
+    result = {"ideal_dimension": ideal.dim, "matrix": _mat(_fractions(matrix, scale))}
     checks = {"unital": unital, "homomorphism_square": square}
     lines = [
         f"ideal dimension: {ideal.dim}",

@@ -346,11 +346,20 @@ def _require_idempotent(f: Multivector) -> None:
 
 @dataclass(frozen=True)
 class IdealBasis:
-    """Row-reduced basis of the left ideal generated by an idempotent.
+    """Row-reduced basis of the left ideal A * f generated by an idempotent f.
 
     The basis is also held as integer maps B_i over one common denominator
-    d, b_i = B_i / d, which the stabilization check and every coordinate
-    read work on.
+    d, b_i = B_i / d, which the checks and every coordinate read work on.
+
+    Checked: b_i * f = b_i for every i, so each b_i lies in A * f; b_i is 1
+    on pivot i and 0 on every other pivot, so the b_i are independent; f is
+    the sum of its pivot values c_i times the basis; and there are as many
+    b_i as dim and as 2^n <f>_0.  From the first and third, f * f =
+    sum_i c_i (b_i * f) = f, so x -> x * f is a projector onto A * f, and
+    over Q its rank is its trace 2^n <f>_0 (left_ideal_dimension).  The b_i
+    are that many independent elements of A * f, so they span it.  A * f is
+    a left ideal, so every x * b_j lies in the span, and its coordinates are
+    its values at the pivots (_map_matrix).
     """
 
     generator: Multivector
@@ -369,7 +378,20 @@ class IdealBasis:
             fixed = {m: generator_scale * v for m, v in row.items()}
             if _nonzero(core_algebra._product(row, generator, self.sig)) != fixed:
                 raise ValueError("basis element is not stabilized by the generator")
+        if len(self.pivots) != len(rows) or any(
+            row.get(p, 0) != (scale if i == j else 0)
+            for i, row in enumerate(rows)
+            for j, p in enumerate(self.pivots)
+        ):
+            raise ValueError("basis is not 1 on its own pivot and 0 on the others")
         object.__setattr__(self, "_integer_basis", (rows, scale))
+        if not _in_span(self, generator):
+            raise ValueError("generator is not in the span of the basis")
+        rank = _trace_rank(self.generator.scalar_part() * (1 << self.sig.n))
+        if not len(rows) == self.dim == rank:
+            raise ValueError(
+                f"basis has {len(rows)} elements and dim {self.dim}, not the rank {rank} of A * f"
+            )
 
     @property
     def sig(self) -> Signature:
@@ -516,57 +538,62 @@ def faithful_ideal(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP) -> IdealBas
     return left_ideal_basis(add(f, g))
 
 
-def _coordinates_against(ideal: IdealBasis, y: dict, scale: int):
-    """Coordinates of y / scale in the RREF ideal basis, or None when it leaves the span.
+def _in_span(ideal: IdealBasis, y: dict) -> bool:
+    """Whether the integer map y lies in the span of the ideal basis.
 
-    y is an integer map.  Basis element i is 1 on pivot i and 0 on every
-    other pivot, so the coordinates are the pivot coefficients y[p_i] /
-    scale, and y / scale is in the span exactly when they rebuild it: over
-    the integer basis B_i = d * b_i that reads sum_i y[p_i] B_i = d * y.
+    Basis element i is 1 on pivot i and 0 on every other pivot, so y is in
+    the span exactly when its pivot values rebuild it: over the integer
+    basis B_i = d * b_i that reads sum_i y[p_i] B_i = d * y.
     """
     rows, d = ideal._integer_basis
-    pivot_values = [y.get(p, 0) for p in ideal.pivots]
     acc: dict = {}
-    for c, row in zip(pivot_values, rows):
+    for p, row in zip(ideal.pivots, rows):
+        c = y.get(p, 0)
         if c:
             for mask, value in row.items():
                 acc[mask] = acc.get(mask, 0) + c * value
-    if _nonzero(acc) != {mask: d * value for mask, value in y.items() if value}:
-        return None
-    return [Fraction(c, scale) for c in pivot_values]
+    return _nonzero(acc) == {mask: d * value for mask, value in y.items() if value}
+
+
+def _pivot_columns(images: list, pivots) -> list[list[int]]:
+    """Integer matrix whose column j holds images[j] read at the pivots."""
+    return [[image.get(p, 0) for image in images] for p in pivots]
 
 
 def _map_matrix(source: IdealBasis, target: IdealBasis, x: Multivector, on_left: bool):
-    """Matrix from source's basis to target's of psi -> x * psi (on_left) or psi * x.
+    """(M, s) with M / s the matrix of psi -> x * psi (on_left) or psi * x.
 
-    Column j holds the target coordinates of the image of basis_j.  With
-    x = X / scale_x and basis_j = B_j / d, the image is X * B_j / (scale_x d)
-    (or B_j * X / (scale_x d)), formed in ints.
+    M maps source's basis to target's and is an integer matrix.  The
+    caller guarantees that every image lies in target's span, so its
+    coordinates are its values at target's pivots, and no image is rebuilt.
+    With x = X / scale_x and basis_j = B_j / d, the image of basis_j is
+    X * B_j / (scale_x d) (or B_j * X / (scale_x d)), formed in ints, so
+    column j is X * B_j read at the pivots and s = scale_x d.
     """
     x_int, x_scale = _integer_scaled(x._coeffs)
     rows, scale = source._integer_basis
-    columns = []
-    for row in rows:
-        if on_left:
-            image = core_algebra._product(x_int, row, x.sig)
-        else:
-            image = core_algebra._product(row, x_int, x.sig)
-        coords = _coordinates_against(target, image, x_scale * scale)
-        if coords is None:
-            raise NoSolution("image leaves the target ideal")
-        columns.append(coords)
-    return [[column[r] for column in columns] for r in range(target.dim)]
+    if on_left:
+        images = [core_algebra._product(x_int, row, x.sig) for row in rows]
+    else:
+        images = [core_algebra._product(row, x_int, x.sig) for row in rows]
+    return _pivot_columns(images, target.pivots), x_scale * scale
+
+
+def _fractions(matrix: list[list[int]], scale: int) -> list[list[Fraction]]:
+    return [[Fraction(v, scale) for v in row] for row in matrix]
 
 
 def regular_rep_matrix(x: Multivector, ideal: IdealBasis):
     """Matrix of left multiplication by x on the ideal basis (columns = images).
 
     Column j holds the coordinates of x * basis_j, so the map is a unital
-    homomorphism: rep(x*y) = rep(x) rep(y).
+    homomorphism: rep(x*y) = rep(x) rep(y).  IdealBasis has proved that the
+    basis spans the left ideal A * f, so x * basis_j lies in it and is read
+    at the pivots.
     """
     if x.sig != ideal.sig:
         raise SignatureMismatch(f"signatures differ: {x.sig} vs {ideal.sig}")
-    return _map_matrix(ideal, ideal, x, on_left=True)
+    return _fractions(*_map_matrix(ideal, ideal, x, on_left=True))
 
 
 def interbasis_element(f_i: Multivector, f_j: Multivector):
@@ -621,17 +648,29 @@ def representation_intertwiner(f_i: Multivector, f_j: Multivector) -> Representa
     """Equivalence of the regular representations on A*f_i and A*f_j.
 
     phi(psi) = psi * E_ij maps A*f_i onto A*f_j and commutes with left
-    multiplication; psi * E_ji inverts it.
+    multiplication; psi * E_ji inverts it.  E_ij lies in the left ideal
+    A*f_j and E_ji in A*f_i (checked once), so psi * E_ij and psi * E_ji
+    lie there for every psi and both matrices are read at the pivots.
     """
     e_ij, e_ji = interbasis_element(f_i, f_j)
     source = left_ideal_basis(f_i)
     target = left_ideal_basis(f_j)
+    if not _in_span(target, _integer_scaled(e_ij._coeffs)[0]):
+        raise NoSolution("E_ij leaves the target ideal")
+    if not _in_span(source, _integer_scaled(e_ji._coeffs)[0]):
+        raise NoSolution("E_ji leaves the source ideal")
 
-    forward = _map_matrix(source, target, e_ij, on_left=False)
-    backward = _map_matrix(target, source, e_ji, on_left=False)
-    if not _linalg.mat_eq(_linalg.mat_mul(forward, backward), _linalg.identity(target.dim)):
-        raise NoSolution("intertwiner is not invertible")
-    if not _linalg.mat_eq(_linalg.mat_mul(backward, forward), _linalg.identity(source.dim)):
-        raise NoSolution("intertwiner is not invertible")
-    freeze = lambda m: tuple(tuple(row) for row in m)
-    return RepresentationIntertwiner(source, target, freeze(forward), freeze(backward))
+    forward, forward_scale = _map_matrix(source, target, e_ij, on_left=False)
+    backward, backward_scale = _map_matrix(target, source, e_ji, on_left=False)
+    # F / s_F * B / s_B = I reads F * B = s_F s_B I
+    scale = forward_scale * backward_scale
+    for product in (
+        _linalg._integer_product(forward, backward),
+        _linalg._integer_product(backward, forward),
+    ):
+        if product != _linalg._scaled_identity(len(product), scale):
+            raise NoSolution("intertwiner is not invertible")
+    freeze = lambda m, s: tuple(tuple(row) for row in _fractions(m, s))
+    return RepresentationIntertwiner(
+        source, target, freeze(forward, forward_scale), freeze(backward, backward_scale)
+    )

@@ -44,6 +44,12 @@ def mat_scale(c, m):
     return [[c * x for x in row] for row in m]
 
 
+def mat_vec(m, v):
+    """Matrix times vector, entry by entry in whatever arithmetic the entries carry."""
+    assert not m or len(m[0]) == len(v), "matrix width does not match the vector length"
+    return [sum(x * y for x, y in zip(row, v)) for row in m]
+
+
 def rank(m):
     return len(reference_rref(m)[1]) if m else 0
 
@@ -664,7 +670,7 @@ def reference_cartan_dieudonne(form: BilinearForm, m):
             steps = [[x + y for x, y in zip(image, unit)], unit]
         for w in steps:
             current = _linalg.mat_mul(reflection_matrix(diagonal, w).rows(), current)
-            vectors.append(_linalg.mat_vec(basis, w))
+            vectors.append(mat_vec(basis, w))
     assert _linalg.mat_eq(current, _linalg.identity(n)), "factorization did not reach the identity"
     return vectors
 

@@ -1,6 +1,8 @@
 """Command line interface: frozen golden outputs, exit code contract,
 argument handling, and the JSON envelope."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -23,14 +25,18 @@ from cliffalg import (
     _linalg,
     blade_name,
     cli,
+    faithful_ideal,
+    format_rational,
     groups,
     lift_isometry,
+    pretty_print,
     quadratic_value,
     reflection_matrix,
+    spinors,
     twisted_adjoint_matrix,
 )
 from cliffalg.cli import _merge_option_values, _twisted_adjoint_matches, parse_signature, run
-from support import count_products
+from support import all_signatures, count_products, reference_rep_matrix
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
@@ -535,3 +541,42 @@ class TestLiftCheck:
         blade = Multivector.basis_blade(x.sig, mask % (1 << x.sig.n), weight)
         for tampered in (x + blade, x * blade, blade * x, weight * x):
             assert _twisted_adjoint_matches(tampered, m) == reference_matches(tampered, m)
+
+
+class TestRepCheck:
+    ARGV = ["rep", "--sig", "2,1", "--json", "1+2*e1+3*e2+5*e3+7*e12"]
+
+    def test_planted_pivot_read_fault_fails(self, capsys, monkeypatch):
+        # the square check forms x*x in the product kernel and compares
+        # R(x*x) with R(x) R(x), so a read that negates one column shows
+        assert run_json(capsys, self.ARGV)["checks"] == {"homomorphism_square": True, "unital": True}
+        read = spinors._pivot_columns
+        monkeypatch.setattr(
+            spinors,
+            "_pivot_columns",
+            lambda images, pivots: [[-row[0], *row[1:]] for row in read(images, pivots)],
+        )
+        checks = run_json(capsys, self.ARGV)["checks"]
+        assert checks == {"homomorphism_square": False, "unital": False}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matrix_matches_fraction_reference(self, data):
+        sig = data.draw(st.sampled_from(all_signatures(5, degenerate=False)))
+        fractions = st.fractions(min_value=-20, max_value=20, max_denominator=13)
+        masks = data.draw(st.lists(st.integers(0, (1 << sig.n) - 1), max_size=1 << sig.n))
+        x = Multivector(sig, {m: data.draw(fractions) for m in masks})
+        argv = ["rep", "--sig", f"{sig.p},{sig.q}", "--json", "--", pretty_print(x)]
+        code, out, err = self.run(argv)
+        assert code == 0, err
+        payload = json.loads(out)
+        expected = reference_rep_matrix(x, faithful_ideal(sig))
+        assert payload["result"]["matrix"] == [[format_rational(v) for v in row] for row in expected]
+        assert payload["checks"] == {"homomorphism_square": True, "unital": True}
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        return code, out.getvalue(), err.getvalue()

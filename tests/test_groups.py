@@ -41,6 +41,7 @@ from cliffalg.groups import membership
 from support import (
     all_signatures,
     count_products,
+    mat_vec,
     rand_anisotropic_vector,
     rand_isometry,
     rand_vector,
@@ -70,7 +71,7 @@ class TestTwistedAdjoint:
                 rows = reflection_matrix(form, w).rows()
                 for _ in range(5):
                     v = rand_vector(rng, sig.n)
-                    assert twisted_adjoint_apply(x, v) == _linalg.mat_vec(
+                    assert twisted_adjoint_apply(x, v) == mat_vec(
                         rows, _linalg.to_vector(v)
                     )
 

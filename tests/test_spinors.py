@@ -9,13 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cliffalg import _linalg
+from cliffalg import _linalg, spinors
 from cliffalg import (
     CommutingBladeSet,
     DegenerateForm,
     IdealBasis,
     IdempotentSet,
     Multivector,
+    NoSolution,
     NotIdempotent,
     NotInvertible,
     NotSimple,
@@ -273,6 +274,38 @@ class TestIdeals:
         IdealBasis(f, ideal.basis, ideal.dim, ideal.pivots)
         with pytest.raises(ValueError, match="not stabilized"):
             IdealBasis(f, basis, ideal.dim, ideal.pivots)
+
+    @pytest.mark.parametrize("pq", [(2, 0), (1, 3), (3, 1)])
+    def test_basis_missing_an_element_rejected(self, pq):
+        # what is left passes b * f = b, the pivot test and the rebuild of f,
+        # but no longer spans A * f, whose dimension is the trace rank
+        f = canonical_idempotents(Signature(*pq))[0]
+        ideal = left_ideal_basis(f)
+        basis, pivots = ideal.basis[:-1], ideal.pivots[:-1]
+        for dim in (ideal.dim, ideal.dim - 1):
+            with pytest.raises(ValueError, match="rank"):
+                IdealBasis(f, basis, dim, pivots)
+
+    def test_permuted_pivots_rejected(self):
+        f = canonical_idempotents(Signature(1, 3))[0]
+        ideal = left_ideal_basis(f)
+        for pivots in (ideal.pivots[::-1], ideal.pivots[1:] + ideal.pivots[:1]):
+            with pytest.raises(ValueError, match="pivot"):
+                IdealBasis(f, ideal.basis, ideal.dim, pivots)
+        with pytest.raises(ValueError, match="pivot"):
+            IdealBasis(f, ideal.basis, ideal.dim, ideal.pivots[:-1])
+
+    def test_non_idempotent_generator_rejected(self):
+        # g = 2 - f fixes every b in A * f (b * g = 2b - b * f = b), but g * g
+        # = 4 - 3f != g, and g is no element of the span
+        for sig in [Signature(2, 0), Signature(1, 3)]:
+            f = canonical_idempotents(sig)[0]
+            ideal = left_ideal_basis(f)
+            g = add(scalar_mul(2, Multivector.one(sig)), -f)
+            assert geometric_product(g, g) != g
+            assert all(geometric_product(b, g) == b for b in ideal.basis)
+            with pytest.raises(ValueError, match="generator is not in the span"):
+                IdealBasis(g, ideal.basis, ideal.dim, ideal.pivots)
 
     def test_whole_algebra_from_one(self):
         sig = Signature(0, 2)
@@ -864,3 +897,19 @@ class TestIntertwiner:
         f_plus, f_minus = canonical_idempotents(Signature(0, 3))
         with pytest.raises(NotSimple):
             representation_intertwiner(f_plus, f_minus)
+
+    @pytest.mark.parametrize("which", ["E_ij", "E_ji"])
+    def test_element_outside_its_ideal_rejected(self, monkeypatch, which):
+        # psi * (1 - f_i) = 0 for every psi in A * f_i, so E_ij + 1 - f_i maps
+        # every basis element into A * f_j and still inverts E_ji there; only
+        # the membership check sees that it leaves A * f_j
+        f1, f2 = canonical_idempotents(Signature(2, 2))[:2]
+        e12, e21 = interbasis_element(f1, f2)
+        one = Multivector.one(f1.sig)
+        if which == "E_ij":
+            planted = (add(e12, add(one, -f1)), e21)
+        else:
+            planted = (e12, add(e21, add(one, -f2)))
+        monkeypatch.setattr(spinors, "interbasis_element", lambda f_i, f_j: planted)
+        with pytest.raises(NoSolution, match=f"{which} leaves"):
+            representation_intertwiner(f1, f2)
