@@ -6,20 +6,20 @@ Every function is pure: arguments are never mutated, results are freshly
 allocated.  All pivoting is lowest-index-first, so results are
 deterministic.
 
-mat_mul, rref, solve and determinant scale their input to integers over
-one denominator and build one Fraction per result entry.  mat_mul runs
-int dot products; rref, solve and determinant share one elimination,
+Every matrix product and comparison runs on one exact value, ScaledMatrix:
+integer rows over one positive scale, multiplied in int arithmetic and
+compared by cross-multiplication, with no Fraction until fractions().
+rref, solve and determinant share one elimination on its rows,
 _integer_rref, a fraction-free Gauss-Jordan (Bareiss 1968; Nakos, Turner
 and Williams 1997) whose every division is exact, so its rows stay
-integers no larger than minors of the input.  It sets all-zero rows aside
-first: each step rescales every other row, and the tall, sparse systems of
-the spinor layer are mostly zero rows.
+integers no larger than minors of the input.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core_algebra import _rational
@@ -51,37 +51,58 @@ def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 
 
-def _integer_matrix(m):
-    """(M, scale) with integer entries M and m = M / scale, scale the least."""
-    scale = math.lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
+@dataclass(eq=False)
+class ScaledMatrix:
+    """The rational matrix rows / scale: integer rows over one scale > 0; == compares values."""
+
+    rows: list
+    scale: int = 1
+
+    @classmethod
+    def of(cls, m) -> "ScaledMatrix":
+        """m over its least common denominator; entries follow to_matrix's type rules."""
+        m = to_matrix(m)
+        scale = math.lcm(*(x.denominator for row in m for x in row))
+        return cls([[x.numerator * (scale // x.denominator) for x in row] for row in m], scale)
+
+    @classmethod
+    def identity(cls, n) -> "ScaledMatrix":
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+
+    def transpose(self) -> "ScaledMatrix":
+        return ScaledMatrix(transpose(self.rows), self.scale)
+
+    def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
+        """(A / s)(B / t) = AB / st, with every dot product in int arithmetic."""
+        a, b = self.rows, other.rows
+        if a and len(a[0]) != len(b):
+            width = len(b[0]) if b else 0
+            raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{width}")
+        columns = list(zip(*b))
+        return ScaledMatrix(
+            [[sum(map(operator.mul, row, col)) for col in columns] for row in a],
+            self.scale * other.scale,
+        )
+
+    def __eq__(self, other) -> bool:
+        """A / s == B / t read as A t == B s, stopping at the first unequal entry."""
+        if not isinstance(other, ScaledMatrix):
+            return NotImplemented
+        s, t = self.scale, other.scale
+        return len(self.rows) == len(other.rows) and all(
+            len(a) == len(b) and all(x * t == y * s for x, y in zip(a, b))
+            for a, b in zip(self.rows, other.rows)
+        )
+
+    def fractions(self) -> list[list[Fraction]]:
+        return [[Fraction(x, self.scale) for x in row] for row in self.rows]
 
 
 def mat_mul(a, b):
-    """Product of two int or Fraction matrices, with Fraction entries.
-
-    Each factor is scaled to integers over one denominator, so every dot
-    product runs in int arithmetic and each entry is one Fraction.
-    """
+    """Product of two int or Fraction matrices, with Fraction entries."""
     if not a or not b:
         return []
-    if len(a[0]) != len(b):
-        raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    a_int, a_scale = _integer_matrix(to_matrix(a))
-    b_int, b_scale = _integer_matrix(to_matrix(b))
-    scale = a_scale * b_scale
-    return [[Fraction(x, scale) for x in row] for row in _integer_product(a_int, b_int)]
-
-
-def _integer_product(a, b):
-    """Product of two int matrices of matching shape, in int arithmetic."""
-    bt = transpose(b)
-    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
-
-
-def _scaled_identity(n, scale):
-    """scale times the n x n identity, as an int matrix."""
-    return [[scale if i == j else 0 for j in range(n)] for i in range(n)]
+    return (ScaledMatrix.of(a) @ ScaledMatrix.of(b)).fractions()
 
 
 def mat_eq(a, b):
@@ -93,9 +114,9 @@ def determinant(m):
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionMismatch("determinant needs a square matrix")
-    work, scale = _integer_matrix(to_matrix(m))
-    _, pivots, d, sign = _integer_rref(work)
-    return Fraction(sign * d, scale**n) if len(pivots) == n else ZERO
+    scaled = ScaledMatrix.of(m)
+    _, pivots, d, sign = _integer_rref(scaled.rows)
+    return Fraction(sign * d, scaled.scale**n) if len(pivots) == n else ZERO
 
 
 def _integer_rref(m):
@@ -106,12 +127,11 @@ def _integer_rref(m):
     row but the pivot row becomes (pivot * x - lead * y) // previous, an
     exact division (Sylvester's identity: each entry is then a minor of m),
     so all pivots end equal to d and for a full-rank square m, det m =
-    sign * d.  Zero rows are set aside and returned last; d is 1 when there
-    is no pivot.
+    sign * d.  Rows past the rank end all zero; d is 1 when there is no
+    pivot.
     """
     width = len(m[0]) if m else 0
-    work = [list(row) for row in m if any(row)]
-    zero_rows = [[0] * width for _ in range(len(m) - len(work))]
+    work = [list(row) for row in m]
     rows = len(work)
     pivots = []
     sign = previous = 1
@@ -133,7 +153,7 @@ def _integer_rref(m):
                 work[i] = [(pivot * x - lead * y) // previous for x, y in zip(row, top)]
         pivots.append(c)
         previous = pivot
-    return work + zero_rows, pivots, previous, sign
+    return work, pivots, previous, sign
 
 
 def rref(m):
@@ -141,8 +161,7 @@ def rref(m):
 
     Returns (reduced, pivot_columns).  Zero rows are kept at the bottom.
     """
-    work, _ = _integer_matrix(to_matrix(m))
-    rows, pivots, d, _ = _integer_rref(work)
+    rows, pivots, d, _ = _integer_rref(ScaledMatrix.of(m).rows)
     return [[Fraction(x, d) if x else ZERO for x in row] for row in rows], pivots
 
 

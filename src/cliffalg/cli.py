@@ -20,9 +20,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import _linalg
+from ._linalg import ScaledMatrix
 from .core_algebra import (
     DEFAULT_DIMENSION_CAP,
     Multivector,
@@ -54,7 +53,6 @@ from .quadratic_space import (
     reflection_matrix,
 )
 from .spinors import (
-    _fractions,
     _idempotents,
     _map_matrix,
     algebra_center,
@@ -193,10 +191,9 @@ def cmd_diagonalize(args, sig: Signature):
     basis = outcome.basis_rows()
     diagonal = list(outcome.diag)
     # certify P^T B P = diag here so the report never lies
-    congruent = _linalg.mat_eq(
-        _linalg.mat_mul(_linalg.mat_mul(_linalg.transpose(basis), form.rows()), basis),
-        [[diagonal[i] if i == j else Fraction(0) for j in range(form.n)] for i in range(form.n)],
-    )
+    p = ScaledMatrix.of(basis)
+    d = [[diagonal[i] if i == j else 0 for j in range(form.n)] for i in range(form.n)]
+    congruent = p.transpose() @ ScaledMatrix.of(form.rows()) @ p == ScaledMatrix.of(d)
     result = {
         "basis": _mat(basis),
         "diagonal": _vec(diagonal),
@@ -229,10 +226,10 @@ def cmd_factor(args, sig: Signature):
     form = BilinearForm.from_signature(sig)
     rows = parse_matrix(args.matrix)
     vectors = cartan_dieudonne_factor(form, rows)
-    recomposed = _linalg.identity(sig.n)
+    recomposed = ScaledMatrix.identity(sig.n)
     for w in vectors:
-        recomposed = _linalg.mat_mul(recomposed, reflection_matrix(form, w).rows())
-    recomposition = _linalg.mat_eq(recomposed, _linalg.to_matrix(rows))
+        recomposed = recomposed @ ScaledMatrix.of(reflection_matrix(form, w).rows())
+    recomposition = recomposed == ScaledMatrix.of(rows)
     result = {"vectors": [_vec(w) for w in vectors], "count": len(vectors)}
     checks = {"recomposition": recomposition, "count_le_2n": len(vectors) <= 2 * sig.n}
     lines = [f"count: {len(vectors)}"]
@@ -345,17 +342,12 @@ def cmd_ideal(args, sig: Signature):
 def cmd_rep(args, sig: Signature):
     ideal = faithful_ideal(sig, cap=args.cap)
     x = parse_multivector(args.expression, sig)
-    # every matrix is an int matrix over one scale: R(x) = matrix / scale
-    matrix, scale = _map_matrix(ideal, ideal, x, on_left=True)
-    one, one_scale = _map_matrix(ideal, ideal, Multivector.one(sig), on_left=True)
-    unital = one == _linalg._scaled_identity(ideal.dim, one_scale)
-    # R(x*x) = R(x) R(x) reads M_xx * s_x^2 = s_xx * M_x M_x; x*x comes from the kernel
-    square_matrix, square_scale = _map_matrix(ideal, ideal, geometric_product(x, x), on_left=True)
-    scale_squared = scale * scale
-    square = [[scale_squared * v for v in row] for row in square_matrix] == [
-        [square_scale * v for v in row] for row in _linalg._integer_product(matrix, matrix)
-    ]
-    result = {"ideal_dimension": ideal.dim, "matrix": _mat(_fractions(matrix, scale))}
+    matrix = _map_matrix(ideal, ideal, x, on_left=True)
+    one = _map_matrix(ideal, ideal, Multivector.one(sig), on_left=True)
+    unital = one == ScaledMatrix.identity(ideal.dim)
+    # x*x comes from the kernel, so the check does not go through the path it checks
+    square = _map_matrix(ideal, ideal, geometric_product(x, x), on_left=True) == matrix @ matrix
+    result = {"ideal_dimension": ideal.dim, "matrix": _mat(matrix.fractions())}
     checks = {"unital": unital, "homomorphism_square": square}
     lines = [
         f"ideal dimension: {ideal.dim}",

@@ -36,7 +36,6 @@ from .core_algebra import (
 )
 from .errors import (
     DegenerateForm,
-    DimensionMismatch,
     NotAVector,
     NotInGroup,
     NotInvertible,
@@ -220,9 +219,7 @@ def lift_isometry(sig: Signature, m) -> LiftResult:
         raise DegenerateForm("lifting requires a regular signature")
     form = BilinearForm.from_signature(sig)
     rows = m.rows() if isinstance(m, IsometryMatrix) else _linalg.to_matrix(m)
-    if len(rows) != sig.n or any(len(r) != sig.n for r in rows):
-        raise DimensionMismatch(f"expected a {sig.n}x{sig.n} matrix")
-    vectors = cartan_dieudonne_factor(form, rows)  # raises NotAnIsometry
+    vectors = cartan_dieudonne_factor(form, rows)  # raises DimensionMismatch, NotAnIsometry
     element = Multivector.one(sig)
     n_value = Fraction(1)
     for w in vectors:

@@ -16,10 +16,12 @@ import itertools
 import math
 import operator
 import re
+import unicodedata
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg
+from ._linalg import ScaledMatrix
 from .core_algebra import MAX_LITERAL_DIGITS, Signature, _rational, check_rational_bits
 from .errors import (
     DegenerateForm,
@@ -54,8 +56,8 @@ class BilinearForm:
             for j in range(i):
                 if self.mat[i][j] != self.mat[j][i]:
                     raise ValueError("bilinear form matrix must be symmetric")
-        g, scale = _linalg._integer_matrix(self.mat)
-        object.__setattr__(self, "_integer_form", (tuple(map(tuple, g)), scale))
+        g = ScaledMatrix.of(self.mat)
+        object.__setattr__(self, "_integer_form", (tuple(map(tuple, g.rows)), g.scale))
 
     @classmethod
     def from_rows(cls, rows) -> "BilinearForm":
@@ -130,7 +132,8 @@ def evaluate_form(form: BilinearForm, u, v) -> Fraction:
     v = _linalg.to_vector(v)
     if len(u) != form.n or len(v) != form.n:
         raise DimensionMismatch(f"expected vectors of length {form.n}")
-    (u_int, v_int), s = _linalg._integer_matrix([u, v])
+    uv = ScaledMatrix.of([u, v])
+    (u_int, v_int), s = uv.rows, uv.scale
     g, g_scale = form._integer_form
     return Fraction(sum(map(operator.mul, u_int, _integer_phi(g, v_int)[0])), s * s * g_scale)
 
@@ -229,7 +232,7 @@ def reflection_matrix(form: BilinearForm, x) -> IsometryMatrix:
     x = _linalg.to_vector(x)
     if len(x) != form.n:
         raise DimensionMismatch(f"expected a vector of length {form.n}")
-    (numerators,), _ = _linalg._integer_matrix([x])
+    (numerators,) = ScaledMatrix.of([x]).rows
     g, _ = form._integer_form
     gx, q = _integer_phi(g, numerators)  # gx_i is phi(e_i, x), up to a factor > 0
     if q == 0:
@@ -244,22 +247,17 @@ def reflection_matrix(form: BilinearForm, x) -> IsometryMatrix:
 def is_isometry(form: BilinearForm, rows) -> bool:
     """Exact check M^T B M = B and M invertible; False for a matrix of the wrong shape.
 
-    With M = m / s and B = G / g in integers the identity reads
-    m^T G m = s^2 G, which is compared entry by entry in int arithmetic.
-    M must also have full rank, which _linalg's one elimination reads off.
+    The identity is compared as ScaledMatrix values, in int arithmetic.  M
+    must also have full rank, which _linalg's one elimination reads off.
     That test matters on a degenerate form: there a singular M can satisfy
     the identity.
     """
     rows = [list(row) for row in rows]
     if len(rows) != form.n or any(len(r) != form.n for r in rows):
         return False
-    m, scale = _linalg._integer_matrix(_linalg.to_matrix(rows))
-    g, _ = form._integer_form
-    moved = _linalg._integer_product(_linalg._integer_product(_linalg.transpose(m), g), m)
-    square = scale * scale
-    if any(x != square * y for moved_row, g_row in zip(moved, g) for x, y in zip(moved_row, g_row)):
-        return False
-    return len(_linalg._integer_rref(m)[1]) == form.n
+    m = ScaledMatrix.of(rows)
+    g = ScaledMatrix(*form._integer_form)
+    return m.transpose() @ g @ m == g and len(_linalg._integer_rref(m.rows)[1]) == form.n
 
 
 def det_sign(m) -> int:
@@ -295,10 +293,13 @@ def cartan_dieudonne_factor(form: BilinearForm, m) -> list[list[Fraction]]:
     diagonalization = orthogonal_diagonalize(form)
     if diagonalization.signature[2] > 0:
         raise DegenerateForm("factorization requires a regular form")
+    if len(rows) != form.n or any(len(r) != form.n for r in rows):
+        raise DimensionMismatch(f"expected a {form.n}x{form.n} matrix")
     if not is_isometry(form, rows):
         raise NotAnIsometry("matrix does not preserve the bilinear form")
     g, _ = form._integer_form
-    columns, d = _linalg._integer_matrix(_linalg.transpose(rows))
+    start = ScaledMatrix.of(_linalg.transpose(rows))
+    columns, d = start.rows, start.scale
     vectors = []
 
     def reflect(w, scale) -> bool:
@@ -321,16 +322,17 @@ def cartan_dieudonne_factor(form: BilinearForm, m) -> list[list[Fraction]]:
                 column[:] = [x // content for x in column]
         return True
 
-    for v in _linalg.transpose(diagonalization.basis_rows()):
-        (v,), v_scale = _linalg._integer_matrix([v])
+    # one common scale for every v: scaling an axis W by k changes no reflection
+    basis = ScaledMatrix.of(_linalg.transpose(diagonalization.basis_rows()))
+    for v in basis.rows:
         image = [sum(map(operator.mul, row, v)) for row in zip(*columns)]  # c v = d C v
         dv = [d * x for x in v]
         if image == dv:
             continue
-        if not reflect([x - y for x, y in zip(image, dv)], d * v_scale):
-            reflect([x + y for x, y in zip(image, dv)], d * v_scale)
-            reflect(v, v_scale)
-    if d != 1 or not _linalg.mat_eq(columns, _linalg.identity(form.n)):
+        if not reflect([x - y for x, y in zip(image, dv)], d * basis.scale):
+            reflect([x + y for x, y in zip(image, dv)], d * basis.scale)
+            reflect(v, basis.scale)
+    if ScaledMatrix(columns, d) != ScaledMatrix.identity(form.n):
         raise NotAnIsometry("factorization did not terminate at the identity")
     return vectors
 
@@ -338,13 +340,14 @@ def cartan_dieudonne_factor(form: BilinearForm, m) -> list[list[Fraction]]:
 # text format shared with the CLI
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/(\d+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Exactly "a" or "a/b" with b > 0; floats and exponents are rejected."""
     stripped = text.strip()
-    if not _RATIONAL_RE.fullmatch(stripped):
+    match = _RATIONAL_RE.fullmatch(stripped)
+    if not match or (match[1] is not None and not any(map(unicodedata.decimal, match[1]))):
         raise ParseError(f"bad rational {stripped!r}; expected \"a\" or \"a/b\"")
     if any(len(part.lstrip("+-")) > MAX_LITERAL_DIGITS for part in stripped.split("/")):
         raise ParseError(f"rational has more than {MAX_LITERAL_DIGITS} digits")

@@ -215,13 +215,6 @@ def build_idempotent_set(blades: CommutingBladeSet) -> IdempotentSet:
     return IdempotentSet(tuple(_idempotents(blades)), blades)
 
 
-def _coords(x: Multivector) -> list[Fraction]:
-    out = [Fraction(0)] * (1 << x.sig.n)
-    for mask, value in x.terms():
-        out[mask] = value
-    return out
-
-
 def _blade_image_span(
     left: Multivector, right: Multivector
 ) -> tuple[tuple[Multivector, ...], tuple[int, ...]]:
@@ -561,7 +554,7 @@ def _pivot_columns(images: list, pivots) -> list[list[int]]:
 
 
 def _map_matrix(source: IdealBasis, target: IdealBasis, x: Multivector, on_left: bool):
-    """(M, s) with M / s the matrix of psi -> x * psi (on_left) or psi * x.
+    """The ScaledMatrix M / s of psi -> x * psi (on_left) or psi * x.
 
     M maps source's basis to target's and is an integer matrix.  The
     caller guarantees that every image lies in target's span, so its
@@ -576,11 +569,7 @@ def _map_matrix(source: IdealBasis, target: IdealBasis, x: Multivector, on_left:
         images = [core_algebra._product(x_int, row, x.sig) for row in rows]
     else:
         images = [core_algebra._product(row, x_int, x.sig) for row in rows]
-    return _pivot_columns(images, target.pivots), x_scale * scale
-
-
-def _fractions(matrix: list[list[int]], scale: int) -> list[list[Fraction]]:
-    return [[Fraction(v, scale) for v in row] for row in matrix]
+    return _linalg.ScaledMatrix(_pivot_columns(images, target.pivots), x_scale * scale)
 
 
 def regular_rep_matrix(x: Multivector, ideal: IdealBasis):
@@ -593,7 +582,7 @@ def regular_rep_matrix(x: Multivector, ideal: IdealBasis):
     """
     if x.sig != ideal.sig:
         raise SignatureMismatch(f"signatures differ: {x.sig} vs {ideal.sig}")
-    return _fractions(*_map_matrix(ideal, ideal, x, on_left=True))
+    return _map_matrix(ideal, ideal, x, on_left=True).fractions()
 
 
 def interbasis_element(f_i: Multivector, f_j: Multivector):
@@ -610,7 +599,6 @@ def interbasis_element(f_i: Multivector, f_j: Multivector):
     if f_i == f_j:
         return f_i, f_i
     sig = f_i.sig
-    dim = 1 << sig.n
     space_ij, _ = _blade_image_span(f_i, f_j)
     if not space_ij:
         raise NotSimple("f_i * A * f_j is zero; the idempotents sit in different components")
@@ -618,12 +606,16 @@ def interbasis_element(f_i: Multivector, f_j: Multivector):
     space_ji, _ = _blade_image_span(f_j, f_i)
     if not space_ji:
         raise NotSimple("f_j * A * f_i is zero; the idempotents sit in different components")
-    # solve e_ij * v = f_i and v * e_ij = f_j for v in span(space_ji)
-    columns = []
-    for w in space_ji:
-        columns.append(_coords(geometric_product(e_ij, w)) + _coords(geometric_product(w, e_ij)))
-    matrix = [[columns[c][r] for c in range(len(columns))] for r in range(2 * dim)]
-    rhs = _coords(f_i) + _coords(f_j)
+    # solve e_ij * v = f_i and v * e_ij = f_j for v in span(space_ji), one
+    # equation per blade where a side is nonzero: the other equations read 0 = 0
+    matrix, rhs = [], []
+    for target, products in (
+        (f_i, [geometric_product(e_ij, w)._coeffs for w in space_ji]),
+        (f_j, [geometric_product(w, e_ij)._coeffs for w in space_ji]),
+    ):
+        for mask in sorted(set(target._coeffs).union(*products)):
+            matrix.append([product.get(mask, 0) for product in products])
+            rhs.append(target._coeffs.get(mask, 0))
     solution = _linalg.solve(matrix, rhs)
     if solution is None:
         raise NoSolution("no partial inverse for the chosen element")
@@ -660,17 +652,10 @@ def representation_intertwiner(f_i: Multivector, f_j: Multivector) -> Representa
     if not _in_span(source, _integer_scaled(e_ji._coeffs)[0]):
         raise NoSolution("E_ji leaves the source ideal")
 
-    forward, forward_scale = _map_matrix(source, target, e_ij, on_left=False)
-    backward, backward_scale = _map_matrix(target, source, e_ji, on_left=False)
-    # F / s_F * B / s_B = I reads F * B = s_F s_B I
-    scale = forward_scale * backward_scale
-    for product in (
-        _linalg._integer_product(forward, backward),
-        _linalg._integer_product(backward, forward),
-    ):
-        if product != _linalg._scaled_identity(len(product), scale):
+    forward = _map_matrix(source, target, e_ij, on_left=False)
+    backward = _map_matrix(target, source, e_ji, on_left=False)
+    for product in (forward @ backward, backward @ forward):
+        if product != _linalg.ScaledMatrix.identity(len(product.rows)):
             raise NoSolution("intertwiner is not invertible")
-    freeze = lambda m, s: tuple(tuple(row) for row in _fractions(m, s))
-    return RepresentationIntertwiner(
-        source, target, freeze(forward, forward_scale), freeze(backward, backward_scale)
-    )
+    freeze = lambda m: tuple(tuple(row) for row in m.fractions())
+    return RepresentationIntertwiner(source, target, freeze(forward), freeze(backward))

@@ -479,6 +479,36 @@ def full_blade_image_span(sig: Signature, image):
     return basis, tuple(pivots)
 
 
+def reference_interbasis(f_i: Multivector, f_j: Multivector):
+    """(E_ij, E_ji) from the dense system; None when f_i * A * f_j or f_j * A * f_i is zero.
+
+    The solve interbasis_element ran before its sparse system: E_ij is the
+    first RREF basis element of f_i * A * f_j, and E_ji solves E_ij * v = f_i
+    and v * E_ij = f_j over the RREF basis of f_j * A * f_i, with one
+    equation per blade on each side, 2^(n+1) rows, by reference_solve.
+    """
+    if f_i == f_j:
+        return f_i, f_i
+    sig = f_i.sig
+
+    def sandwich(left, right):
+        image = lambda b: geometric_product(geometric_product(left, b), right)
+        return full_blade_image_span(sig, image)[0]
+
+    space_ij, space_ji = sandwich(f_i, f_j), sandwich(f_j, f_i)
+    if not space_ij or not space_ji:
+        return None
+    e_ij = space_ij[0]
+    columns = [
+        _coords(geometric_product(e_ij, w)) + _coords(geometric_product(w, e_ij)) for w in space_ji
+    ]
+    solution = reference_solve([list(row) for row in zip(*columns)], _coords(f_i) + _coords(f_j))
+    e_ji = Multivector.zero(sig)
+    for t, w in zip(solution, space_ji):
+        e_ji = add(e_ji, scalar_mul(t, w))
+    return e_ij, e_ji
+
+
 def coordinates_in_basis(basis_rows, target):
     """Coefficients expressing target as a combination of basis rows, or None."""
     if not basis_rows:

@@ -133,6 +133,11 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["factor", "lift"])
+    def test_wrong_matrix_size_reported(self, capsys, command):
+        argv = [command, "--sig", "2,0", "--matrix", "1,0,0;0,1,0;0,0,1"]
+        assert run_text(capsys, argv) == (1, "", "error: expected a 2x2 matrix\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,6 +1,6 @@
-"""Exact linear algebra: the integer matrix product and the one fraction-free
-elimination (rref, solve, determinant) against Fraction loops, exact results
-from integer input, and floats refused."""
+"""Exact linear algebra: ScaledMatrix, the integer matrix product and the one
+fraction-free elimination (rref, solve, determinant) against Fraction loops,
+exact results from integer input, and floats refused."""
 
 import random
 from fractions import Fraction
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cliffalg import DimensionMismatch, _linalg
+from cliffalg._linalg import ScaledMatrix
 from support import reference_determinant, reference_mat_mul, reference_rref, reference_solve
 
 
@@ -50,6 +51,76 @@ class TestMatMul:
     def test_shape_checked(self):
         with pytest.raises(DimensionMismatch):
             _linalg.mat_mul([[1, 2]], [[1, 2]])
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(A, B) of shapes r x k and k x c, 1 <= r, k, c <= 5, int or Fraction entries."""
+    rows, inner, cols = (draw(st.integers(1, 5)) for _ in range(3))
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12))
+
+    def matrix(height, width):
+        row = st.lists(entry, min_size=width, max_size=width)
+        return draw(st.lists(row, min_size=height, max_size=height))
+
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+class Exploding(int):
+    """An entry that may not be multiplied."""
+
+    def __mul__(self, other):
+        raise AssertionError("compared past the first unequal entry")
+
+    __rmul__ = __mul__
+
+
+class TestScaledMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_pairs())
+    def test_product_matches_fraction_loop(self, pair):
+        a, b = pair
+        product = ScaledMatrix.of(a) @ ScaledMatrix.of(b)
+        expected = reference_mat_mul(a, b)
+        assert product.fractions() == expected
+        assert all(type(x) is Fraction for row in product.fractions() for x in row)
+        assert product == ScaledMatrix.of(expected)
+
+    def test_of_takes_the_least_scale(self):
+        m = ScaledMatrix.of([[Fraction(1, 2), 3], [0, Fraction(-2, 3)]])
+        assert (m.rows, m.scale) == ([[3, 18], [0, -4]], 6)
+        assert ScaledMatrix.of([[2, -1]]) == ScaledMatrix([[2, -1]], 1)
+
+    def test_equal_at_different_scales(self):
+        m = ScaledMatrix([[3, 18], [0, -4]], 6)
+        assert m == ScaledMatrix([[6, 36], [0, -8]], 12)
+        assert m == ScaledMatrix.of(m.fractions())
+        assert ScaledMatrix.identity(2) == ScaledMatrix([[7, 0], [0, 7]], 7)
+        assert ScaledMatrix.identity(0) == ScaledMatrix([], 5)
+
+    def test_unequal(self):
+        m = ScaledMatrix([[3, 18], [0, -4]], 6)
+        assert m != ScaledMatrix([[3, 18], [0, -5]], 6)
+        assert m != ScaledMatrix([[3, 18], [0, -4]], 12)
+        assert ScaledMatrix([[1]], 2) != ScaledMatrix([[1]], 3)
+        assert ScaledMatrix.identity(2) != ScaledMatrix.identity(3)
+        assert ScaledMatrix([[1, 0]]) != ScaledMatrix([[1]])
+        assert ScaledMatrix([[1]]) != [[1]]
+
+    def test_equality_stops_at_the_first_unequal_entry(self):
+        assert ScaledMatrix([[1], [Exploding(2)]]) != ScaledMatrix([[2], [0]])
+
+    def test_transpose(self):
+        m = ScaledMatrix([[1, 2, 3], [4, 5, 6]], 7)
+        assert m.transpose() == ScaledMatrix([[1, 4], [2, 5], [3, 6]], 7)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [([[1, 2]], [[3]]), ([[1, 2]], [[1, 2]]), ([[1]], []), ([[1], [2]], [[1], [2]])],
+    )
+    def test_shape_checked(self, a, b):
+        with pytest.raises(DimensionMismatch, match="^cannot multiply"):
+            ScaledMatrix(a) @ ScaledMatrix(b)
 
 
 @st.composite
@@ -219,6 +290,7 @@ class TestFloatsRefused:
             lambda: _linalg.mat_mul([[0.1]], [[1]]),
             lambda: _linalg.mat_mul([[1]], [[0.5]]),
             lambda: _linalg.rref([["1"]]),
+            lambda: ScaledMatrix.of([[1, 0.5]]),
         ],
         ids=[
             "to_matrix",
@@ -230,6 +302,7 @@ class TestFloatsRefused:
             "mat_mul-left",
             "mat_mul-right",
             "rref-str",
+            "ScaledMatrix.of",
         ],
     )
     def test_type_error(self, call):

@@ -466,6 +466,13 @@ class TestCartanDieudonne:
         with pytest.raises(NotAnIsometry):
             cartan_dieudonne_factor(form, [[2, 0], [0, 1]])
 
+    def test_wrong_size_rejected(self):
+        # a wrong size is reported as such, after a degenerate form
+        with pytest.raises(DimensionMismatch, match="^expected a 2x2 matrix$"):
+            cartan_dieudonne_factor(BilinearForm.diagonal([1, 1]), _linalg.identity(3))
+        with pytest.raises(DegenerateForm):
+            cartan_dieudonne_factor(BilinearForm.diagonal([1, 0]), _linalg.identity(3))
+
 
 class TestTextFormats:
     def test_rational_accepts(self):
@@ -473,8 +480,13 @@ class TestTextFormats:
         assert parse_rational("-3/4") == Fraction(-3, 4)
         assert parse_rational("+2/6") == Fraction(1, 3)
         assert parse_rational(" 5 ") == 5
+        # a denominator is any run of decimal digits, as eval reads it
+        for text in ["1/01", "1/\u0661", "1/\uff11"]:
+            assert parse_rational(text) == 1
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e3", "2/0", "2/-3", "", "a", "1/", "/2", "1 2"])
+    @pytest.mark.parametrize(
+        "bad", ["0.5", "1e3", "2/0", "2/00", "2/\u0660", "2/-3", "", "a", "1/", "/2", "1 2"]
+    )
     def test_rational_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)

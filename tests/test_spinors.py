@@ -55,6 +55,7 @@ from support import (
     reference_center,
     reference_commuting_blades,
     reference_division_ring,
+    reference_interbasis,
     reference_rep_matrix,
 )
 
@@ -854,6 +855,18 @@ class TestInterbasis:
                 assert product != zero
             else:
                 assert product == zero
+
+    @pytest.mark.parametrize("sig", REGULAR_SIGS_5, ids=str)
+    def test_matches_dense_system(self, sig):
+        # the system keeps only the blades where a product or its target is
+        # nonzero; the dropped rows read 0 = 0, so the solution is the same
+        for f_i, f_j in itertools.combinations(canonical_idempotents(sig), 2):
+            expected = reference_interbasis(f_i, f_j)
+            if expected is None:
+                with pytest.raises(NotSimple):
+                    interbasis_element(f_i, f_j)
+            else:
+                assert interbasis_element(f_i, f_j) == expected
 
     def test_product_count(self, monkeypatch):
         # f_i*f_i and f_j*f_j, one image each for the one-dimensional
