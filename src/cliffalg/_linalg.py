@@ -105,10 +105,6 @@ def mat_mul(a, b):
     return (ScaledMatrix.of(a) @ ScaledMatrix.of(b)).fractions()
 
 
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def determinant(m):
     """Exact determinant: one Fraction, sign * d / scale**n for m = M / scale at full rank."""
     n = len(m)

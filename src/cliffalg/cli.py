@@ -21,15 +21,16 @@ import json
 import os
 import sys
 
+from . import core_algebra
 from ._linalg import ScaledMatrix
 from .core_algebra import (
     DEFAULT_DIMENSION_CAP,
     Multivector,
     Signature,
+    _integer_scaled,
+    _nonzero,
     blade_name,
-    embed_vector,
     geometric_product,
-    grade_involution,
     multiplication_table,
 )
 from .errors import (
@@ -40,7 +41,7 @@ from .errors import (
     UnexpectedDimension,
 )
 from .expr import parse_multivector, pretty_print
-from .groups import lift_isometry, membership
+from .groups import _hat_times_generator, lift_isometry, membership
 from .quadratic_space import (
     BilinearForm,
     cartan_dieudonne_factor,
@@ -116,13 +117,16 @@ def _twisted_adjoint_matches(x: Multivector, rows) -> bool:
     every i, then z = y^-1 * x has gi(z)*e_i = e_i*z for every i.  Blade by
     blade, gi(e_A)*e_i = -e_i*e_A when e_i is in A, and e_i is invertible, so
     z has no blade holding any e_i: z is a scalar, and x != 0 gives
-    rho_x = rho_y = M.
+    rho_x = rho_y = M.  In integers, with x = X / s and column i of M equal
+    to C / c, the check reads c * gi(X)*e_i = C*X, and gi(X)*e_i is a signed
+    relabelling of the terms of X.
     """
-    x_hat = grade_involution(x)
+    x_int, _ = _integer_scaled(x._coeffs)
+    columns = (_integer_scaled({1 << j: v for j, v in enumerate(col) if v}) for col in zip(*rows))
     return not x.is_zero() and all(
-        geometric_product(x_hat, Multivector.basis_blade(x.sig, 1 << i))
-        == geometric_product(embed_vector(column, x.sig), x)
-        for i, column in enumerate(zip(*rows))
+        {mask: scale * v for mask, v in _hat_times_generator(x_int, i, x.sig).items()}
+        == _nonzero(core_algebra._product(column, x_int, x.sig))
+        for i, (column, scale) in enumerate(columns)
     )
 
 

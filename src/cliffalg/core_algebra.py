@@ -13,10 +13,12 @@ _product multiplies the integer maps, and one Fraction is built per output
 blade from the product of the two denominators (_scaled_product).  Each
 term pair then costs one int product instead of a Fraction product with
 its gcd.  norm and the Newton steps of inverse go through it;
-Faddeev-LeVerrier and the spinor coordinate reads (spinors.IdealBasis) run
-_product on integer maps they scale once.  The cost grows with the bit length of the common denominator,
-so an element whose denominators are many distinct primes multiplies
-slower than with Fractions (about 2,000 bits is the crossover).
+Faddeev-LeVerrier, the spinor coordinate reads (spinors.IdealBasis) and
+the twisted adjoint of groups (stability, its matrix and the lift check of
+the CLI) run _product on integer maps they scale once.  The cost grows with
+the bit length of the common denominator, so an element whose denominators
+are many distinct primes multiplies slower than with Fractions (about
+2,000 bits is the crossover).
 """
 
 from __future__ import annotations
@@ -474,14 +476,17 @@ def involution(x: Multivector, kind: str) -> Multivector:
     kind "reverse": sign (-1)^(k(k-1)/2), the antiautomorphism reversing
     products.  kind "conjugate": their composition, sign (-1)^(k(k+1)/2).
     """
-    negated = _INVOLUTION_NEGATES.get(kind)
-    if negated is None:
+    if kind not in _INVOLUTION_NEGATES:
         raise ValueError(
             f"unknown involution kind {kind!r}; expected one of {tuple(_INVOLUTION_NEGATES)}"
         )
-    return Multivector._raw(
-        x.sig, {m: -v if m.bit_count() % 4 in negated else v for m, v in x._coeffs.items()}
-    )
+    return Multivector._raw(x.sig, _involuted(x._coeffs, kind))
+
+
+def _involuted(coeffs: dict, kind: str) -> dict:
+    """involution on a coefficient map (Fractions or ints), blade by blade, order kept."""
+    negated = _INVOLUTION_NEGATES[kind]
+    return {m: -v if m.bit_count() % 4 in negated else v for m, v in coeffs.items()}
 
 
 def grade_involution(x: Multivector) -> Multivector:

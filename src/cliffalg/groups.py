@@ -6,6 +6,12 @@ the whole group its image preserves the standard diagonal form of the
 signature.  Lifting an isometry composes the reflection vectors produced by
 the factorization in quadratic_space.
 
+Every stability decision and twisted adjoint matrix runs on integer maps:
+x is scaled once to X, grade_involution(X) * e_i is a signed relabelling of
+its terms, and one product with the scaled inverse (or with conjugate(X)
+when the norm is a scalar) gives a multiple of rho_x(e_i), with one Fraction
+per matrix entry at the end.
+
 Lifts are projective: the twisted adjoint is unchanged under rescaling, so a
 lift is rescaled onto norm +-1 only when that is possible inside the
 rationals (|N| a rational square); otherwise it is returned unscaled with
@@ -18,16 +24,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _linalg
+from . import _linalg, core_algebra
 from .core_algebra import (
     Multivector,
     Rational,
     Signature,
+    _blade_mul_signs,
+    _integer_scaled,
     _inverse_given_norm,
+    _involuted,
+    _negative_mask,
+    _nonzero,
+    _zero_mask,
+    blade_name,
     clifford_conjugation,
     embed_vector,
     even_part,
-    extract_vector,
     geometric_product,
     grade_involution,
     inverse,
@@ -36,7 +48,6 @@ from .core_algebra import (
 )
 from .errors import (
     DegenerateForm,
-    NotAVector,
     NotInGroup,
     NotInvertible,
     NotStable,
@@ -90,38 +101,72 @@ class LiftResult:
         return {mask: float(value) * scale for mask, value in self.element.terms()}
 
 
-def _twisted_image(x_hat: Multivector, x_inv: Multivector, v: Multivector) -> list[Rational]:
-    image = geometric_product(geometric_product(x_hat, v), x_inv)
-    try:
-        return extract_vector(image)
-    except NotAVector as exc:
-        raise NotStable(f"twisted adjoint leaves the vector space: {exc}") from None
+def _hat_times_generator(x: dict, i: int, sig: Signature) -> dict:
+    """grade_involution(X) * e_i for an integer map X, as a signed relabelling a -> a ^ e_i.
+
+    (-1)^|a| e_a e_i = (-1)^[e_i in a] e_i e_a, so blade a lands on a ^ e_i
+    with the sign of e_i * e_a, negated when e_i is in a; the term drops when
+    e_i is null and in a.  One sign call, no term pairs.
+    """
+    g = 1 << i
+    signs = _blade_mul_signs(g, x, _negative_mask(sig), _zero_mask(sig))
+    return {
+        a ^ g: -c if (sign < 0) != bool(a & g) else c
+        for (a, c), sign in zip(x.items(), signs)
+        if sign
+    }
 
 
-def _twisted_columns(x: Multivector, x_inv: Multivector) -> list[list[Rational]]:
-    """rho_x(e_i) for each generator in turn; NotStable at the first that leaves V."""
-    generators = [Multivector.basis_blade(x.sig, 1 << i) for i in range(x.sig.n)]
-    x_hat = grade_involution(x)
-    return [_twisted_image(x_hat, x_inv, e) for e in generators]
+def _twisted_images(x: dict, y: dict, sig: Signature):
+    """X^ * e_i * Y for each generator in turn, as integer maps that may hold zeros.
+
+    For X = s*x and Y = t*x^-1 each image is s*t*rho_x(e_i); for
+    Y = conjugate(X) = s*N*x^-1 it is s*s*N*rho_x(e_i).  Every stability
+    decision and matrix of the library is read from these.
+    """
+    for i in range(sig.n):
+        yield core_algebra._product(_hat_times_generator(x, i, sig), y, sig)
+
+
+def _off_vector(image: dict) -> int | None:
+    """The first blade of the map with a nonzero coefficient and grade other than 1, else None."""
+    return next((mask for mask, value in image.items() if value and mask.bit_count() != 1), None)
+
+
+def _vector(image: dict, scale: int, n: int) -> list[Rational]:
+    """Coordinates of image / scale; NotStable names the first component outside V."""
+    mask = _off_vector(image)
+    if mask is not None:
+        raise NotStable(
+            "twisted adjoint leaves the vector space: "
+            f"component {blade_name(mask, n)} has grade {mask.bit_count()}"
+        )
+    coords = [Fraction(0)] * n
+    for mask, value in image.items():
+        if value:
+            coords[mask.bit_length() - 1] = Fraction(value, scale)
+    return coords
 
 
 def twisted_adjoint_apply(x: Multivector, coords) -> list[Rational]:
     """grade_involution(x) * v * x^-1 as coordinates; NotStable if not grade 1."""
-    return _twisted_image(grade_involution(x), inverse(x), embed_vector(coords, x.sig))
+    y, y_scale = _integer_scaled(inverse(x)._coeffs)
+    v, v_scale = _integer_scaled(embed_vector(coords, x.sig)._coeffs)
+    x_hat, x_scale = _integer_scaled(grade_involution(x)._coeffs)
+    # zeros dropped: they add nothing, but would set the blade order of the
+    # image, whose first blade outside V is the one NotStable names
+    left = _nonzero(core_algebra._product(x_hat, v, x.sig))
+    image = core_algebra._product(left, y, x.sig)
+    return _vector(image, x_scale * v_scale * y_scale, x.sig.n)
 
 
 def twisted_adjoint_matrix(x: Multivector) -> IsometryMatrix:
     """Matrix with columns rho_x(e_i), certified against the standard form."""
-    columns = _twisted_columns(x, inverse(x))
+    y, y_scale = _integer_scaled(inverse(x)._coeffs)
+    x_int, x_scale = _integer_scaled(x._coeffs)
+    scale = x_scale * y_scale
+    columns = [_vector(image, scale, x.sig.n) for image in _twisted_images(x_int, y, x.sig)]
     return IsometryMatrix.from_rows(BilinearForm.from_signature(x.sig), zip(*columns))
-
-
-def _is_stable(x: Multivector, x_inv: Multivector) -> bool:
-    try:
-        _twisted_columns(x, x_inv)
-    except NotStable:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -140,21 +185,27 @@ def membership(x: Multivector) -> Membership:
     x is in the Clifford group iff it is invertible and its twisted adjoint
     keeps every e_i in V (v maps linearly to the image, so the basis
     suffices); in Pin iff also its norm is +1 or -1; in Spin iff also even.
-    A nonzero scalar N = x * conjugate(x) gives x^-1 = conjugate(x) / N, and
-    N = 0 a zero divisor.  A non-scalar N rules x out when s = 0 (Lounesto,
-    2001) but not when s > 0 (1 - e123 in Cl(0,0,3)): only then does the
-    inverse run, from the N already formed.
+    A nonzero scalar N = x * conjugate(x) gives x^-1 = conjugate(x) / N, so
+    with x scaled once to integers X, stability is read off the integer
+    products X^ * e_i * conjugate(X), a nonzero multiple of rho_x(e_i); and
+    N = 0 makes x a zero divisor.  A non-scalar N rules x out when s = 0
+    (Lounesto, 2001) but not when s > 0 (1 - e123 in Cl(0,0,3)): only then
+    does the inverse run, from the N already formed, scaled to integers.
     """
     value = norm(x)
     n_value = value.scalar_part() if value.is_scalar() else None
-    group = False
+    x_int, _ = _integer_scaled(x._coeffs)
+    y = None
     if n_value:
-        group = _is_stable(x, scalar_mul(1 / n_value, clifford_conjugation(x)))
+        y = _involuted(x_int, "conjugate")
     elif n_value is None and x.sig.s:
         try:
-            group = _is_stable(x, _inverse_given_norm(x, value))
+            y, _ = _integer_scaled(_inverse_given_norm(x, value)._coeffs)
         except NotInvertible:
             pass
+    group = y is not None and all(
+        _off_vector(image) is None for image in _twisted_images(x_int, y, x.sig)
+    )
     pin = group and n_value in (1, -1)
     spin = pin and even_part(x) == x
     return Membership(group, pin, spin, n_value)

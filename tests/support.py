@@ -44,6 +44,11 @@ def mat_scale(c, m):
     return [[c * x for x in row] for row in m]
 
 
+def mat_eq(a, b):
+    """True iff the two matrices have equal rows, entry by entry."""
+    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+
+
 def mat_vec(m, v):
     """Matrix times vector, entry by entry in whatever arithmetic the entries carry."""
     assert not m or len(m[0]) == len(v), "matrix width does not match the vector length"
@@ -370,24 +375,35 @@ def dense_inverse(x: Multivector):
     return y
 
 
+def reference_twisted_adjoint(x: Multivector):
+    """[grade_involution(x) * e_i * x^-1 for each generator e_i], or None when x has no inverse.
+
+    Both products run in reference_product and x^-1 is the Fraction solve of
+    dense_inverse, so the images are formed outside the library's integer
+    kernels.  This is the reference the twisted adjoint matrix, the lift
+    check and membership are tested against.
+    """
+    x_inv = dense_inverse(x)
+    if x_inv is None:
+        return None
+    x_hat = grade_involution(x)
+    return [
+        reference_product(reference_product(x_hat, Multivector.generator(x.sig, i)), x_inv)
+        for i in range(1, x.sig.n + 1)
+    ]
+
+
 def reference_membership(x: Multivector):
     """(in_clifford_group, in_pin, in_spin, n_value) by the direct definitions.
 
-    N = x * conjugate(x) in Fractions, the inverse from dense_inverse, and
-    stability read off grade_involution(x) * e_i * x^-1 for every generator.
-    This is the reference groups.membership is tested against.
+    N = x * conjugate(x) in Fractions, and stability read off
+    reference_twisted_adjoint.  This is the reference groups.membership is
+    tested against.
     """
-    sig = x.sig
-    value = geometric_product(x, clifford_conjugation(x))
+    value = reference_product(x, clifford_conjugation(x))
     n_value = value.scalar_part() if value.is_scalar() else None
-    x_inv = dense_inverse(x)
-    group = x_inv is not None and all(
-        geometric_product(
-            geometric_product(grade_involution(x), Multivector.generator(sig, i)), x_inv
-        ).grades()
-        in ((), (1,))
-        for i in range(1, sig.n + 1)
-    )
+    images = reference_twisted_adjoint(x)
+    group = images is not None and all(image.grades() in ((), (1,)) for image in images)
     pin = group and n_value in (1, -1)
     spin = pin and even_part(x) == x
     return group, pin, spin, n_value
@@ -701,7 +717,7 @@ def reference_cartan_dieudonne(form: BilinearForm, m):
         for w in steps:
             current = _linalg.mat_mul(reflection_matrix(diagonal, w).rows(), current)
             vectors.append(mat_vec(basis, w))
-    assert _linalg.mat_eq(current, _linalg.identity(n)), "factorization did not reach the identity"
+    assert mat_eq(current, _linalg.identity(n)), "factorization did not reach the identity"
     return vectors
 
 

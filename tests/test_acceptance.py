@@ -55,6 +55,7 @@ from support import (
     all_signatures,
     complex_mul,
     mat2_mul,
+    mat_eq,
     mat_scale,
     normalize_word,
     pair_mul,
@@ -273,7 +274,7 @@ def test_criterion_06_cartan_dieudonne(isometry_corpus):
             for w in vectors:
                 assert quadratic_value(form, w) != 0
                 recomposed = _linalg.mat_mul(recomposed, reflection_matrix(form, w).rows())
-            assert _linalg.mat_eq(recomposed, m)
+            assert mat_eq(recomposed, m)
             total += 1
             if len(vectors) <= sig.n:
                 at_most_n += 1
@@ -395,7 +396,7 @@ def test_criterion_09_representation_suite():
     ]
     for sig in rep_sigs:
         ideal = faithful_ideal(sig)
-        assert _linalg.mat_eq(
+        assert mat_eq(
             regular_rep_matrix(Multivector.one(sig), ideal), _linalg.identity(ideal.dim)
         )
         for _ in range(50):
@@ -403,7 +404,7 @@ def test_criterion_09_representation_suite():
             y = rand_multivector(rng, sig, density=0.5)
             lhs = regular_rep_matrix(geometric_product(x, y), ideal)
             rhs = _linalg.mat_mul(regular_rep_matrix(x, ideal), regular_rep_matrix(y, ideal))
-            assert _linalg.mat_eq(lhs, rhs)
+            assert mat_eq(lhs, rhs)
     # spacetime generators on the faithful ideal: 8x8 exact gamma matrices
     sig = Signature(1, 3)
     ideal = faithful_ideal(sig)
@@ -412,16 +413,16 @@ def test_criterion_09_representation_suite():
         regular_rep_matrix(Multivector.generator(sig, t), ideal) for t in range(1, 5)
     ]
     identity = _linalg.identity(8)
-    assert _linalg.mat_eq(_linalg.mat_mul(gammas[0], gammas[0]), identity)
+    assert mat_eq(_linalg.mat_mul(gammas[0], gammas[0]), identity)
     for t in (1, 2, 3):
-        assert _linalg.mat_eq(
+        assert mat_eq(
             _linalg.mat_mul(gammas[t], gammas[t]), mat_scale(Fraction(-1), identity)
         )
     for a in range(4):
         for b in range(a + 1, 4):
             ab = _linalg.mat_mul(gammas[a], gammas[b])
             ba = _linalg.mat_mul(gammas[b], gammas[a])
-            assert _linalg.mat_eq(ab, mat_scale(Fraction(-1), ba))
+            assert mat_eq(ab, mat_scale(Fraction(-1), ba))
     # representation equivalence through interbasis elements
     for sig in [Signature(2, 0), Signature(3, 0)]:
         f1, f2 = build_idempotent_set(find_commuting_blades(sig)).idems
@@ -433,7 +434,7 @@ def test_criterion_09_representation_suite():
             conjugated = _linalg.mat_mul(
                 _linalg.mat_mul(phi, regular_rep_matrix(a, eq.source)), phi_inv
             )
-            assert _linalg.mat_eq(regular_rep_matrix(a, eq.target), conjugated)
+            assert mat_eq(regular_rep_matrix(a, eq.target), conjugated)
     # the split quaternion pair: components are genuinely inequivalent
     sig = Signature(0, 3)
     f_plus, f_minus = build_idempotent_set(find_commuting_blades(sig)).idems
@@ -445,8 +446,8 @@ def test_criterion_09_representation_suite():
     plus_ideal = left_ideal_basis(f_plus)
     minus_ideal = left_ideal_basis(f_minus)
     zero4 = [[Fraction(0)] * 4 for _ in range(4)]
-    assert _linalg.mat_eq(regular_rep_matrix(c_minus, plus_ideal), zero4)
-    assert not _linalg.mat_eq(regular_rep_matrix(c_minus, minus_ideal), zero4)
+    assert mat_eq(regular_rep_matrix(c_minus, plus_ideal), zero4)
+    assert not mat_eq(regular_rep_matrix(c_minus, minus_ideal), zero4)
     # non-simple algebras: single-ideal representation has a kernel, the
     # faithful ideal's does not (matrix images of the blades stay independent)
     for sig in [Signature(1, 0), Signature(0, 3), Signature(2, 1)]:
@@ -482,7 +483,7 @@ def test_criterion_10_exact_diagonalization():
         diagonal = [
             [outcome.diag[a] if a == b else Fraction(0) for b in range(n)] for a in range(n)
         ]
-        assert _linalg.mat_eq(lhs, diagonal)
+        assert mat_eq(lhs, diagonal)
         # Sylvester: the signature is invariant under random congruence
         for _ in range(10):
             while True:

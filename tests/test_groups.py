@@ -23,6 +23,7 @@ from cliffalg import (
     Signature,
     SignatureMismatch,
     blade_mul,
+    blade_name,
     clifford_conjugation,
     embed_vector,
     geometric_product,
@@ -41,11 +42,13 @@ from cliffalg.groups import membership
 from support import (
     all_signatures,
     count_products,
+    mat_eq,
     mat_vec,
     rand_anisotropic_vector,
     rand_isometry,
     rand_vector,
     reference_membership,
+    reference_twisted_adjoint,
 )
 
 REGULAR_SIGS = [Signature(2, 0), Signature(0, 2), Signature(1, 1), Signature(3, 0), Signature(1, 3)]
@@ -99,7 +102,7 @@ class TestTwistedAdjoint:
                 rhs = _linalg.mat_mul(
                     twisted_adjoint_matrix(x).rows(), twisted_adjoint_matrix(y).rows()
                 )
-                assert _linalg.mat_eq(lhs, rhs)
+                assert mat_eq(lhs, rhs)
 
     def test_scaling_invariance(self):
         rng = random.Random(227)
@@ -250,10 +253,24 @@ def membership_cases(draw):
     return x
 
 
+# nonzero scalar norm N, yet outside the group: 1 + e1 in Cl(0,1) sends e1 to
+# the scalar 1, and 1 + e123456 sends e1 to a vector plus a 5-vector
+SCALAR_NORM_OUTSIDE = [
+    Multivector(Signature(0, 1), {0: 1, 0b1: 1}),  # N = 2
+    Multivector(Signature(6, 0), {0: 1, 0b111111: 1}),  # N = 2
+    Multivector(Signature(0, 6), {0: 1, 0b111111: 1}),  # N = 2
+    Multivector(Signature(2, 2, 2), {0: 1, 0b111111: 1}),  # N = 1
+]
+
+
 class TestMembership:
     @settings(max_examples=100, deadline=None)
     @given(membership_cases())
     @example(Multivector(Signature(0, 0, 3), {0: 1, 0b111: -1}))
+    @example(SCALAR_NORM_OUTSIDE[0])
+    @example(SCALAR_NORM_OUTSIDE[1])
+    @example(SCALAR_NORM_OUTSIDE[2])
+    @example(SCALAR_NORM_OUTSIDE[3])
     def test_matches_reference(self, x):
         facts = membership(x)
         expected = reference_membership(x)
@@ -275,6 +292,38 @@ class TestMembership:
         with pytest.raises(NotInGroup):
             GroupElement.from_multivector(x)
         assert calls == [2]
+
+
+class TestTwistedAdjointMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(membership_cases())
+    @example(Multivector(Signature(2, 0), {0: 1, 0b01: 1, 0b11: 1}))  # 1 + e1 + e12
+    @example(SCALAR_NORM_OUTSIDE[0])
+    @example(SCALAR_NORM_OUTSIDE[1])
+    @example(SCALAR_NORM_OUTSIDE[3])
+    @example(Multivector(Signature(0, 0, 3), {0: 1, 0b111: -1}))
+    def test_matches_reference(self, x):
+        # the matrix, or the same error, as the Fraction oracle; NotStable
+        # names a component of grade other than 1 in the first image leaving V
+        n = x.sig.n
+        images = reference_twisted_adjoint(x)
+        if images is None:
+            with pytest.raises(NotInvertible):
+                twisted_adjoint_matrix(x)
+            return
+        unstable = next((image for image in images if image.grades() not in ((), (1,))), None)
+        if unstable is not None:
+            with pytest.raises(NotStable) as info:
+                twisted_adjoint_matrix(x)
+            assert str(info.value) in {
+                "twisted adjoint leaves the vector space: "
+                f"component {blade_name(mask, n)} has grade {mask.bit_count()}"
+                for mask, _ in unstable.terms()
+                if mask.bit_count() != 1
+            }
+            return
+        expected = [[image.coefficient(1 << r) for image in images] for r in range(n)]
+        assert twisted_adjoint_matrix(x).rows() == expected
 
 
 class TestNorm:
@@ -493,7 +542,7 @@ class TestKernelOfTwistedAdjoint:
                     m = twisted_adjoint_matrix(x)
                 except (NotInvertible, NotStable):
                     continue
-                if _linalg.mat_eq(m.rows(), identity):
+                if mat_eq(m.rows(), identity):
                     assert x.is_scalar()
 
     def test_degenerate_kernel_is_larger(self):
@@ -501,4 +550,4 @@ class TestKernelOfTwistedAdjoint:
         sig = Signature(0, 0, 2)
         x = Multivector(sig, {0: 1, 0b11: 1})
         assert not x.is_scalar()
-        assert _linalg.mat_eq(twisted_adjoint_matrix(x).rows(), _linalg.identity(2))
+        assert mat_eq(twisted_adjoint_matrix(x).rows(), _linalg.identity(2))

@@ -36,6 +36,7 @@ from cliffalg import (
     signature_of,
 )
 from support import (
+    mat_eq,
     mat_vec,
     rand_anisotropic_vector,
     rand_fraction,
@@ -137,7 +138,7 @@ def congruence_holds(form, result):
         [result.diag[i] if i == j else Fraction(0) for j in range(form.n)]
         for i in range(form.n)
     ]
-    return _linalg.mat_eq(lhs, d)
+    return mat_eq(lhs, d)
 
 
 class TestBilinearForm:
@@ -266,7 +267,7 @@ class TestReflection:
                     -c for c in _linalg.to_vector(x)
                 ]
                 # involutive isometry of determinant -1
-                assert _linalg.mat_eq(_linalg.mat_mul(rows, rows), _linalg.identity(form.n))
+                assert mat_eq(_linalg.mat_mul(rows, rows), _linalg.identity(form.n))
                 assert is_isometry(form, rows)
                 assert det_sign(m) == -1
                 # depends only on the line through x
@@ -321,7 +322,7 @@ class TestIsometryChecks:
         # M^T B M = B holds; only the determinant rules M out
         form = BilinearForm.diagonal([1, 0])
         m = [[1, 0], [0, 0]]
-        assert _linalg.mat_eq(_linalg.mat_mul(_linalg.mat_mul(_linalg.transpose(m), form.rows()), m), form.rows())
+        assert mat_eq(_linalg.mat_mul(_linalg.mat_mul(_linalg.transpose(m), form.rows()), m), form.rows())
         assert not is_isometry(form, m)
 
     @settings(max_examples=200, deadline=None)
@@ -394,13 +395,13 @@ class TestCartanDieudonne:
         m = reflection_matrix(form, [1, 1])
         vectors = cartan_dieudonne_factor(form, m)
         assert len(vectors) <= 2
-        assert _linalg.mat_eq(self.recompose(form, vectors), m.rows())
+        assert mat_eq(self.recompose(form, vectors), m.rows())
 
     def test_rotation_by_quarter_turn(self):
         form = BilinearForm.diagonal([1, 1])
         vectors = cartan_dieudonne_factor(form, [[0, -1], [1, 0]])
         assert len(vectors) == 2
-        assert _linalg.mat_eq(self.recompose(form, vectors), [[0, -1], [1, 0]])
+        assert mat_eq(self.recompose(form, vectors), [[0, -1], [1, 0]])
 
     def test_random_isometries_diagonal_forms(self):
         rng = random.Random(109)
@@ -410,7 +411,7 @@ class TestCartanDieudonne:
                 m = rand_isometry(rng, form, count)
                 vectors = cartan_dieudonne_factor(form, m)
                 assert len(vectors) <= 2 * form.n
-                assert _linalg.mat_eq(self.recompose(form, vectors), m)
+                assert mat_eq(self.recompose(form, vectors), m)
                 for w in vectors:
                     assert quadratic_value(form, w) != 0
 
@@ -427,7 +428,7 @@ class TestCartanDieudonne:
             m = rand_isometry(rng, form, rng.randint(0, 2 * n))
             vectors = cartan_dieudonne_factor(form, m)
             assert len(vectors) <= 2 * n
-            assert _linalg.mat_eq(self.recompose(form, vectors), m)
+            assert mat_eq(self.recompose(form, vectors), m)
 
     def test_hyperbolic_plane_isometry(self):
         # the form itself has no nonzero diagonal entry, forcing the rescue path
@@ -436,7 +437,7 @@ class TestCartanDieudonne:
         assert is_isometry(form, m)
         vectors = cartan_dieudonne_factor(form, m)
         assert len(vectors) <= 4
-        assert _linalg.mat_eq(self.recompose(form, vectors), m)
+        assert mat_eq(self.recompose(form, vectors), m)
 
     @settings(max_examples=150, deadline=None)
     @given(regular_isometries())
@@ -454,7 +455,7 @@ class TestCartanDieudonne:
         assert quadratic_value(form, [image[0] - 1] + image[1:]) == 0
         # s_{C v_1 + v_1} and then s_{v_1}; C v_1 = v_1 afterwards and nothing is left
         assert cartan_dieudonne_factor(form, m) == [[1, 0, 1], [1, 0, 0]]
-        assert _linalg.mat_eq(self.recompose(form, [[1, 0, 1], [1, 0, 0]]), m)
+        assert mat_eq(self.recompose(form, [[1, 0, 1], [1, 0, 0]]), m)
 
     def test_degenerate_form_rejected(self):
         form = BilinearForm.from_signature(Signature(1, 0, 1))

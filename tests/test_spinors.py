@@ -48,6 +48,7 @@ from support import (
     count_products,
     full_blade_image_span,
     mat_add,
+    mat_eq,
     mat_scale,
     pairwise_orthogonal,
     rand_multivector,
@@ -715,12 +716,12 @@ class TestFaithfulIdeal:
         c_minus = scalar_mul(Fraction(1, 2), add(one, -z))
         ideal = faithful_ideal(sig)
         zero = [[Fraction(0)] * ideal.dim for _ in range(ideal.dim)]
-        assert not _linalg.mat_eq(regular_rep_matrix(c_plus, ideal), zero)
-        assert not _linalg.mat_eq(regular_rep_matrix(c_minus, ideal), zero)
+        assert not mat_eq(regular_rep_matrix(c_plus, ideal), zero)
+        assert not mat_eq(regular_rep_matrix(c_minus, ideal), zero)
         f_plus, f_minus = canonical_idempotents(sig)
         small = left_ideal_basis(f_plus)
         small_zero = [[Fraction(0)] * small.dim for _ in range(small.dim)]
-        assert _linalg.mat_eq(regular_rep_matrix(c_minus, small), small_zero)
+        assert mat_eq(regular_rep_matrix(c_minus, small), small_zero)
 
 
 class TestRegularRepresentation:
@@ -728,7 +729,7 @@ class TestRegularRepresentation:
         rng = random.Random(313)
         for sig in [Signature(1, 0), Signature(0, 2), Signature(2, 0), Signature(3, 0), Signature(0, 3)]:
             ideal = faithful_ideal(sig)
-            assert _linalg.mat_eq(
+            assert mat_eq(
                 regular_rep_matrix(Multivector.one(sig), ideal), _linalg.identity(ideal.dim)
             )
             for _ in range(15):
@@ -738,7 +739,7 @@ class TestRegularRepresentation:
                 product = _linalg.mat_mul(
                     regular_rep_matrix(x, ideal), regular_rep_matrix(y, ideal)
                 )
-                assert _linalg.mat_eq(rep_xy, product)
+                assert mat_eq(rep_xy, product)
 
     def test_linear(self):
         rng = random.Random(317)
@@ -746,7 +747,7 @@ class TestRegularRepresentation:
         ideal = faithful_ideal(sig)
         x = rand_multivector(rng, sig)
         y = rand_multivector(rng, sig)
-        assert _linalg.mat_eq(
+        assert mat_eq(
             regular_rep_matrix(add(x, y), ideal),
             mat_add(regular_rep_matrix(x, ideal), regular_rep_matrix(y, ideal)),
         )
@@ -763,12 +764,12 @@ class TestRegularRepresentation:
             for i, m in enumerate(images, start=1):
                 square = _linalg.mat_mul(m, m)
                 expected = mat_scale(Fraction(sig.generator_square(i)), identity)
-                assert _linalg.mat_eq(square, expected)
+                assert mat_eq(square, expected)
             for a in range(len(images)):
                 for b in range(a + 1, len(images)):
                     ab = _linalg.mat_mul(images[a], images[b])
                     ba = _linalg.mat_mul(images[b], images[a])
-                    assert _linalg.mat_eq(ab, mat_scale(Fraction(-1), ba))
+                    assert mat_eq(ab, mat_scale(Fraction(-1), ba))
 
     def test_spacetime_gamma_matrices(self):
         sig = Signature(1, 3)
@@ -799,7 +800,7 @@ class TestRegularRepresentation:
             x = rand_multivector(rng, sig, density=0.8)
             y = rand_multivector(rng, sig, density=0.8)
             if x != y:
-                assert not _linalg.mat_eq(
+                assert not mat_eq(
                     regular_rep_matrix(x, ideal), regular_rep_matrix(y, ideal)
                 )
 
@@ -896,7 +897,7 @@ class TestIntertwiner:
             result = representation_intertwiner(f1, f2)
             phi = [list(row) for row in result.matrix]
             phi_inv = [list(row) for row in result.inverse]
-            assert _linalg.mat_eq(
+            assert mat_eq(
                 _linalg.mat_mul(phi, phi_inv), _linalg.identity(result.target.dim)
             )
             for _ in range(10):
@@ -904,7 +905,7 @@ class TestIntertwiner:
                 rep_i = regular_rep_matrix(a, result.source)
                 rep_j = regular_rep_matrix(a, result.target)
                 conjugated = _linalg.mat_mul(_linalg.mat_mul(phi, rep_i), phi_inv)
-                assert _linalg.mat_eq(rep_j, conjugated)
+                assert mat_eq(rep_j, conjugated)
 
     def test_cross_component_rejected(self):
         f_plus, f_minus = canonical_idempotents(Signature(0, 3))
