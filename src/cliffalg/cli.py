@@ -21,14 +21,15 @@ import json
 import os
 import sys
 
-from . import core_algebra
 from ._linalg import ScaledMatrix
 from .core_algebra import (
     DEFAULT_DIMENSION_CAP,
     Multivector,
     Signature,
+    _blade_mul_signs,
     _integer_scaled,
-    _nonzero,
+    _negative_mask,
+    _zero_mask,
     blade_name,
     geometric_product,
     multiplication_table,
@@ -119,15 +120,29 @@ def _twisted_adjoint_matches(x: Multivector, rows) -> bool:
     z has no blade holding any e_i: z is a scalar, and x != 0 gives
     rho_x = rho_y = M.  In integers, with x = X / s and column i of M equal
     to C / c, the check reads c * gi(X)*e_i = C*X, and gi(X)*e_i is a signed
-    relabelling of the terms of X.
+    relabelling of the terms of X, and so is each e_j*X: C*X = sum_j C_j*(e_j*X)
+    reads n relabellings formed once, not n sign lists per column.
     """
+    if x.is_zero():
+        return False
+    sig = x.sig
     x_int, _ = _integer_scaled(x._coeffs)
-    columns = (_integer_scaled({1 << j: v for j, v in enumerate(col) if v}) for col in zip(*rows))
-    return not x.is_zero() and all(
-        {mask: scale * v for mask, v in _hat_times_generator(x_int, i, x.sig).items()}
-        == _nonzero(core_algebra._product(column, x_int, x.sig))
-        for i, (column, scale) in enumerate(columns)
-    )
+    negative_mask, zero_mask = _negative_mask(sig), _zero_mask(sig)
+    left = []  # left[j]: e_j * X as (blade, coefficient) pairs
+    for j in range(sig.n):
+        g = 1 << j
+        signs = _blade_mul_signs(g, x_int, negative_mask, zero_mask)
+        left.append([(a ^ g, c if sign > 0 else -c) for (a, c), sign in zip(x_int.items(), signs) if sign])
+    for i, column in enumerate(zip(*rows)):
+        entries, scale = _integer_scaled({j: v for j, v in enumerate(column) if v})
+        acc = [0] * (1 << sig.n)  # C*X, dense over the blades
+        for j, entry in entries.items():
+            for mask, c in left[j]:
+                acc[mask] += entry * c
+        hat = _hat_times_generator(x_int, i, sig)
+        if len(acc) - acc.count(0) != len(hat) or any(acc[a] != scale * c for a, c in hat.items()):
+            return False
+    return True
 
 
 def _form_from_matrix_text(text: str) -> BilinearForm:

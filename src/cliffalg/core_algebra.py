@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     CoefficientTooLarge,
@@ -87,13 +86,11 @@ class Signature:
         return f"({self.p},{self.q},{self.s})"
 
 
-@lru_cache(maxsize=None)
 def _negative_mask(sig: Signature) -> int:
     """Bit mask of the generators squaring to -1."""
     return ((1 << sig.q) - 1) << sig.p
 
 
-@lru_cache(maxsize=None)
 def _zero_mask(sig: Signature) -> int:
     """Bit mask of the generators squaring to 0."""
     return ((1 << sig.s) - 1) << (sig.p + sig.q)

@@ -25,6 +25,18 @@ with the unary minus.  pretty_print emits terms in ascending blade-mask
 order with canonical ascending blade names and round-trips through
 parse_multivector.
 
+Canonical text is read in one pass.  parse_multivector first tries
+_monomial_sum, which matches one regular expression per term: an optional
+sign, then a rational with an optional "*blade", or a blade alone, with
+ASCII digits, ASCII whitespace between tokens, at most MAX_LITERAL_DIGITS
+digits per literal and at most 3 per braced index; only the first term may
+go without a sign, and it may not carry "+".  Any other text, a zero
+denominator, an index outside 1..n or the digit form past 9 generators
+make it return None, and the tokenizer and the recursive descent below
+read the text instead; they are the only source of errors.  The reader
+cannot raise: its literals pass the coefficient budget, and _Parser checks
+no budget on a sum.  It builds the same value, in the same key order.
+
 Limits: nesting (parentheses, function calls, unary minus) deeper than
 MAX_NESTING_DEPTH and integer literals longer than MAX_LITERAL_DIGITS are
 ParseErrors.  A product, power or function value, or a printed coefficient,
@@ -39,6 +51,7 @@ is malformed further on ("2^9000 )"; "e1^2 )" is a ParseError).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -273,8 +286,93 @@ class _Parser:
         return Multivector._raw(self.sig, {mask: _SIGN_COEFFICIENTS[sign]})
 
 
+# One term of a monomial sum: a sign, then rational with an optional *blade,
+# or a blade alone.  The groups are the sign, the numerator, the denominator
+# and the blade after a rational or alone.
+_BLADE = r"(e[0-9]+|e\{[0-9]{1,3}(?:,[0-9]{1,3})*\})"
+_LITERAL = f"([0-9]{{1,{MAX_LITERAL_DIGITS}}})"
+_MONOMIAL = re.compile(
+    rf"\s*([+-]?)\s*(?:{_LITERAL}(?:\s*/\s*{_LITERAL})?(?:\s*\*\s*{_BLADE})?|{_BLADE})\s*",
+    re.ASCII,
+)
+
+
+def _monomial_sum(text: str, sig: Signature) -> Multivector | None:
+    """The value of a sum of rational*blade monomials, or None outside that form.
+
+    This reads the canonical text pretty_print emits, and the sums users
+    write, without tokens or one Multivector per atom; parse_multivector
+    falls back to _Parser on None.  The value and the key order of its
+    coefficient map are those _Parser gives: each blade word folds through
+    the blade signs one letter at a time, and each term adds to the prior
+    coefficient of its blade, deleting it when the sum is 0.
+
+    The reader cannot raise, so every ParseError and CoefficientTooLarge,
+    with its message and position, comes from _Parser.  It returns None on
+    a leading "+", a missing sign between terms, a zero denominator, an
+    index outside 1..n, the digit form with n > 9, and any text its pattern
+    does not cover to the end (non-ASCII digits or spaces, "^", parentheses,
+    functions, products of two blades).  A literal has at most
+    MAX_LITERAL_DIGITS digits, so it is below 10^2457 < 2^8192 and passes
+    the coefficient budget _Parser checks after each product; a blade sign
+    is 1, -1 or 0; and _Parser does not check the budget of a sum either.
+    """
+    n = sig.n
+    negative_mask = _negative_mask(sig)
+    zero_mask = _zero_mask(sig)
+    acc: dict = {}
+    position, end = 0, len(text)
+    while position < end:
+        match = _MONOMIAL.match(text, position)
+        if match is None:
+            return None
+        sign, numerator, denominator, word, bare = match.groups()
+        # the first term may carry only "-"; every later one needs a sign
+        if (sign == "+") if position == 0 else not sign:
+            return None
+        position = match.end()
+        value = int(numerator) if numerator else 1
+        if sign == "-":
+            value = -value
+        mask = 0
+        word = word or bare
+        if word:
+            if word[1] == "{":
+                indices = [int(i) for i in word[2:-1].split(",")]
+            elif n > 9:
+                return None
+            else:
+                indices = [int(i) for i in word[1:]]
+            for i in indices:
+                if i < 1 or i > n:
+                    return None
+                bit = 1 << (i - 1)
+                value *= _blade_mul_signs(mask, (bit,), negative_mask, zero_mask)[0]
+                mask ^= bit
+        denominator = int(denominator) if denominator else 1
+        if not denominator:
+            return None
+        if not value:
+            continue
+        coefficient = Fraction(value, denominator)
+        prior = acc.get(mask)
+        if prior is None:
+            acc[mask] = coefficient
+        else:
+            total = prior + coefficient
+            if total:
+                acc[mask] = total
+            else:
+                del acc[mask]
+    # empty text is _Parser's ParseError
+    return Multivector._raw(sig, acc) if end else None
+
+
 def parse_multivector(text: str, sig: Signature) -> Multivector:
     """Parse an expression and evaluate it to an exact multivector in Cl(sig)."""
+    value = _monomial_sum(text, sig)
+    if value is not None:
+        return value
     parser = _Parser(_tokenize(text), sig)
     value = parser.parse_expr()
     trailing = parser.peek()

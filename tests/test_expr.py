@@ -338,3 +338,142 @@ class TestPrettyPrint:
         for _ in range(5):
             x = rand_multivector(rng, sig, density=0.01)
             assert value(pretty_print(x), sig) == x
+
+
+def general_parse(text, sig):
+    """parse_multivector's recursive-descent path alone: tokens and _Parser."""
+    parser = expr._Parser(expr._tokenize(text), sig)
+    value = parser.parse_expr()
+    assert parser.peek().kind == "end"
+    return value
+
+
+@st.composite
+def signatures(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    s = draw(st.integers(0, n))
+    p = draw(st.integers(0, n - s))
+    return Signature(p, n - s - p, s)
+
+
+@st.composite
+def monomial_sums(draw):
+    """(signature, text, readable): a sum of rational*blade monomials on a
+    signature with n <= 12, s >= 0.  Each piece is drawn in or out of the
+    reader's language (a leading "+", a missing sign, a zero denominator, an
+    index out of range or past 3 digits, the digit form past 9 generators,
+    non-ASCII digits or spaces, a literal past MAX_LITERAL_DIGITS, a space
+    inside braces); readable is True when every piece is in it."""
+    sig = draw(signatures(12))
+    n = sig.n
+    longest = expr.MAX_LITERAL_DIGITS
+    readable = True
+
+    def pick(options):
+        # (text, readable) pairs: one piece in twenty may leave the language
+        nonlocal readable
+        if draw(st.integers(0, 19)):
+            options = [option for option in options if option[1]]
+        text, ok = draw(st.sampled_from(options))
+        readable &= ok
+        return text
+
+    def gap():
+        return pick([("", True), (" ", True), ("\t", True), ("\n  ", True), ("\u00a0", False)])
+
+    def literal(value, denominator=False):
+        return pick(
+            [
+                (str(value), value != 0 or not denominator),
+                ("00" + str(value), value != 0 or not denominator),
+                ("9" * longest, True),
+                ("1" + "0" * longest, False),
+                ("٣", False),
+            ]
+        )
+
+    def index(top):
+        i = draw(st.integers(1, top)) if n and draw(st.integers(0, 15)) else draw(st.sampled_from([0, n + 1]))
+        nonlocal readable
+        readable &= 1 <= i <= n
+        return i
+
+    def blade():
+        # words over e1, e2 alone often meet again: cancellation and re-insertion
+        top = n if draw(st.booleans()) else min(n, 2)
+        word = [index(top) for _ in range(draw(st.integers(1, 4)))]
+        if max(word) < 10 and not draw(st.booleans()):
+            nonlocal readable
+            readable &= n <= 9
+            return "e" + "".join(map(str, word)) + pick([("", True), ("٢", False)])
+        names = [pick([(str(i), True), (f"{i:03}", True), (f"{i:04}", False), (f" {i}", False)]) for i in word]
+        return "e{" + ",".join(names) + "}"
+
+    terms = []
+    for position in range(draw(st.integers(1, 6))):
+        if position == 0:
+            sign = pick([("", True), ("-", True), ("+", False)])
+        else:
+            sign = pick([("+", True), ("-", True), ("", False)])
+        form = draw(st.sampled_from(["rational", "monomial", "blade"]) if n else st.just("rational"))
+        body = ""
+        if form != "blade":
+            body = literal(draw(st.integers(0, 9)))
+            if draw(st.booleans()):
+                body += gap() + "/" + gap() + literal(draw(st.integers(0, 5)), denominator=True)
+        if form == "monomial":
+            body += gap() + "*" + gap()
+        if form != "rational":
+            body += blade()
+        terms.append(gap() + sign + gap() + body + gap())
+    return sig, "".join(terms), readable
+
+
+S111 = Signature(1, 1, 1)
+S10 = Signature(10, 0)
+
+
+class TestMonomialReader:
+    @settings(max_examples=400, deadline=None)
+    @given(monomial_sums())
+    # cancellation and re-insertion, out-of-order and repeated words, null generators
+    @example((S111, "e1 + e2 - e1 + e12 + e21 + 2*e1 - 3", True))
+    @example((S111, "e13 + e31 + 0*e2 - 0 + e33 + 2*e233", True))
+    @example((S10, "1/2*e{10,1} - e{001,010}", True))
+    # the fall-back cases: each is read by _Parser, or refused by it
+    @example((S111, "+e1", False))
+    @example((S111, "1/0*e1", False))
+    @example((S111, "1/00", False))
+    @example((S111, "e14", False))
+    @example((S111, "e{0}", False))
+    @example((S10, "e1", False))
+    @example((S111, "1 e1", False))
+    @example((S111, "1 + -e1", False))
+    @example((S111, "٣*e1", False))
+    @example((S111, "e١", False))
+    @example((S111, "e{1, 2}", False))
+    @example((S111, "e{0001}", False))
+    @example((S111, "e1²", False))
+    @example((S111, "e1^2", False))
+    @example((S111, "(1 + e1)", False))
+    @example((S111, "rev(e12)", False))
+    @example((S111, "e1*e2", False))
+    @example((S111, "2*3", False))
+    @example((S111, "1 +", False))
+    @example((S111, "", False))
+    def test_matches_general_parser(self, case):
+        sig, text, readable = case
+        value = expr._monomial_sum(text, sig)
+        assert (value is not None) == readable
+        if value is not None:
+            # the same coefficients in the same key order
+            assert list(value._coeffs.items()) == list(general_parse(text, sig)._coeffs.items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_reads_pretty_print(self, data):
+        sig = data.draw(signatures(12))
+        masks = st.integers(0, (1 << sig.n) - 1)
+        coeffs = data.draw(st.dictionaries(masks, st.fractions(-20, 20, max_denominator=9), max_size=12))
+        x = Multivector(sig, coeffs)
+        assert expr._monomial_sum(pretty_print(x), sig) == x
