@@ -32,10 +32,20 @@ ASCII digits, ASCII whitespace between tokens, at most MAX_LITERAL_DIGITS
 digits per literal and at most 3 per braced index; only the first term may
 go without a sign, and it may not carry "+".  Any other text, a zero
 denominator, an index outside 1..n or the digit form past 9 generators
-make it return None, and the tokenizer and the recursive descent below
-read the text instead; they are the only source of errors.  The reader
-cannot raise: its literals pass the coefficient budget, and _Parser checks
-no budget on a sum.  It builds the same value, in the same key order.
+make it return None, and the tokenizer and the general reader below read
+the text instead; they are the only source of errors.  The monomial reader
+cannot raise: its literals pass the coefficient budget, and the general
+reader checks no budget on a sum.  It builds the same value, in the same
+key order.
+
+The general reader, _evaluate, is one loop over the tokens with an explicit
+stack of frames, one per open parenthesis or function call: the sum so far,
+the product so far, the sign of the next term and the pending unary
+minuses.  It does the work of the grammar above at the same tokens as a
+recursive descent would, so it cannot change what is evaluated when: a
+product is formed, and its budget checked, as soon as its right factor is
+complete; "^" applies to the atom before the pending unary minuses; a term
+joins the sum when the next token is not "*"; a frame closes at its ")".
 
 Limits: nesting (parentheses, function calls, unary minus) deeper than
 MAX_NESTING_DEPTH and integer literals longer than MAX_LITERAL_DIGITS are
@@ -65,6 +75,7 @@ from .core_algebra import (
     _zero_mask,
     blade_name,
     check_coefficient_bits,
+    check_rational_bits,
     clifford_conjugation,
     even_part,
     geometric_product,
@@ -72,7 +83,6 @@ from .core_algebra import (
     norm,
     odd_part,
     reversion,
-    scalar_mul,
 )
 from .errors import ParseError
 
@@ -88,8 +98,8 @@ FUNCTIONS = {
 _SYMBOLS = set("+-*/^(){},")
 
 # Parentheses, function calls and unary minus each nest one level.  The
-# parser recurses about four frames per level, so this stays well inside
-# Python's default recursion limit of 1000.
+# reader keeps its own stack, so this no longer guards the Python stack; it
+# stays as the documented input limit (README, test_cli.py).
 MAX_NESTING_DEPTH = 100
 
 
@@ -131,159 +141,192 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token], sig: Signature):
-        self.tokens = tokens
-        self.sig = sig
-        self.index = 0
-        self.depth = 0
-        self.negative_mask = _negative_mask(sig)
-        self.zero_mask = _zero_mask(sig)
+def _integer(text: str, pos: int) -> int:
+    if len(text) > MAX_LITERAL_DIGITS:
+        raise ParseError(f"number has more than {MAX_LITERAL_DIGITS} digits", pos)
+    return int(text)
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
 
-    def advance(self) -> Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
+def _expected(symbol: str, token: Token) -> ParseError:
+    return ParseError(f"expected {symbol!r}, found {token.text!r}", token.pos)
 
-    def at_symbol(self, text: str) -> bool:
-        token = self.peek()
-        return token.kind == "symbol" and token.text == text
 
-    def expect_symbol(self, text: str) -> Token:
-        if not self.at_symbol(text):
-            token = self.peek()
-            raise ParseError(f"expected {text!r}, found {token.text!r}", token.pos)
-        return self.advance()
+def _too_deep(pos: int) -> ParseError:
+    return ParseError(f"expression nests deeper than {MAX_NESTING_DEPTH} levels", pos)
 
-    def nested(self, parse, token: Token):
-        """Run one nested parse, refusing to go deeper than MAX_NESTING_DEPTH."""
-        if self.depth == MAX_NESTING_DEPTH:
-            raise ParseError(f"expression nests deeper than {MAX_NESTING_DEPTH} levels", token.pos)
-        self.depth += 1
-        value = parse()
-        self.depth -= 1
-        return value
 
-    def integer(self, token: Token) -> int:
-        if len(token.text) > MAX_LITERAL_DIGITS:
-            raise ParseError(f"number has more than {MAX_LITERAL_DIGITS} digits", token.pos)
-        return int(token.text)
+def _check_bits(coeffs: dict) -> None:
+    for value in coeffs.values():
+        check_rational_bits(value)
 
-    def parse_expr(self) -> Multivector:
-        # one coefficient map for the whole sum: each term adds in place
-        acc = dict(self.parse_term()._coeffs)
-        while self.at_symbol("+") or self.at_symbol("-"):
-            negate = self.advance().text == "-"
-            for mask, coefficient in self.parse_term()._coeffs.items():
-                if negate:
-                    coefficient = -coefficient
-                prior = acc.get(mask)
-                total = coefficient if prior is None else prior + coefficient
-                if total:
-                    acc[mask] = total
-                else:
-                    # removed as add() removes it: a blade that cancels and
-                    # comes back is stored last, as in x + y
-                    del acc[mask]
-        return Multivector._raw(self.sig, acc)
 
-    def parse_term(self) -> Multivector:
-        value = self.parse_factor()
-        while self.at_symbol("*"):
-            self.advance()
-            factor = self.parse_factor()
-            # a scalar factor (0 included) rescales without the product kernel
-            if value.is_scalar():
-                value = scalar_mul(value.scalar_part(), factor)
-            elif factor.is_scalar():
-                value = scalar_mul(factor.scalar_part(), value)
+def _evaluate(tokens: list[Token], sig: Signature) -> Multivector:
+    """The value of a token list, read in one loop with an explicit stack of frames.
+
+    The open frame is a parenthesis, a function call or the whole text.  It
+    holds the sum so far, the product so far, the sign of the next term, the
+    pending unary minuses and its opener; a "(" or "fn(" pushes it and the
+    matching ")" pops it.  Values are coefficient maps (mask -> Fraction, no
+    zeros); only a product of two non-scalars, a power and a function value
+    go through Multivector.  The loop evaluates in the grammar's order (see
+    the module docstring), so every error and every key order is the same.
+    """
+    n = sig.n
+    negative_mask = _negative_mask(sig)
+    zero_mask = _zero_mask(sig)
+    stack = []
+    total, product, negate, minuses, opener = {}, None, False, 0, None
+    depth = 0  # open frames plus pending unary minuses
+    index = 0
+    while True:
+        # a factor starts here: unary minuses, an opener or an atom
+        kind, text, pos = tokens[index]
+        index += 1
+        if text == "-":
+            if depth == MAX_NESTING_DEPTH:
+                raise _too_deep(pos)
+            depth += 1
+            minuses += 1
+            continue
+        if text == "(" or kind == "name" and text in FUNCTIONS:
+            if text != "(":
+                token = tokens[index]
+                if token.text != "(":
+                    raise _expected("(", token)
+                pos = token.pos
+                index += 1
+            if depth == MAX_NESTING_DEPTH:
+                raise _too_deep(pos)
+            depth += 1
+            stack.append((total, product, negate, minuses, opener))
+            total, product, negate, minuses, opener = {}, None, False, 0, text
+            continue
+        if kind == "number":
+            numerator = _integer(text, pos)
+            denominator = 1
+            if tokens[index].text == "/":
+                kind, text, pos = tokens[index + 1]
+                if kind != "number":
+                    raise ParseError("expected denominator digits", pos)
+                index += 2
+                denominator = _integer(text, pos)
+                if not denominator:
+                    raise ParseError("zero denominator", pos)
+            value = {0: Fraction(numerator, denominator)} if numerator else {}
+        elif kind == "name" and text[0] == "e":
+            if len(text) > 1:
+                digits = text[1:]
+                if not digits.isdecimal():
+                    raise ParseError(f"unknown name {text!r}", pos)
+                if n > 9:
+                    raise ParseError(
+                        "digit blade form is ambiguous beyond 9 generators; use e{i,j,...}", pos
+                    )
+                indices = [int(d) for d in digits]
             else:
-                value = geometric_product(value, factor)
-            check_coefficient_bits(value)
-        return value
-
-    def parse_factor(self) -> Multivector:
-        if self.at_symbol("-"):
-            return -self.nested(self.parse_factor, self.advance())
-        value = self.parse_atom()
-        if self.at_symbol("^"):
-            self.advance()
-            token = self.peek()
-            if token.kind != "number":
-                raise ParseError("exponent must be a non-negative integer", token.pos)
-            self.advance()
-            value = value ** self.integer(token)  # checks the budget per squaring
-        return value
-
-    def parse_atom(self) -> Multivector:
-        token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            numerator, denominator = self.integer(token), 1
-            if self.at_symbol("/"):
-                self.advance()
-                denom = self.peek()
-                if denom.kind != "number":
-                    raise ParseError("expected denominator digits", denom.pos)
-                self.advance()
-                denominator = self.integer(denom)
-                if denominator == 0:
-                    raise ParseError("zero denominator", denom.pos)
-            return Multivector._raw(self.sig, {0: Fraction(numerator, denominator)})
-        if token.kind == "symbol" and token.text == "(":
-            value = self.nested(self.parse_expr, self.advance())
-            self.expect_symbol(")")
-            return value
-        if token.kind == "name":
-            if token.text in FUNCTIONS:
-                self.advance()
-                argument = self.nested(self.parse_expr, self.expect_symbol("("))
-                self.expect_symbol(")")
-                value = FUNCTIONS[token.text](argument)
-                check_coefficient_bits(value)  # N squares coefficient sizes
-                return value
-            if token.text[0] == "e":
-                return self.parse_blade()
-            raise ParseError(f"unknown name {token.text!r}", token.pos)
-        raise ParseError(f"unexpected token {token.text!r}", token.pos)
-
-    def parse_blade(self) -> Multivector:
-        token = self.advance()
-        if len(token.text) > 1:
-            digits = token.text[1:]
-            if not digits.isdecimal():
-                raise ParseError(f"unknown name {token.text!r}", token.pos)
-            if self.sig.n > 9:
-                raise ParseError(
-                    "digit blade form is ambiguous beyond 9 generators; use e{i,j,...}",
-                    token.pos,
-                )
-            indices = [int(d) for d in digits]
+                # bare "e": braced form e{1,2,...}
+                indices = []
+                separator = tokens[index]
+                if separator.text != "{":
+                    raise _expected("{", separator)
+                index += 1
+                while separator.text != "}":
+                    number = tokens[index]
+                    if number.kind != "number":
+                        raise ParseError("expected generator index", number.pos)
+                    indices.append(_integer(number.text, number.pos))
+                    separator = tokens[index + 1]
+                    if separator.text != "," and separator.text != "}":
+                        raise _expected("}", separator)
+                    index += 2
+            for i in indices:
+                if i < 1 or i > n:
+                    raise ParseError(f"generator index {i} out of range 1..{n}", pos)
+            # reduce the written generator word through the algebra relations,
+            # one blade sign per letter; a null square makes the word zero
+            sign, mask = 1, 0
+            for i in indices:
+                bit = 1 << (i - 1)
+                sign *= _blade_mul_signs(mask, (bit,), negative_mask, zero_mask)[0]
+                mask ^= bit
+            value = {mask: _SIGN_COEFFICIENTS[sign]} if sign else {}
+        elif kind == "name":
+            raise ParseError(f"unknown name {text!r}", pos)
         else:
-            # bare "e": braced form e{1,2,...}
-            indices = []
-            separator = self.expect_symbol("{")
-            while separator.text != "}":
-                number = self.peek()
-                if number.kind != "number":
-                    raise ParseError("expected generator index", number.pos)
-                self.advance()
-                indices.append(self.integer(number))
-                separator = self.advance() if self.at_symbol(",") else self.expect_symbol("}")
-        for i in indices:
-            if i < 1 or i > self.sig.n:
-                raise ParseError(f"generator index {i} out of range 1..{self.sig.n}", token.pos)
-        # reduce the written generator word through the algebra relations,
-        # one blade sign per letter; a null square makes the word zero
-        sign, mask = 1, 0
-        for i in indices:
-            bit = 1 << (i - 1)
-            sign *= _blade_mul_signs(mask, (bit,), self.negative_mask, self.zero_mask)[0]
-            mask ^= bit
-        return Multivector._raw(self.sig, {mask: _SIGN_COEFFICIENTS[sign]})
+            raise ParseError(f"unexpected token {text!r}", pos)
+
+        # an atom is complete: finish the factor, then every term, sum and
+        # frame that the next token closes
+        while True:
+            if tokens[index].text == "^":
+                kind, text, pos = tokens[index + 1]
+                if kind != "number":
+                    raise ParseError("exponent must be a non-negative integer", pos)
+                index += 2
+                # checks the budget per squaring
+                value = (Multivector._raw(sig, value) ** _integer(text, pos))._coeffs
+            if minuses:
+                if minuses & 1:
+                    value = {mask: -c for mask, c in value.items()}
+                depth -= minuses
+                minuses = 0
+            if product is None:
+                product = value
+            else:
+                # a scalar factor (0 included) rescales without the product kernel
+                if not any(product):
+                    c = product.get(0)
+                    product = {mask: c * v for mask, v in value.items()} if c else {}
+                elif not any(value):
+                    c = value.get(0)
+                    product = {mask: c * v for mask, v in product.items()} if c else {}
+                else:
+                    product = geometric_product(
+                        Multivector._raw(sig, product), Multivector._raw(sig, value)
+                    )._coeffs
+                _check_bits(product)
+            token = tokens[index]
+            text = token.text
+            if text == "*":
+                index += 1
+                break
+            # the term is complete: add it to the sum in place
+            if negate:
+                product = {mask: -c for mask, c in product.items()}
+            if total:
+                for mask, c in product.items():
+                    prior = total.get(mask)
+                    if prior is None:
+                        total[mask] = c
+                    else:
+                        c = prior + c
+                        if c:
+                            total[mask] = c
+                        else:
+                            # removed as add() removes it: a blade that cancels and
+                            # comes back is stored last, as in x + y
+                            del total[mask]
+            else:
+                total = product
+            product = None
+            if text == "+" or text == "-":
+                negate = text == "-"
+                index += 1
+                break
+            # the sum is complete: it ends the text or closes the open frame
+            if opener is None:
+                if token.kind != "end":
+                    raise ParseError(f"unexpected token {text!r}", token.pos)
+                return Multivector._raw(sig, total)
+            if text != ")":
+                raise _expected(")", token)
+            index += 1
+            value = total
+            if opener != "(":
+                value = FUNCTIONS[opener](Multivector._raw(sig, value))._coeffs
+                _check_bits(value)  # N squares coefficient sizes
+            total, product, negate, minuses, opener = stack.pop()
+            depth -= 1
 
 
 # One term of a monomial sum: a sign, then rational with an optional *blade,
@@ -301,21 +344,22 @@ def _monomial_sum(text: str, sig: Signature) -> Multivector | None:
     """The value of a sum of rational*blade monomials, or None outside that form.
 
     This reads the canonical text pretty_print emits, and the sums users
-    write, without tokens or one Multivector per atom; parse_multivector
-    falls back to _Parser on None.  The value and the key order of its
-    coefficient map are those _Parser gives: each blade word folds through
-    the blade signs one letter at a time, and each term adds to the prior
-    coefficient of its blade, deleting it when the sum is 0.
+    write, without tokens; parse_multivector falls back to _evaluate on
+    None.  The value and the key order of its coefficient map are those
+    _evaluate gives: each blade word folds through the blade signs one
+    letter at a time, and each term adds to the prior coefficient of its
+    blade, deleting it when the sum is 0.
 
     The reader cannot raise, so every ParseError and CoefficientTooLarge,
-    with its message and position, comes from _Parser.  It returns None on
+    with its message and position, comes from _evaluate.  It returns None on
     a leading "+", a missing sign between terms, a zero denominator, an
     index outside 1..n, the digit form with n > 9, and any text its pattern
     does not cover to the end (non-ASCII digits or spaces, "^", parentheses,
     functions, products of two blades).  A literal has at most
     MAX_LITERAL_DIGITS digits, so it is below 10^2457 < 2^8192 and passes
-    the coefficient budget _Parser checks after each product; a blade sign
-    is 1, -1 or 0; and _Parser does not check the budget of a sum either.
+    the coefficient budget _evaluate checks after each product; a blade
+    sign is 1, -1 or 0; and _evaluate does not check the budget of a sum
+    either.
     """
     n = sig.n
     negative_mask = _negative_mask(sig)
@@ -364,7 +408,7 @@ def _monomial_sum(text: str, sig: Signature) -> Multivector | None:
                 acc[mask] = total
             else:
                 del acc[mask]
-    # empty text is _Parser's ParseError
+    # empty text is _evaluate's ParseError
     return Multivector._raw(sig, acc) if end else None
 
 
@@ -373,12 +417,7 @@ def parse_multivector(text: str, sig: Signature) -> Multivector:
     value = _monomial_sum(text, sig)
     if value is not None:
         return value
-    parser = _Parser(_tokenize(text), sig)
-    value = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected token {trailing.text!r}", trailing.pos)
-    return value
+    return _evaluate(_tokenize(text), sig)
 
 
 # the short public name: the same function object, not a wrapper

@@ -362,9 +362,15 @@ def parse_vector(text: str) -> list[Fraction]:
 
 
 def parse_matrix(text: str) -> list[list[Fraction]]:
-    rows = [parse_vector(row) for row in text.split(";") if row.strip()]
-    if not rows:
+    pieces = text.split(";")
+    if not any(piece.strip() for piece in pieces):
         raise ParseError("empty matrix text")
+    rows = []
+    for piece in pieces:
+        # a blank row is refused as parse_vector refuses a blank entry
+        if not piece.strip():
+            raise ParseError("empty matrix row")
+        rows.append(parse_vector(piece))
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseError("matrix rows have differing lengths")

@@ -17,6 +17,7 @@ from fractions import Fraction
 from cliffalg import (
     BilinearForm,
     Multivector,
+    ParseError,
     Signature,
     add,
     blade_mul,
@@ -32,7 +33,16 @@ from cliffalg import (
     reversion,
     scalar_mul,
 )
-from cliffalg import _linalg, core_algebra
+from cliffalg import _linalg, core_algebra, expr
+from cliffalg.core_algebra import (
+    _SIGN_COEFFICIENTS,
+    MAX_LITERAL_DIGITS,
+    _blade_mul_signs,
+    _negative_mask,
+    _zero_mask,
+    check_coefficient_bits,
+)
+from cliffalg.expr import FUNCTIONS, MAX_NESTING_DEPTH, Token
 
 
 def mat_add(a, b):
@@ -297,6 +307,29 @@ def render_expression(tree) -> str:
     return f"{name}({render_expression(argument)})"
 
 
+def render_parenthesized(tree) -> str:
+    """The text of an expression tree as perfbench writes its expressions.
+
+    Every operand is parenthesized, and a sum or product is a left-nested
+    chain of binary operations: "((a) + (b)) - (c)", "-(a)", "(a)^3".
+    """
+    kind = tree[0]
+    if kind in ("num", "blade"):
+        return render_expression(tree)
+    if kind in ("sum", "product"):
+        pairs = tree[2] if kind == "sum" else [("*", factor) for factor in tree[1][1:]]
+        text = render_parenthesized(tree[1] if kind == "sum" else tree[1][0])
+        for op, operand in pairs:
+            text = f"({text}) {op} ({render_parenthesized(operand)})"
+        return text
+    if kind == "neg":
+        return f"-({render_parenthesized(tree[1])})"
+    if kind == "pow":
+        return f"({render_parenthesized(tree[1])})^{tree[2]}"
+    _, name, argument = tree
+    return f"{name}({render_parenthesized(argument)})"
+
+
 REFERENCE_FUNCTIONS = {
     "rev": reversion,
     "gi": grade_involution,
@@ -346,6 +379,181 @@ def reference_value(tree, sig: Signature) -> Multivector:
         return value
     _, name, argument = tree
     return REFERENCE_FUNCTIONS[name](reference_value(argument, sig))
+
+
+class _Parser:
+    """The recursive-descent evaluator parse_multivector used before its one-loop reader.
+
+    One method per grammar rule, each computing its value as it reads; kept
+    as the differential oracle for expr._evaluate (see reference_parse).
+    """
+
+    def __init__(self, tokens: list[Token], sig: Signature):
+        self.tokens = tokens
+        self.sig = sig
+        self.index = 0
+        self.depth = 0
+        self.negative_mask = _negative_mask(sig)
+        self.zero_mask = _zero_mask(sig)
+
+    def peek(self) -> Token:
+        return self.tokens[self.index]
+
+    def advance(self) -> Token:
+        token = self.tokens[self.index]
+        self.index += 1
+        return token
+
+    def at_symbol(self, text: str) -> bool:
+        token = self.peek()
+        return token.kind == "symbol" and token.text == text
+
+    def expect_symbol(self, text: str) -> Token:
+        if not self.at_symbol(text):
+            token = self.peek()
+            raise ParseError(f"expected {text!r}, found {token.text!r}", token.pos)
+        return self.advance()
+
+    def nested(self, parse, token: Token):
+        """Run one nested parse, refusing to go deeper than MAX_NESTING_DEPTH."""
+        if self.depth == MAX_NESTING_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING_DEPTH} levels", token.pos)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
+    def integer(self, token: Token) -> int:
+        if len(token.text) > MAX_LITERAL_DIGITS:
+            raise ParseError(f"number has more than {MAX_LITERAL_DIGITS} digits", token.pos)
+        return int(token.text)
+
+    def parse_expr(self) -> Multivector:
+        # one coefficient map for the whole sum: each term adds in place
+        acc = dict(self.parse_term()._coeffs)
+        while self.at_symbol("+") or self.at_symbol("-"):
+            negate = self.advance().text == "-"
+            for mask, coefficient in self.parse_term()._coeffs.items():
+                if negate:
+                    coefficient = -coefficient
+                prior = acc.get(mask)
+                total = coefficient if prior is None else prior + coefficient
+                if total:
+                    acc[mask] = total
+                else:
+                    # removed as add() removes it: a blade that cancels and
+                    # comes back is stored last, as in x + y
+                    del acc[mask]
+        return Multivector._raw(self.sig, acc)
+
+    def parse_term(self) -> Multivector:
+        value = self.parse_factor()
+        while self.at_symbol("*"):
+            self.advance()
+            factor = self.parse_factor()
+            # a scalar factor (0 included) rescales without the product kernel
+            if value.is_scalar():
+                value = scalar_mul(value.scalar_part(), factor)
+            elif factor.is_scalar():
+                value = scalar_mul(factor.scalar_part(), value)
+            else:
+                value = geometric_product(value, factor)
+            check_coefficient_bits(value)
+        return value
+
+    def parse_factor(self) -> Multivector:
+        if self.at_symbol("-"):
+            return -self.nested(self.parse_factor, self.advance())
+        value = self.parse_atom()
+        if self.at_symbol("^"):
+            self.advance()
+            token = self.peek()
+            if token.kind != "number":
+                raise ParseError("exponent must be a non-negative integer", token.pos)
+            self.advance()
+            value = value ** self.integer(token)  # checks the budget per squaring
+        return value
+
+    def parse_atom(self) -> Multivector:
+        token = self.peek()
+        if token.kind == "number":
+            self.advance()
+            numerator, denominator = self.integer(token), 1
+            if self.at_symbol("/"):
+                self.advance()
+                denom = self.peek()
+                if denom.kind != "number":
+                    raise ParseError("expected denominator digits", denom.pos)
+                self.advance()
+                denominator = self.integer(denom)
+                if denominator == 0:
+                    raise ParseError("zero denominator", denom.pos)
+            return Multivector._raw(self.sig, {0: Fraction(numerator, denominator)})
+        if token.kind == "symbol" and token.text == "(":
+            value = self.nested(self.parse_expr, self.advance())
+            self.expect_symbol(")")
+            return value
+        if token.kind == "name":
+            if token.text in FUNCTIONS:
+                self.advance()
+                argument = self.nested(self.parse_expr, self.expect_symbol("("))
+                self.expect_symbol(")")
+                value = FUNCTIONS[token.text](argument)
+                check_coefficient_bits(value)  # N squares coefficient sizes
+                return value
+            if token.text[0] == "e":
+                return self.parse_blade()
+            raise ParseError(f"unknown name {token.text!r}", token.pos)
+        raise ParseError(f"unexpected token {token.text!r}", token.pos)
+
+    def parse_blade(self) -> Multivector:
+        token = self.advance()
+        if len(token.text) > 1:
+            digits = token.text[1:]
+            if not digits.isdecimal():
+                raise ParseError(f"unknown name {token.text!r}", token.pos)
+            if self.sig.n > 9:
+                raise ParseError(
+                    "digit blade form is ambiguous beyond 9 generators; use e{i,j,...}",
+                    token.pos,
+                )
+            indices = [int(d) for d in digits]
+        else:
+            # bare "e": braced form e{1,2,...}
+            indices = []
+            separator = self.expect_symbol("{")
+            while separator.text != "}":
+                number = self.peek()
+                if number.kind != "number":
+                    raise ParseError("expected generator index", number.pos)
+                self.advance()
+                indices.append(self.integer(number))
+                separator = self.advance() if self.at_symbol(",") else self.expect_symbol("}")
+        for i in indices:
+            if i < 1 or i > self.sig.n:
+                raise ParseError(f"generator index {i} out of range 1..{self.sig.n}", token.pos)
+        # reduce the written generator word through the algebra relations,
+        # one blade sign per letter; a null square makes the word zero
+        sign, mask = 1, 0
+        for i in indices:
+            bit = 1 << (i - 1)
+            sign *= _blade_mul_signs(mask, (bit,), self.negative_mask, self.zero_mask)[0]
+            mask ^= bit
+        return Multivector._raw(self.sig, {mask: _SIGN_COEFFICIENTS[sign]})
+
+
+def reference_parse(text: str, sig: Signature) -> Multivector:
+    """parse_multivector's general path as a recursive descent over expr._tokenize's tokens.
+
+    It evaluates in the same order and raises the same errors at the same
+    positions, with the Python stack as its frame stack.
+    """
+    parser = _Parser(expr._tokenize(text), sig)
+    value = parser.parse_expr()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        raise ParseError(f"unexpected token {trailing.text!r}", trailing.pos)
+    return value
 
 
 def dense_inverse(x: Multivector):

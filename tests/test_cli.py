@@ -108,6 +108,9 @@ class TestExitCodes:
             ["eval", "--sig", "2,0", "--", "2^²"],
             ["eval", "--sig", "2,0", "--", "1/²"],
             ["check", "--sig", "2,0", "--", "e²"],
+            # a blank matrix row is refused, not skipped
+            ["diagonalize", "--matrix", "1,0;;0,1"],
+            ["diagonalize", "--matrix", "1,0;0,1;"],
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -157,6 +160,20 @@ class TestExitCodes:
         code, out, err = run_text(capsys, ["eval", "--sig", "2,0", deep])
         assert code == 2
         assert err.startswith("error: ") and "nests deeper" in err
+
+    @pytest.mark.parametrize("opener", ["(", "rev(", "-"])
+    def test_nesting_limit_is_exact(self, capsys, opener):
+        # MAX_NESTING_DEPTH = 100 levels evaluate; the 101st opener is refused
+        closer = ")" if opener.endswith("(") else ""
+        for levels, expected in ((100, 0), (101, 2)):
+            text = opener * levels + "e12" + closer * levels
+            code, out, err = run_text(capsys, ["eval", "--sig", "2,0", "--", text])
+            assert code == expected
+            if expected:
+                assert err.startswith("error: ") and "nests deeper" in err
+                assert "Traceback" not in err
+            else:
+                assert out == "e12\n"
 
     def test_long_flat_sum_evaluates(self, capsys):
         code, out, err = run_text(capsys, ["eval", "--sig", "2,0", "+".join(["1"] * 1500)])

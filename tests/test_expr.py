@@ -30,8 +30,10 @@ from support import (
     count_products,
     normalize_word,
     rand_multivector,
+    reference_parse,
     reference_value,
     render_expression,
+    render_parenthesized,
     word_to_multivector,
 )
 
@@ -241,32 +243,32 @@ class TestFunctions:
         assert value(f"rev(conj({text}))", S02) == reversion(clifford_conjugation(x))
 
 
+REJECTED = [
+    "",
+    "2e1",
+    "e1 e2",
+    "1.5",
+    "e1^(2)",
+    "(e1",
+    "e1)",
+    "1+",
+    "*e1",
+    "e1**e2",
+    "e{1",
+    "e{}",
+    "e{1,}",
+    "1/0",
+    "e",
+    "2/e1",
+    "e1^-1",
+    "2^²",
+    "1/²",
+    "e²",
+]
+
+
 class TestParseErrors:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "2e1",
-            "e1 e2",
-            "1.5",
-            "e1^(2)",
-            "(e1",
-            "e1)",
-            "1+",
-            "*e1",
-            "e1**e2",
-            "e{1",
-            "e{}",
-            "e{1,}",
-            "1/0",
-            "e",
-            "2/e1",
-            "e1^-1",
-            "2^²",
-            "1/²",
-            "e²",
-        ],
-    )
+    @pytest.mark.parametrize("text", REJECTED)
     def test_rejected(self, text):
         with pytest.raises(ParseError):
             parse_multivector(text, S20)
@@ -341,11 +343,8 @@ class TestPrettyPrint:
 
 
 def general_parse(text, sig):
-    """parse_multivector's recursive-descent path alone: tokens and _Parser."""
-    parser = expr._Parser(expr._tokenize(text), sig)
-    value = parser.parse_expr()
-    assert parser.peek().kind == "end"
-    return value
+    """parse_multivector's general path alone: tokens and the one-loop reader."""
+    return expr._evaluate(expr._tokenize(text), sig)
 
 
 @st.composite
@@ -440,7 +439,7 @@ class TestMonomialReader:
     @example((S111, "e1 + e2 - e1 + e12 + e21 + 2*e1 - 3", True))
     @example((S111, "e13 + e31 + 0*e2 - 0 + e33 + 2*e233", True))
     @example((S10, "1/2*e{10,1} - e{001,010}", True))
-    # the fall-back cases: each is read by _Parser, or refused by it
+    # the fall-back cases: each is read by the general reader, or refused by it
     @example((S111, "+e1", False))
     @example((S111, "1/0*e1", False))
     @example((S111, "1/00", False))
@@ -477,3 +476,106 @@ class TestMonomialReader:
         coeffs = data.draw(st.dictionaries(masks, st.fractions(-20, 20, max_denominator=9), max_size=12))
         x = Multivector(sig, coeffs)
         assert expr._monomial_sum(pretty_print(x), sig) == x
+
+
+@st.composite
+def general_texts(draw):
+    """(signature, text): an expression tree rendered minimally or fully
+    parenthesized, and three times in four with one token deleted,
+    duplicated or swapped with another."""
+    sig, tree = draw(expression_trees())
+    text = draw(st.sampled_from([render_expression, render_parenthesized]))(tree)
+    edit = draw(st.sampled_from(["none", "delete", "duplicate", "swap"]))
+    if edit != "none":
+        tokens = [token.text for token in expr._tokenize(text)[:-1]]
+        i = draw(st.integers(0, len(tokens) - 1))
+        if edit == "delete":
+            del tokens[i]
+        elif edit == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        text = " ".join(tokens)
+    return sig, text
+
+
+def outcome(parse, text, sig):
+    """The value with its key order, or the error's type, message and position."""
+    try:
+        value = parse(text, sig)
+    except (ParseError, CoefficientTooLarge) as error:
+        return type(error), str(error), getattr(error, "position", None)
+    return value, list(value._coeffs.items())
+
+
+def with_examples(cases):
+    """One hypothesis @example per case."""
+
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+
+    return decorate
+
+
+S6_4_1 = Signature(6, 4, 1)
+# error texts, the first error from the left, key order, the nesting limit,
+# braced blades at n >= 10
+GENERAL_EXAMPLES = [(S20, text) for text in REJECTED] + [
+    (S20, "2^9000 )"),
+    (S20, "(2^5000) * (2^4000) )"),
+    (S20, "N(2^5000*e1 + 2^4000) )"),
+    (S20, "rev 1"),
+    (S20, "N()"),
+    (S20, "e{1"),
+    (S20, "e1^2^3"),
+    (S20, "(e1 + 1)^2 * -rev(e12 - 3/4)^3 - --e21"),
+    # key order through the scalar shortcut on either side, and through 0
+    (S20, "(e2 + e1) * 3 - 3/4 * (e12 + e2 + 1)"),
+    (S20, "(e2 + e1) * (1 + e1 - e1) * 0 + e2 - e1"),
+    (S20, "(" * 100 + "1 + e1" + ")" * 100),
+    (S20, "(" * 101 + "1 + e1" + ")" * 101),
+    (S20, "-rev(" * 50 + "e12" + ")" * 50),
+    (S20, "-rev(" * 51 + "e12" + ")" * 51),
+    (S10, "e{10,1} * (e{2,10} - 3/2*e{1})^2"),
+    (S10, "e{1,10"),
+    (S10, "e{11}"),
+    (S10, "e12 + e{1}"),
+    (S6_4_1, "rev(e{11,2} + e{0011}) * e{11} + e{3,1,3}"),
+]
+
+
+class TestGeneralReader:
+    @settings(max_examples=400, deadline=None)
+    @given(general_texts())
+    @with_examples(GENERAL_EXAMPLES)
+    def test_matches_recursive_descent(self, case):
+        # the same value in the same key order, or the same error at the same place
+        sig, text = case
+        assert outcome(parse_multivector, text, sig) == outcome(reference_parse, text, sig)
+
+    @pytest.mark.parametrize("openers", [["("], ["rev("], ["-"], ["(", "rev(", "-"]])
+    def test_nesting_limit_is_exact(self, openers):
+        e12 = Multivector.basis_blade(S20, 0b11)
+        for levels in (expr.MAX_NESTING_DEPTH, expr.MAX_NESTING_DEPTH + 1):
+            chain = [openers[i % len(openers)] for i in range(levels)]
+            prefix = "".join(chain)
+            text = prefix + "e12" + ")" * sum(opener.endswith("(") for opener in chain)
+            if levels == expr.MAX_NESTING_DEPTH:
+                # rev(e12) and -e12 each flip the sign
+                flips = sum(opener != "(" for opener in chain)
+                assert value(text, S20) == (-1) ** flips * e12
+            else:
+                # raised at the 101st opener: the "(" of a call, the "-" of a minus
+                with pytest.raises(ParseError, match="nests deeper than 100 levels") as info:
+                    parse_multivector(text, S20)
+                assert info.value.position == len(prefix) - 1
+
+    def test_depth_counts_open_levels_only(self):
+        # a closed parenthesis and a finished factor give their levels back
+        full = "(" * 100 + "1" + ")" * 100
+        assert value(f"{full} + {full} * {full}", S20) == 2
+        assert value("-" * 100 + "e1 * " + "-" * 100 + "e1", S20) == 1
+        assert value("-" * 50 + "(" * 50 + "e1" + ")" * 50 + "^2", S20) == 1

@@ -510,5 +510,11 @@ class TestTextFormats:
     def test_matrix_rejects_ragged(self):
         with pytest.raises(ParseError):
             parse_matrix("1,2;3")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="empty matrix text"):
             parse_matrix(";;")
+
+    @pytest.mark.parametrize("text", ["1,0;;0,1", "1,0;0,1;", ";1,0;0,1", "1,0; ;0,1"])
+    def test_matrix_rejects_blank_row(self, text):
+        # as parse_vector refuses "1,,2": a blank row is not skipped
+        with pytest.raises(ParseError, match="empty matrix row"):
+            parse_matrix(text)
