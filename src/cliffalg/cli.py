@@ -26,10 +26,8 @@ from .core_algebra import (
     DEFAULT_DIMENSION_CAP,
     Multivector,
     Signature,
-    _blade_mul_signs,
+    _blade_times,
     _integer_scaled,
-    _negative_mask,
-    _zero_mask,
     blade_name,
     geometric_product,
     multiplication_table,
@@ -127,17 +125,12 @@ def _twisted_adjoint_matches(x: Multivector, rows) -> bool:
         return False
     sig = x.sig
     x_int, _ = _integer_scaled(x._coeffs)
-    negative_mask, zero_mask = _negative_mask(sig), _zero_mask(sig)
-    left = []  # left[j]: e_j * X as (blade, coefficient) pairs
-    for j in range(sig.n):
-        g = 1 << j
-        signs = _blade_mul_signs(g, x_int, negative_mask, zero_mask)
-        left.append([(a ^ g, c if sign > 0 else -c) for (a, c), sign in zip(x_int.items(), signs) if sign])
+    left = [_blade_times(1 << j, x_int, sig) for j in range(sig.n)]  # left[j] = e_j * X
     for i, column in enumerate(zip(*rows)):
         entries, scale = _integer_scaled({j: v for j, v in enumerate(column) if v})
         acc = [0] * (1 << sig.n)  # C*X, dense over the blades
         for j, entry in entries.items():
-            for mask, c in left[j]:
+            for mask, c in left[j].items():
                 acc[mask] += entry * c
         hat = _hat_times_generator(x_int, i, sig)
         if len(acc) - acc.count(0) != len(hat) or any(acc[a] != scale * c for a, c in hat.items()):

@@ -160,6 +160,16 @@ def _check_bits(coeffs: dict) -> None:
         check_rational_bits(value)
 
 
+def _blade_word(indices, negative_mask: int, zero_mask: int) -> tuple[int, int]:
+    """(sign, mask) of a generator word, one blade sign per letter; a null square gives sign 0."""
+    sign, mask = 1, 0
+    for i in indices:
+        bit = 1 << (i - 1)
+        sign *= _blade_mul_signs(mask, (bit,), negative_mask, zero_mask)[0]
+        mask ^= bit
+    return sign, mask
+
+
 def _evaluate(tokens: list[Token], sig: Signature) -> Multivector:
     """The value of a token list, read in one loop with an explicit stack of frames.
 
@@ -242,13 +252,7 @@ def _evaluate(tokens: list[Token], sig: Signature) -> Multivector:
             for i in indices:
                 if i < 1 or i > n:
                     raise ParseError(f"generator index {i} out of range 1..{n}", pos)
-            # reduce the written generator word through the algebra relations,
-            # one blade sign per letter; a null square makes the word zero
-            sign, mask = 1, 0
-            for i in indices:
-                bit = 1 << (i - 1)
-                sign *= _blade_mul_signs(mask, (bit,), negative_mask, zero_mask)[0]
-                mask ^= bit
+            sign, mask = _blade_word(indices, negative_mask, zero_mask)
             value = {mask: _SIGN_COEFFICIENTS[sign]} if sign else {}
         elif kind == "name":
             raise ParseError(f"unknown name {text!r}", pos)
@@ -390,9 +394,8 @@ def _monomial_sum(text: str, sig: Signature) -> Multivector | None:
             for i in indices:
                 if i < 1 or i > n:
                     return None
-                bit = 1 << (i - 1)
-                value *= _blade_mul_signs(mask, (bit,), negative_mask, zero_mask)[0]
-                mask ^= bit
+            word_sign, mask = _blade_word(indices, negative_mask, zero_mask)
+            value *= word_sign
         denominator = int(denominator) if denominator else 1
         if not denominator:
             return None

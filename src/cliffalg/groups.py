@@ -7,10 +7,10 @@ signature.  Lifting an isometry composes the reflection vectors produced by
 the factorization in quadratic_space.
 
 Every stability decision and twisted adjoint matrix runs on integer maps:
-x is scaled once to X, grade_involution(X) * e_i is a signed relabelling of
-its terms, and one product with the scaled inverse (or with conjugate(X)
-when the norm is a scalar) gives a multiple of rho_x(e_i), with one Fraction
-per matrix entry at the end.
+x is scaled once to X, grade_involution(X) * e_i is the relabelling e_i * X
+(core_algebra._blade_times) negated on the blades holding e_i, and one
+product with the scaled inverse (or with conjugate(X) when the norm is a
+scalar) gives a multiple of rho_x(e_i), one Fraction per entry at the end.
 
 Lifts are projective: the twisted adjoint is unchanged under rescaling, so a
 lift is rescaled onto norm +-1 only when that is possible inside the
@@ -29,13 +29,11 @@ from .core_algebra import (
     Multivector,
     Rational,
     Signature,
-    _blade_mul_signs,
+    _blade_times,
     _integer_scaled,
     _inverse_given_norm,
     _involuted,
-    _negative_mask,
     _nonzero,
-    _zero_mask,
     blade_name,
     clifford_conjugation,
     embed_vector,
@@ -104,17 +102,12 @@ class LiftResult:
 def _hat_times_generator(x: dict, i: int, sig: Signature) -> dict:
     """grade_involution(X) * e_i for an integer map X, as a signed relabelling a -> a ^ e_i.
 
-    (-1)^|a| e_a e_i = (-1)^[e_i in a] e_i e_a, so blade a lands on a ^ e_i
-    with the sign of e_i * e_a, negated when e_i is in a; the term drops when
-    e_i is null and in a.  One sign call, no term pairs.
+    (-1)^|a| e_a e_i = (-1)^[e_i in a] e_i e_a, so this is e_i * X with the
+    sign flipped on each term whose source holds e_i, that is, whose target
+    lacks it.
     """
     g = 1 << i
-    signs = _blade_mul_signs(g, x, _negative_mask(sig), _zero_mask(sig))
-    return {
-        a ^ g: -c if (sign < 0) != bool(a & g) else c
-        for (a, c), sign in zip(x.items(), signs)
-        if sign
-    }
+    return {t: c if t & g else -c for t, c in _blade_times(g, x, sig).items()}
 
 
 def _twisted_images(x: dict, y: dict, sig: Signature):

@@ -37,11 +37,9 @@ from .core_algebra import (
     DEFAULT_DIMENSION_CAP,
     Multivector,
     Signature,
-    _blade_mul_signs,
+    _blade_times,
     _integer_scaled,
-    _negative_mask,
     _nonzero,
-    _zero_mask,
     add,
     blade_mul,
     blade_name,
@@ -58,8 +56,6 @@ from .errors import (
     SignatureMismatch,
     UnexpectedDimension,
 )
-
-_HALF = Fraction(1, 2)
 
 _RADON_HURWITZ_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
 
@@ -109,7 +105,7 @@ def _admissible(mask: int, chosen, sig: Signature) -> str | None:
     |a||b| - |a & b| is even exactly when blades a and b commute, as neither
     holds a null generator once the square test has passed.
     """
-    if _blade_mul_signs(mask, (mask,), _negative_mask(sig), _zero_mask(sig))[0] != 1:
+    if blade_mul(mask, mask, sig)[0] != 1:
         return "blade {} does not square to +1"
     grade = mask.bit_count()
     if any((grade * other.bit_count() - (mask & other).bit_count()) & 1 for other in chosen):
@@ -172,13 +168,15 @@ def find_commuting_blades(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP) -> C
 
 @dataclass(frozen=True)
 class IdempotentSet:
-    """All 2^k products prod (1 + eps_t u_t) / 2: a complete orthogonal set.
+    """All 2^k products prod (1 + eps_t u_t) / 2: a complete set of primitive orthogonal idempotents.
 
-    Checked: each member is idempotent and they sum to 1.  Orthogonality
-    follows over Q: x -> x * f_i is idempotent, so its rank is its trace
-    2^n <f_i>_0.  The ranks add up to 2^n, so A = sum A * f_i is direct, and
-    f_j = f_j * f_j = sum_i f_j * f_i (each term in A * f_i) forces
-    f_j * f_i = 0 for i != j.
+    Checked: k = idempotent_count_exponent blades on a regular signature,
+    2^k nonzero members, each idempotent, summing to 1.  Over Q, x -> x * f_i
+    is idempotent, so its rank is its trace 2^n <f_i>_0, and the ranks add
+    up to 2^n.  So A = sum A * f_i is direct, and f_j = f_j * f_j =
+    sum_i f_j * f_i (each term in A * f_i) forces f_j * f_i = 0 for i != j.
+    Each nonzero A * f_i holds a minimal left ideal, of dimension 2^(n-k),
+    so all 2^k ranks are exactly 2^(n-k): every f_i is primitive.
     """
 
     idems: tuple[Multivector, ...]
@@ -186,28 +184,32 @@ class IdempotentSet:
 
     def __post_init__(self):
         sig = self.generating_blades.sig
-        total = Multivector.zero(sig)
-        for f in self.idems:
-            if geometric_product(f, f) != f:
-                raise ValueError("member is not idempotent")
-            total = add(total, f)
-        if total != Multivector.one(sig):
+        k = len(self.generating_blades.blades)
+        if sig.s or k != idempotent_count_exponent(sig):
+            raise ValueError("generating blades are not a maximal set on a regular signature")
+        if len(self.idems) != 1 << k or not all(self.idems):
+            raise ValueError(f"expected {1 << k} nonzero members")
+        if any(geometric_product(f, f) != f for f in self.idems):
+            raise ValueError("member is not idempotent")
+        if sum(self.idems, Multivector.zero(sig)) != Multivector.one(sig):
             raise ValueError("idempotents do not sum to 1")
 
 
 def _idempotents(blades: CommutingBladeSet):
-    """Yield prod (1 + eps_t u_t) / 2 for every sign choice, eps = +1 before -1."""
+    """Yield prod (1 + eps_t u_t) / 2 for every sign choice, eps = +1 before -1.
+
+    The integer map F = prod (1 + eps_t u_t) is built by F <- F + eps u * F,
+    one relabelling per factor, and divided by 2^k once.  u commutes with
+    the earlier factors, so F * u = u * F; F lies in the span S of their
+    masks and u * F in u + S, disjoint since u is independent: nothing cancels.
+    """
     sig = blades.sig
-    one = Multivector.one(sig)
+    scale = 1 << len(blades.blades)
     for signs in itertools.product((1, -1), repeat=len(blades.blades)):
-        f = one
+        f = {0: 1}
         for eps, mask in zip(signs, blades.blades):
-            factor = add(
-                scalar_mul(_HALF, one),
-                Multivector.basis_blade(sig, mask, Fraction(eps, 2)),
-            )
-            f = geometric_product(f, factor)
-        yield f
+            f.update({m: eps * c for m, c in _blade_times(mask, f, sig).items()})
+        yield Multivector._raw(sig, {m: Fraction(c, scale) for m, c in f.items()})
 
 
 def build_idempotent_set(blades: CommutingBladeSet) -> IdempotentSet:
@@ -249,7 +251,6 @@ def _blade_image_span(
     coefficient is one Fraction over its row's pivot entry.
     """
     sig = left.sig
-    neg_mask, zero_mask = _negative_mask(sig), _zero_mask(sig)
     span = _echelon_basis([*left._coeffs, *right._coeffs])
     cosets: dict[int, list[int]] = {}
     for b in range(1 << sig.n):
@@ -263,13 +264,7 @@ def _blade_image_span(
     def nonzero_images(blades):
         """Integer rows of the nonzero images L * b * R, b in blades, over the columns blades."""
         for b in blades:
-            signs = _blade_mul_signs(b, right_int, neg_mask, zero_mask)
-            b_right = {
-                b ^ m: v if sign == 1 else -v
-                for (m, v), sign in zip(right_int.items(), signs)
-                if sign
-            }
-            x = core_algebra._product(left_int, b_right, sig)
+            x = core_algebra._product(left_int, _blade_times(b, right_int, sig), sig)
             row = [x.get(c, 0) for c in blades]
             if any(row):
                 yield row
@@ -518,16 +513,17 @@ def faithful_ideal(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP) -> IdealBas
     the canonical set is used.  For a split algebra the ideal of f + g is
     returned, with f and g minimal idempotents absorbed by the two central
     idempotents (1 + z)/2 and (1 - z)/2, each the first in canonical order.
-    z is central, so h * (1 +- z)/2 = h exactly when z * h = +-h.
-    Only the idempotents up to those are built; left_ideal_basis checks
-    that its generator is idempotent, which for f + g forces fg + gf = 0.
+    z is a central blade, so h * (1 +- z)/2 = h exactly when the relabelling
+    z * h is +-h.  Only the idempotents up to those are built;
+    left_ideal_basis checks that its generator is idempotent, which for
+    f + g forces fg + gf = 0.
     """
     blades = find_commuting_blades(sig, cap)
     if is_simple(sig):
         return left_ideal_basis(next(_idempotents(blades)))
-    z = algebra_center(sig)[1]
-    f = next(h for h in _idempotents(blades) if geometric_product(z, h) == h)
-    g = next(h for h in _idempotents(blades) if geometric_product(z, h) == -h)
+    z = _central_masks(sig)[1]
+    f = next(h for h in _idempotents(blades) if _blade_times(z, h._coeffs, sig) == h._coeffs)
+    g = next(h for h in _idempotents(blades) if _blade_times(z, (-h)._coeffs, sig) == h._coeffs)
     return left_ideal_basis(add(f, g))
 
 

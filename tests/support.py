@@ -617,6 +617,27 @@ def reference_membership(x: Multivector):
     return group, pin, spin, n_value
 
 
+def reference_idempotents(blades) -> list[Multivector]:
+    """prod (1 + eps_t u_t) / 2 for every sign choice, eps = +1 before -1, by geometric products.
+
+    The fold spinors._idempotents ran before it built each member by blade
+    relabellings: one product per factor.
+    """
+    sig = blades.sig
+    one = Multivector.one(sig)
+    out = []
+    for signs in itertools.product((1, -1), repeat=len(blades.blades)):
+        f = one
+        for eps, mask in zip(signs, blades.blades):
+            factor = add(
+                scalar_mul(Fraction(1, 2), one),
+                Multivector.basis_blade(sig, mask, Fraction(eps, 2)),
+            )
+            f = geometric_product(f, factor)
+        out.append(f)
+    return out
+
+
 def pairwise_orthogonal(idems) -> bool:
     """True iff f * g = g * f = 0 for every pair of distinct members."""
     return all(

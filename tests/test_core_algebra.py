@@ -36,6 +36,7 @@ from cliffalg import (
     reversion,
     scalar_mul,
 )
+from cliffalg.core_algebra import _blade_times
 from support import (
     all_signatures,
     dense_inverse,
@@ -258,6 +259,56 @@ class TestIntegerKernel:
         for sig in all_signatures(4):
             x = rand_multivector(rng, sig, density=0.7)
             assert norm(x) == reference_product(x, clifford_conjugation(x))
+
+
+@st.composite
+def blade_times_cases(draw):
+    """A blade mask and a coefficient map of one Cl(p,q,s), n <= 6, s > 0 included.
+
+    The map holds nonzero ints or Fractions, one kind per case, with its
+    keys in drawn order, not ascending.
+    """
+    n = draw(st.integers(0, 6))
+    p = draw(st.integers(0, n))
+    q = draw(st.integers(0, n - p))
+    sig = Signature(p, q, n - p - q)
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=1 << n))
+    if draw(st.booleans()):
+        values = st.integers(-10**30, 10**30).filter(bool)
+    else:
+        values = st.fractions(min_value=-40, max_value=40, max_denominator=30).filter(bool)
+    return sig, draw(st.integers(0, (1 << n) - 1)), {m: draw(values) for m in masks}
+
+
+def check_blade_times(sig, mask, x):
+    """_blade_times against the Fraction product loop: value, key order and coefficient type."""
+    image = _blade_times(mask, x, sig)
+    expected = reference_product(Multivector.basis_blade(sig, mask), Multivector(sig, x))
+    assert Multivector(sig, image) == expected
+    assert 0 not in image.values()
+    # b -> mask ^ b is one-to-one, so the surviving keys keep X's order
+    assert list(image) == [mask ^ b for b in x if mask ^ b in image]
+    assert all(type(image[mask ^ b]) is type(x[b]) for b in x if mask ^ b in image)
+
+
+class TestBladeTimes:
+    @settings(max_examples=300, deadline=None)
+    @given(blade_times_cases())
+    # a null generator shared with the blade drops the term
+    @example((Signature(1, 1, 1), 0b101, {0b100: 3, 0b001: 5, 0b110: -7}))
+    @example((Signature(1, 1, 1), 0b011, {0b111: Fraction(-1, 3), 0b010: Fraction(2, 7)}))
+    def test_matches_fraction_loop(self, case):
+        check_blade_times(*case)
+
+    def test_every_blade_of_every_small_signature(self):
+        rng = random.Random(1237)
+        for sig in all_signatures(6):
+            dim = 1 << sig.n
+            order = list(range(dim))
+            rng.shuffle(order)
+            dense = {m: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for m in order}
+            for mask in range(dim):
+                check_blade_times(sig, mask, dense)
 
 
 class TestAlgebraLaws:

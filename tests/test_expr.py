@@ -413,7 +413,8 @@ def monomial_sums(draw):
         if position == 0:
             sign = pick([("", True), ("-", True), ("+", False)])
         else:
-            sign = pick([("+", True), ("-", True), ("", False)])
+            # a missing sign leaves a space: "0" then "0" with no gap is the one literal "00"
+            sign = pick([("+", True), ("-", True), (" ", False)])
         form = draw(st.sampled_from(["rational", "monomial", "blade"]) if n else st.just("rational"))
         body = ""
         if form != "blade":
@@ -447,6 +448,7 @@ class TestMonomialReader:
     @example((S111, "e{0}", False))
     @example((S10, "e1", False))
     @example((S111, "1 e1", False))
+    @example((S111, "0 0", False))
     @example((S111, "1 + -e1", False))
     @example((S111, "٣*e1", False))
     @example((S111, "e١", False))

@@ -56,6 +56,7 @@ from support import (
     reference_center,
     reference_commuting_blades,
     reference_division_ring,
+    reference_idempotents,
     reference_interbasis,
     reference_rep_matrix,
 )
@@ -240,6 +241,38 @@ class TestIdempotentSets:
         one = Multivector.one(sig)
         with pytest.raises(ValueError):
             IdempotentSet((one, one), blades)
+
+    def test_matches_product_fold(self):
+        # each member in sign order, against one geometric product per factor
+        for sig in all_signatures(8, degenerate=False):
+            blades = find_commuting_blades(sig)
+            assert list(spinors._idempotents(blades)) == reference_idempotents(blades)
+
+    def test_member_count_must_be_two_to_the_k(self):
+        # 1 alone, and the sums f1 + f2 and f5 + ... + f8 beside f3 and f4:
+        # idempotent and summing to 1, but not primitive
+        sig = Signature(3, 3)
+        blades = find_commuting_blades(sig)
+        with pytest.raises(ValueError, match="expected 8 nonzero members"):
+            IdempotentSet((Multivector.one(sig),), blades)
+        f = canonical_idempotents(sig)
+        merged = (f[0] + f[1], f[2], f[3], f[4] + f[5] + f[6] + f[7])
+        with pytest.raises(ValueError, match="expected 8 nonzero members"):
+            IdempotentSet(merged, blades)
+
+    def test_zero_member_rejected(self):
+        sig = Signature(3, 3)
+        padded = (Multivector.one(sig),) + (Multivector.zero(sig),) * 7
+        with pytest.raises(ValueError, match="expected 8 nonzero members"):
+            IdempotentSet(padded, find_commuting_blades(sig))
+
+    def test_short_blade_set_rejected(self):
+        # (1 +- u)/2 over one of the three blades of Cl(3,3): 2^1 members that
+        # are idempotent and sum to 1, but span ideals of dimension 32, not 8
+        sig = Signature(3, 3)
+        short = CommutingBladeSet(sig, find_commuting_blades(sig).blades[:1])
+        with pytest.raises(ValueError, match="maximal"):
+            IdempotentSet(tuple(reference_idempotents(short)), short)
 
     def test_eight_dimensional_euclidean_set(self):
         idems = canonical_idempotents(Signature(8, 0))
