@@ -27,7 +27,6 @@ from .core_algebra import (
     Multivector,
     Signature,
     _blade_times,
-    _integer_scaled,
     blade_name,
     geometric_product,
     multiplication_table,
@@ -116,24 +115,25 @@ def _twisted_adjoint_matches(x: Multivector, rows) -> bool:
     every i, then z = y^-1 * x has gi(z)*e_i = e_i*z for every i.  Blade by
     blade, gi(e_A)*e_i = -e_i*e_A when e_i is in A, and e_i is invertible, so
     z has no blade holding any e_i: z is a scalar, and x != 0 gives
-    rho_x = rho_y = M.  In integers, with x = X / s and column i of M equal
-    to C / c, the check reads c * gi(X)*e_i = C*X, and gi(X)*e_i is a signed
-    relabelling of the terms of X, and so is each e_j*X: C*X = sum_j C_j*(e_j*X)
-    reads n relabellings formed once, not n sign lists per column.
+    rho_x = rho_y = M.  In integers, with x = X / s and M scaled once to
+    integer rows over c, column i of M is C / c and the check reads
+    c * gi(X)*e_i = C*X.  gi(X)*e_i is a signed relabelling of the terms of
+    X, and so is each e_j*X: C*X = sum_j C_j*(e_j*X) reads n relabellings
+    formed once, not n sign lists per column.
     """
     if x.is_zero():
         return False
     sig = x.sig
-    x_int, _ = _integer_scaled(x._coeffs)
-    left = [_blade_times(1 << j, x_int, sig) for j in range(sig.n)]  # left[j] = e_j * X
-    for i, column in enumerate(zip(*rows)):
-        entries, scale = _integer_scaled({j: v for j, v in enumerate(column) if v})
+    left = [_blade_times(1 << j, x._ints, sig) for j in range(sig.n)]  # left[j] = e_j * X
+    m = ScaledMatrix.of(rows)
+    for i, column in enumerate(zip(*m.rows)):
         acc = [0] * (1 << sig.n)  # C*X, dense over the blades
-        for j, entry in entries.items():
-            for mask, c in left[j].items():
-                acc[mask] += entry * c
-        hat = _hat_times_generator(x_int, i, sig)
-        if len(acc) - acc.count(0) != len(hat) or any(acc[a] != scale * c for a, c in hat.items()):
+        for j, entry in enumerate(column):
+            if entry:
+                for mask, c in left[j].items():
+                    acc[mask] += entry * c
+        hat = _hat_times_generator(x._ints, i, sig)
+        if len(acc) - acc.count(0) != len(hat) or any(acc[a] != m.scale * c for a, c in hat.items()):
             return False
     return True
 

@@ -7,18 +7,18 @@ parity of interleaving the factors times the squares of shared generators.
 Coefficients are exact rationals, so every identity used downstream is
 decided exactly.  All values are immutable and all operations are pure.
 
-Every geometric product runs on one integer kernel: each operand is scaled
-to integer numerators over its least common denominator (_integer_scaled),
-_product multiplies the integer maps, and one Fraction is built per output
-blade from the product of the two denominators (_scaled_product).  Each
-term pair then costs one int product instead of a Fraction product with
-its gcd.  norm and the Newton steps of inverse go through it;
-Faddeev-LeVerrier, the spinor coordinate reads (spinors.IdealBasis) and
-the twisted adjoint of groups (stability, its matrix and the lift check of
-the CLI) run _product on integer maps they scale once.  The cost grows with
-the bit length of the common denominator, so an element whose denominators
-are many distinct primes multiplies slower than with Fractions (about
-2,000 bits is the crossover).
+A Multivector holds integer numerators over one positive scale,
+_ints[mask] / _scale, the least scale, so gcd(_scale, *_ints) = 1 and equal
+values have equal fields: the common-denominator layout of FLINT's
+fmpq_poly, and of _linalg.ScaledMatrix for matrices.  Only this module
+converts between it and Fractions: the constructors scale their input
+(_integer_scaled), and _coeffs, terms() and coefficient() build Fractions.
+Every geometric product is _product on the two integer maps, one int
+product per term pair, over the product of the scales; groups, spinors and
+the CLI read _ints and _scale and run _product themselves.  The cost grows
+with the bit length of the scale, so an element whose denominators are many
+distinct primes adds, multiplies, parses and prints slower than one Fraction
+per coefficient would.
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ DEFAULT_DIMENSION_CAP = 10
 MAX_COEFFICIENT_BITS = 8192
 # Longest decimal integer literal the parsers accept; 10^2457 < 2^8192.
 MAX_LITERAL_DIGITS = MAX_COEFFICIENT_BITS * 3 // 10
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
-
 
 @dataclass(frozen=True, order=True)
 class Signature:
@@ -156,8 +151,10 @@ def check_rational_bits(value: Fraction) -> None:
 
 def check_coefficient_bits(x: "Multivector") -> None:
     """Raise CoefficientTooLarge when a coefficient exceeds MAX_COEFFICIENT_BITS."""
-    for value in x._coeffs.values():
-        check_rational_bits(value)
+    # a reduced coefficient is no longer than its numerator and the scale
+    if max([x._scale, *map(abs, x._ints.values())]).bit_length() > MAX_COEFFICIENT_BITS:
+        for value in x._coeffs.values():
+            check_rational_bits(value)
 
 
 def _nonzero(coeffs: dict) -> dict:
@@ -197,7 +194,7 @@ def _blade_mul_signs(a: Blade, bs, neg_mask: int, zero_mask: int) -> list[int]:
 
 
 # Blade coefficients indexed by sign; index -1 is the last entry.
-_SIGN_COEFFICIENTS = (_ZERO, _ONE, _MINUS_ONE)
+_SIGN_COEFFICIENTS = (Fraction(0), Fraction(1), Fraction(-1))
 
 
 def blade_mul(a: Blade, b: Blade, sig: Signature) -> tuple[Rational, Blade]:
@@ -227,31 +224,46 @@ def _blade_times(mask: Blade, x: dict, sig: Signature) -> dict:
 class Multivector:
     """Element of Cl(p,q,s): a sparse map from blade mask to rational.
 
+    The value is _ints[mask] / _scale: nonzero int numerators over the least
+    positive scale, so gcd(_scale, *_ints) = 1 (see the module docstring).
     Instances are immutable; arithmetic returns new values.  Equality is
-    signature plus coefficient map equality (zeros are never stored).
+    signature plus value equality, hence equality of the fields.
     """
 
-    __slots__ = ("sig", "_coeffs")
+    __slots__ = ("sig", "_ints", "_scale")
 
     def __init__(self, sig: Signature, coeffs=None):
-        object.__setattr__(self, "sig", sig)
         clean = {}
-        if coeffs:
-            limit = 1 << sig.n
-            for mask, value in dict(coeffs).items():
-                if not 0 <= mask < limit:
-                    raise ValueError(f"blade mask {mask} out of range for signature {sig}")
-                value = _rational(value)
-                if value:
-                    clean[mask] = value
-        object.__setattr__(self, "_coeffs", clean)
+        limit = 1 << sig.n
+        for mask, value in dict(coeffs or {}).items():
+            if not 0 <= mask < limit:
+                raise ValueError(f"blade mask {mask} out of range for signature {sig}")
+            clean[mask] = _rational(value)
+        ints, scale = _integer_scaled(_nonzero(clean))
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_scale", scale)
 
     @classmethod
     def _raw(cls, sig: Signature, coeffs: dict) -> "Multivector":
         """Internal constructor: coeffs already validated Fractions, may hold zeros."""
+        return cls._scaled(sig, *_integer_scaled(coeffs))
+
+    @classmethod
+    def _scaled(cls, sig: Signature, ints: dict, scale: int) -> "Multivector":
+        """ints / scale for an int map and a nonzero int scale: zeros dropped, gcd divided out, scale > 0."""
+        ints = _nonzero(ints)
+        if scale != 1:
+            divisor = math.gcd(scale, *ints.values())
+            if scale < 0:
+                divisor = -divisor
+            if divisor != 1:
+                ints = {mask: v // divisor for mask, v in ints.items()}
+                scale //= divisor
         self = object.__new__(cls)
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "_coeffs", _nonzero(coeffs))
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_scale", scale)
         return self
 
     def __setattr__(self, name, value):
@@ -261,29 +273,38 @@ class Multivector:
 
     @classmethod
     def zero(cls, sig: Signature) -> "Multivector":
-        return cls._raw(sig, {})
+        return cls._scaled(sig, {}, 1)
 
     @classmethod
     def scalar(cls, sig: Signature, value) -> "Multivector":
-        return cls._raw(sig, {0: _rational(value)})
+        return cls.basis_blade(sig, 0, value)
 
     @classmethod
     def one(cls, sig: Signature) -> "Multivector":
-        return cls.scalar(sig, 1)
+        return cls._scaled(sig, {0: 1}, 1)
 
     @classmethod
     def basis_blade(cls, sig: Signature, mask: Blade, coefficient=1) -> "Multivector":
         _check_blade(mask, sig)
-        return cls._raw(sig, {mask: _rational(coefficient)})
+        value = _rational(coefficient)
+        return cls._scaled(sig, {mask: value.numerator}, value.denominator)
 
     @classmethod
     def generator(cls, sig: Signature, index: int) -> "Multivector":
         """The grade-1 generator e_index (1-based)."""
         if not 1 <= index <= sig.n:
             raise ValueError(f"generator index {index} out of range 1..{sig.n}")
-        return cls._raw(sig, {1 << (index - 1): _ONE})
+        return cls._scaled(sig, {1 << (index - 1): 1}, 1)
 
     # inspection
+
+    @property
+    def _coeffs(self) -> dict:
+        """The coefficients as a new map from mask to Fraction, in _ints order."""
+        scale = self._scale
+        if scale == 1:  # Fraction(v) skips the gcd
+            return {mask: Fraction(v) for mask, v in self._ints.items()}
+        return {mask: Fraction(v, scale) for mask, v in self._ints.items()}
 
     def terms(self) -> tuple[tuple[Blade, Rational], ...]:
         """Coefficients as (mask, value) pairs in ascending mask order."""
@@ -291,35 +312,35 @@ class Multivector:
 
     def coefficient(self, mask: Blade) -> Rational:
         _check_blade(mask, self.sig)
-        return self._coeffs.get(mask, _ZERO)
+        return Fraction(self._ints.get(mask, 0), self._scale)
 
     def scalar_part(self) -> Rational:
-        return self._coeffs.get(0, _ZERO)
+        return Fraction(self._ints.get(0, 0), self._scale)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._ints
 
     def is_scalar(self) -> bool:
-        return all(mask == 0 for mask in self._coeffs)
+        return all(mask == 0 for mask in self._ints)
 
     def grades(self) -> tuple[int, ...]:
-        return tuple(sorted({mask.bit_count() for mask in self._coeffs}))
+        return tuple(sorted({mask.bit_count() for mask in self._ints}))
 
     def __eq__(self, other):
         if isinstance(other, Multivector):
-            return self.sig == other.sig and self._coeffs == other._coeffs
+            return self.sig == other.sig and (self._scale, self._ints) == (other._scale, other._ints)
         if isinstance(other, (int, Fraction)):
-            value = Fraction(other)
-            if not value:
-                return self.is_zero()
-            return self._coeffs == {0: value}
+            return self == Multivector.scalar(self.sig, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.sig, tuple(sorted(self._coeffs.items()))))
+        # a scalar value equals its int or Fraction, so it hashes as that number
+        if self.is_scalar():
+            return hash(self.scalar_part())
+        return hash((self.sig, self._scale, tuple(sorted(self._ints.items()))))
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._ints)
 
     def __repr__(self):
         from .expr import pretty_print
@@ -390,8 +411,9 @@ def _require_same_signature(x: Multivector, y: Multivector) -> None:
 def _product(x: dict, y: dict, sig: Signature) -> dict:
     """Product of two coefficient maps; the result may hold zeros.
 
-    Every product of the library runs here on integer maps (see
-    _scaled_product), one int product per term pair.
+    Every product of the library runs here on integer maps, the _ints of
+    its operands, one int product per term pair; geometric_product divides
+    by the product of the two scales once.
     """
     neg_mask = _negative_mask(sig)
     zero_mask = _zero_mask(sig)
@@ -416,60 +438,48 @@ def _integer_scaled(coeffs: dict) -> tuple[dict, int]:
     return {mask: v.numerator * (scale // v.denominator) for mask, v in coeffs.items()}, scale
 
 
-def _scaled_product(x: dict, y: dict, sig: Signature) -> tuple[dict, int]:
-    """(P, scale) with an integer map P, which may hold zeros, and x * y = P / scale.
-
-    Both operands are scaled to integers first, so each term pair costs one
-    int product and the rationals are rebuilt once per output blade.
-    """
-    x_int, x_scale = _integer_scaled(x)
-    y_int, y_scale = _integer_scaled(y)
-    return _product(x_int, y_int, sig), x_scale * y_scale
-
-
 def geometric_product(x: Multivector, y: Multivector) -> Multivector:
     """Bilinear extension of the blade product; associative and unital."""
     _require_same_signature(x, y)
-    product, scale = _scaled_product(x._coeffs, y._coeffs, x.sig)
-    if scale == 1:
-        coeffs = {mask: Fraction(v) for mask, v in product.items() if v}
-    else:
-        coeffs = {mask: Fraction(v, scale) for mask, v in product.items() if v}
-    return Multivector._raw(x.sig, coeffs)
+    return Multivector._scaled(x.sig, _product(x._ints, y._ints, x.sig), x._scale * y._scale)
 
 
 def add(x: Multivector, y: Multivector) -> Multivector:
     _require_same_signature(x, y)
-    acc = dict(x._coeffs)
-    for mask, value in y._coeffs.items():
+    scale = math.lcm(x._scale, y._scale)
+    x_factor, y_factor = scale // x._scale, scale // y._scale
+    acc = {mask: value * x_factor for mask, value in x._ints.items()}
+    for mask, value in y._ints.items():
+        value *= y_factor
         prior = acc.get(mask)
         acc[mask] = value if prior is None else prior + value
-    return Multivector._raw(x.sig, acc)
+    return Multivector._scaled(x.sig, acc, scale)
 
 
 def scalar_mul(c, x: Multivector) -> Multivector:
     c = _rational(c)
-    return Multivector._raw(x.sig, {mask: c * value for mask, value in x._coeffs.items()})
+    ints = {mask: c.numerator * value for mask, value in x._ints.items()}
+    return Multivector._scaled(x.sig, ints, c.denominator * x._scale)
 
 
 def grade_projection(x: Multivector, k: int) -> Multivector:
     """Keep exactly the blades of grade k."""
     if not 0 <= k <= x.sig.n:
         raise ValueError(f"grade {k} out of range 0..{x.sig.n}")
-    return Multivector._raw(
-        x.sig, {mask: value for mask, value in x._coeffs.items() if mask.bit_count() == k}
+    return Multivector._scaled(
+        x.sig, {mask: value for mask, value in x._ints.items() if mask.bit_count() == k}, x._scale
     )
 
 
 def even_part(x: Multivector) -> Multivector:
-    return Multivector._raw(
-        x.sig, {mask: value for mask, value in x._coeffs.items() if mask.bit_count() % 2 == 0}
+    return Multivector._scaled(
+        x.sig, {mask: value for mask, value in x._ints.items() if mask.bit_count() % 2 == 0}, x._scale
     )
 
 
 def odd_part(x: Multivector) -> Multivector:
-    return Multivector._raw(
-        x.sig, {mask: value for mask, value in x._coeffs.items() if mask.bit_count() % 2 == 1}
+    return Multivector._scaled(
+        x.sig, {mask: value for mask, value in x._ints.items() if mask.bit_count() % 2 == 1}, x._scale
     )
 
 
@@ -488,7 +498,7 @@ def involution(x: Multivector, kind: str) -> Multivector:
         raise ValueError(
             f"unknown involution kind {kind!r}; expected one of {tuple(_INVOLUTION_NEGATES)}"
         )
-    return Multivector._raw(x.sig, _involuted(x._coeffs, kind))
+    return Multivector._scaled(x.sig, _involuted(x._ints, kind), x._scale)
 
 
 def _involuted(coeffs: dict, kind: str) -> dict:
@@ -528,12 +538,10 @@ def embed_vector(coords, sig: Signature) -> Multivector:
 
 def extract_vector(x: Multivector) -> list[Rational]:
     """Coordinates of a purely grade-1 multivector."""
-    coords = [_ZERO] * x.sig.n
-    for mask, value in x._coeffs.items():
+    for mask in x._ints:
         if mask.bit_count() != 1:
             raise NotAVector(f"component {blade_name(mask, x.sig.n)} has grade {mask.bit_count()}")
-        coords[mask.bit_length() - 1] = value
-    return coords
+    return [Fraction(x._ints.get(1 << i, 0), x._scale) for i in range(x.sig.n)]
 
 
 def inverse(x: Multivector) -> Multivector:
@@ -563,11 +571,12 @@ def _inverse_given_norm(x: Multivector, value: Multivector) -> Multivector:
         return _faddeev_leverrier_inverse(x)
     regular = Signature(sig.p, sig.q)
     limit = 1 << regular.n
-    a = Multivector._raw(regular, {m: v for m, v in x._coeffs.items() if m < limit})
+    a = Multivector._scaled(regular, {m: v for m, v in x._ints.items() if m < limit}, x._scale)
     try:
-        y = Multivector._raw(sig, inverse(a)._coeffs)
+        a_inverse = inverse(a)
     except NotInvertible:
         raise NotInvertible("element has no inverse modulo the null generators") from None
+    y = Multivector._scaled(sig, a_inverse._ints, a_inverse._scale)
     for _ in range(sig.s.bit_length()):
         y = geometric_product(y, 2 - geometric_product(x, y))
     return y
@@ -576,8 +585,8 @@ def _inverse_given_norm(x: Multivector, value: Multivector) -> Multivector:
 def _faddeev_leverrier_inverse(x: Multivector) -> Multivector:
     """Two-sided inverse on a regular signature by the Faddeev-LeVerrier recursion.
 
-    x is scaled to integer coefficients, x = X / scale, and all the work
-    below runs in int arithmetic on X; the result is converted once.  The
+    With x = X / scale (its _ints and _scale), all the work below runs in
+    int arithmetic on X; the result is divided by c_m once.  The
     recursion follows Shirokov (2021).  Cl(p,q) has a faithful matrix
     representation of size m = 2^ceil(n/2) on which the trace is m times
     the scalar part.  With M_1 = 1, each step sets U_k = X * M_k and
@@ -588,7 +597,7 @@ def _faddeev_leverrier_inverse(x: Multivector) -> Multivector:
     y = -scale * M_m / c_m reads X * M_m = M_m * X = -c_m.
     """
     sig = x.sig
-    scaled, scale = _integer_scaled(x._coeffs)
+    scaled, scale = x._ints, x._scale
     size = 1 << ((sig.n + 1) // 2)
     m_k = {0: 1}
     for k in range(1, size + 1):
@@ -602,9 +611,7 @@ def _faddeev_leverrier_inverse(x: Multivector) -> Multivector:
         raise NotInvertible("element has no inverse")
     if _nonzero(u_k) != {0: -c_k} or _nonzero(_product(m_k, scaled, sig)) != {0: -c_k}:
         raise NotInvertible("element has no two-sided inverse")
-    return Multivector._raw(
-        sig, {mask: Fraction(-scale * value, c_k) for mask, value in m_k.items()}
-    )
+    return Multivector._scaled(sig, {mask: -scale * value for mask, value in m_k.items()}, c_k)
 
 
 def multiplication_table(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP):

@@ -6,11 +6,12 @@ the whole group its image preserves the standard diagonal form of the
 signature.  Lifting an isometry composes the reflection vectors produced by
 the factorization in quadratic_space.
 
-Every stability decision and twisted adjoint matrix runs on integer maps:
-x is scaled once to X, grade_involution(X) * e_i is the relabelling e_i * X
+Every stability decision and twisted adjoint matrix runs on the integer
+numerators X = x._ints: grade_involution(X) * e_i is the relabelling e_i * X
 (core_algebra._blade_times) negated on the blades holding e_i, and one
-product with the scaled inverse (or with conjugate(X) when the norm is a
-scalar) gives a multiple of rho_x(e_i), one Fraction per entry at the end.
+product with the numerators of the inverse (or with conjugate(X) when the
+norm is a scalar) gives a multiple of rho_x(e_i), one Fraction per entry at
+the end.
 
 Lifts are projective: the twisted adjoint is unchanged under rescaling, so a
 lift is rescaled onto norm +-1 only when that is possible inside the
@@ -30,7 +31,6 @@ from .core_algebra import (
     Rational,
     Signature,
     _blade_times,
-    _integer_scaled,
     _inverse_given_norm,
     _involuted,
     _nonzero,
@@ -134,31 +134,26 @@ def _vector(image: dict, scale: int, n: int) -> list[Rational]:
             "twisted adjoint leaves the vector space: "
             f"component {blade_name(mask, n)} has grade {mask.bit_count()}"
         )
-    coords = [Fraction(0)] * n
-    for mask, value in image.items():
-        if value:
-            coords[mask.bit_length() - 1] = Fraction(value, scale)
-    return coords
+    return [Fraction(image.get(1 << i, 0), scale) for i in range(n)]
 
 
 def twisted_adjoint_apply(x: Multivector, coords) -> list[Rational]:
     """grade_involution(x) * v * x^-1 as coordinates; NotStable if not grade 1."""
-    y, y_scale = _integer_scaled(inverse(x)._coeffs)
-    v, v_scale = _integer_scaled(embed_vector(coords, x.sig)._coeffs)
-    x_hat, x_scale = _integer_scaled(grade_involution(x)._coeffs)
+    y = inverse(x)
+    v = embed_vector(coords, x.sig)
+    x_hat = grade_involution(x)
     # zeros dropped: they add nothing, but would set the blade order of the
     # image, whose first blade outside V is the one NotStable names
-    left = _nonzero(core_algebra._product(x_hat, v, x.sig))
-    image = core_algebra._product(left, y, x.sig)
-    return _vector(image, x_scale * v_scale * y_scale, x.sig.n)
+    left = _nonzero(core_algebra._product(x_hat._ints, v._ints, x.sig))
+    image = core_algebra._product(left, y._ints, x.sig)
+    return _vector(image, x_hat._scale * v._scale * y._scale, x.sig.n)
 
 
 def twisted_adjoint_matrix(x: Multivector) -> IsometryMatrix:
     """Matrix with columns rho_x(e_i), certified against the standard form."""
-    y, y_scale = _integer_scaled(inverse(x)._coeffs)
-    x_int, x_scale = _integer_scaled(x._coeffs)
-    scale = x_scale * y_scale
-    columns = [_vector(image, scale, x.sig.n) for image in _twisted_images(x_int, y, x.sig)]
+    y = inverse(x)
+    scale = x._scale * y._scale
+    columns = [_vector(image, scale, x.sig.n) for image in _twisted_images(x._ints, y._ints, x.sig)]
     return IsometryMatrix.from_rows(BilinearForm.from_signature(x.sig), zip(*columns))
 
 
@@ -179,25 +174,24 @@ def membership(x: Multivector) -> Membership:
     keeps every e_i in V (v maps linearly to the image, so the basis
     suffices); in Pin iff also its norm is +1 or -1; in Spin iff also even.
     A nonzero scalar N = x * conjugate(x) gives x^-1 = conjugate(x) / N, so
-    with x scaled once to integers X, stability is read off the integer
+    with X the integer numerators of x, stability is read off the integer
     products X^ * e_i * conjugate(X), a nonzero multiple of rho_x(e_i); and
     N = 0 makes x a zero divisor.  A non-scalar N rules x out when s = 0
     (Lounesto, 2001) but not when s > 0 (1 - e123 in Cl(0,0,3)): only then
-    does the inverse run, from the N already formed, scaled to integers.
+    does the inverse run, from the N already formed, on its numerators.
     """
     value = norm(x)
     n_value = value.scalar_part() if value.is_scalar() else None
-    x_int, _ = _integer_scaled(x._coeffs)
     y = None
     if n_value:
-        y = _involuted(x_int, "conjugate")
+        y = _involuted(x._ints, "conjugate")
     elif n_value is None and x.sig.s:
         try:
-            y, _ = _integer_scaled(_inverse_given_norm(x, value)._coeffs)
+            y = _inverse_given_norm(x, value)._ints
         except NotInvertible:
             pass
     group = y is not None and all(
-        _off_vector(image) is None for image in _twisted_images(x_int, y, x.sig)
+        _off_vector(image) is None for image in _twisted_images(x._ints, y, x.sig)
     )
     pin = group and n_value in (1, -1)
     spin = pin and even_part(x) == x

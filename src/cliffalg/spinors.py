@@ -38,7 +38,6 @@ from .core_algebra import (
     Multivector,
     Signature,
     _blade_times,
-    _integer_scaled,
     _nonzero,
     add,
     blade_mul,
@@ -209,7 +208,7 @@ def _idempotents(blades: CommutingBladeSet):
         f = {0: 1}
         for eps, mask in zip(signs, blades.blades):
             f.update({m: eps * c for m, c in _blade_times(mask, f, sig).items()})
-        yield Multivector._raw(sig, {m: Fraction(c, scale) for m, c in f.items()})
+        yield Multivector._scaled(sig, f, scale)
 
 
 def build_idempotent_set(blades: CommutingBladeSet) -> IdempotentSet:
@@ -248,18 +247,17 @@ def _blade_image_span(
     appended, each kept row is divided by its content (the gcd of its
     entries): otherwise the scale d of one reduction enters the next as a
     factor of every pivot, and the entries grow with each step.  Each basis
-    coefficient is one Fraction over its row's pivot entry.
+    element is its integer row over the row's pivot entry.
     """
     sig = left.sig
-    span = _echelon_basis([*left._coeffs, *right._coeffs])
+    span = _echelon_basis([*left._ints, *right._ints])
     cosets: dict[int, list[int]] = {}
     for b in range(1 << sig.n):
         cosets.setdefault(_reduce_mask(b, span), []).append(b)
     ranks = _sandwich_ranks(left, right, span, cosets)
     # RREF ignores a common scale, so the images are formed and reduced as
     # the integer maps L * b * R with left = L / l and right = R / r
-    left_int, _ = _integer_scaled(left._coeffs)
-    right_int, _ = _integer_scaled(right._coeffs)
+    left_int, right_int = left._ints, right._ints
 
     def nonzero_images(blades):
         """Integer rows of the nonzero images L * b * R, b in blades, over the columns blades."""
@@ -286,12 +284,11 @@ def _blade_image_span(
                 kept.append([entry // content for entry in row])
         assert len(pivots) == target, "block spans less than its trace"
         pivot_rows += [
-            (blades[c], {b: Fraction(v, row[c]) for b, v in zip(blades, row) if v})
+            (blades[c], Multivector._scaled(sig, dict(zip(blades, row)), row[c]))
             for row, c in zip(kept, pivots)
         ]
     pivot_rows.sort(key=lambda item: item[0])
-    basis = tuple(Multivector(sig, coeffs) for _, coeffs in pivot_rows)
-    return basis, tuple(mask for mask, _ in pivot_rows)
+    return tuple(b for _, b in pivot_rows), tuple(mask for mask, _ in pivot_rows)
 
 
 def _trace_rank(trace: Fraction) -> int:
@@ -315,12 +312,13 @@ def _sandwich_ranks(left: Multivector, right: Multivector, span, leaders) -> dic
     """
     sig = left.sig
     full = (1 << sig.n) - 1
+    scale = left._scale * right._scale
     characters = []
-    for m, value in left._coeffs.items():
+    for m, value in left._ints.items():
         c = full ^ m if m.bit_count() & 1 else m
-        if m in right._coeffs and not any((v & c).bit_count() & 1 for v in span):
-            weight = value * right._coeffs[m] * blade_mul(m, m, sig)[0] * (1 << len(span))
-            characters.append((c, weight))
+        if m in right._ints and not any((v & c).bit_count() & 1 for v in span):
+            weight = value * right._ints[m] * blade_mul(m, m, sig)[0] * (1 << len(span))
+            characters.append((c, Fraction(weight, scale)))
     return {
         b: _trace_rank(sum(-w if (b & c).bit_count() & 1 else w for c, w in characters))
         for b in leaders
@@ -357,11 +355,12 @@ class IdealBasis:
     _integer_basis: tuple[list[dict], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if any(b.sig != self.sig for b in self.basis):
+            raise SignatureMismatch(f"a basis element does not lie in Cl{self.sig}")
         # b * f = b reads B * F = scale_f * B with f = F / scale_f
-        generator, generator_scale = _integer_scaled(self.generator._coeffs)
-        scaled = [_integer_scaled(b._coeffs) for b in self.basis]
-        scale = math.lcm(*(row_scale for _, row_scale in scaled))
-        rows = [{m: v * (scale // row_scale) for m, v in row.items()} for row, row_scale in scaled]
+        generator, generator_scale = self.generator._ints, self.generator._scale
+        scale = math.lcm(*(b._scale for b in self.basis))
+        rows = [{m: v * (scale // b._scale) for m, v in b._ints.items()} for b in self.basis]
         for row in rows:
             fixed = {m: generator_scale * v for m, v in row.items()}
             if _nonzero(core_algebra._product(row, generator, self.sig)) != fixed:
@@ -522,8 +521,8 @@ def faithful_ideal(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP) -> IdealBas
     if is_simple(sig):
         return left_ideal_basis(next(_idempotents(blades)))
     z = _central_masks(sig)[1]
-    f = next(h for h in _idempotents(blades) if _blade_times(z, h._coeffs, sig) == h._coeffs)
-    g = next(h for h in _idempotents(blades) if _blade_times(z, (-h)._coeffs, sig) == h._coeffs)
+    f = next(h for h in _idempotents(blades) if _blade_times(z, h._ints, sig) == h._ints)
+    g = next(h for h in _idempotents(blades) if _blade_times(z, (-h)._ints, sig) == h._ints)
     return left_ideal_basis(add(f, g))
 
 
@@ -559,13 +558,12 @@ def _map_matrix(source: IdealBasis, target: IdealBasis, x: Multivector, on_left:
     X * B_j / (scale_x d) (or B_j * X / (scale_x d)), formed in ints, so
     column j is X * B_j read at the pivots and s = scale_x d.
     """
-    x_int, x_scale = _integer_scaled(x._coeffs)
     rows, scale = source._integer_basis
     if on_left:
-        images = [core_algebra._product(x_int, row, x.sig) for row in rows]
+        images = [core_algebra._product(x._ints, row, x.sig) for row in rows]
     else:
-        images = [core_algebra._product(row, x_int, x.sig) for row in rows]
-    return _linalg.ScaledMatrix(_pivot_columns(images, target.pivots), x_scale * scale)
+        images = [core_algebra._product(row, x._ints, x.sig) for row in rows]
+    return _linalg.ScaledMatrix(_pivot_columns(images, target.pivots), x._scale * scale)
 
 
 def regular_rep_matrix(x: Multivector, ideal: IdealBasis):
@@ -609,9 +607,9 @@ def interbasis_element(f_i: Multivector, f_j: Multivector):
         (f_i, [geometric_product(e_ij, w)._coeffs for w in space_ji]),
         (f_j, [geometric_product(w, e_ij)._coeffs for w in space_ji]),
     ):
-        for mask in sorted(set(target._coeffs).union(*products)):
+        for mask in sorted(set(target._ints).union(*products)):
             matrix.append([product.get(mask, 0) for product in products])
-            rhs.append(target._coeffs.get(mask, 0))
+            rhs.append(target.coefficient(mask))
     solution = _linalg.solve(matrix, rhs)
     if solution is None:
         raise NoSolution("no partial inverse for the chosen element")
@@ -643,9 +641,9 @@ def representation_intertwiner(f_i: Multivector, f_j: Multivector) -> Representa
     e_ij, e_ji = interbasis_element(f_i, f_j)
     source = left_ideal_basis(f_i)
     target = left_ideal_basis(f_j)
-    if not _in_span(target, _integer_scaled(e_ij._coeffs)[0]):
+    if not _in_span(target, e_ij._ints):
         raise NoSolution("E_ij leaves the target ideal")
-    if not _in_span(source, _integer_scaled(e_ji._coeffs)[0]):
+    if not _in_span(source, e_ji._ints):
         raise NoSolution("E_ji leaves the source ideal")
 
     forward = _map_matrix(source, target, e_ij, on_left=False)

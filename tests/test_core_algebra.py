@@ -1,6 +1,7 @@
 """Core arithmetic: blade products against an independent rewriting oracle,
 algebra laws, involutions, vectors, inverses, and the fast table kernel."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -33,6 +34,8 @@ from cliffalg import (
     multiplication_table,
     norm,
     odd_part,
+    parse,
+    pretty_print,
     reversion,
     scalar_mul,
 )
@@ -544,6 +547,104 @@ class TestInverse:
             assert norm(v) == Multivector.scalar(sig, -phi)
 
 
+@st.composite
+def exact_value_cases(draw):
+    """Two Fraction maps, a nonzero rational, a grade and an exponent of one Cl(p,q,s), n <= 5.
+
+    The maps may hold zeros and share denominators, so the constructors have
+    something to drop and a gcd to divide out.
+    """
+    n = draw(st.integers(0, 5))
+    p = draw(st.integers(0, n))
+    q = draw(st.integers(0, n - p))
+    sig = Signature(p, q, n - p - q)
+    fractions = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+
+    def coefficients():
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=1 << n))
+        return {m: draw(fractions) for m in masks}
+
+    c = draw(fractions.filter(bool))
+    return sig, coefficients(), coefficients(), c, draw(st.integers(0, n)), draw(st.integers(0, 3))
+
+
+def assert_exact_value(x, expected: dict):
+    """x holds the least scale over nonzero int numerators, and its terms are the Fraction map expected."""
+    assert x._scale > 0 and type(x._scale) is int
+    assert all(type(v) is int and v for v in x._ints.values())
+    assert math.gcd(x._scale, *x._ints.values()) == 1
+    assert x.terms() == tuple(sorted((m, v) for m, v in expected.items() if v))
+
+
+def assert_same_fields(x, y):
+    assert (x.sig, x._scale, x._ints) == (y.sig, y._scale, y._ints)
+    assert x == y and hash(x) == hash(y)
+
+
+def fraction_sum(x: dict, y: dict, sign=1) -> dict:
+    out = dict(x)
+    for m, v in y.items():
+        out[m] = out.get(m, 0) + sign * v
+    return out
+
+
+class TestExactValue:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_value_cases())
+    @example((Signature(1, 0), {0: Fraction(1, 2), 1: Fraction(1, 2)}, {1: Fraction(-1, 2)}, Fraction(2), 1, 2))
+    @example((Signature(0, 1, 1), {0b10: Fraction(3, 4)}, {}, Fraction(-4, 3), 2, 0))
+    def test_every_route_is_canonical(self, case):
+        sig, xs, ys, c, k, e = case
+        x, y = Multivector(sig, xs), Multivector(sig, ys)
+        assert_exact_value(x, xs)
+        assert_exact_value(Multivector.scalar(sig, c), {0: c})
+        mask = max(xs, default=0)
+        assert_exact_value(Multivector.basis_blade(sig, mask, c), {mask: c})
+        assert_exact_value(x + y, fraction_sum(xs, ys))
+        assert_exact_value(x - y, fraction_sum(xs, ys, -1))
+        assert_exact_value(scalar_mul(c, x), {m: c * v for m, v in xs.items()})
+        assert_exact_value(x / c, {m: v / c for m, v in xs.items()})
+        assert_exact_value(x * y, dict(reference_product(x, y).terms()))
+        power = Multivector.one(sig)
+        for _ in range(e):
+            power = reference_product(power, x)
+        assert_exact_value(x**e, dict(power.terms()))
+        for kind, negated in (("grade", (1, 3)), ("reverse", (2, 3)), ("conjugate", (1, 2))):
+            expected = {m: -v if m.bit_count() % 4 in negated else v for m, v in xs.items()}
+            assert_exact_value(involution(x, kind), expected)
+        assert_exact_value(grade_projection(x, k), {m: v for m, v in xs.items() if m.bit_count() == k})
+        assert_exact_value(even_part(x), {m: v for m, v in xs.items() if m.bit_count() % 2 == 0})
+        assert_exact_value(odd_part(x), {m: v for m, v in xs.items() if m.bit_count() % 2 == 1})
+        try:
+            x_inverse = inverse(x)
+        except NotInvertible:
+            pass
+        else:
+            assert_exact_value(x_inverse, dict(x_inverse.terms()))
+            assert reference_product(x, x_inverse).terms() == ((0, Fraction(1)),)
+        assert_exact_value(parse(pretty_print(x), sig), xs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact_value_cases())
+    def test_equal_values_have_equal_fields(self, case):
+        sig, xs, ys, c, _, _ = case
+        x, y = Multivector(sig, xs), Multivector(sig, ys)
+        assert_same_fields(x + y - y, x)
+        assert_same_fields(x + y, y + x)
+        assert_same_fields(scalar_mul(c, x) / c, x)
+        assert_same_fields(x * Multivector.one(sig), x)
+        assert_same_fields(parse(pretty_print(x), sig), x)
+
+    def test_unreduced_fraction_and_scalar(self):
+        sig = Signature(2, 0)
+        assert_same_fields(Multivector(sig, {0: Fraction(2, 4)}), Multivector.scalar(sig, Fraction(1, 2)))
+        # 1/2 + 1/2: the sum's scale 2 divides out
+        half = Multivector.scalar(sig, Fraction(1, 2))
+        assert_same_fields(half + half, Multivector.one(sig))
+        assert_same_fields(Multivector(sig, {1: 0}), Multivector.zero(sig))
+        assert Multivector.zero(sig)._scale == 1
+
+
 class TestMultivectorType:
     def test_equality_and_scalar_promotion(self):
         sig = Signature(1, 1)
@@ -552,6 +653,22 @@ class TestMultivectorType:
         assert Multivector.one(sig) == 1
         assert Multivector.one(sig) != Multivector.one(Signature(2, 0))
         assert hash(Multivector.one(sig)) == hash(Multivector.scalar(sig, 1))
+
+    # a value equal to a number hashes as that number, so sets and dicts agree with ==
+    def test_scalar_hashes_as_its_int(self):
+        x = Multivector.scalar(Signature(1, 1), 3)
+        assert x == 3 and hash(x) == hash(3)
+        assert 3 in {x} and x in {3}
+
+    def test_zero_hashes_as_zero(self):
+        x = Multivector.zero(Signature(2, 0, 1))
+        assert x == 0 and hash(x) == hash(0)
+        assert 0 in {x} and x in {Fraction(0)}
+
+    def test_scalar_hashes_as_its_fraction(self):
+        x = Multivector.scalar(Signature(0, 2), Fraction(-5, 6))
+        assert x == Fraction(-5, 6) and hash(x) == hash(Fraction(-5, 6))
+        assert Fraction(-5, 6) in {x} and x in {Fraction(-5, 6)}
 
     def test_immutable(self):
         x = Multivector.one(Signature(1, 0))

@@ -342,6 +342,14 @@ class TestIdeals:
             with pytest.raises(ValueError, match="generator is not in the span"):
                 IdealBasis(g, ideal.basis, ideal.dim, ideal.pivots)
 
+    def test_basis_from_another_signature_rejected(self):
+        # the basis of A * f for f = (1 + e1)/2 in Cl(1,0), relabelled as Cl(1,1) elements
+        f = Multivector(Signature(1, 0), {0: Fraction(1, 2), 1: Fraction(1, 2)})
+        ideal = left_ideal_basis(f)
+        basis = tuple(Multivector(Signature(1, 1), dict(b.terms())) for b in ideal.basis)
+        with pytest.raises(SignatureMismatch):
+            IdealBasis(f, basis, ideal.dim, ideal.pivots)
+
     def test_whole_algebra_from_one(self):
         sig = Signature(0, 2)
         ideal = left_ideal_basis(Multivector.one(sig))
