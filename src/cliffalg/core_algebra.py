@@ -221,6 +221,23 @@ def _blade_times(mask: Blade, x: dict, sig: Signature) -> dict:
     return {mask ^ b: c if sign == 1 else -c for (b, c), sign in zip(x.items(), signs) if sign}
 
 
+def _times_blade(x: dict, mask: Blade, sig: Signature) -> dict:
+    """X * e_mask for an int or Fraction map X: blade b moves to b ^ mask with its sign, in X's order.
+
+    Sorting the factors of e_mask into b moves each factor of b past the
+    factors of e_mask below it, so the transposition parity is |b & lower|,
+    with bit t of lower set when mask has an odd number of factors below
+    generator t+1: the parity of |mask| XOR bit t of mask XOR bit t of
+    _reorder_parity(mask), which counts the factors above.  One flips mask,
+    lower XOR the shared generators squaring to -1, serves every term; a
+    term drops when the blades share a null generator.
+    """
+    parity = (1 << sig.n) - 1 if mask.bit_count() & 1 else 0
+    flips = parity ^ mask ^ _reorder_parity(mask) ^ (mask & _negative_mask(sig))
+    null = mask & _zero_mask(sig)
+    return {b ^ mask: -c if (b & flips).bit_count() & 1 else c for b, c in x.items() if not b & null}
+
+
 class Multivector:
     """Element of Cl(p,q,s): a sparse map from blade mask to rational.
 
@@ -268,6 +285,10 @@ class Multivector:
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through _scaled, not __setattr__
+        return (Multivector._scaled, (self.sig, self._ints, self._scale))
 
     # constructors
 

@@ -16,6 +16,14 @@ ring f * A * f and the Peirce spaces f_i * A * f_j are all such images.
 Their traces come from blade masks alone, block by block, so each block is
 reduced only until it reaches its known rank.
 
+Stabilizer relations: most generators are products f = prod_v (1 +
+sigma_v e_v)/2 of commuting idempotents over the GF(2) echelon basis v of
+f's support, among them every canonical idempotent and the split faithful
+generator.  _product_form decides that by k blade relabellings, which also
+proves f * f = f.  For such an f every block of A * f has rank one, with
+the relabelling e_c * F as its row, b * f = b reads b * e_v = sigma_v b,
+and no product is formed; any other generator takes the products above.
+
 Wedderburn: Cl(p,q) is one or two copies of M_m(D) for a single division
 ring D, so f * A * f is a division ring exactly when its dimension is
 dim D, and it is then a copy of D.  division_ring_info reads the kind off
@@ -39,6 +47,7 @@ from .core_algebra import (
     Signature,
     _blade_times,
     _nonzero,
+    _times_blade,
     add,
     blade_mul,
     blade_name,
@@ -98,20 +107,67 @@ def _echelon_basis(masks) -> list[int]:
     return basis
 
 
+def _anticommute(a: int, b: int) -> bool:
+    """Whether blades a and b anticommute, when they share no null generator.
+
+    Moving a past b takes |a||b| transpositions, less one pair of equal
+    factors for each shared generator.
+    """
+    return bool((a.bit_count() * b.bit_count() - (a & b).bit_count()) & 1)
+
+
 def _admissible(mask: int, chosen, sig: Signature) -> str | None:
     """None when mask may join the chosen blades, else the message of the first test it fails.
 
-    |a||b| - |a & b| is even exactly when blades a and b commute, as neither
-    holds a null generator once the square test has passed.
+    Once the square test has passed, mask holds no null generator, so
+    _anticommute decides commutation.
     """
     if blade_mul(mask, mask, sig)[0] != 1:
         return "blade {} does not square to +1"
-    grade = mask.bit_count()
-    if any((grade * other.bit_count() - (mask & other).bit_count()) & 1 for other in chosen):
+    if any(_anticommute(mask, other) for other in chosen):
         return "blade {} does not commute with the set"
     if not _reduce_mask(mask, _echelon_basis(chosen)):
         return "blades are not multiplicatively independent"
     return None
+
+
+def _product_form(f: Multivector) -> dict[int, int] | None:
+    """{v: sigma_v} over the GF(2) echelon basis of f's support when f = prod_v (1 + sigma_v e_v)/2, else None.
+
+    The test, k = |basis| relabellings and no term pair: a regular
+    signature, f = F / 2^k with F[0] = 1, and for each v, sigma_v = F[v] in
+    {1, -1} with e_v * F = sigma_v F.  It is exact.  F != 0 and e_v * e_v *
+    F = F force the scalar e_v * e_v to be 1; an anticommuting pair would
+    give e_v * e_w * F = sigma_v sigma_w F = -e_v * e_w * F, so F = -F.  For
+    s in the span S, e_s is +- a product of commuting e_v, so e_s * F =
+    chi(s) F for a sign chi(s) fixed by the e_v and sigma_v; the coefficient
+    of e_s * F on s is F[0] = 1, so F[s] = chi(s) for every s in S, which
+    holds F's support.  P = prod_v (1 + sigma_v e_v) obeys the same
+    relations, as e_v * (1 + sigma_v e_v) = sigma_v (1 + sigma_v e_v), and
+    P[0] = 1 since the v are independent; so P = F, and f is a product of k
+    commuting idempotents, an idempotent.
+
+    Every canonical idempotent passes, and so do 1 (k = 0) and the split
+    faithful generator f + g (see faithful_ideal).  A conjugated idempotent
+    in general fails and any idempotent with s > 0 fails; their callers keep
+    the product path.
+    """
+    ints = f._ints
+    basis = _echelon_basis(ints)
+    if f.sig.s or f._scale != 1 << len(basis) or ints.get(0) != 1:
+        return None
+    signs = {}
+    for v in basis:
+        sigma = ints.get(v)
+        if sigma not in (1, -1) or _blade_times(v, ints, f.sig) != {m: sigma * c for m, c in ints.items()}:
+            return None
+        signs[v] = sigma
+    return signs
+
+
+def _is_idempotent(f: Multivector) -> bool:
+    """f * f = f: by _product_form's relabellings, or by one product for any other f."""
+    return _product_form(f) is not None or geometric_product(f, f) == f
 
 
 @dataclass(frozen=True)
@@ -188,7 +244,7 @@ class IdempotentSet:
             raise ValueError("generating blades are not a maximal set on a regular signature")
         if len(self.idems) != 1 << k or not all(self.idems):
             raise ValueError(f"expected {1 << k} nonzero members")
-        if any(geometric_product(f, f) != f for f in self.idems):
+        if not all(map(_is_idempotent, self.idems)):
             raise ValueError("member is not idempotent")
         if sum(self.idems, Multivector.zero(sig)) != Multivector.one(sig):
             raise ValueError("idempotents do not sum to 1")
@@ -248,8 +304,28 @@ def _blade_image_span(
     entries): otherwise the scale d of one reduction enters the next as a
     factor of every pivot, and the entries grow with each step.  Each basis
     element is its integer row over the row's pivot entry.
+
+    When right is a product f = F / 2^k of _product_form and left is 1 or
+    f, no image is formed and no block reduced.  Then S is spanned by the
+    basis v, and for b = +-e_c * e_s with s in S, b * f = +-e_c * f, as
+    e_s * F = +-F.  So every block has rank at most 1, its image e_c * F
+    holds every blade of c + S with coefficient +-1 and is 1 on c, and its
+    RREF row is e_c * F over scale 1, with c the coset leader, the least
+    mask of c + S, which holds no leading bit of the basis.  For left = f,
+    f * e_c * f = e_c * f when e_c commutes with every e_v and 0 when it
+    anticommutes with one, as (1 + sigma e_v)(1 - sigma e_v) = 0; that
+    holds on the whole coset, since the e_s commute with every e_v.  The
+    rows in ascending leader order are the unique RREF.
     """
     sig = left.sig
+    form = _product_form(right) if left == right or left == Multivector.one(sig) else None
+    if form is not None:
+        lead = sum(1 << (v.bit_length() - 1) for v in form)
+        leaders = [c for c in range(1 << sig.n) if not c & lead]
+        if left == right:
+            leaders = [c for c in leaders if not any(_anticommute(c, v) for v in form)]
+        rows = (Multivector._scaled(sig, _blade_times(c, right._ints, sig), 1) for c in leaders)
+        return tuple(rows), tuple(leaders)
     span = _echelon_basis([*left._ints, *right._ints])
     cosets: dict[int, list[int]] = {}
     for b in range(1 << sig.n):
@@ -326,7 +402,7 @@ def _sandwich_ranks(left: Multivector, right: Multivector, span, leaders) -> dic
 
 
 def _require_idempotent(f: Multivector) -> None:
-    if geometric_product(f, f) != f:
+    if not _is_idempotent(f):
         raise NotIdempotent("element does not satisfy f*f = f")
 
 
@@ -346,6 +422,12 @@ class IdealBasis:
     are that many independent elements of A * f, so they span it.  A * f is
     a left ideal, so every x * b_j lies in the span, and its coordinates are
     its values at the pivots (_map_matrix).
+
+    When f = prod_v (1 + sigma_v e_v)/2 (_product_form), b * f = b holds
+    exactly when b * e_v = sigma_v b for every v, k right relabellings of b
+    and no term pair: f * e_v = sigma_v f gives b * e_v = b * f * e_v =
+    sigma_v b, and conversely each factor then fixes b.  Any other f, such
+    as a conjugated idempotent, is checked by the product b * f.
     """
 
     generator: Multivector
@@ -357,13 +439,21 @@ class IdealBasis:
     def __post_init__(self):
         if any(b.sig != self.sig for b in self.basis):
             raise SignatureMismatch(f"a basis element does not lie in Cl{self.sig}")
-        # b * f = b reads B * F = scale_f * B with f = F / scale_f
         generator, generator_scale = self.generator._ints, self.generator._scale
         scale = math.lcm(*(b._scale for b in self.basis))
         rows = [{m: v * (scale // b._scale) for m, v in b._ints.items()} for b in self.basis]
+        form = _product_form(self.generator)
         for row in rows:
-            fixed = {m: generator_scale * v for m, v in row.items()}
-            if _nonzero(core_algebra._product(row, generator, self.sig)) != fixed:
+            if form is None:
+                # b * f = b reads B * F = scale_f * B with f = F / scale_f
+                fixed = {m: generator_scale * v for m, v in row.items()}
+                stable = _nonzero(core_algebra._product(row, generator, self.sig)) == fixed
+            else:
+                stable = all(
+                    _times_blade(row, v, self.sig) == {m: sigma * c for m, c in row.items()}
+                    for v, sigma in form.items()
+                )
+            if not stable:
                 raise ValueError("basis element is not stabilized by the generator")
         if len(self.pivots) != len(rows) or any(
             row.get(p, 0) != (scale if i == j else 0)
@@ -389,8 +479,9 @@ def left_ideal_basis(f: Multivector) -> IdealBasis:
     """Exact row reduction of {b * f : b a basis blade} to a canonical basis.
 
     Each block of blades has rank |block| <f>_0, its share of the trace
-    behind left_ideal_dimension; for a canonical idempotent that is 1, so
-    one product per block suffices.
+    behind left_ideal_dimension; for a canonical idempotent that is 1, and
+    each block's row is a blade relabelling of f, with no product
+    (_blade_image_span).
     """
     _require_idempotent(f)
     basis, pivots = _blade_image_span(Multivector.one(f.sig), f)
@@ -443,7 +534,8 @@ def division_ring_info(f: Multivector) -> DivisionRingInfo:
     """Basis of f*A*f with its kind: dim 1 -> R, 2 -> C, 4 -> H.
 
     Only the blocks to which _sandwich_ranks gives a nonzero rank are
-    reduced: at most four for a primitive f.  The kind follows from that
+    reduced: at most four for a primitive f, and none for a product of
+    _product_form, whose rows are relabellings of f.  The kind follows from that
     dimension and the signature.  Let J be the radical of A = Cl(p,q,s),
     spanned by the blades with a null generator (J = 0 when s = 0), and
     x -> x' the quotient map onto A/J = Cl(p,q).  It maps f*A*f onto
@@ -516,6 +608,12 @@ def faithful_ideal(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP) -> IdealBas
     z * h is +-h.  Only the idempotents up to those are built;
     left_ideal_basis checks that its generator is idempotent, which for
     f + g forces fg + gf = 0.
+
+    z * f = +-f for the primitive f, so z = +-prod_{t in T} u_t for a set T
+    of the blades.  The first sign choices, in canonical order, with z * h
+    = h and with z * h = -h differ only in the sign of u_t for the last t
+    in T, so f + g = prod_{t' != t} (1 + eps_t' u_t')/2 and _product_form
+    certifies it.
     """
     blades = find_commuting_blades(sig, cap)
     if is_simple(sig):

@@ -332,14 +332,14 @@ class TestDimensionCap:
         assert payload["checks"] == {"homomorphism_square": True, "unital": True}
 
     def test_ideal_at_default_cap_reduces_to_rank(self, capsys, monkeypatch):
-        # f is built from its five blade factors by relabellings, with no
-        # product; 32 products form one image per ideal block, 32 check
-        # b*f = b, and 1 spans f*A*f = R; left_ideal_basis and
-        # division_ring_info are both public entry points and each checks
-        # f*f = f, 2 more; forming every image took 3111 products
+        # f is built from its five blade factors by relabellings, and the
+        # same relabellings certify it as a product of commuting idempotents:
+        # f*f = f, the 32 ideal rows e_c*f, the 32 checks b*f = b and the
+        # row of f*A*f = R need no product; forming and reducing every
+        # image took 3111 products, and one image per block 67
         calls = count_products(monkeypatch)
         payload = run_json(capsys, ["ideal", "--sig", "5,5", "--json"])
-        assert calls[0] == 2 + 32 + 32 + 1
+        assert calls[0] == 0
         assert payload["result"]["dimension"] == 32
         assert payload["result"]["division_ring"] == {"dimension": 1, "kind": "R"}
 

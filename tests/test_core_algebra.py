@@ -1,7 +1,9 @@
 """Core arithmetic: blade products against an independent rewriting oracle,
 algebra laws, involutions, vectors, inverses, and the fast table kernel."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -39,7 +41,7 @@ from cliffalg import (
     reversion,
     scalar_mul,
 )
-from cliffalg.core_algebra import _blade_times
+from cliffalg.core_algebra import _blade_times, _product, _times_blade
 from support import (
     all_signatures,
     dense_inverse,
@@ -312,6 +314,28 @@ class TestBladeTimes:
             dense = {m: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for m in order}
             for mask in range(dim):
                 check_blade_times(sig, mask, dense)
+
+
+class TestTimesBlade:
+    @settings(max_examples=300, deadline=None)
+    @given(blade_times_cases())
+    # a null generator shared with the blade drops the term
+    @example((Signature(1, 1, 1), 0b101, {0b100: 3, 0b001: 5, 0b110: -7}))
+    # e123 * e3 with e3 * e3 = -1, and e12 * e123 = -e3 in Cl(2,1)
+    @example((Signature(2, 1), 0b100, {0b111: 1}))
+    @example((Signature(2, 1), 0b111, {0b011: 1}))
+    def test_matches_product_with_the_blade(self, case):
+        sig, mask, x = case
+        image = _times_blade(x, mask, sig)
+        assert image == _product(x, {mask: 1}, sig)
+        # b -> b ^ mask is one-to-one, so the surviving keys keep X's order
+        assert list(image) == [b ^ mask for b in x if b ^ mask in image]
+
+    def test_every_blade_pair_of_every_small_signature(self):
+        for sig in all_signatures(5):
+            for b in range(1 << sig.n):
+                for mask in range(1 << sig.n):
+                    assert _times_blade({b: 1}, mask, sig) == _product({b: 1}, {mask: 1}, sig)
 
 
 class TestAlgebraLaws:
@@ -674,6 +698,19 @@ class TestMultivectorType:
         x = Multivector.one(Signature(1, 0))
         with pytest.raises(AttributeError):
             x.sig = Signature(0, 1)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            Multivector.scalar(Signature(1, 1), Fraction(-5, 6)),
+            Multivector(Signature(2, 1, 1), {0: Fraction(1, 3), 0b0110: Fraction(-7, 4), 0b1111: 2}),
+        ],
+        ids=["scalar", "fractional"],
+    )
+    def test_copy_and_pickle_round_trip(self, x):
+        for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert clone == x and hash(clone) == hash(x)
+            assert (clone.sig, clone._ints, clone._scale) == (x.sig, x._ints, x._scale)
 
     def test_validation(self):
         with pytest.raises(ValueError):

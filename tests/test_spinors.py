@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cliffalg import _linalg, spinors
 from cliffalg import (
@@ -42,7 +42,7 @@ from cliffalg import (
     representation_intertwiner,
     scalar_mul,
 )
-from cliffalg.spinors import _admissible, _blade_image_span
+from cliffalg.spinors import _admissible, _blade_image_span, _product_form
 from support import (
     all_signatures,
     count_products,
@@ -58,6 +58,7 @@ from support import (
     reference_division_ring,
     reference_idempotents,
     reference_interbasis,
+    reference_product,
     reference_rep_matrix,
 )
 
@@ -521,6 +522,153 @@ class TestRankPath:
         assert info.basis == expected
 
 
+@st.composite
+def canonical_cases(draw):
+    """A canonical idempotent of a regular Cl(p,q) with n <= 6, or 1."""
+    n = draw(st.integers(0, 6))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    return draw(st.sampled_from([*canonical_idempotents(sig), Multivector.one(sig)]))
+
+
+def factor_product(sig, form):
+    """prod_v (1 + sigma_v e_v)/2 over a _product_form result, by geometric products."""
+    one = Multivector.one(sig)
+    out = one
+    for v, sigma in form.items():
+        out = geometric_product(out, (one + Multivector.basis_blade(sig, v, sigma)) / 2)
+    return out
+
+
+def is_idempotent(x):
+    return reference_product(x, x) == x
+
+
+class TestProductForm:
+    """The certificate f = prod_v (1 + sigma_v e_v)/2 and the spans and checks built on it."""
+
+    def test_canonical_idempotents_certified(self):
+        for sig in all_signatures(6, degenerate=False):
+            k = idempotent_count_exponent(sig)
+            for f in canonical_idempotents(sig):
+                form = _product_form(f)
+                assert len(form) == k
+                assert factor_product(sig, form) == f
+
+    def test_split_faithful_generator_certified(self):
+        # f and g differ in the sign of one blade, so f + g is the product
+        # over the other k - 1 blades
+        for sig in all_signatures(8, degenerate=False):
+            if not is_simple(sig):
+                generator = faithful_ideal(sig).generator
+                form = _product_form(generator)
+                assert len(form) == idempotent_count_exponent(sig) - 1
+                assert factor_product(sig, form) == generator
+
+    def test_degenerate_signature_not_certified(self):
+        f = Multivector(Signature(1, 0, 1), {0: Fraction(1, 2), 0b1: Fraction(1, 2)})
+        assert is_idempotent(f) and _product_form(f) is None
+        assert division_ring_info(f).kind == "R"
+
+    @settings(max_examples=60, deadline=None)
+    @given(canonical_cases())
+    @example(Multivector.one(Signature(0, 0)))
+    @example(Multivector.one(Signature(1, 2)))
+    # f*A*f = R with k = 3 and H with k = 2 at n = 6, and C at n = 5
+    @example(canonical_idempotents(Signature(3, 3))[-1])
+    @example(canonical_idempotents(Signature(0, 6))[2])
+    @example(canonical_idempotents(Signature(6, 0))[1])
+    @example(canonical_idempotents(Signature(4, 1))[0])
+    def test_certified_spans_match_full_reduction(self, f):
+        assert _product_form(f) is not None
+        sig = f.sig
+        ideal = left_ideal_basis(f)
+        expected = full_blade_image_span(sig, lambda b: geometric_product(b, f))
+        assert (ideal.basis, ideal.pivots) == expected
+        expected = full_blade_image_span(sig, lambda b: geometric_product(geometric_product(f, b), f))
+        assert _blade_image_span(f, f) == expected
+        if f != 1:
+            assert division_ring_info(f).basis == expected[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(span_elements())
+    def test_certificate_is_sound(self, case):
+        # whatever passes is the product of its factors; every kind still
+        # spans its full reduction (TestRankPath), on whichever path it takes
+        sig, _, x, _ = case
+        form = _product_form(x)
+        if form is not None:
+            assert factor_product(sig, form) == x
+
+    @settings(max_examples=60, deadline=None)
+    @given(canonical_cases(), st.data())
+    def test_one_sign_flipped(self, f, data):
+        # flipping one sign of a product of k >= 2 factors leaves no
+        # character, and with k = 1 it may give the other idempotent: the
+        # certificate must pass exactly the idempotents
+        mask = data.draw(st.sampled_from(sorted(f._ints)))
+        flipped = {m: -c if m == mask else c for m, c in f._ints.items()}
+        x = Multivector._scaled(f.sig, flipped, f._scale)
+        assert (_product_form(x) is not None) == is_idempotent(x)
+        if not is_idempotent(x):
+            with pytest.raises(NotIdempotent):
+                left_ideal_basis(x)
+
+    def test_twice_an_idempotent_rejected(self):
+        for sig in all_signatures(5, degenerate=False):
+            f = canonical_idempotents(sig)[0]
+            assert _product_form(2 * f) is None
+            with pytest.raises(NotIdempotent):
+                left_ideal_basis(2 * f)
+            idems = canonical_idempotents(sig)
+            with pytest.raises(ValueError, match="not idempotent"):
+                IdempotentSet((2 * f, *idems[1:]), find_commuting_blades(sig))
+
+    @settings(max_examples=40, deadline=None)
+    @given(canonical_cases(), st.data())
+    def test_support_not_a_subspace(self, f, data):
+        # one term dropped: the scale stays 2^k over 2^k - 1 masks that
+        # still span S
+        assume(len(f._ints) >= 4)
+        mask = data.draw(st.sampled_from(sorted(f._ints)[1:]))
+        x = Multivector._scaled(f.sig, {m: c for m, c in f._ints.items() if m != mask}, f._scale)
+        assert x._scale == f._scale
+        assert _product_form(x) is None and not is_idempotent(x)
+        with pytest.raises(NotIdempotent):
+            left_ideal_basis(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            # (1 + e1)(1 + e2)/4: e1 * F = F, but e1 and e2 anticommute
+            Multivector(Signature(2, 0), {m: Fraction(1, 4) for m in range(4)}),
+            # (1 + e1)/2 with e1 * e1 = -1
+            Multivector(Signature(0, 1), {0: Fraction(1, 2), 1: Fraction(1, 2)}),
+        ],
+        ids=["anticommuting", "negative-square"],
+    )
+    def test_relations_that_fail(self, x):
+        assert _product_form(x) is None and not is_idempotent(x)
+        with pytest.raises(NotIdempotent):
+            left_ideal_basis(x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(canonical_cases(), st.data())
+    def test_basis_element_with_one_term_negated(self, f, data):
+        # off its pivots, a negated term keeps the pivot test and the rebuild
+        # of f's pivot values; only b * e_v = sigma_v b sees it
+        ideal = left_ideal_basis(f)
+        i = data.draw(st.integers(0, ideal.dim - 1))
+        b = ideal.basis[i]
+        off_pivot = sorted(set(b._ints) - set(ideal.pivots))
+        assume(off_pivot)
+        mask = data.draw(st.sampled_from(off_pivot))
+        negated = Multivector._scaled(f.sig, {m: -c if m == mask else c for m, c in b._ints.items()}, b._scale)
+        basis = ideal.basis[:i] + (negated,) + ideal.basis[i + 1 :]
+        with pytest.raises(ValueError, match="not stabilized"):
+            IdealBasis(f, basis, ideal.dim, ideal.pivots)
+
+
 class TestPeirce:
     def test_matches_explicit_rank(self):
         for sig in REGULAR_SIGS_4:
@@ -639,11 +787,15 @@ class TestDivisionRing:
 
     @pytest.mark.parametrize("pq, products", [((0, 2), 5), ((3, 0), 3)])
     def test_product_count(self, monkeypatch, pq, products):
-        # f*f once, then one product f*(b*f) for one blade per basis element
-        # of f*A*f: b*f comes from blade signs alone
+        # a canonical f is certified by relabellings and f*A*f is read off
+        # its coset leaders: no product.  Without the certificate, f*f once,
+        # then one product f*(b*f) for one blade per basis element
         f = canonical_idempotents(Signature(*pq))[0]
         calls = count_products(monkeypatch)
         info = division_ring_info(f)
+        assert calls[0] == 0
+        monkeypatch.setattr(spinors, "_product_form", lambda f: None)
+        assert division_ring_info(f) == info
         assert calls[0] == products == 1 + info.dim
 
     @settings(max_examples=80, deadline=None)
@@ -911,13 +1063,13 @@ class TestInterbasis:
                 assert interbasis_element(f_i, f_j) == expected
 
     def test_product_count(self, monkeypatch):
-        # f_i*f_i and f_j*f_j, one image each for the one-dimensional
-        # f_i*A*f_j and f_j*A*f_i, two products for the solve's one column,
-        # and the two-sided check
+        # f_i*f_i = f_i and f_j*f_j = f_j by relabellings, one image each for
+        # the one-dimensional f_i*A*f_j and f_j*A*f_i, two products for the
+        # solve's one column, and the two-sided check
         f1, f2 = canonical_idempotents(Signature(3, 3))[:2]
         calls = count_products(monkeypatch)
         interbasis_element(f1, f2)
-        assert calls[0] <= 8
+        assert calls[0] <= 6
 
     def test_matrix_unit_family_spans_componentwise(self):
         # diagonal units recover the idempotents; off-diagonal ones are nilpotent
