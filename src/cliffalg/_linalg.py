@@ -17,6 +17,7 @@ integers no larger than minors of the input.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -73,14 +74,30 @@ class ScaledMatrix:
         return ScaledMatrix(transpose(self.rows), self.scale)
 
     def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        """(A / s)(B / t) = AB / st, with every dot product in int arithmetic."""
+        """(A / s)(B / t) = AB / st in int arithmetic, skipping the zero entries of sparse rows of A.
+
+        A row of A with at most half of its entries nonzero is formed as the
+        sum of its nonzero entries times the matching rows of B: nnz passes
+        over a row of B, each of which builds one list.  Any other row takes
+        one dot product with each column of B, which builds no list, so at
+        half the entries the two forms cost about the same (measured on 4x4
+        to 64x64 inputs).  A dense factor thus runs as before, and a left
+        factor with two nonzeros per row, such as R(e1 + e2), costs 2m^2
+        products, not m^3.
+        """
         a, b = self.rows, other.rows
+        width = len(b[0]) if b else 0
         if a and len(a[0]) != len(b):
-            width = len(b[0]) if b else 0
             raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{width}")
         columns = list(zip(*b))
+        mul = operator.mul
         return ScaledMatrix(
-            [[sum(map(operator.mul, row, col)) for col in columns] for row in a],
+            [
+                [sum(map(mul, row, col)) for col in columns]
+                if 0 not in row or 2 * row.count(0) < len(row)
+                else _row_combination(row, b, width)
+                for row in a
+            ],
             self.scale * other.scale,
         )
 
@@ -96,6 +113,15 @@ class ScaledMatrix:
 
     def fractions(self) -> list[list[Fraction]]:
         return [[Fraction(x, self.scale) for x in row] for row in self.rows]
+
+
+def _row_combination(row, b, width) -> list:
+    """sum_k row[k] * b[k] over the nonzero row[k], as one int list of length width."""
+    acc = [0] * width
+    for x, b_row in zip(row, b):
+        if x:
+            acc = list(map(operator.add, acc, map(operator.mul, b_row, itertools.repeat(x))))
+    return acc
 
 
 def mat_mul(a, b):

@@ -44,6 +44,7 @@ from .quadratic_space import (
     BilinearForm,
     cartan_dieudonne_factor,
     classify_vector,
+    format_ratio,
     format_rational,
     orthogonal_diagonalize,
     parse_matrix,
@@ -88,6 +89,12 @@ def _vec(values) -> list:
 
 def _mat(rows) -> list:
     return [_vec(row) for row in rows]
+
+
+def _scaled_mat(matrix: ScaledMatrix) -> list:
+    """_mat(matrix.fractions()) read from the integer rows, with no Fraction (format_ratio)."""
+    scale = matrix.scale
+    return [[format_ratio(x, scale) for x in row] for row in matrix.rows]
 
 
 def _joined(matrix: list) -> str:
@@ -359,7 +366,7 @@ def cmd_rep(args, sig: Signature):
     unital = one == ScaledMatrix.identity(ideal.dim)
     # x*x comes from the kernel, so the check does not go through the path it checks
     square = _map_matrix(ideal, ideal, geometric_product(x, x), on_left=True) == matrix @ matrix
-    result = {"ideal_dimension": ideal.dim, "matrix": _mat(matrix.fractions())}
+    result = {"ideal_dimension": ideal.dim, "matrix": _scaled_mat(matrix)}
     checks = {"unital": unital, "homomorphism_square": square}
     lines = [
         f"ideal dimension: {ideal.dim}",

@@ -149,6 +149,12 @@ def check_rational_bits(value: Fraction) -> None:
         raise CoefficientTooLarge(f"a coefficient exceeds the budget of {MAX_COEFFICIENT_BITS} bits")
 
 
+def check_ratio_bits(numerator: int, denominator: int) -> None:
+    """check_rational_bits for a reduced numerator and denominator given as ints."""
+    if max(numerator.bit_length(), denominator.bit_length()) > MAX_COEFFICIENT_BITS:
+        raise CoefficientTooLarge(f"a coefficient exceeds the budget of {MAX_COEFFICIENT_BITS} bits")
+
+
 def check_coefficient_bits(x: "Multivector") -> None:
     """Raise CoefficientTooLarge when a coefficient exceeds MAX_COEFFICIENT_BITS."""
     # a reduced coefficient is no longer than its numerator and the scale

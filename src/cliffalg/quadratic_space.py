@@ -22,7 +22,13 @@ from fractions import Fraction
 
 from . import _linalg
 from ._linalg import ScaledMatrix
-from .core_algebra import MAX_LITERAL_DIGITS, Signature, _rational, check_rational_bits
+from .core_algebra import (
+    MAX_LITERAL_DIGITS,
+    Signature,
+    _rational,
+    check_ratio_bits,
+    check_rational_bits,
+)
 from .errors import (
     DegenerateForm,
     DimensionMismatch,
@@ -385,6 +391,22 @@ def format_rational(value) -> str:
     value = _rational(value)
     check_rational_bits(value)
     return str(value)
+
+
+def format_ratio(numerator: int, denominator: int) -> str:
+    """format_rational(Fraction(numerator, denominator)) for ints with denominator > 0, with no Fraction.
+
+    A zero is "0"; any other pair is reduced by one gcd, and the budget
+    applies to the reduced pair, as it does in format_rational.
+    """
+    if not numerator:
+        return "0"
+    divisor = math.gcd(numerator, denominator)
+    if divisor != 1:
+        numerator //= divisor
+        denominator //= divisor
+    check_ratio_bits(numerator, denominator)
+    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
 
 def format_vector(v) -> str:

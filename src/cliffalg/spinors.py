@@ -23,6 +23,9 @@ generator.  _product_form decides that by k blade relabellings, which also
 proves f * f = f.  For such an f every block of A * f has rank one, with
 the relabelling e_c * F as its row, b * f = b reads b * e_v = sigma_v b,
 and no product is formed; any other generator takes the products above.
+The rows of such an ideal split the blades, so a representation matrix is
+read through one blade index (_index_read), and the interbasis pair of two
+such products is a pair of relabellings (_interbasis_from_leader).
 
 Wedderburn: Cl(p,q) is one or two copies of M_m(D) for a single division
 ring D, so f * A * f is a division ring exactly when its dimension is
@@ -428,6 +431,20 @@ class IdealBasis:
     and no term pair: f * e_v = sigma_v f gives b * e_v = b * f * e_v =
     sigma_v b, and conversely each factor then fixes b.  Any other f, such
     as a conjugated idempotent, is checked by the product b * f.
+
+    Blade index.  For such an f = F / 2^k every row of a basis that passes
+    these checks is e_p * F over scale 1, with p its pivot, so the rows
+    split the blades: _blade_rows maps blade d to the one row j(d) that
+    holds it and to its coefficient v_d = +-1 there.  Proof: A * f is the
+    direct sum of the lines spanned by e_c * F, one per coset c + S of the
+    span S of the v, as e_b * F = +-e_c * F for b in c + S (e_s * F = +-F
+    for s in S); e_c * F holds every blade of c + S with coefficient +-1,
+    and no other.  So b_i = sum_c a_ic e_c * F, and b_i at a pivot p in
+    c + S is +-a_ic.  Two pivots in one coset would give two proportional
+    columns of the pivot matrix, which is the identity; so each of the
+    dim = 2^(n-k) cosets holds exactly one pivot, a_ic = +-1 on the coset
+    of p_i and 0 elsewhere, and b_i = e_(p_i) * F, the multiple that is 1
+    at p_i.  _blade_rows is None for any other generator.
     """
 
     generator: Multivector
@@ -435,6 +452,7 @@ class IdealBasis:
     dim: int
     pivots: tuple[int, ...]  # RREF pivot blade masks, used for coordinate reads
     _integer_basis: tuple[list[dict], int] = field(init=False, repr=False, compare=False)
+    _blade_rows: tuple[list[int], list[int]] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(b.sig != self.sig for b in self.basis):
@@ -469,6 +487,15 @@ class IdealBasis:
             raise ValueError(
                 f"basis has {len(rows)} elements and dim {self.dim}, not the rank {rank} of A * f"
             )
+        index = None
+        if form is not None:
+            row_of, sign_of = [0] * (1 << self.sig.n), [0] * (1 << self.sig.n)
+            for j, row in enumerate(rows):
+                for d, v in row.items():
+                    row_of[d], sign_of[d] = j, v
+            assert scale == 1 and sum(map(len, rows)) == len(row_of), "rows do not split the blades"
+            index = (row_of, sign_of)
+        object.__setattr__(self, "_blade_rows", index)
 
     @property
     def sig(self) -> Signature:
@@ -646,8 +673,39 @@ def _pivot_columns(images: list, pivots) -> list[list[int]]:
     return [[image.get(p, 0) for image in images] for p in pivots]
 
 
+def _index_read(ideal: IdealBasis, x: Multivector) -> list[list[int]]:
+    """Integer matrix whose column j holds X * b_j read through the blade index, x = X / scale_x.
+
+    b_j = e_(p_j) * F (IdealBasis), so X * b_j = (X * e_(p_j)) * F.  For
+    every blade d, e_d * F and b_(j(d)) lie on the line of d's coset, and
+    at d the first is 1 and the second v_d = +-1, so e_d * F = v_d
+    b_(j(d)).  Column j thus holds Y[d] v_d in row j(d) for each term Y[d]
+    of Y = X * e_(p_j): one right relabelling of X per column and no term
+    pair.
+    """
+    row_of, sign_of = ideal._blade_rows
+    matrix = [[0] * ideal.dim for _ in range(ideal.dim)]
+    for j, p in enumerate(ideal.pivots):
+        for d, c in _times_blade(x._ints, p, x.sig).items():
+            matrix[row_of[d]][j] += c * sign_of[d]
+    return matrix
+
+
 def _map_matrix(source: IdealBasis, target: IdealBasis, x: Multivector, on_left: bool):
     """The ScaledMatrix M / s of psi -> x * psi (on_left) or psi * x.
+
+    Left multiplication on an ideal with a blade index is read through it
+    (_index_read), with s = scale_x; every other map, among them right
+    multiplication and any generator that _product_form refuses, takes the
+    products of _map_matrix_by_products, which give the same matrix.
+    """
+    if on_left and source == target and source._blade_rows is not None:
+        return _linalg.ScaledMatrix(_index_read(source, x), x._scale)
+    return _map_matrix_by_products(source, target, x, on_left)
+
+
+def _map_matrix_by_products(source: IdealBasis, target: IdealBasis, x: Multivector, on_left: bool):
+    """_map_matrix by one product per basis element.
 
     M maps source's basis to target's and is an integer matrix.  The
     caller guarantees that every image lies in target's span, so its
@@ -680,9 +738,12 @@ def regular_rep_matrix(x: Multivector, ideal: IdealBasis):
 def interbasis_element(f_i: Multivector, f_j: Multivector):
     """(E_ij, E_ji) with E_ij * E_ji = f_i and E_ji * E_ij = f_j.
 
-    E_ij is any nonzero element of f_i * A * f_j (NotSimple when that space
-    is zero, which happens across central components of a split algebra);
-    its partial inverse E_ji is found by an exact linear solve.
+    E_ij is the first RREF basis element of f_i * A * f_j (NotSimple when
+    that space is zero, which happens across central components of a split
+    algebra), and E_ji its partial inverse in f_j * A * f_i.  That inverse
+    is unique: if E and E' both are one, E' = f_j * E' = E * E_ij * E' =
+    E * f_i = E.  Two products over one blade set take the closed form of
+    _interbasis_from_leader; any other pair, _interbasis_by_solve.
     """
     _require_idempotent(f_i)
     _require_idempotent(f_j)
@@ -690,6 +751,64 @@ def interbasis_element(f_i: Multivector, f_j: Multivector):
         raise SignatureMismatch(f"signatures differ: {f_i.sig} vs {f_j.sig}")
     if f_i == f_j:
         return f_i, f_i
+    pair = _interbasis_from_leader(f_i, f_j)
+    return pair if pair is not None else _interbasis_by_solve(f_i, f_j)
+
+
+def _interbasis_from_leader(f_i: Multivector, f_j: Multivector):
+    """(E_ij, E_ji) by relabellings when _product_form certifies f_i and f_j over one blade set, else None.
+
+    Let f_i = F_i / 2^k over the basis v with signs sigma_v, and f_j =
+    F_j / 2^k with the same support S.  Conjugating a factor by a blade,
+    e_c^-1 (1 + sigma_v e_v) e_c = 1 +- sigma_v e_v, flips sigma_v exactly
+    when e_c and e_v anticommute; f_j is the product with the signs
+    F_j[v], so f_i * e_c = e_c * f_j exactly when e_c anticommutes with
+    the e_v where sigma_v != F_j[v] and commutes with the rest.  That
+    depends on c's coset only, as S commutes with every e_v.
+
+    f_i * e_b * f_j = e_b * (e_b^-1 f_i e_b) * f_j is nonzero exactly when
+    the conjugate equals f_j: two products over one basis multiply to 0
+    unless their signs agree.  So the blocks of f_i * A * f_j are the
+    lines e_c * F_j of the cosets c + S whose leader c passes the test
+    (see _blade_image_span); its first RREF row is e_c * F_j over scale
+    1, with c the least such leader, and NotSimple is raised when there
+    is none.  With F_i e_c = e_c F_j and F_i F_i = 2^k F_i, E_ji =
+    e_c^-1 F_i / 4^k gives E_ij E_ji = F_i e_c e_c^-1 F_i / 4^k = f_i and
+    E_ji E_ij = e_c^-1 e_c F_j F_j / 4^k = f_j; e_c^-1 = +-e_c.
+    """
+    form = _product_form(f_i)
+    if form is None or _product_form(f_j) is None or f_i._ints.keys() != f_j._ints.keys():
+        return None
+    sig = f_i.sig
+    flips = [v for v, sigma in form.items() if f_j._ints[v] != sigma]
+    lead = sum(1 << (v.bit_length() - 1) for v in form)
+    c = next(
+        (
+            c
+            for c in range(1 << sig.n)
+            if not c & lead and all(_anticommute(c, v) == (v in flips) for v in form)
+        ),
+        None,
+    )
+    if c is None:
+        raise NotSimple("f_i * A * f_j is zero; the idempotents sit in different components")
+    e_c_f_j = _blade_times(c, f_j._ints, sig)
+    assert _times_blade(f_i._ints, c, sig) == e_c_f_j, "f_i * e_c != e_c * f_j"
+    square = blade_mul(c, c, sig)[0].numerator
+    e_ij = Multivector._scaled(sig, e_c_f_j, 1)
+    e_ji = Multivector._scaled(
+        sig, {m: square * v for m, v in _blade_times(c, f_i._ints, sig).items()}, f_i._scale**2
+    )
+    return e_ij, e_ji
+
+
+def _interbasis_by_solve(f_i: Multivector, f_j: Multivector):
+    """interbasis_element for distinct idempotents by row reduction and one exact linear solve.
+
+    E_ij is the first RREF row of f_i * A * f_j (_blade_image_span) and
+    E_ji solves E_ij * v = f_i and v * E_ij = f_j over the span of f_j *
+    A * f_i.
+    """
     sig = f_i.sig
     space_ij, _ = _blade_image_span(f_i, f_j)
     if not space_ij:

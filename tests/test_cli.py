@@ -13,10 +13,11 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cliffalg import (
     BilinearForm,
+    CoefficientTooLarge,
     LiftResult,
     Multivector,
     ParseError,
@@ -201,8 +202,9 @@ class TestExitCodes:
             ["classify", "--sig", "2,0", f"{'9' * 2400},{'7' * 2400}"],
             ["reflect", "--sig", "2,0", "--vector", f"{A},{B}"],
             ["diagonalize", "--matrix", f"{A},{B};{B},{C}"],
+            ["rep", "--sig", "2,0", "--", f"1/{A} + 1/{B}*e1"],
         ],
-        ids=["classify-1,1", "classify-2,0", "reflect", "diagonalize"],
+        ids=["classify-1,1", "classify-2,0", "reflect", "diagonalize", "rep"],
     )
     def test_oversized_result_exits_1(self, capsys, argv):
         code, out, err = run_text(capsys, argv)
@@ -329,6 +331,15 @@ class TestDimensionCap:
         matrix = payload["result"]["matrix"]
         assert payload["result"]["ideal_dimension"] == 32
         assert len(matrix) == 32 and all(len(row) == 32 for row in matrix)
+        assert payload["checks"] == {"homomorphism_square": True, "unital": True}
+
+    def test_rep_at_default_cap_forms_one_product(self, capsys, monkeypatch):
+        # R(x), R(1) and R(x*x) are read through the ideal's blade index;
+        # the one product is x*x, which the square check needs from the
+        # kernel (97 products when each column was a product)
+        calls = count_products(monkeypatch)
+        payload = run_json(capsys, ["rep", "--sig", "5,5", "--json", "1 + 2*e{1,2} - 3*e{3,4,5}"])
+        assert calls[0] == 1
         assert payload["checks"] == {"homomorphism_square": True, "unital": True}
 
     def test_ideal_at_default_cap_reduces_to_rank(self, capsys, monkeypatch):
@@ -565,18 +576,57 @@ class TestLiftCheck:
             assert _twisted_adjoint_matches(tampered, m) == reference_matches(tampered, m)
 
 
+BUDGET_EDGE = 1 << 8191  # 8192 bits: the largest numerator or denominator format_rational renders
+
+
+@st.composite
+def scaled_matrices(draw):
+    """Integer rows over a scale, with zeros, negatives, unreduced scales and entries at the bit budget."""
+    scale = draw(st.sampled_from([1, 2, 6, 12, 35, BUDGET_EDGE - 1, BUDGET_EDGE + 1, 2 * BUDGET_EDGE]))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-40, 40),
+        st.integers(-40, 40).map(lambda k: k * scale),
+        st.sampled_from([BUDGET_EDGE, -BUDGET_EDGE, 2 * BUDGET_EDGE, 2 * BUDGET_EDGE - 1, -(2 * BUDGET_EDGE)]),
+    )
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    return _linalg.ScaledMatrix(draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)), scale)
+
+
+class TestScaledRendering:
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_matrices())
+    @example(_linalg.ScaledMatrix([[0, -3, 4, 6]], 6))
+    @example(_linalg.ScaledMatrix([[2 * BUDGET_EDGE - 1]], 1))
+    @example(_linalg.ScaledMatrix([[2 * BUDGET_EDGE]], 1))
+    @example(_linalg.ScaledMatrix([[2 * BUDGET_EDGE]], 2))
+    @example(_linalg.ScaledMatrix([[1]], 2 * BUDGET_EDGE - 1))
+    @example(_linalg.ScaledMatrix([[1]], 2 * BUDGET_EDGE))
+    def test_matches_format_rational(self, matrix):
+        # the integer renderer against format_rational over fractions(), the
+        # CoefficientTooLarge of an entry past 8192 bits included
+        try:
+            expected = [[format_rational(v) for v in row] for row in matrix.fractions()]
+        except CoefficientTooLarge:
+            with pytest.raises(CoefficientTooLarge):
+                cli._scaled_mat(matrix)
+        else:
+            assert cli._scaled_mat(matrix) == expected
+
+
 class TestRepCheck:
     ARGV = ["rep", "--sig", "2,1", "--json", "1+2*e1+3*e2+5*e3+7*e12"]
 
     def test_planted_pivot_read_fault_fails(self, capsys, monkeypatch):
         # the square check forms x*x in the product kernel and compares
-        # R(x*x) with R(x) R(x), so a read that negates one column shows
+        # R(x*x) with R(x) R(x), so a read of the blade index that negates
+        # one column shows
         assert run_json(capsys, self.ARGV)["checks"] == {"homomorphism_square": True, "unital": True}
-        read = spinors._pivot_columns
+        read = spinors._index_read
         monkeypatch.setattr(
             spinors,
-            "_pivot_columns",
-            lambda images, pivots: [[-row[0], *row[1:]] for row in read(images, pivots)],
+            "_index_read",
+            lambda ideal, x: [[-row[0], *row[1:]] for row in read(ideal, x)],
         )
         checks = run_json(capsys, self.ARGV)["checks"]
         assert checks == {"homomorphism_square": False, "unital": False}

@@ -66,6 +66,20 @@ def matrix_pairs(draw):
     return matrix(rows, inner), matrix(inner, cols)
 
 
+@st.composite
+def sparse_matrix_pairs(draw):
+    """(A, B) with 1 <= r, k, c <= 6, each row with its own share of zeros, so one A mixes both row forms."""
+    rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12))
+
+    def row(width):
+        zeros = draw(st.integers(0, width))
+        values = draw(st.lists(entry, min_size=width, max_size=width))
+        return [0 if i < zeros else v for i, v in enumerate(draw(st.permutations(values)))]
+
+    return [row(inner) for _ in range(rows)], [row(cols) for _ in range(inner)]
+
+
 class Exploding(int):
     """An entry that may not be multiplied."""
 
@@ -85,6 +99,22 @@ class TestScaledMatrix:
         assert product.fractions() == expected
         assert all(type(x) is Fraction for row in product.fractions() for x in row)
         assert product == ScaledMatrix.of(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrix_pairs())
+    @example(([[0, 1, 0, -1], [2, 3, 4, 5]], [[1, 2], [3, 4], [5, 6], [7, 8]]))
+    @example(([[0, 0, 0]], [[1], [2], [3]]))
+    def test_sparse_rows_match_fraction_loop(self, pair):
+        a, b = pair
+        assert (ScaledMatrix.of(a) @ ScaledMatrix.of(b)).fractions() == reference_mat_mul(a, b)
+
+    def test_sparse_row_skips_its_zero_entries(self):
+        # a row with at most half of its entries nonzero never multiplies
+        # the rows of B under its zeros; a denser row takes every column
+        b = ScaledMatrix([[1, 2], [Exploding(3), 4], [5, 6], [Exploding(7), 8]])
+        assert ScaledMatrix([[1, 0, -1, 0]]) @ b == ScaledMatrix([[-4, -4]])
+        with pytest.raises(AssertionError, match="compared past"):
+            ScaledMatrix([[1, 0, 2, 3]]) @ ScaledMatrix([[1], [Exploding(2)], [3], [4]])
 
     def test_of_takes_the_least_scale(self):
         m = ScaledMatrix.of([[Fraction(1, 2), 3], [0, Fraction(-2, 3)]])
