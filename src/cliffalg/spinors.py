@@ -24,8 +24,10 @@ proves f * f = f.  For such an f every block of A * f has rank one, with
 the relabelling e_c * F as its row, b * f = b reads b * e_v = sigma_v b,
 and no product is formed; any other generator takes the products above.
 The rows of such an ideal split the blades, so a representation matrix is
-read through one blade index (_index_read), and the interbasis pair of two
-such products is a pair of relabellings (_interbasis_from_leader).
+read through one blade index (_index_read).  One coset-leader rule gives
+every Peirce space l * A * f of such an f with l = 1 or l a product over
+the same basis, and interbasis_element reads E_ji off E_ij by relabellings
+whenever E_ij is one.
 
 Wedderburn: Cl(p,q) is one or two copies of M_m(D) for a single division
 ring D, so f * A * f is a division ring exactly when its dimension is
@@ -308,25 +310,35 @@ def _blade_image_span(
     factor of every pivot, and the entries grow with each step.  Each basis
     element is its integer row over the row's pivot entry.
 
-    When right is a product f = F / 2^k of _product_form and left is 1 or
-    f, no image is formed and no block reduced.  Then S is spanned by the
-    basis v, and for b = +-e_c * e_s with s in S, b * f = +-e_c * f, as
+    When right is a product f = F / 2^k of _product_form with signs
+    sigma_v, and left is 1 or a product l over the same basis v with signs
+    lambda_v, no image is formed and no block reduced.  Then S is spanned
+    by the v, and for b = +-e_c * e_s with s in S, b * f = +-e_c * f, as
     e_s * F = +-F.  So every block has rank at most 1, its image e_c * F
     holds every blade of c + S with coefficient +-1 and is 1 on c, and its
     RREF row is e_c * F over scale 1, with c the coset leader, the least
-    mask of c + S, which holds no leading bit of the basis.  For left = f,
-    f * e_c * f = e_c * f when e_c commutes with every e_v and 0 when it
-    anticommutes with one, as (1 + sigma e_v)(1 - sigma e_v) = 0; that
-    holds on the whole coset, since the e_s commute with every e_v.  The
-    rows in ascending leader order are the unique RREF.
+    mask of c + S, which holds no leading bit of the basis.  For left = l,
+    l * e_c * f = e_c * (e_c^-1 * l * e_c) * f, and conjugating a factor,
+    e_c^-1 (1 + lambda_v e_v) e_c = 1 +- lambda_v e_v, flips lambda_v
+    exactly when e_c and e_v anticommute.  Two products over one basis
+    multiply to 0 unless their signs agree, as (1 + sigma e_v)(1 - sigma
+    e_v) = 0, and to f when they do; so the block is kept exactly when e_c
+    anticommutes with the e_v where lambda_v != sigma_v and commutes with
+    the rest (for l = f: with every e_v).  That holds on the whole coset,
+    since the e_s commute with every e_v.  The rows in ascending leader
+    order are the unique RREF.
     """
     sig = left.sig
-    form = _product_form(right) if left == right or left == Multivector.one(sig) else None
-    if form is not None:
+    form, left_form = _product_form(right), _product_form(left)
+    if form is not None and left_form is not None and (not left_form or left_form.keys() == form.keys()):
         lead = sum(1 << (v.bit_length() - 1) for v in form)
         leaders = [c for c in range(1 << sig.n) if not c & lead]
-        if left == right:
-            leaders = [c for c in leaders if not any(_anticommute(c, v) for v in form)]
+        if left_form:
+            leaders = [
+                c
+                for c in leaders
+                if all(_anticommute(c, v) == (left_form[v] != sigma) for v, sigma in form.items())
+            ]
         rows = (Multivector._scaled(sig, _blade_times(c, right._ints, sig), 1) for c in leaders)
         return tuple(rows), tuple(leaders)
     span = _echelon_basis([*left._ints, *right._ints])
@@ -742,8 +754,22 @@ def interbasis_element(f_i: Multivector, f_j: Multivector):
     that space is zero, which happens across central components of a split
     algebra), and E_ji its partial inverse in f_j * A * f_i.  That inverse
     is unique: if E and E' both are one, E' = f_j * E' = E * E_ij * E' =
-    E * f_i = E.  Two products over one blade set take the closed form of
-    _interbasis_from_leader; any other pair, _interbasis_by_solve.
+    E * f_i = E.
+
+    Closed form.  Let f_i = F_i / s_i and f_j = F_j / s_j over their
+    integer maps, and c the pivot of E_ij.  When E_ij = e_c * F_j over
+    scale 1, F_i * e_c = e_c * F_j (two relabellings) and e_c * e_c != 0,
+    then E_ji = e_c^-1 * F_i / s_i^2, with e_c^-1 = +-e_c and no product.
+    Idempotence gives F_i * F_i = s_i F_i and F_j * F_j = s_j F_j, and
+    F_j = e_c^-1 * F_i * e_c gives F_j * F_j = s_i F_j, so s_i = s_j.  Then
+    E_ij * E_ji = F_i * e_c * e_c^-1 * F_i / s_i^2 = f_i and E_ji * E_ij =
+    e_c^-1 * e_c * F_j * F_j / s_j^2 = f_j.  For two products over one
+    basis every row of f_i * A * f_j is such a relabelling
+    (_blade_image_span), and the identity is the rule that kept its leader.
+    A null e_c would give E_ji = 0: on Cl(1,0,1) the pair (1 +- e1)/2 has
+    E_ij = e2 + e12 = e2 * F_j and F_i * e2 = e2 * F_j, and no partial
+    inverse.  Every pair that fails a condition takes one exact solve of
+    E_ij * v = f_i and v * E_ij = f_j over the span of f_j * A * f_i.
     """
     _require_idempotent(f_i)
     _require_idempotent(f_j)
@@ -751,69 +777,21 @@ def interbasis_element(f_i: Multivector, f_j: Multivector):
         raise SignatureMismatch(f"signatures differ: {f_i.sig} vs {f_j.sig}")
     if f_i == f_j:
         return f_i, f_i
-    pair = _interbasis_from_leader(f_i, f_j)
-    return pair if pair is not None else _interbasis_by_solve(f_i, f_j)
-
-
-def _interbasis_from_leader(f_i: Multivector, f_j: Multivector):
-    """(E_ij, E_ji) by relabellings when _product_form certifies f_i and f_j over one blade set, else None.
-
-    Let f_i = F_i / 2^k over the basis v with signs sigma_v, and f_j =
-    F_j / 2^k with the same support S.  Conjugating a factor by a blade,
-    e_c^-1 (1 + sigma_v e_v) e_c = 1 +- sigma_v e_v, flips sigma_v exactly
-    when e_c and e_v anticommute; f_j is the product with the signs
-    F_j[v], so f_i * e_c = e_c * f_j exactly when e_c anticommutes with
-    the e_v where sigma_v != F_j[v] and commutes with the rest.  That
-    depends on c's coset only, as S commutes with every e_v.
-
-    f_i * e_b * f_j = e_b * (e_b^-1 f_i e_b) * f_j is nonzero exactly when
-    the conjugate equals f_j: two products over one basis multiply to 0
-    unless their signs agree.  So the blocks of f_i * A * f_j are the
-    lines e_c * F_j of the cosets c + S whose leader c passes the test
-    (see _blade_image_span); its first RREF row is e_c * F_j over scale
-    1, with c the least such leader, and NotSimple is raised when there
-    is none.  With F_i e_c = e_c F_j and F_i F_i = 2^k F_i, E_ji =
-    e_c^-1 F_i / 4^k gives E_ij E_ji = F_i e_c e_c^-1 F_i / 4^k = f_i and
-    E_ji E_ij = e_c^-1 e_c F_j F_j / 4^k = f_j; e_c^-1 = +-e_c.
-    """
-    form = _product_form(f_i)
-    if form is None or _product_form(f_j) is None or f_i._ints.keys() != f_j._ints.keys():
-        return None
     sig = f_i.sig
-    flips = [v for v, sigma in form.items() if f_j._ints[v] != sigma]
-    lead = sum(1 << (v.bit_length() - 1) for v in form)
-    c = next(
-        (
-            c
-            for c in range(1 << sig.n)
-            if not c & lead and all(_anticommute(c, v) == (v in flips) for v in form)
-        ),
-        None,
-    )
-    if c is None:
-        raise NotSimple("f_i * A * f_j is zero; the idempotents sit in different components")
-    e_c_f_j = _blade_times(c, f_j._ints, sig)
-    assert _times_blade(f_i._ints, c, sig) == e_c_f_j, "f_i * e_c != e_c * f_j"
-    square = blade_mul(c, c, sig)[0].numerator
-    e_ij = Multivector._scaled(sig, e_c_f_j, 1)
-    e_ji = Multivector._scaled(
-        sig, {m: square * v for m, v in _blade_times(c, f_i._ints, sig).items()}, f_i._scale**2
-    )
-    return e_ij, e_ji
-
-
-def _interbasis_by_solve(f_i: Multivector, f_j: Multivector):
-    """interbasis_element for distinct idempotents by row reduction and one exact linear solve.
-
-    E_ij is the first RREF row of f_i * A * f_j (_blade_image_span) and
-    E_ji solves E_ij * v = f_i and v * E_ij = f_j over the span of f_j *
-    A * f_i.
-    """
-    sig = f_i.sig
-    space_ij, _ = _blade_image_span(f_i, f_j)
+    space_ij, pivots = _blade_image_span(f_i, f_j)
     if not space_ij:
         raise NotSimple("f_i * A * f_j is zero; the idempotents sit in different components")
-    e_ij = space_ij[0]
+    e_ij, c = space_ij[0], pivots[0]
+    e_c_f_j = _blade_times(c, f_j._ints, sig)
+    square = blade_mul(c, c, sig)[0].numerator
+    if (
+        square
+        and e_ij._scale == 1
+        and e_ij._ints == e_c_f_j
+        and _times_blade(f_i._ints, c, sig) == e_c_f_j
+    ):
+        e_c_f_i = _blade_times(c, f_i._ints, sig)
+        return e_ij, Multivector._scaled(sig, {m: square * v for m, v in e_c_f_i.items()}, f_i._scale**2)
     space_ji, _ = _blade_image_span(f_j, f_i)
     if not space_ji:
         raise NotSimple("f_j * A * f_i is zero; the idempotents sit in different components")

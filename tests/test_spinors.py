@@ -13,6 +13,7 @@ from cliffalg import _linalg, spinors
 from cliffalg import (
     CommutingBladeSet,
     DegenerateForm,
+    DimensionCapExceeded,
     IdealBasis,
     IdempotentSet,
     Multivector,
@@ -139,6 +140,10 @@ class TestBladeSearch:
     def test_eight_dimensional_euclidean(self):
         result = find_commuting_blades(Signature(8, 0))
         assert result.blades == (1, 30, 102, 170)
+
+    def test_past_the_default_cap_refused(self):
+        with pytest.raises(DimensionCapExceeded):
+            find_commuting_blades(Signature(6, 5))
 
     def test_lexicographically_smallest(self):
         # brute force over all valid sets of the right size, compare minimum
@@ -446,9 +451,14 @@ def span_elements(draw):
 
 @st.composite
 def span_cases(draw):
-    """Idempotent (left, right) with left = 1, left = right = x or left = f (see span_elements)."""
+    """Idempotent (left, right) with left = 1, left = right = x, left = f (see
+    span_elements), or two distinct canonical idempotents of one set."""
     sig, f, x, kind = draw(span_elements())
-    form = draw(st.sampled_from(["left", "double", "sandwich"]))
+    form = draw(st.sampled_from(["left", "double", "sandwich", "pair"]))
+    if form == "pair":
+        idems = canonical_idempotents(sig)
+        assume(len(idems) > 1)
+        return f, draw(st.sampled_from([g for g in idems if g != f]))
     if form == "double" and kind == "dense conjugate":
         form = "left"  # x*b*x for a dense x costs 4^n term pairs per blade
     if form == "left":
@@ -484,6 +494,8 @@ class TestBladeImageSpan:
     @given(span_cases())
     @example(interleaving_case())
     @example(dense_conjugate_case())
+    @example(tuple(canonical_idempotents(Signature(0, 3))))  # across the two components: empty
+    @example(tuple(canonical_idempotents(Signature(2, 2))[::3]))  # two signs flipped
     def test_coset_blocks_match_full_reduction(self, case):
         left, right = case
         expected = full_blade_image_span(
@@ -704,6 +716,9 @@ class TestPeirce:
             peirce_dimension(f, g)
         with pytest.raises(NotIdempotent):
             peirce_dimension(2 * f, f)
+        one = Multivector.one(Signature(1, 0, 1))
+        with pytest.raises(DegenerateForm):
+            peirce_dimension(one, one)
 
 
 @st.composite
@@ -1151,28 +1166,61 @@ class TestInterbasis:
     @example(Signature(0, 7), 0, 14)
     def test_closed_form_matches_solve(self, sig, i, j):
         # ordered pairs of distinct canonical idempotents: the leader's
-        # relabellings give what the row reduction and the solve give, and
-        # find no leader exactly where that path raises NotSimple
+        # relabellings give what the full reduction and the dense solve give,
+        # and find no leader exactly where that space is zero
         idems = canonical_idempotents(sig)
         i %= len(idems)
         f_i, f_j = idems[i], idems[(i + 1 + j % (len(idems) - 1)) % len(idems)]
-        try:
-            expected = spinors._interbasis_by_solve(f_i, f_j)
-        except NotSimple:
+        expected = reference_interbasis(f_i, f_j)
+        if expected is None:
             with pytest.raises(NotSimple):
-                spinors._interbasis_from_leader(f_i, f_j)
+                interbasis_element(f_i, f_j)
         else:
-            assert spinors._interbasis_from_leader(f_i, f_j) == expected
             assert interbasis_element(f_i, f_j) == expected
 
-    def test_conjugated_pair_takes_the_solve(self):
-        # a conjugate of a canonical pair is no product over the blades, so
-        # the closed form declines it and the solve runs as before
+    def test_conjugated_pair_takes_the_solve(self, monkeypatch):
+        # a conjugate of a canonical pair is no product over the blades: its
+        # E_ij is no relabelling of f_j, so the solve runs once, as before
         sig = Signature(2, 0)
         a = add(Multivector.one(sig), Multivector.basis_blade(sig, 0b11, 2))
         f1, f2 = (geometric_product(geometric_product(a, f), inverse(a)) for f in canonical_idempotents(sig))
-        assert spinors._interbasis_from_leader(f1, f2) is None
+        solve, calls = _linalg.solve, []
+        monkeypatch.setattr(_linalg, "solve", lambda *args: calls.append(args) or solve(*args))
         assert interbasis_element(f1, f2) == reference_interbasis(f1, f2)
+        assert len(calls) == 1
+
+    def test_null_leader_takes_the_solve(self):
+        # on Cl(1,0,1) the first row of f_i * A * f_j is e2 + e12 = e2 * F_j,
+        # and F_i * e2 = e2 * F_j, but e2 * e2 = 0: the closed form would give
+        # E_ji = 0, so the solve runs and finds no partial inverse
+        sig = Signature(1, 0, 1)
+        half = Fraction(1, 2)
+        f_i, f_j = (Multivector(sig, {0: half, 0b1: sign * half}) for sign in (1, -1))
+        space, pivots = _blade_image_span(f_i, f_j)
+        assert pivots[0] == 0b10 and space[0] == Multivector(sig, {0b10: 1, 0b11: 1})
+        with pytest.raises(NoSolution):
+            interbasis_element(f_i, f_j)
+
+    def test_row_not_a_relabelling_takes_the_solve(self, monkeypatch):
+        # a planted first row 2 * e_c * F_j keeps its pivot, its scale 1 and
+        # F_i * e_c = e_c * F_j, but the closed form's E_ji inverts e_c * F_j,
+        # not this row: only the solve gives a partial inverse of it
+        f1, f2 = canonical_idempotents(Signature(2, 2))[:2]
+        span = spinors._blade_image_span
+
+        def planted(left, right):
+            rows, pivots = span(left, right)
+            return ((2 * rows[0], *rows[1:]), pivots) if (left, right) == (f1, f2) else (rows, pivots)
+
+        monkeypatch.setattr(spinors, "_blade_image_span", planted)
+        e12, e21 = interbasis_element(f1, f2)
+        assert geometric_product(e12, e21) == f1 and geometric_product(e21, e12) == f2
+
+    def test_one_has_no_partial_inverse(self):
+        # 1 * A * f = A * f is not zero, but no E_ij there has a partial inverse
+        f = canonical_idempotents(Signature(2, 0))[0]
+        with pytest.raises(NoSolution):
+            interbasis_element(Multivector.one(f.sig), f)
 
     def test_matrix_unit_family_spans_componentwise(self):
         # diagonal units recover the idempotents; off-diagonal ones are nilpotent
