@@ -144,9 +144,10 @@ def determinant(m):
 def _integer_rref(m):
     """(rows, pivot_columns, d, sign) with rows = d * RREF(m) for an int matrix m.
 
-    The one elimination behind rref, solve, determinant and the isometry
-    check.  Pivots are lowest-index-first and a row swap flips sign.  Every
-    row but the pivot row becomes (pivot * x - lead * y) // previous, an
+    The one elimination of the library: behind rref, solve, determinant,
+    the isometry check, the spinor spans and interbasis_element's system.
+    Pivots are lowest-index-first and a row swap flips sign.  Every row
+    but the pivot row becomes (pivot * x - lead * y) // previous, an
     exact division (Sylvester's identity: each entry is then a minor of m),
     so all pivots end equal to d and for a full-rank square m, det m =
     sign * d.  Rows past the rank end all zero; d is 1 when there is no

@@ -28,6 +28,7 @@ from .core_algebra import (
     Signature,
     _blade_times,
     blade_name,
+    format_ratio,
     geometric_product,
     multiplication_table,
 )
@@ -36,7 +37,6 @@ from .errors import (
     DimensionCapExceeded,
     DimensionMismatch,
     ParseError,
-    UnexpectedDimension,
 )
 from .expr import parse_multivector, pretty_print
 from .groups import _hat_times_generator, lift_isometry, membership
@@ -44,7 +44,6 @@ from .quadratic_space import (
     BilinearForm,
     cartan_dieudonne_factor,
     classify_vector,
-    format_ratio,
     format_rational,
     orthogonal_diagonalize,
     parse_matrix,
@@ -337,11 +336,10 @@ def cmd_ideal(args, sig: Signature):
     else:
         ideal = left_ideal_basis(next(_idempotents(find_commuting_blades(sig, cap=args.cap))))
     division = None
-    try:
+    # the faithful generator f + g of a split algebra is not primitive
+    if not (args.faithful and not is_simple(sig)):
         info = division_ring_info(ideal.generator)
         division = {"dimension": info.dim, "kind": info.kind}
-    except UnexpectedDimension:
-        pass  # faithful generator of a split algebra is not primitive
     result = {
         "generator": pretty_print(ideal.generator),
         "dimension": ideal.dim,

@@ -12,7 +12,8 @@ _ints[mask] / _scale, the least scale, so gcd(_scale, *_ints) = 1 and equal
 values have equal fields: the common-denominator layout of FLINT's
 fmpq_poly, and of _linalg.ScaledMatrix for matrices.  Only this module
 converts between it and Fractions: the constructors scale their input
-(_integer_scaled), and _coeffs, terms() and coefficient() build Fractions.
+(_integer_scaled), and _coeffs, terms() and coefficient() build Fractions;
+format_ratio renders one numerator over the scale with no Fraction.
 Every geometric product is _product on the two integer maps, one int
 product per term pair, over the product of the scales; groups, spinors and
 the CLI read _ints and _scale and run _product themselves.  The cost grows
@@ -143,24 +144,35 @@ def _rational(value) -> Rational:
     raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
 
 
-def check_rational_bits(value: Fraction) -> None:
-    """Raise CoefficientTooLarge when a numerator or denominator exceeds MAX_COEFFICIENT_BITS."""
-    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
-        raise CoefficientTooLarge(f"a coefficient exceeds the budget of {MAX_COEFFICIENT_BITS} bits")
-
-
 def check_ratio_bits(numerator: int, denominator: int) -> None:
-    """check_rational_bits for a reduced numerator and denominator given as ints."""
+    """Raise CoefficientTooLarge when a reduced numerator or denominator exceeds MAX_COEFFICIENT_BITS."""
     if max(numerator.bit_length(), denominator.bit_length()) > MAX_COEFFICIENT_BITS:
         raise CoefficientTooLarge(f"a coefficient exceeds the budget of {MAX_COEFFICIENT_BITS} bits")
+
+
+def format_ratio(numerator: int, denominator: int) -> str:
+    """The text "0", "a" or "a/b" of numerator / denominator > 0, reduced by one gcd.
+
+    The budget (check_ratio_bits) applies to the reduced pair; it keeps every
+    rendering far below the digit limit of str(int).
+    """
+    if not numerator:
+        return "0"
+    divisor = math.gcd(numerator, denominator)
+    if divisor != 1:
+        numerator //= divisor
+        denominator //= divisor
+    check_ratio_bits(numerator, denominator)
+    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
 
 def check_coefficient_bits(x: "Multivector") -> None:
     """Raise CoefficientTooLarge when a coefficient exceeds MAX_COEFFICIENT_BITS."""
     # a reduced coefficient is no longer than its numerator and the scale
     if max([x._scale, *map(abs, x._ints.values())]).bit_length() > MAX_COEFFICIENT_BITS:
-        for value in x._coeffs.values():
-            check_rational_bits(value)
+        for value in x._ints.values():
+            divisor = math.gcd(value, x._scale)
+            check_ratio_bits(value // divisor, x._scale // divisor)
 
 
 def _nonzero(coeffs: dict) -> dict:

@@ -74,10 +74,10 @@ from .core_algebra import (
     _negative_mask,
     _zero_mask,
     blade_name,
-    check_coefficient_bits,
-    check_rational_bits,
+    check_ratio_bits,
     clifford_conjugation,
     even_part,
+    format_ratio,
     geometric_product,
     grade_involution,
     norm,
@@ -157,7 +157,7 @@ def _too_deep(pos: int) -> ParseError:
 
 def _check_bits(coeffs: dict) -> None:
     for value in coeffs.values():
-        check_rational_bits(value)
+        check_ratio_bits(value.numerator, value.denominator)
 
 
 def _blade_word(indices, negative_mask: int, zero_mask: int) -> tuple[int, int]:
@@ -431,24 +431,24 @@ def pretty_print(x: Multivector) -> str:
     """Canonical text form: ascending blade masks, exact coefficients.
 
     The output round-trips: parse_multivector(pretty_print(x), x.sig) == x.
-    CoefficientTooLarge when a coefficient passes MAX_COEFFICIENT_BITS.
+    Each coefficient is format_ratio of its numerator over the scale, so
+    CoefficientTooLarge when a reduced one passes MAX_COEFFICIENT_BITS.
     """
-    check_coefficient_bits(x)
-    terms = x.terms()
-    if not terms:
+    ints, scale, n = x._ints, x._scale, x.sig.n
+    if not ints:
         return "0"
     pieces = []
-    for position, (mask, coef) in enumerate(terms):
-        name = blade_name(mask, x.sig.n)
-        magnitude = abs(coef)
+    for mask in sorted(ints):
+        value = ints[mask]
+        magnitude = format_ratio(abs(value), scale)
         if mask == 0:
-            body = str(magnitude)
-        elif magnitude == 1:
-            body = name
+            body = magnitude
+        elif magnitude == "1":
+            body = blade_name(mask, n)
         else:
-            body = f"{magnitude}*{name}"
-        if position == 0:
-            pieces.append(body if coef > 0 else f"-{body}")
+            body = f"{magnitude}*{blade_name(mask, n)}"
+        if pieces:
+            pieces.append(f" + {body}" if value > 0 else f" - {body}")
         else:
-            pieces.append(f" + {body}" if coef > 0 else f" - {body}")
+            pieces.append(body if value > 0 else f"-{body}")
     return "".join(pieces)

@@ -26,8 +26,7 @@ from .core_algebra import (
     MAX_LITERAL_DIGITS,
     Signature,
     _rational,
-    check_ratio_bits,
-    check_rational_bits,
+    format_ratio,
 )
 from .errors import (
     DegenerateForm,
@@ -384,29 +383,9 @@ def parse_matrix(text: str) -> list[list[Fraction]]:
 
 
 def format_rational(value) -> str:
-    """Exactly "a" or "a/b"; CoefficientTooLarge past MAX_COEFFICIENT_BITS.
-
-    The budget keeps every rendering far below the digit limit of str(int).
-    """
+    """Exactly "a" or "a/b"; CoefficientTooLarge past MAX_COEFFICIENT_BITS (format_ratio)."""
     value = _rational(value)
-    check_rational_bits(value)
-    return str(value)
-
-
-def format_ratio(numerator: int, denominator: int) -> str:
-    """format_rational(Fraction(numerator, denominator)) for ints with denominator > 0, with no Fraction.
-
-    A zero is "0"; any other pair is reduced by one gcd, and the budget
-    applies to the reduced pair, as it does in format_rational.
-    """
-    if not numerator:
-        return "0"
-    divisor = math.gcd(numerator, denominator)
-    if divisor != 1:
-        numerator //= divisor
-        denominator //= divisor
-    check_ratio_bits(numerator, denominator)
-    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
+    return format_ratio(value.numerator, value.denominator)
 
 
 def format_vector(v) -> str:

@@ -57,7 +57,6 @@ from .core_algebra import (
     blade_mul,
     blade_name,
     geometric_product,
-    scalar_mul,
 )
 from .errors import (
     DegenerateForm,
@@ -382,10 +381,11 @@ def _blade_image_span(
     return tuple(b for _, b in pivot_rows), tuple(mask for mask, _ in pivot_rows)
 
 
-def _trace_rank(trace: Fraction) -> int:
-    """The rank of a projector from its trace, which over Q is a natural number."""
-    assert trace.denominator == 1 and trace >= 0, f"projector trace {trace} is not a rank"
-    return int(trace)
+def _trace_rank(trace: int, scale: int) -> int:
+    """The rank of a projector from its trace trace / scale, which over Q is a natural number."""
+    rank, rest = divmod(trace, scale)
+    assert not rest and rank >= 0, f"projector trace {trace}/{scale} is not a rank"
+    return rank
 
 
 def _sandwich_ranks(left: Multivector, right: Multivector, span, leaders) -> dict[int, int]:
@@ -408,10 +408,10 @@ def _sandwich_ranks(left: Multivector, right: Multivector, span, leaders) -> dic
     for m, value in left._ints.items():
         c = full ^ m if m.bit_count() & 1 else m
         if m in right._ints and not any((v & c).bit_count() & 1 for v in span):
-            weight = value * right._ints[m] * blade_mul(m, m, sig)[0] * (1 << len(span))
-            characters.append((c, Fraction(weight, scale)))
+            square = blade_mul(m, m, sig)[0].numerator
+            characters.append((c, (value * right._ints[m] * square) << len(span)))
     return {
-        b: _trace_rank(sum(-w if (b & c).bit_count() & 1 else w for c, w in characters))
+        b: _trace_rank(sum(-w if (b & c).bit_count() & 1 else w for c, w in characters), scale)
         for b in leaders
     }
 
@@ -494,7 +494,7 @@ class IdealBasis:
         object.__setattr__(self, "_integer_basis", (rows, scale))
         if not _in_span(self, generator):
             raise ValueError("generator is not in the span of the basis")
-        rank = _trace_rank(self.generator.scalar_part() * (1 << self.sig.n))
+        rank = _trace_rank(generator.get(0, 0) << self.sig.n, generator_scale)
         if not len(rows) == self.dim == rank:
             raise ValueError(
                 f"basis has {len(rows)} elements and dim {self.dim}, not the rank {rank} of A * f"
@@ -536,7 +536,7 @@ def left_ideal_dimension(f: Multivector) -> int:
     len(left_ideal_basis(f).basis); this form stays cheap in high dimension.
     """
     _require_idempotent(f)
-    return _trace_rank(f.scalar_part() * (1 << f.sig.n))
+    return _trace_rank(f._ints.get(0, 0) << f.sig.n, f._scale)
 
 
 def peirce_dimension(f: Multivector, g: Multivector) -> int:
@@ -768,8 +768,9 @@ def interbasis_element(f_i: Multivector, f_j: Multivector):
     (_blade_image_span), and the identity is the rule that kept its leader.
     A null e_c would give E_ji = 0: on Cl(1,0,1) the pair (1 +- e1)/2 has
     E_ij = e2 + e12 = e2 * F_j and F_i * e2 = e2 * F_j, and no partial
-    inverse.  Every pair that fails a condition takes one exact solve of
-    E_ij * v = f_i and v * E_ij = f_j over the span of f_j * A * f_i.
+    inverse.  Every pair that fails a condition takes one integer system for
+    E_ij * v = f_i and v * E_ij = f_j over the span of f_j * A * f_i,
+    reduced by _linalg._integer_rref.
     """
     _require_idempotent(f_i)
     _require_idempotent(f_j)
@@ -795,22 +796,26 @@ def interbasis_element(f_i: Multivector, f_j: Multivector):
     space_ji, _ = _blade_image_span(f_j, f_i)
     if not space_ji:
         raise NotSimple("f_j * A * f_i is zero; the idempotents sit in different components")
-    # solve e_ij * v = f_i and v * e_ij = f_j for v in span(space_ji), one
-    # equation per blade where a side is nonzero: the other equations read 0 = 0
-    matrix, rhs = [], []
-    for target, products in (
-        (f_i, [geometric_product(e_ij, w)._coeffs for w in space_ji]),
-        (f_j, [geometric_product(w, e_ij)._coeffs for w in space_ji]),
+    # e_ji = sum_w t_w w over the rows w = W / s_w of f_j * A * f_i.  With e_ij = E / s and
+    # u_w = t_w s_i s_j / (s s_w), the two sides read sum_w u_w E * W = s_j F_i and
+    # sum_w u_w W * E = s_i F_j: one integer equation per blade where a side is nonzero
+    e_ints = e_ij._ints
+    rows = []
+    for scale, target, products in (
+        (f_j._scale, f_i._ints, [core_algebra._product(e_ints, w._ints, sig) for w in space_ji]),
+        (f_i._scale, f_j._ints, [core_algebra._product(w._ints, e_ints, sig) for w in space_ji]),
     ):
-        for mask in sorted(set(target._ints).union(*products)):
-            matrix.append([product.get(mask, 0) for product in products])
-            rhs.append(target.coefficient(mask))
-    solution = _linalg.solve(matrix, rhs)
-    if solution is None:
+        for mask in set(target).union(*products):
+            rows.append([product.get(mask, 0) for product in products] + [scale * target.get(mask, 0)])
+    reduced, pivots, d, _ = _linalg._integer_rref(rows)
+    if len(space_ji) in pivots:
         raise NoSolution("no partial inverse for the chosen element")
-    e_ji = Multivector.zero(sig)
-    for t, w in zip(solution, space_ji):
-        e_ji = add(e_ji, scalar_mul(t, w))
+    # free u_w are 0, and row r of d * RREF ends in d u_w for w its pivot
+    acc: dict = {}
+    for row, column in zip(reduced, pivots):
+        for mask, v in space_ji[column]._ints.items():
+            acc[mask] = acc.get(mask, 0) + e_ij._scale * row[-1] * v
+    e_ji = Multivector._scaled(sig, acc, f_i._scale * f_j._scale * d)
     assert geometric_product(e_ij, e_ji) == f_i and geometric_product(e_ji, e_ij) == f_j
     return e_ij, e_ji
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from cliffalg import (
     BilinearForm,
+    CoefficientTooLarge,
     Multivector,
     ParseError,
     Signature,
@@ -36,10 +37,12 @@ from cliffalg import (
 from cliffalg import _linalg, core_algebra, expr
 from cliffalg.core_algebra import (
     _SIGN_COEFFICIENTS,
+    MAX_COEFFICIENT_BITS,
     MAX_LITERAL_DIGITS,
     _blade_mul_signs,
     _negative_mask,
     _zero_mask,
+    blade_name,
     check_coefficient_bits,
 )
 from cliffalg.expr import FUNCTIONS, MAX_NESTING_DEPTH, Token
@@ -556,6 +559,37 @@ def reference_parse(text: str, sig: Signature) -> Multivector:
     return value
 
 
+def reference_pretty_print(x: Multivector) -> str:
+    """The canonical text of x through its Fraction coefficients, as pretty_print built it before integers.
+
+    Every coefficient is checked against the budget first, so an element
+    with one oversized coefficient raises CoefficientTooLarge whatever its
+    other terms; then terms() in ascending mask order, each one rendered by
+    str() of its magnitude.
+    """
+    terms = x.terms()
+    for _, coef in terms:
+        if max(coef.numerator.bit_length(), coef.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
+            raise CoefficientTooLarge(f"a coefficient exceeds the budget of {MAX_COEFFICIENT_BITS} bits")
+    if not terms:
+        return "0"
+    pieces = []
+    for position, (mask, coef) in enumerate(terms):
+        name = blade_name(mask, x.sig.n)
+        magnitude = abs(coef)
+        if mask == 0:
+            body = str(magnitude)
+        elif magnitude == 1:
+            body = name
+        else:
+            body = f"{magnitude}*{name}"
+        if position == 0:
+            pieces.append(body if coef > 0 else f"-{body}")
+        else:
+            pieces.append(f" + {body}" if coef > 0 else f" - {body}")
+    return "".join(pieces)
+
+
 def dense_inverse(x: Multivector):
     """Two-sided inverse by solving L_x y = 1 exactly, or None when there is none.
 
@@ -725,7 +759,10 @@ def full_blade_image_span(sig: Signature, image):
 
 
 def reference_interbasis(f_i: Multivector, f_j: Multivector):
-    """(E_ij, E_ji) from the dense system; None when f_i * A * f_j or f_j * A * f_i is zero.
+    """(E_ij, E_ji) from the dense system; None when there is none.
+
+    None when f_i * A * f_j or f_j * A * f_i is zero, and when E_ij has no
+    partial inverse (the system is inconsistent).
 
     The solve interbasis_element ran before its sparse system: E_ij is the
     first RREF basis element of f_i * A * f_j, and E_ji solves E_ij * v = f_i
@@ -748,6 +785,8 @@ def reference_interbasis(f_i: Multivector, f_j: Multivector):
         _coords(geometric_product(e_ij, w)) + _coords(geometric_product(w, e_ij)) for w in space_ji
     ]
     solution = reference_solve([list(row) for row in zip(*columns)], _coords(f_i) + _coords(f_j))
+    if solution is None:
+        return None
     e_ji = Multivector.zero(sig)
     for t, w in zip(solution, space_ji):
         e_ji = add(e_ji, scalar_mul(t, w))

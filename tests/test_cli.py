@@ -22,6 +22,7 @@ from cliffalg import (
     Multivector,
     ParseError,
     Signature,
+    UnexpectedDimension,
     _linalg,
     blade_name,
     cli,
@@ -448,6 +449,25 @@ class TestTextMode:
         assert code == 0
         assert "dimension: 4" in out
         assert "division ring: H (dimension 4)" in out
+
+    def test_ideal_division_ring_from_signature(self, capsys, monkeypatch):
+        # the faithful ideal of a simple algebra is minimal and names its
+        # division ring; that of a split algebra is not, and its f*A*f is
+        # never built
+        code, out, _ = run_text(capsys, ["ideal", "--sig", "0,2", "--faithful"])
+        assert code == 0 and "division ring: H (dimension 4)" in out
+        calls = []
+        monkeypatch.setattr(cli, "division_ring_info", calls.append)
+        code, out, _ = run_text(capsys, ["ideal", "--sig", "0,3", "--faithful"])
+        assert code == 0 and "division ring: n/a (generator is not primitive)" in out and not calls
+
+        # a primitive generator whose f*A*f has the wrong dimension is an error, not n/a
+        def wrong_dimension(f):
+            raise UnexpectedDimension("f*A*f has dimension 2, not 4: it is not a division ring")
+
+        monkeypatch.setattr(cli, "division_ring_info", wrong_dimension)
+        code, out, err = run_text(capsys, ["ideal", "--sig", "0,2"])
+        assert code == 1 and not out and "not a division ring" in err
 
     def test_center_text(self, capsys):
         code, out, err = run_text(capsys, ["center", "--sig", "1,0"])

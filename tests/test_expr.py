@@ -31,6 +31,7 @@ from support import (
     normalize_word,
     rand_multivector,
     reference_parse,
+    reference_pretty_print,
     reference_value,
     render_expression,
     render_parenthesized,
@@ -353,6 +354,46 @@ def signatures(draw, max_n):
     s = draw(st.integers(0, n))
     p = draw(st.integers(0, n - s))
     return Signature(p, n - s - p, s)
+
+
+# numerators and denominators at the budget: 8192 bits pass it and 8193 do
+# not; two coprime 4097-bit denominators give an 8193-bit scale whose
+# reduced coefficients all pass it
+EDGE_INTEGERS = (2**8191 + 1, 2**8192 - 1, 3**5168, 2**8192 + 1, 3**5169, 2**4096 + 1, 2**4097 - 1)
+
+
+@st.composite
+def printable_elements(draw):
+    """(signature, coefficients) on a signature with n <= 16, s >= 0, up to 8
+    terms, with fractional and negative coefficients whose numerators and
+    denominators are small or from EDGE_INTEGERS.  Not a Multivector: its
+    repr prints, and would raise past the budget."""
+    sig = draw(signatures(16))
+    sizes = st.one_of(st.integers(1, 30), st.sampled_from(EDGE_INTEGERS))
+    coefficient = st.builds(lambda sign, a, b: Fraction(sign * a, b), st.sampled_from([1, -1]), sizes, sizes)
+    masks = st.integers(0, (1 << sig.n) - 1)
+    return sig, draw(st.dictionaries(masks, coefficient, max_size=8))
+
+
+def printed(render, x):
+    """The text, or the type and message of the error."""
+    try:
+        return render(x)
+    except CoefficientTooLarge as error:
+        return type(error), str(error)
+
+
+class TestPrinterMatchesFractions:
+    @settings(max_examples=300, deadline=None)
+    @given(printable_elements())
+    @example((S20, {0: Fraction(-1, 2**4096 + 1), 0b11: Fraction(3, 2**4097 - 1)}))
+    @example((Signature(1, 0, 1), {0b10: 2**8192 - 1, 0b11: Fraction(-1, 2**8192 - 1)}))
+    @example((S20, {0: 1, 0b01: Fraction(-(2**8192 + 1), 3)}))
+    @example((S20, {0b10: Fraction(5, 3**5169)}))
+    @example((Signature(9, 7), {0: Fraction(-1, 2), (1 << 16) - 1: Fraction(7, 3), 0b1000000001: -1}))
+    def test_same_text_or_error(self, case):
+        x = Multivector(*case)
+        assert printed(pretty_print, x) == printed(reference_pretty_print, x)
 
 
 @st.composite

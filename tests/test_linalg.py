@@ -237,6 +237,10 @@ class TestRref:
     @example([[1, 2], [2, 4], [3, 6], [0, 0]])
     @example([[0, 0, 1], [0, 0, 0], [0, 5, 0]])
     def test_matches_fraction_loop(self, m):
+        # the one elimination: integer rows that are d times the RREF
+        rows, pivots, d, _ = _linalg._integer_rref(ScaledMatrix.of(m).rows)
+        assert all(type(x) is int for row in rows for x in row)
+        assert ([[Fraction(x, d) for x in row] for row in rows], pivots) == reference_rref(m)
         reduced, pivots = _linalg.rref(m)
         assert (reduced, pivots) == reference_rref(m)
         assert all(type(x) is Fraction for row in reduced for x in row)
