@@ -11,9 +11,9 @@ A Multivector holds integer numerators over one positive scale,
 _ints[mask] / _scale, the least scale, so gcd(_scale, *_ints) = 1 and equal
 values have equal fields: the common-denominator layout of FLINT's
 fmpq_poly, and of _linalg.ScaledMatrix for matrices.  Only this module
-converts between it and Fractions: the constructors scale their input
-(_integer_scaled), and _coeffs, terms() and coefficient() build Fractions;
-format_ratio renders one numerator over the scale with no Fraction.
+converts between it and Fractions, in Multivector(sig, coeffs), _coeffs,
+terms() and coefficient().  Every sum is _sum, one in-order pass over the
+parts at their least common scale, for add and the expression readers.
 Every geometric product is _product on the two integer maps, one int
 product per term pair, over the product of the scales; groups, spinors and
 the CLI read _ints and _scale and run _product themselves.  The cost grows
@@ -275,14 +275,9 @@ class Multivector:
                 raise ValueError(f"blade mask {mask} out of range for signature {sig}")
             clean[mask] = _rational(value)
         ints, scale = _integer_scaled(_nonzero(clean))
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "_scale", scale)
-
-    @classmethod
-    def _raw(cls, sig: Signature, coeffs: dict) -> "Multivector":
-        """Internal constructor: coeffs already validated Fractions, may hold zeros."""
-        return cls._scaled(sig, *_integer_scaled(coeffs))
+        _set_sig(self, sig)
+        _set_ints(self, ints)
+        _set_scale(self, scale)
 
     @classmethod
     def _scaled(cls, sig: Signature, ints: dict, scale: int) -> "Multivector":
@@ -296,9 +291,9 @@ class Multivector:
                 ints = {mask: v // divisor for mask, v in ints.items()}
                 scale //= divisor
         self = object.__new__(cls)
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "_scale", scale)
+        _set_sig(self, sig)
+        _set_ints(self, ints)
+        _set_scale(self, scale)
         return self
 
     def __setattr__(self, name, value):
@@ -384,7 +379,14 @@ class Multivector:
     def __repr__(self):
         from .expr import pretty_print
 
-        return f"<{pretty_print(self)} in Cl{self.sig}>"
+        try:
+            return f"<{pretty_print(self)} in Cl{self.sig}>"
+        except CoefficientTooLarge:  # sizes only: str() of such an int may pass the digit limit
+            largest = max(map(abs, self._ints.values())).bit_length()
+            return (
+                f"<{len(self._ints)} term(s) in Cl{self.sig} past the print budget: "
+                f"numerators up to {largest} bits over a {self._scale.bit_length()}-bit scale>"
+            )
 
     # arithmetic sugar, delegating to the module-level operations
 
@@ -408,7 +410,7 @@ class Multivector:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return scalar_mul(-1, self)
+        return Multivector._scaled(self.sig, {m: -v for m, v in self._ints.items()}, self._scale)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -440,6 +442,10 @@ class Multivector:
                 square = geometric_product(square, square)
                 check_coefficient_bits(square)
         return result
+
+
+# the slot setters: they pass the refusing __setattr__, and cost less than object.__setattr__
+_set_sig, _set_ints, _set_scale = (Multivector.__dict__[name].__set__ for name in Multivector.__slots__)
 
 
 def _require_same_signature(x: Multivector, y: Multivector) -> None:
@@ -483,16 +489,33 @@ def geometric_product(x: Multivector, y: Multivector) -> Multivector:
     return Multivector._scaled(x.sig, _product(x._ints, y._ints, x.sig), x._scale * y._scale)
 
 
+def _sum(sig: Signature, parts: list) -> Multivector:
+    """The sum of (ints, scale) parts, int maps with no zeros over positive scales, in order.
+
+    A blade whose running sum reaches 0 is deleted at once, so one that
+    cancels and comes back is stored last, as in a chain of two-term sums.
+    """
+    scale = math.lcm(*[part_scale for _, part_scale in parts])
+    acc: dict = {}
+    for ints, part_scale in parts:
+        factor = scale // part_scale
+        for mask, value in ints.items():
+            value *= factor
+            prior = acc.get(mask)
+            if prior is None:
+                acc[mask] = value
+            else:
+                value += prior
+                if value:
+                    acc[mask] = value
+                else:
+                    del acc[mask]
+    return Multivector._scaled(sig, acc, scale)
+
+
 def add(x: Multivector, y: Multivector) -> Multivector:
     _require_same_signature(x, y)
-    scale = math.lcm(x._scale, y._scale)
-    x_factor, y_factor = scale // x._scale, scale // y._scale
-    acc = {mask: value * x_factor for mask, value in x._ints.items()}
-    for mask, value in y._ints.items():
-        value *= y_factor
-        prior = acc.get(mask)
-        acc[mask] = value if prior is None else prior + value
-    return Multivector._scaled(x.sig, acc, scale)
+    return _sum(x.sig, [(x._ints, x._scale), (y._ints, y._scale)])
 
 
 def scalar_mul(c, x: Multivector) -> Multivector:
@@ -572,7 +595,7 @@ def embed_vector(coords, sig: Signature) -> Multivector:
     coords = list(coords)
     if len(coords) != sig.n:
         raise DimensionMismatch(f"expected {sig.n} coordinates, got {len(coords)}")
-    return Multivector._raw(sig, {1 << i: _rational(value) for i, value in enumerate(coords)})
+    return Multivector(sig, {1 << i: value for i, value in enumerate(coords)})
 
 
 def extract_vector(x: Multivector) -> list[Rational]:

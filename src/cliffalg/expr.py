@@ -11,10 +11,11 @@ Grammar (whitespace between tokens is ignored):
     blade    := 'e' digit+  |  'e' '{' uint (',' uint)* '}'
 
 parse_multivector reads the text once and computes the value as it reads;
-there is no syntax tree.  A sum accumulates its terms in one coefficient
-map, so evaluating a sum of monomials takes time linear in its number of
-terms, and a scalar factor rescales the other factor without the product
-kernel; only a product of two non-scalars is a geometric product.  A digit
+there is no syntax tree.  Its values are Multivectors.  The terms of a sum
+are added once, by core_algebra's accumulator _sum, so evaluating a sum of
+monomials takes time linear in its number of terms, and a scalar factor
+rescales the other factor without the product kernel; only a product of
+two non-scalars is a geometric product.  A digit
 is a decimal digit (str.isdecimal, what int() reads): "²" is not one.  A
 blade symbol is the word of generators exactly as written: repeated or
 out-of-order indices are allowed and reduce through the algebra relations,
@@ -39,13 +40,15 @@ reader checks no budget on a sum.  It builds the same value, in the same
 key order.
 
 The general reader, _evaluate, is one loop over the tokens with an explicit
-stack of frames, one per open parenthesis or function call: the sum so far,
-the product so far, the sign of the next term and the pending unary
+stack of frames, one per open parenthesis or function call: the terms so
+far, the product so far, the sign of the next term and the pending unary
 minuses.  It does the work of the grammar above at the same tokens as a
 recursive descent would, so it cannot change what is evaluated when: a
 product is formed, and its budget checked, as soon as its right factor is
 complete; "^" applies to the atom before the pending unary minuses; a term
-joins the sum when the next token is not "*"; a frame closes at its ")".
+is complete when the next token is not "*"; a frame closes at its ")" and
+adds its terms then.  A sum cannot raise, so adding the terms at the close
+rather than one by one changes no error.
 
 Limits: nesting (parentheses, function calls, unary minus) deeper than
 MAX_NESTING_DEPTH and integer literals longer than MAX_LITERAL_DIGITS are
@@ -62,19 +65,18 @@ is malformed further on ("2^9000 )"; "e1^2 )" is a ParseError).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
 from .core_algebra import (
-    _SIGN_COEFFICIENTS,
     MAX_LITERAL_DIGITS,
     Multivector,
     Signature,
     _blade_mul_signs,
     _negative_mask,
+    _sum,
     _zero_mask,
     blade_name,
-    check_ratio_bits,
+    check_coefficient_bits,
     clifford_conjugation,
     even_part,
     format_ratio,
@@ -155,11 +157,6 @@ def _too_deep(pos: int) -> ParseError:
     return ParseError(f"expression nests deeper than {MAX_NESTING_DEPTH} levels", pos)
 
 
-def _check_bits(coeffs: dict) -> None:
-    for value in coeffs.values():
-        check_ratio_bits(value.numerator, value.denominator)
-
-
 def _blade_word(indices, negative_mask: int, zero_mask: int) -> tuple[int, int]:
     """(sign, mask) of a generator word, one blade sign per letter; a null square gives sign 0."""
     sign, mask = 1, 0
@@ -174,18 +171,23 @@ def _evaluate(tokens: list[Token], sig: Signature) -> Multivector:
     """The value of a token list, read in one loop with an explicit stack of frames.
 
     The open frame is a parenthesis, a function call or the whole text.  It
-    holds the sum so far, the product so far, the sign of the next term, the
-    pending unary minuses and its opener; a "(" or "fn(" pushes it and the
-    matching ")" pops it.  Values are coefficient maps (mask -> Fraction, no
-    zeros); only a product of two non-scalars, a power and a function value
-    go through Multivector.  The loop evaluates in the grammar's order (see
-    the module docstring), so every error and every key order is the same.
+    holds its terms so far, the product so far, the sign of the next term,
+    the pending unary minuses and its opener; a "(" or "fn(" pushes it and
+    the matching ")" pops it.  Values are Multivectors: a literal is
+    Multivector._scaled of its numerator over its denominator, a blade its
+    sign, and minus, "^" and functions are the Multivector operations.  A
+    scalar factor rescales the other one; any other product is
+    geometric_product, checked against the budget.  At its close a frame
+    returns a single term as it is and passes several to core_algebra._sum
+    once, which keeps add's key order.  The loop evaluates in the grammar's
+    order (see the module docstring), so every error and every key order is
+    the same.
     """
     n = sig.n
     negative_mask = _negative_mask(sig)
     zero_mask = _zero_mask(sig)
     stack = []
-    total, product, negate, minuses, opener = {}, None, False, 0, None
+    terms, product, negate, minuses, opener = [], None, False, 0, None
     depth = 0  # open frames plus pending unary minuses
     index = 0
     while True:
@@ -208,8 +210,8 @@ def _evaluate(tokens: list[Token], sig: Signature) -> Multivector:
             if depth == MAX_NESTING_DEPTH:
                 raise _too_deep(pos)
             depth += 1
-            stack.append((total, product, negate, minuses, opener))
-            total, product, negate, minuses, opener = {}, None, False, 0, text
+            stack.append((terms, product, negate, minuses, opener))
+            terms, product, negate, minuses, opener = [], None, False, 0, text
             continue
         if kind == "number":
             numerator = _integer(text, pos)
@@ -222,7 +224,7 @@ def _evaluate(tokens: list[Token], sig: Signature) -> Multivector:
                 denominator = _integer(text, pos)
                 if not denominator:
                     raise ParseError("zero denominator", pos)
-            value = {0: Fraction(numerator, denominator)} if numerator else {}
+            value = Multivector._scaled(sig, {0: numerator}, denominator)
         elif kind == "name" and text[0] == "e":
             if len(text) > 1:
                 digits = text[1:]
@@ -253,7 +255,7 @@ def _evaluate(tokens: list[Token], sig: Signature) -> Multivector:
                 if i < 1 or i > n:
                     raise ParseError(f"generator index {i} out of range 1..{n}", pos)
             sign, mask = _blade_word(indices, negative_mask, zero_mask)
-            value = {mask: _SIGN_COEFFICIENTS[sign]} if sign else {}
+            value = Multivector._scaled(sig, {mask: sign}, 1)
         elif kind == "name":
             raise ParseError(f"unknown name {text!r}", pos)
         else:
@@ -267,69 +269,52 @@ def _evaluate(tokens: list[Token], sig: Signature) -> Multivector:
                 if kind != "number":
                     raise ParseError("exponent must be a non-negative integer", pos)
                 index += 2
-                # checks the budget per squaring
-                value = (Multivector._raw(sig, value) ** _integer(text, pos))._coeffs
+                value = value ** _integer(text, pos)  # checks the budget per squaring
             if minuses:
                 if minuses & 1:
-                    value = {mask: -c for mask, c in value.items()}
+                    value = -value
                 depth -= minuses
                 minuses = 0
             if product is None:
                 product = value
             else:
-                # a scalar factor (0 included) rescales without the product kernel
-                if not any(product):
-                    c = product.get(0)
-                    product = {mask: c * v for mask, v in value.items()} if c else {}
-                elif not any(value):
-                    c = value.get(0)
-                    product = {mask: c * v for mask, v in product.items()} if c else {}
-                else:
-                    product = geometric_product(
-                        Multivector._raw(sig, product), Multivector._raw(sig, value)
-                    )._coeffs
-                _check_bits(product)
+                # a scalar factor (0 included) rescales the other factor, in its
+                # key order, without the product kernel
+                if not any(value._ints):
+                    product, value = value, product
+                if any(product._ints):
+                    product = geometric_product(product, value)
+                elif product._ints:  # 0 times anything stays 0
+                    c = product._ints[0]
+                    product = Multivector._scaled(
+                        sig, {mask: c * v for mask, v in value._ints.items()}, product._scale * value._scale
+                    )
+                check_coefficient_bits(product)
             token = tokens[index]
             text = token.text
             if text == "*":
                 index += 1
                 break
-            # the term is complete: add it to the sum in place
-            if negate:
-                product = {mask: -c for mask, c in product.items()}
-            if total:
-                for mask, c in product.items():
-                    prior = total.get(mask)
-                    if prior is None:
-                        total[mask] = c
-                    else:
-                        c = prior + c
-                        if c:
-                            total[mask] = c
-                        else:
-                            # removed as add() removes it: a blade that cancels and
-                            # comes back is stored last, as in x + y
-                            del total[mask]
-            else:
-                total = product
+            # the term is complete
+            terms.append(-product if negate else product)
             product = None
             if text == "+" or text == "-":
                 negate = text == "-"
                 index += 1
                 break
             # the sum is complete: it ends the text or closes the open frame
+            value = terms[0] if len(terms) == 1 else _sum(sig, [(t._ints, t._scale) for t in terms])
             if opener is None:
                 if token.kind != "end":
                     raise ParseError(f"unexpected token {text!r}", token.pos)
-                return Multivector._raw(sig, total)
+                return value
             if text != ")":
                 raise _expected(")", token)
             index += 1
-            value = total
             if opener != "(":
-                value = FUNCTIONS[opener](Multivector._raw(sig, value))._coeffs
-                _check_bits(value)  # N squares coefficient sizes
-            total, product, negate, minuses, opener = stack.pop()
+                value = FUNCTIONS[opener](value)
+                check_coefficient_bits(value)  # N squares coefficient sizes
+            terms, product, negate, minuses, opener = stack.pop()
             depth -= 1
 
 
@@ -349,10 +334,10 @@ def _monomial_sum(text: str, sig: Signature) -> Multivector | None:
 
     This reads the canonical text pretty_print emits, and the sums users
     write, without tokens; parse_multivector falls back to _evaluate on
-    None.  The value and the key order of its coefficient map are those
-    _evaluate gives: each blade word folds through the blade signs one
-    letter at a time, and each term adds to the prior coefficient of its
-    blade, deleting it when the sum is 0.
+    None.  The value and its key order are those _evaluate gives: each
+    blade word folds through the blade signs one letter at a time, and the
+    nonzero terms, each a (blade: numerator) map over its denominator, go
+    to core_algebra._sum once.
 
     The reader cannot raise, so every ParseError and CoefficientTooLarge,
     with its message and position, comes from _evaluate.  It returns None on
@@ -368,7 +353,7 @@ def _monomial_sum(text: str, sig: Signature) -> Multivector | None:
     n = sig.n
     negative_mask = _negative_mask(sig)
     zero_mask = _zero_mask(sig)
-    acc: dict = {}
+    parts = []
     position, end = 0, len(text)
     while position < end:
         match = _MONOMIAL.match(text, position)
@@ -399,20 +384,10 @@ def _monomial_sum(text: str, sig: Signature) -> Multivector | None:
         denominator = int(denominator) if denominator else 1
         if not denominator:
             return None
-        if not value:
-            continue
-        coefficient = Fraction(value, denominator)
-        prior = acc.get(mask)
-        if prior is None:
-            acc[mask] = coefficient
-        else:
-            total = prior + coefficient
-            if total:
-                acc[mask] = total
-            else:
-                del acc[mask]
+        if value:
+            parts.append(({mask: value}, denominator))
     # empty text is _evaluate's ParseError
-    return Multivector._raw(sig, acc) if end else None
+    return _sum(sig, parts) if end else None
 
 
 def parse_multivector(text: str, sig: Signature) -> Multivector:

@@ -11,6 +11,7 @@ exact targets for the worked-example isomorphism checks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -149,6 +150,25 @@ def reference_product(x: Multivector, y: Multivector) -> Multivector:
             if sign:
                 acc[a ^ b] = acc.get(a ^ b, Fraction(0)) + sign * ca * cb
     return Multivector(sig, acc)
+
+
+def reference_add(x: Multivector, y: Multivector) -> Multivector:
+    """x + y as add formed it before the shared sum: x's numerators, then y's added in place.
+
+    Both are brought to the least common scale; a blade that cancels stays in
+    place as 0 until Multivector._scaled drops it.  Folded over a list, this
+    is the chain of two-term sums that core_algebra._sum must reproduce in
+    value, scale and key order.
+    """
+    core_algebra._require_same_signature(x, y)
+    scale = math.lcm(x._scale, y._scale)
+    x_factor, y_factor = scale // x._scale, scale // y._scale
+    acc = {mask: value * x_factor for mask, value in x._ints.items()}
+    for mask, value in y._ints.items():
+        value *= y_factor
+        prior = acc.get(mask)
+        acc[mask] = value if prior is None else prior + value
+    return Multivector._scaled(x.sig, acc, scale)
 
 
 def reference_mat_mul(a, b):
@@ -447,7 +467,7 @@ class _Parser:
                     # removed as add() removes it: a blade that cancels and
                     # comes back is stored last, as in x + y
                     del acc[mask]
-        return Multivector._raw(self.sig, acc)
+        return Multivector(self.sig, acc)
 
     def parse_term(self) -> Multivector:
         value = self.parse_factor()
@@ -491,7 +511,7 @@ class _Parser:
                 denominator = self.integer(denom)
                 if denominator == 0:
                     raise ParseError("zero denominator", denom.pos)
-            return Multivector._raw(self.sig, {0: Fraction(numerator, denominator)})
+            return Multivector(self.sig, {0: Fraction(numerator, denominator)})
         if token.kind == "symbol" and token.text == "(":
             value = self.nested(self.parse_expr, self.advance())
             self.expect_symbol(")")
@@ -542,7 +562,7 @@ class _Parser:
             bit = 1 << (i - 1)
             sign *= _blade_mul_signs(mask, (bit,), self.negative_mask, self.zero_mask)[0]
             mask ^= bit
-        return Multivector._raw(self.sig, {mask: _SIGN_COEFFICIENTS[sign]})
+        return Multivector(self.sig, {mask: _SIGN_COEFFICIENTS[sign]})
 
 
 def reference_parse(text: str, sig: Signature) -> Multivector:

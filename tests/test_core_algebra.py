@@ -2,6 +2,7 @@
 algebra laws, involutions, vectors, inverses, and the fast table kernel."""
 
 import copy
+import functools
 import math
 import pickle
 import random
@@ -41,13 +42,15 @@ from cliffalg import (
     reversion,
     scalar_mul,
 )
-from cliffalg.core_algebra import _blade_times, _product, _times_blade
+from cliffalg import core_algebra
+from cliffalg.core_algebra import _blade_times, _product, _sum, _times_blade
 from support import (
     all_signatures,
     dense_inverse,
     normalize_word,
     rand_multivector,
     rand_vector,
+    reference_add,
     reference_product,
 )
 
@@ -669,6 +672,63 @@ class TestExactValue:
         assert Multivector.zero(sig)._scale == 1
 
 
+# small scales make running sums cancel; distinct primes make the common scale grow
+SUM_SCALES = (1, 2, 3, 4, 6, 5, 7, 11, 13, 2**61 - 1, 2**89 - 1)
+
+
+@st.composite
+def sum_parts(draw):
+    """(signature, parts) for _sum: up to 8 (int map, scale) parts of one Cl(p,q,s), n <= 4, s > 0 included.
+
+    The maps hold no zeros and may be empty; their numerators are small and
+    not reduced against their scales, so blades cancel and come back.
+    """
+    n = draw(st.integers(0, 4))
+    p = draw(st.integers(0, n))
+    q = draw(st.integers(0, n - p))
+    sig = Signature(p, q, n - p - q)
+    ints = st.dictionaries(st.integers(0, (1 << n) - 1), st.integers(-3, 3).filter(bool), max_size=4)
+    return sig, draw(st.lists(st.tuples(ints, st.sampled_from(SUM_SCALES)), max_size=8))
+
+
+class TestSharedSum:
+    @settings(max_examples=300, deadline=None)
+    @given(sum_parts())
+    # e1 cancels and comes back, so it is stored after e2
+    @example((Signature(2, 0), [({1: 1, 2: 1}, 1), ({1: -1}, 1), ({1: 1}, 1)]))
+    @example((Signature(1, 0, 1), [({}, 3), ({0: 1, 2: -2}, 2), ({}, 1), ({2: 1}, 1), ({3: 5}, 7)]))
+    @example((Signature(2, 2), [({0: 1}, 2), ({1: 1}, 3), ({2: 1}, 5), ({3: 1}, 7), ({0: -1}, 2), ({0: 1}, 11)]))
+    @example((Signature(1, 1), []))
+    def test_matches_fold_of_two_term_sums(self, case):
+        sig, parts = case
+        terms = [Multivector._scaled(sig, ints, scale) for ints, scale in parts]
+        expected = functools.reduce(reference_add, terms, Multivector.zero(sig))
+        total = _sum(sig, parts)
+        assert (total.sig, total._scale, list(total._ints.items())) == (
+            expected.sig,
+            expected._scale,
+            list(expected._ints.items()),
+        )
+
+    def test_cancelled_blade_is_stored_last(self):
+        sig = Signature(2, 0)
+        total = _sum(sig, [({1: 1, 2: 1}, 1), ({1: -1}, 1), ({1: 3}, 2)])
+        assert list(total._ints.items()) == [(2, 2), (1, 3)] and total._scale == 2
+
+    def test_add_is_the_shared_sum(self, monkeypatch):
+        calls = []
+
+        def counted(sig, parts):
+            calls.append(len(parts))
+            return _sum(sig, parts)
+
+        monkeypatch.setattr(core_algebra, "_sum", counted)
+        sig = Signature(1, 1)
+        x = Multivector(sig, {0: Fraction(1, 2), 3: 1})
+        assert x + x - x == x
+        assert calls == [2, 2]
+
+
 class TestMultivectorType:
     def test_equality_and_scalar_promotion(self):
         sig = Signature(1, 1)
@@ -743,3 +803,42 @@ class TestMultivectorType:
     def test_repr_uses_pretty_form(self):
         sig = Signature(0, 2)
         assert "e12" in repr(Multivector.basis_blade(sig, 0b11))
+
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ({0: 2**8192}, "<1 term(s) in Cl(2,0,0) past the print budget: numerators up to 8193 bits over a 1-bit scale>"),
+            # str() of this numerator passes the int-to-text digit limit
+            ({0b01: 2**20000, 0b11: -1}, "<2 term(s) in Cl(2,0,0) past the print budget: numerators up to 20001 bits over a 1-bit scale>"),
+            ({0b01: Fraction(1, 2**8192 + 1), 0b10: 3}, "<2 term(s) in Cl(2,0,0) past the print budget: numerators up to 8194 bits over a 8193-bit scale>"),
+        ],
+        ids=["2^8192", "2^20000", "8193-bit scale"],
+    )
+    def test_repr_past_the_budget_shows_sizes(self, coeffs, text):
+        x = Multivector(Signature(2, 0), coeffs)
+        with pytest.raises(CoefficientTooLarge):
+            pretty_print(x)
+        assert repr(x) == text
+
+    @pytest.mark.parametrize(
+        "operation",
+        [lambda x: x + "a", lambda x: x - object(), lambda x: x * object(), lambda x: "a" * x],
+        ids=["add", "sub", "mul", "rmul"],
+    )
+    def test_foreign_operands_raise_type_error(self, operation):
+        with pytest.raises(TypeError):
+            operation(Multivector.generator(Signature(2, 0), 1))
+
+    def test_foreign_operand_is_unequal(self):
+        assert (Multivector.one(Signature(2, 0)) == "a") is False
+
+    def test_int_factor_on_either_side(self):
+        sig = Signature(2, 0)
+        x = Multivector(sig, {0: Fraction(1, 2), 0b11: -1})
+        assert_same_fields(x * 3, Multivector(sig, {0: Fraction(3, 2), 0b11: -3}))
+        assert_same_fields(3 * x, x * 3)
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_generator_index_checked(self, index):
+        with pytest.raises(ValueError, match=f"generator index {index} out of range 1..2"):
+            Multivector.generator(Signature(1, 1), index)

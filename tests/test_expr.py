@@ -590,6 +590,47 @@ GENERAL_EXAMPLES = [(S20, text) for text in REJECTED] + [
 ]
 
 
+def count_sums(monkeypatch):
+    """The part counts of the calls the readers make to core_algebra's shared sum from now on."""
+    calls = []
+    shared = expr._sum
+
+    def counted(sig, parts):
+        calls.append(len(parts))
+        return shared(sig, parts)
+
+    monkeypatch.setattr(expr, "_sum", counted)
+    return calls
+
+
+# a flat sum of 600 terms over the 8 blades of Cl(2,1): blades cancel and come back
+S21 = Signature(2, 1)
+FLAT_BLADES = ["", "*e1", "*e2", "*e3", "*e12", "*e13", "*e23", "*e123"]
+FLAT_TERMS = [f"{'-' if k % 3 else '+'} {k % 5}/{k % 4 + 1}{FLAT_BLADES[k % 8]}" for k in range(600)]
+FLAT_SUM = "1 " + " ".join(FLAT_TERMS)
+
+
+class TestSharedSum:
+    def test_parenthesized_flat_sum_is_one_shared_sum(self, monkeypatch):
+        calls = count_sums(monkeypatch)
+        x = parse_multivector(f"({FLAT_SUM})", S21)
+        # the inner frame's 601 terms in one call; the outer frame's one term is returned as it is
+        assert calls == [601]
+        assert outcome(parse_multivector, f"({FLAT_SUM})", S21) == outcome(reference_parse, FLAT_SUM, S21)
+        assert x == parse_multivector(FLAT_SUM, S21)
+
+    def test_monomial_sum_is_one_shared_sum(self, monkeypatch):
+        calls = count_sums(monkeypatch)
+        assert expr._monomial_sum(FLAT_SUM, S21) is not None
+        # the zero terms (numerator 0) do not enter the sum
+        assert calls == [1 + sum(1 for k in range(600) if k % 5)]
+
+    def test_single_term_forms_no_sum(self, monkeypatch):
+        calls = count_sums(monkeypatch)
+        assert parse_multivector("((e1 * e2))", S21) == Multivector.basis_blade(S21, 0b11)
+        assert calls == []
+
+
 class TestGeneralReader:
     @settings(max_examples=400, deadline=None)
     @given(general_texts())
