@@ -4,8 +4,12 @@ Basis blades are integer bit masks: bit i-1 set means generator e_i is a
 factor, with factors always in ascending index order.  The product of two
 blades lands on the XOR of their masks, with a sign from the transposition
 parity of interleaving the factors times the squares of shared generators.
-Coefficients are exact rationals, so every identity used downstream is
-decided exactly.  All values are immutable and all operations are pure.
+Every such sign comes from one kernel, _sign_masks: two masks per left
+blade, read by one AND and one popcount per right blade.  _product, the
+blade relabellings, blade_mul, multiplication_table and the expression
+reader's blade words all read them.  Coefficients are exact rationals, so
+every identity used downstream is decided exactly.  All values are
+immutable and all operations are pure.
 
 A Multivector holds integer numerators over one positive scale,
 _ints[mask] / _scale, the least scale, so gcd(_scale, *_ints) = 1 and equal
@@ -15,11 +19,12 @@ converts between it and Fractions, in Multivector(sig, coeffs), _coeffs,
 terms() and coefficient().  Every sum is _sum, one in-order pass over the
 parts at their least common scale, for add and the expression readers.
 Every geometric product is _product on the two integer maps, one int
-product per term pair, over the product of the scales; groups, spinors and
-the CLI read _ints and _scale and run _product themselves.  The cost grows
-with the bit length of the scale, so an element whose denominators are many
-distinct primes adds, multiplies, parses and prints slower than one Fraction
-per coefficient would.
+product per term pair, over the product of the scales, with each pair's
+sign read in the loop; groups, spinors and the CLI read _ints and _scale
+and run _product themselves.  The cost grows with the bit length of the
+scale, so an element whose denominators are many distinct primes adds,
+multiplies, parses and prints slower than one Fraction per coefficient
+would.
 """
 
 from __future__ import annotations
@@ -197,17 +202,23 @@ def _reorder_parity(a: Blade) -> int:
     return parity
 
 
-def _blade_mul_signs(a: Blade, bs, neg_mask: int, zero_mask: int) -> list[int]:
-    """Signs of the blade products a * b for each b in bs, as ints in {1, -1, 0}.
+def _sign_masks(a: Blade, neg_mask: int, zero_mask: int) -> tuple[int, int]:
+    """(flips, null) of blade a, the one blade-sign kernel.
 
-    Sorting the factors of b into a moves each one past the factors of a
-    above it, (b & _reorder_parity(a)).bit_count() transpositions in all,
-    and each shared generator squaring to -1 flips the sign once more; the
-    two parities fold into one mask per a.  The sign is 0 exactly when a
-    shared generator squares to 0.
+    e_a * e_b is 0 when b & null is set; otherwise it is e_(a^b), negated
+    when (b & flips).bit_count() is odd.  Sorting the factors of b into a
+    moves each one past the factors of a above it, (b &
+    _reorder_parity(a)).bit_count() transpositions in all, and each shared
+    generator squaring to -1 flips the sign once more; the two parities fold
+    into flips.  The product is 0 exactly when a shared generator squares
+    to 0.
     """
-    flips = _reorder_parity(a) ^ (a & neg_mask)
-    null = a & zero_mask
+    return _reorder_parity(a) ^ (a & neg_mask), a & zero_mask
+
+
+def _blade_mul_signs(a: Blade, bs, neg_mask: int, zero_mask: int) -> list[int]:
+    """Signs of the blade products a * b for each b in bs, as ints in {1, -1, 0}, from _sign_masks."""
+    flips, null = _sign_masks(a, neg_mask, zero_mask)
     return [0 if b & null else -1 if (b & flips).bit_count() & 1 else 1 for b in bs]
 
 
@@ -231,12 +242,12 @@ def blade_mul(a: Blade, b: Blade, sig: Signature) -> tuple[Rational, Blade]:
 def _blade_times(mask: Blade, x: dict, sig: Signature) -> dict:
     """e_mask * X for an int or Fraction map X: blade b moves to mask ^ b with its sign, in X's order.
 
-    A term drops when the blades share a null generator; no term pairs are
-    formed.  _product keeps its fused loop: through this it ran 28-37%
-    slower on n = 4-6 operands.
+    The signs are read from the _sign_masks of mask, as in _product's loop
+    for one row; a term drops when the blades share a null generator, and no
+    term pairs are formed.
     """
-    signs = _blade_mul_signs(mask, x, _negative_mask(sig), _zero_mask(sig))
-    return {mask ^ b: c if sign == 1 else -c for (b, c), sign in zip(x.items(), signs) if sign}
+    flips, null = _sign_masks(mask, _negative_mask(sig), _zero_mask(sig))
+    return {mask ^ b: -c if (b & flips).bit_count() & 1 else c for b, c in x.items() if not b & null}
 
 
 def _times_blade(x: dict, mask: Blade, sig: Signature) -> dict:
@@ -246,13 +257,12 @@ def _times_blade(x: dict, mask: Blade, sig: Signature) -> dict:
     factors of e_mask below it, so the transposition parity is |b & lower|,
     with bit t of lower set when mask has an odd number of factors below
     generator t+1: the parity of |mask| XOR bit t of mask XOR bit t of
-    _reorder_parity(mask), which counts the factors above.  One flips mask,
-    lower XOR the shared generators squaring to -1, serves every term; a
-    term drops when the blades share a null generator.
+    _reorder_parity(mask), which counts the factors above.  So the flips of
+    _sign_masks(mask), XOR mask, XOR every bit when |mask| is odd, serve
+    every term; a term drops when the blades share a null generator.
     """
-    parity = (1 << sig.n) - 1 if mask.bit_count() & 1 else 0
-    flips = parity ^ mask ^ _reorder_parity(mask) ^ (mask & _negative_mask(sig))
-    null = mask & _zero_mask(sig)
+    flips, null = _sign_masks(mask, _negative_mask(sig), _zero_mask(sig))
+    flips ^= mask ^ ((1 << sig.n) - 1 if mask.bit_count() & 1 else 0)
     return {b ^ mask: -c if (b & flips).bit_count() & 1 else c for b, c in x.items() if not b & null}
 
 
@@ -404,7 +414,7 @@ class Multivector:
             other = Multivector.scalar(self.sig, other)
         if not isinstance(other, Multivector):
             return NotImplemented
-        return add(self, scalar_mul(-1, other))
+        return add(self, -other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -458,18 +468,21 @@ def _product(x: dict, y: dict, sig: Signature) -> dict:
 
     Every product of the library runs here on integer maps, the _ints of
     its operands, one int product per term pair; geometric_product divides
-    by the product of the two scales once.
+    by the product of the two scales once.  Each row a of x takes its
+    _sign_masks once, and each pair reads its sign from them in the loop:
+    no sign list is built per row.
     """
     neg_mask = _negative_mask(sig)
     zero_mask = _zero_mask(sig)
     acc: dict = {}
     y_terms = y.items()
     for a, ca in x.items():
-        for (b, cb), sign in zip(y_terms, _blade_mul_signs(a, y, neg_mask, zero_mask)):
-            if not sign:
+        flips, null = _sign_masks(a, neg_mask, zero_mask)
+        for b, cb in y_terms:
+            if b & null:
                 continue
             mask = a ^ b
-            term = ca * cb if sign == 1 else -(ca * cb)
+            term = -(ca * cb) if (b & flips).bit_count() & 1 else ca * cb
             prior = acc.get(mask)
             acc[mask] = term if prior is None else prior + term
     return acc

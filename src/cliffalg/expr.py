@@ -71,8 +71,8 @@ from .core_algebra import (
     MAX_LITERAL_DIGITS,
     Multivector,
     Signature,
-    _blade_mul_signs,
     _negative_mask,
+    _sign_masks,
     _sum,
     _zero_mask,
     blade_name,
@@ -158,11 +158,18 @@ def _too_deep(pos: int) -> ParseError:
 
 
 def _blade_word(indices, negative_mask: int, zero_mask: int) -> tuple[int, int]:
-    """(sign, mask) of a generator word, one blade sign per letter; a null square gives sign 0."""
+    """(sign, mask) of a generator word, one blade sign per letter; a null square gives sign 0.
+
+    Each letter reads its sign from the _sign_masks of the blade so far.
+    """
     sign, mask = 1, 0
     for i in indices:
         bit = 1 << (i - 1)
-        sign *= _blade_mul_signs(mask, (bit,), negative_mask, zero_mask)[0]
+        flips, null = _sign_masks(mask, negative_mask, zero_mask)
+        if bit & null:
+            sign = 0
+        elif bit & flips:
+            sign = -sign
         mask ^= bit
     return sign, mask
 

@@ -3,9 +3,11 @@
 The word-rewriting oracle normalizes a generator word using only the two
 presentation relations (adjacent swap with a sign, adjacent equal pair to a
 scalar square), giving a sign/blade answer on a path fully independent of
-the library's popcount-based product.  The division-algebra models (complex
-pairs, split pairs, quaternion 4-tuples, 2x2 rational matrices) provide the
-exact targets for the worked-example isomorphism checks.
+the library's popcount-based product; reference_product takes its signs
+from reference_blade_product, which counts inversions between index lists,
+on another such path.  The division-algebra models (complex pairs, split
+pairs, quaternion 4-tuples, 2x2 rational matrices) provide the exact
+targets for the worked-example isomorphism checks.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from cliffalg import (
 )
 from cliffalg import _linalg, core_algebra, expr
 from cliffalg.core_algebra import (
-    _SIGN_COEFFICIENTS,
     MAX_COEFFICIENT_BITS,
     MAX_LITERAL_DIGITS,
     _blade_mul_signs,
@@ -132,24 +133,83 @@ def count_products(monkeypatch):
     return calls
 
 
+def reference_blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
+    """(sign, mask) of e_a * e_b from the index lists of the two blades.
+
+    Moving each factor of b left past the larger factors of a costs one sign
+    per inversion; equal indices then sit side by side and contract to the
+    generator's square.  This counts inversions as perfbench/oracle.py does,
+    a different algorithm from core_algebra's popcount kernel.
+    """
+    squares = (1,) * sig.p + (-1,) * sig.q + (0,) * sig.s
+    left = [i for i in range(sig.n) if a >> i & 1]
+    right = [j for j in range(sig.n) if b >> j & 1]
+    sign = -1 if sum(1 for i in left for j in right if i > j) % 2 else 1
+    merged = sorted(left + right)
+    mask = 0
+    k = 0
+    while k < len(merged):
+        if k + 1 < len(merged) and merged[k] == merged[k + 1]:
+            sign *= squares[merged[k]]
+            k += 2
+        else:
+            mask |= 1 << merged[k]
+            k += 1
+    return sign, mask
+
+
 def reference_product(x: Multivector, y: Multivector) -> Multivector:
-    """x * y term pair by term pair in Fraction arithmetic.
+    """x * y term pair by term pair in Fraction arithmetic, each sign from reference_blade_product.
 
     The loop geometric_product ran before its integer kernel: one Fraction
     product and one Fraction sum per term pair.  This is the reference the
-    integer kernel is tested against.
+    integer kernel is tested against, and it shares no sign code with it.
     """
     sig = x.sig
-    neg_mask = core_algebra._negative_mask(sig)
-    zero_mask = core_algebra._zero_mask(sig)
     y_terms = y.terms()
     acc: dict = {}
     for a, ca in x.terms():
-        signs = core_algebra._blade_mul_signs(a, [b for b, _ in y_terms], neg_mask, zero_mask)
-        for (b, cb), sign in zip(y_terms, signs):
+        for b, cb in y_terms:
+            sign, mask = reference_blade_product(a, b, sig)
             if sign:
-                acc[a ^ b] = acc.get(a ^ b, Fraction(0)) + sign * ca * cb
+                acc[mask] = acc.get(mask, Fraction(0)) + sign * ca * cb
     return Multivector(sig, acc)
+
+
+def reference_int_product(x: dict, y: dict, sig: Signature) -> dict:
+    """core_algebra._product as it ran with one sign list per row of x, zeros kept.
+
+    The kernel's fused loop reads each sign from the row's masks instead;
+    both must give the same ints in the same key order.
+    """
+    neg_mask = _negative_mask(sig)
+    zero_mask = _zero_mask(sig)
+    acc: dict = {}
+    y_terms = y.items()
+    for a, ca in x.items():
+        for (b, cb), sign in zip(y_terms, _blade_mul_signs(a, y, neg_mask, zero_mask)):
+            if not sign:
+                continue
+            mask = a ^ b
+            term = ca * cb if sign == 1 else -(ca * cb)
+            prior = acc.get(mask)
+            acc[mask] = term if prior is None else prior + term
+    return acc
+
+
+def reference_blade_times(mask: int, x: dict, sig: Signature) -> dict:
+    """core_algebra._blade_times as it ran on one sign list: e_mask * X in X's order."""
+    signs = _blade_mul_signs(mask, x, _negative_mask(sig), _zero_mask(sig))
+    return {mask ^ b: c if sign == 1 else -c for (b, c), sign in zip(x.items(), signs) if sign}
+
+
+def reference_blade_word(indices, sig: Signature) -> tuple[Fraction, int]:
+    """(coefficient, mask) of a generator word as a fold of blade_mul, one letter at a time."""
+    coefficient, mask = Fraction(1), 0
+    for i in indices:
+        sign, mask = blade_mul(mask, 1 << (i - 1), sig)
+        coefficient *= sign
+    return coefficient, mask
 
 
 def reference_add(x: Multivector, y: Multivector) -> Multivector:
@@ -416,8 +476,6 @@ class _Parser:
         self.sig = sig
         self.index = 0
         self.depth = 0
-        self.negative_mask = _negative_mask(sig)
-        self.zero_mask = _zero_mask(sig)
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -555,14 +613,10 @@ class _Parser:
         for i in indices:
             if i < 1 or i > self.sig.n:
                 raise ParseError(f"generator index {i} out of range 1..{self.sig.n}", token.pos)
-        # reduce the written generator word through the algebra relations,
-        # one blade sign per letter; a null square makes the word zero
-        sign, mask = 1, 0
-        for i in indices:
-            bit = 1 << (i - 1)
-            sign *= _blade_mul_signs(mask, (bit,), self.negative_mask, self.zero_mask)[0]
-            mask ^= bit
-        return Multivector(self.sig, {mask: _SIGN_COEFFICIENTS[sign]})
+        # reduce the written generator word through the two presentation
+        # relations alone, not the library's sign kernel; a null square makes it zero
+        sign, word = normalize_word(indices, self.sig)
+        return Multivector(self.sig, {sum(1 << (i - 1) for i in word): sign})
 
 
 def reference_parse(text: str, sig: Signature) -> Multivector:

@@ -51,6 +51,8 @@ from support import (
     rand_multivector,
     rand_vector,
     reference_add,
+    reference_blade_times,
+    reference_int_product,
     reference_product,
 )
 
@@ -339,6 +341,61 @@ class TestTimesBlade:
             for b in range(1 << sig.n):
                 for mask in range(1 << sig.n):
                     assert _times_blade({b: 1}, mask, sig) == _product({b: 1}, {mask: 1}, sig)
+
+
+# numerators several machine words long
+BIG = 2**200
+
+
+@st.composite
+def kernel_cases(draw):
+    """(sig, X, Y, mask): two int maps and a blade of one Cl(p,q,s), n <= 7 and s in {0, 1, 2}.
+
+    Each map is empty, one term, sparse or dense (every blade), with its keys
+    in drawn order; its values are small, 0 or up to 200 bits long.
+    """
+    n = draw(st.integers(0, 7))
+    s = draw(st.integers(0, min(n, 2)))
+    p = draw(st.integers(0, n - s))
+    sig = Signature(p, n - s - p, s)
+    values = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG))
+
+    def operand():
+        kind = draw(st.sampled_from(["empty", "one term", "sparse", "dense"]))
+        if kind == "empty":
+            return {}
+        if kind == "one term":
+            return {draw(st.integers(0, (1 << n) - 1)): draw(values)}
+        if kind == "sparse":
+            masks = draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=8))
+        else:
+            masks = draw(st.permutations(range(1 << n)))
+        return {m: draw(values) for m in masks}
+
+    return sig, operand(), operand(), draw(st.integers(0, (1 << n) - 1))
+
+
+class TestFusedKernel:
+    """The fused sign reads against the sign-list forms they replaced: same ints, same key order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    # e3 is null and both rows hold it; e2 squares to -1
+    @example((Signature(1, 1, 1), {0b101: 3, 0b011: -BIG, 0: 0}, {0b110: 5, 0b100: 7, 0b001: 0}, 0b100))
+    @example((Signature(0, 0, 2), {0b11: 1}, {0b11: 1, 0: 2}, 0b11))
+    @example((Signature(4, 3), {}, {1: 1}, 0))
+    def test_product_matches_sign_list_loop(self, case):
+        sig, x, y, _ = case
+        for left, right in ((x, y), (y, x)):
+            expected = reference_int_product(left, right, sig)
+            assert list(_product(left, right, sig).items()) == list(expected.items())
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    @example((Signature(1, 1, 1), {0b101: 3, 0b011: -BIG, 0: 0}, {}, 0b100))
+    def test_blade_times_matches_sign_list_form(self, case):
+        sig, x, _, mask = case
+        assert list(_blade_times(mask, x, sig).items()) == list(reference_blade_times(mask, x, sig).items())
 
 
 class TestAlgebraLaws:
@@ -831,6 +888,23 @@ class TestMultivectorType:
 
     def test_foreign_operand_is_unequal(self):
         assert (Multivector.one(Signature(2, 0)) == "a") is False
+
+    def test_subtraction_adds_the_negation(self, monkeypatch):
+        sig = Signature(2, 1)
+        x = Multivector(sig, {0: Fraction(1, 2), 0b011: -1, 0b101: 3})
+        y = Multivector(sig, {0b101: 3, 0b010: Fraction(2, 3), 0: Fraction(-5, 6)})
+        cases = [(x, y, add(x, -y)), (y, x, add(y, -x)), (x, 3, add(x, -Multivector.scalar(sig, 3)))]
+
+        def refused(*args):
+            raise AssertionError("x - y called scalar_mul")
+
+        monkeypatch.setattr(core_algebra, "scalar_mul", refused)
+        for left, right, expected in cases:
+            difference = left - right
+            assert (difference._scale, list(difference._ints.items())) == (
+                expected._scale,
+                list(expected._ints.items()),
+            )
 
     def test_int_factor_on_either_side(self):
         sig = Signature(2, 0)

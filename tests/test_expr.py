@@ -24,12 +24,14 @@ from cliffalg import (
     pretty_print,
     reversion,
 )
+from cliffalg.core_algebra import _negative_mask, _zero_mask
 from support import (
     REFERENCE_FUNCTIONS,
     all_signatures,
     count_products,
     normalize_word,
     rand_multivector,
+    reference_blade_word,
     reference_parse,
     reference_pretty_print,
     reference_value,
@@ -158,6 +160,15 @@ class TestEvaluation:
         assert calls == [0]
 
 
+@st.composite
+def blade_words(draw):
+    """A generator word of up to 12 letters, repeats allowed, in one Cl(p,q,s), n <= 7 and s in {0, 1, 2}."""
+    n = draw(st.integers(1, 7))
+    s = draw(st.integers(0, min(n, 2)))
+    p = draw(st.integers(0, n - s))
+    return Signature(p, n - s - p, s), draw(st.lists(st.integers(1, n), max_size=12))
+
+
 class TestBladeSymbols:
     def test_reduction_through_relations(self):
         e1 = Multivector.generator(S02, 1)
@@ -205,6 +216,17 @@ class TestBladeSymbols:
         # e1*e2*e3*e1: two transpositions carry the last factor home
         assert value("e1231", sig) == value("e23", sig)
         assert value("e121", sig) == -value("e2", sig)
+
+    @settings(max_examples=300, deadline=None)
+    @given(blade_words())
+    # e3 and e4 are null: a word zeroes only when one of them repeats
+    @example((Signature(1, 1, 2), [1, 2, 3, 4]))
+    @example((Signature(1, 1, 2), [4, 1, 2, 4, 3]))
+    @example((Signature(0, 3), [3, 2, 1, 3, 2, 1]))
+    def test_word_matches_blade_mul_fold(self, case):
+        sig, indices = case
+        sign, mask = expr._blade_word(indices, _negative_mask(sig), _zero_mask(sig))
+        assert (sign, mask) == reference_blade_word(indices, sig)
 
 
 class TestFunctions:
