@@ -13,6 +13,12 @@ product with the numerators of the inverse (or with conjugate(X) when the
 norm is a scalar) gives a multiple of rho_x(e_i), one Fraction per entry at
 the end.
 
+Membership forms those images only where a theorem does not decide first: a
+nonzero scalar norm on a regular signature puts x in the group exactly when
+its blades are all even or all odd if n <= 5, and rules out mixed parity at
+any n.  The images still run for a homogeneous x at n >= 6 and for every
+candidate when s > 0 (see membership for the proof).
+
 Lifts are projective: the twisted adjoint is unchanged under rescaling, so a
 lift is rescaled onto norm +-1 only when that is possible inside the
 rationals (|N| a rational square); otherwise it is returned unscaled with
@@ -37,7 +43,6 @@ from .core_algebra import (
     blade_name,
     clifford_conjugation,
     embed_vector,
-    even_part,
     geometric_product,
     grade_involution,
     inverse,
@@ -168,33 +173,56 @@ class Membership:
 
 
 def membership(x: Multivector) -> Membership:
-    """Clifford group, Pin and Spin membership from one norm.
+    """Clifford group, Pin and Spin membership from one norm and the parity of x.
 
     x is in the Clifford group iff it is invertible and its twisted adjoint
     keeps every e_i in V (v maps linearly to the image, so the basis
     suffices); in Pin iff also its norm is +1 or -1; in Spin iff also even.
-    A nonzero scalar N = x * conjugate(x) gives x^-1 = conjugate(x) / N, so
-    with X the integer numerators of x, stability is read off the integer
-    products X^ * e_i * conjugate(X), a nonzero multiple of rho_x(e_i); and
     N = 0 makes x a zero divisor.  A non-scalar N rules x out when s = 0
     (Lounesto, 2001) but not when s > 0 (1 - e123 in Cl(0,0,3)): only then
     does the inverse run, from the N already formed, on its numerators.
+
+    A nonzero scalar N = x * conjugate(x) = lambda gives x^-1 = conjugate(x) / N.
+    When s = 0 the parity of the blades of x decides without an image:
+
+    - (=>) On a regular form the twisted adjoint of a group element is an
+      isometry, so by Cartan-Dieudonne it equals that of a product of
+      anisotropic vectors w; ker rho is the nonzero scalars, so x is a scalar
+      times w and is even or odd.  Mixed parity puts x outside, at any n.
+    - (<=) Let x be even or odd, so grade_involution(x) = eps*x with
+      eps = +-1.  For a vector v, y = x^ * v * conjugate(x) / lambda is odd,
+      and conjugate(y) = x * (-v) * eps*conjugate(x) / lambda = -y, so y lies
+      in grades 1 mod 4: grade 1 alone when n <= 4.  At n = 5 the only other
+      grade is 5; the pseudoscalar I is central and
+      conjugate(x) * I * x^ = eps*lambda*I, so <y*I>_0 = eps*<v*I>_0 = 0
+      by cyclicity, and y is a vector.
+
+    So for s = 0 a homogeneous x is in the group when n <= 5.  At n >= 6
+    the rule fails (-2*e145 + e236 in Cl(3,3) has N = -3 and is outside),
+    and for s > 0 mixed parity is no bar (1 + e1 in Cl(0,0,1)).  There, with
+    X the integer numerators of x, stability is read off the integer
+    products X^ * e_i * conjugate(X), a nonzero multiple of rho_x(e_i).
     """
     value = norm(x)
     n_value = value.scalar_part() if value.is_scalar() else None
+    sig = x.sig
+    group = False
+    parities = None
     y = None
     if n_value:
-        y = _involuted(x._ints, "conjugate")
-    elif n_value is None and x.sig.s:
+        parities = {mask.bit_count() & 1 for mask in x._ints}
+        group = len(parities) == 1
+        if sig.s or (group and sig.n > 5):
+            y = _involuted(x._ints, "conjugate")
+    elif n_value is None and sig.s:
         try:
             y = _inverse_given_norm(x, value)._ints
         except NotInvertible:
             pass
-    group = y is not None and all(
-        _off_vector(image) is None for image in _twisted_images(x._ints, y, x.sig)
-    )
+    if y is not None:
+        group = all(_off_vector(image) is None for image in _twisted_images(x._ints, y, sig))
     pin = group and n_value in (1, -1)
-    spin = pin and even_part(x) == x
+    spin = pin and parities == {0}
     return Membership(group, pin, spin, n_value)
 
 

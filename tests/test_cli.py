@@ -285,19 +285,31 @@ class TestCheck:
         "sig, element", [("0,2", "3/5+4/5*e12"), ("2,0", "3/5*e1+4/5*e2")]
     )
     def test_inverts_once(self, capsys, monkeypatch, sig, element):
-        # one product forms N = x * conjugate(x), which gives the inverse
-        # conjugate(x) / N; each generator's twisted image takes one more,
-        # since gi(x) * e_i is a relabelling of the terms of x
+        # one product forms N = x * conjugate(x); on a regular form with
+        # n <= 5 a nonzero scalar N and the parity of x decide, with no image
+        counts = count_membership_products(monkeypatch)
+        payload = run_json(capsys, ["check", "--sig", sig, "--json", element])
+        assert counts == [1]
+        assert payload["result"]["in_pin"] is True
+
+    @pytest.mark.parametrize(
+        "sig, element", [("3,3", "3/5*e14+4/5*e24"), ("2,0,1", "3/5*e1+4/5*e2+e3")]
+    )
+    def test_images_at_n6_and_when_degenerate(self, capsys, monkeypatch, sig, element):
+        # at n >= 6, or when s > 0, each generator's twisted image takes one
+        # product after N, since gi(x) * e_i is a relabelling of the terms of x
         counts = count_membership_products(monkeypatch)
         payload = run_json(capsys, ["check", "--sig", sig, "--json", element])
         assert counts == [1 + parse_signature(sig).n]
         assert payload["result"]["in_pin"] is True
 
     @pytest.mark.parametrize(
-        "sig, element", [("2,0", "1+e1"), ("3,0", "1+e1+e23"), ("1,3", "1+e2+e134")]
+        "sig, element",
+        [("2,0", "1+e1"), ("3,0", "1+e1+e23"), ("1,3", "1+e2+e134"), ("0,6", "1+e1")],
     )
     def test_non_group_element_forms_norm_only(self, capsys, monkeypatch, sig, element):
-        # on a regular form N that is zero or not a scalar rules x out
+        # on a regular form N that is zero or not a scalar rules x out, and so
+        # does mixed parity at any n (N = 2 for 1 + e1 in Cl(0,6))
         counts = count_membership_products(monkeypatch)
         payload = run_json(capsys, ["check", "--sig", sig, "--json", element])
         assert counts == [1]

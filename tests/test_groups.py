@@ -32,6 +32,7 @@ from cliffalg import (
     in_pin,
     in_spin,
     lift_isometry,
+    norm,
     norm_scalar,
     quadratic_value,
     reflection_matrix,
@@ -263,6 +264,28 @@ SCALAR_NORM_OUTSIDE = [
 ]
 
 
+@st.composite
+def homogeneous_scalar_norm_cases(draw):
+    """Sums of 2-4 distinct blades of one parity, coefficients +-1 and +-2, s = 0 and n <= 6.
+
+    Filtered on a nonzero scalar N.  At n <= 5 membership decides these from
+    N and the parity alone; at n = 6 they still reach the twisted images, and
+    some are outside the group (-2*e145 + e236 in Cl(3,3)).
+    """
+    sig = draw(st.sampled_from([s for s in all_signatures(6, degenerate=False) if s.n >= 2]))
+    parity = draw(st.integers(0, 1))
+    blades = [m for m in range(1 << sig.n) if m.bit_count() % 2 == parity]
+    chosen = draw(st.lists(st.sampled_from(blades), min_size=2, max_size=4, unique=True))
+    coefficients = st.sampled_from([1, -1, 2, -2])
+    values = draw(st.lists(coefficients, min_size=len(chosen), max_size=len(chosen)))
+    return Multivector(sig, dict(zip(chosen, values)))
+
+
+def has_nonzero_scalar_norm(x: Multivector) -> bool:
+    value = norm(x)
+    return value.is_scalar() and bool(value.scalar_part())
+
+
 class TestMembership:
     @settings(max_examples=100, deadline=None)
     @given(membership_cases())
@@ -272,6 +295,16 @@ class TestMembership:
     @example(SCALAR_NORM_OUTSIDE[2])
     @example(SCALAR_NORM_OUTSIDE[3])
     def test_matches_reference(self, x):
+        facts = membership(x)
+        expected = reference_membership(x)
+        assert (facts.in_clifford_group, facts.in_pin, facts.in_spin, facts.n_value) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(homogeneous_scalar_norm_cases().filter(has_nonzero_scalar_norm))
+    @example(Multivector(Signature(3, 3), {0b011001: -2, 0b100110: 1}))  # -2*e145 + e236, N = -3
+    @example(Multivector(Signature(0, 0, 3), {0: 1, 0b111: -1}))  # 1 - e123, mixed parity
+    def test_parity_rule_matches_reference(self, x):
+        # N and the parity decide at n <= 5; the images decide at n = 6 and for 1 - e123
         facts = membership(x)
         expected = reference_membership(x)
         assert (facts.in_clifford_group, facts.in_pin, facts.in_spin, facts.n_value) == expected
