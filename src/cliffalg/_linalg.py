@@ -67,6 +67,23 @@ class ScaledMatrix:
         return cls([[x.numerator * (scale // x.denominator) for x in row] for row in m], scale)
 
     @classmethod
+    def of_ratios(cls, rows) -> "ScaledMatrix":
+        """Rows of (a, b) int pairs, b > 0, read as a / b, over their least common denominator.
+
+        Over S = lcm(b) the entries are A / S, and the least common
+        denominator is S / gcd(S, A_1, A_2, ...).  No Fraction is built.
+        """
+        scale = math.lcm(*(b for row in rows for _, b in row))
+        if scale == 1:
+            return cls([[a for a, _ in row] for row in rows])
+        ints = [[a * (scale // b) for a, b in row] for row in rows]
+        content = math.gcd(scale, *itertools.chain.from_iterable(ints))
+        if content != 1:
+            scale //= content
+            ints = [[x // content for x in row] for row in ints]
+        return cls(ints, scale)
+
+    @classmethod
     def identity(cls, n) -> "ScaledMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 

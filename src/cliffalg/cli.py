@@ -42,14 +42,16 @@ from .expr import parse_multivector, pretty_print
 from .groups import _hat_times_generator, lift_isometry, membership
 from .quadratic_space import (
     BilinearForm,
-    cartan_dieudonne_factor,
+    _cartan_dieudonne_axes,
+    _certified_reflection,
     classify_vector,
     format_rational,
     orthogonal_diagonalize,
     parse_matrix,
+    parse_scaled_matrix,
+    parse_scaled_vector,
     parse_vector,
     quadratic_value,
-    reflection_matrix,
 )
 from .spinors import (
     _idempotents,
@@ -113,7 +115,7 @@ def _approx_terms(x: Multivector) -> dict:
     return {blade_name(mask, x.sig.n): _approx(float, value) for mask, value in x.terms()}
 
 
-def _twisted_adjoint_matches(x: Multivector, rows) -> bool:
+def _twisted_adjoint_matches(x: Multivector, m: ScaledMatrix) -> bool:
     """True iff the twisted adjoint of x is M, checked without inverting x.
 
     lift_isometry has refused s > 0 and checked that M is an isometry, so
@@ -121,17 +123,17 @@ def _twisted_adjoint_matches(x: Multivector, rows) -> bool:
     every i, then z = y^-1 * x has gi(z)*e_i = e_i*z for every i.  Blade by
     blade, gi(e_A)*e_i = -e_i*e_A when e_i is in A, and e_i is invertible, so
     z has no blade holding any e_i: z is a scalar, and x != 0 gives
-    rho_x = rho_y = M.  In integers, with x = X / s and M scaled once to
-    integer rows over c, column i of M is C / c and the check reads
-    c * gi(X)*e_i = C*X.  gi(X)*e_i is a signed relabelling of the terms of
-    X, and so is each e_j*X: C*X = sum_j C_j*(e_j*X) reads n relabellings
-    formed once, not n sign lists per column.
+    rho_x = rho_y = M.  In integers, with x = X / s and M the ScaledMatrix
+    of integer rows over c > 0 that lift read from its text, column i of M
+    is C / c and the check reads c * gi(X)*e_i = C*X.  gi(X)*e_i is a
+    signed relabelling of the terms of X, and so is each e_j*X:
+    C*X = sum_j C_j*(e_j*X) reads n relabellings formed once, not n sign
+    lists per column.
     """
     if x.is_zero():
         return False
     sig = x.sig
     left = [_blade_times(1 << j, x._ints, sig) for j in range(sig.n)]  # left[j] = e_j * X
-    m = ScaledMatrix.of(rows)
     for i, column in enumerate(zip(*m.rows)):
         acc = [0] * (1 << sig.n)  # C*X, dense over the blades
         for j, entry in enumerate(column):
@@ -230,25 +232,26 @@ def cmd_diagonalize(args, sig: Signature):
 
 
 def cmd_reflect(args, sig: Signature):
-    v = parse_vector(args.vector)
+    w, _ = parse_scaled_vector(args.vector)
     form = BilinearForm.from_signature(sig)
-    matrix = reflection_matrix(form, v)
-    rows = matrix.rows()
-    result = {"matrix": _mat(rows)}
-    checks = {"isometry": True}  # certified by IsometryMatrix construction
+    matrix = _certified_reflection(form, w)
+    result = {"matrix": _scaled_mat(matrix)}
+    checks = {"isometry": True}  # certified on its integer rows
     lines = [f"matrix: {_joined(result['matrix'])}"]
     return result, checks, lines
 
 
 def cmd_factor(args, sig: Signature):
     form = BilinearForm.from_signature(sig)
-    rows = parse_matrix(args.matrix)
-    vectors = cartan_dieudonne_factor(form, rows)
+    m = parse_scaled_matrix(args.matrix)
+    axes = _cartan_dieudonne_axes(form, m)
+    # each reflection is certified on its integer rows, and their product must be M
     recomposed = ScaledMatrix.identity(sig.n)
-    for w in vectors:
-        recomposed = recomposed @ ScaledMatrix.of(reflection_matrix(form, w).rows())
-    recomposition = recomposed == ScaledMatrix.of(rows)
-    result = {"vectors": [_vec(w) for w in vectors], "count": len(vectors)}
+    for w, _, _ in axes:
+        recomposed = recomposed @ _certified_reflection(form, w)
+    recomposition = recomposed == m
+    vectors = [[format_ratio(x, scale) for x in w] for w, scale, _ in axes]
+    result = {"vectors": vectors, "count": len(vectors)}
     checks = {"recomposition": recomposition, "count_le_2n": len(vectors) <= 2 * sig.n}
     lines = [f"count: {len(vectors)}"]
     lines += [f"w{i + 1}: {','.join(w)}" for i, w in enumerate(result["vectors"])]
@@ -257,9 +260,9 @@ def cmd_factor(args, sig: Signature):
 
 
 def cmd_lift(args, sig: Signature):
-    rows = parse_matrix(args.matrix)
-    lift = lift_isometry(sig, rows)
-    matches = _twisted_adjoint_matches(lift.element, rows)
+    m = parse_scaled_matrix(args.matrix)
+    lift = lift_isometry(sig, m)
+    matches = _twisted_adjoint_matches(lift.element, m)
     result = {
         "element": pretty_print(lift.element),
         "n_value": format_rational(lift.n_value),

@@ -3,8 +3,8 @@
 The twisted adjoint of x sends a vector v to grade_involution(x) * v * x^-1.
 For an anisotropic vector x it is the hyperplane reflection through x, and on
 the whole group its image preserves the standard diagonal form of the
-signature.  Lifting an isometry composes the reflection vectors produced by
-the factorization in quadratic_space.
+signature.  Lifting an isometry multiplies the integer axes produced by the
+factorization in quadratic_space, on their numerators.
 
 Every stability decision and twisted adjoint matrix runs on the integer
 numerators X = x._ints: grade_involution(X) * e_i is the relabelling e_i * X
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _linalg, core_algebra
+from . import core_algebra
 from .core_algebra import (
     Multivector,
     Rational,
@@ -43,7 +43,6 @@ from .core_algebra import (
     blade_name,
     clifford_conjugation,
     embed_vector,
-    geometric_product,
     grade_involution,
     inverse,
     norm,
@@ -59,8 +58,8 @@ from .errors import (
 from .quadratic_space import (
     BilinearForm,
     IsometryMatrix,
-    cartan_dieudonne_factor,
-    quadratic_value,
+    _cartan_dieudonne_axes,
+    _scaled_isometry,
 )
 
 
@@ -276,27 +275,39 @@ def lift_isometry(sig: Signature, m) -> LiftResult:
     """Product of reflection vectors whose twisted adjoint equals M exactly.
 
     The signature must be regular (s = 0) and M an exact isometry of its
-    standard diagonal form.  det(M) = +1 yields an even element built from an
-    even number of reflections.  The element is rescaled onto norm +-1 when
-    |N| is the square of a rational; otherwise needs_normalization is set
-    (the twisted adjoint is correct either way).
+    standard diagonal form, given as rows, an IsometryMatrix or a
+    ScaledMatrix.  det(M) = +1 yields an even element built from an even
+    number of reflections.  The element is rescaled onto norm +-1 when |N|
+    is the square of a rational; otherwise needs_normalization is set (the
+    twisted adjoint is correct either way).
+
+    The factorization gives each axis as integers W over a scale, with
+    q = W^T G W (quadratic_space._cartan_dieudonne_axes).  The element is
+    the _product of the integer maps of the W, each partial product over
+    the product of the scales reduced by Multivector._scaled, which keeps
+    the numerators as small as geometric_product would at n = 16.  A
+    vector squares to Phi(w) = q / scale^2 (the form of a signature has
+    g = 1), and w * conjugate(w) = -w * w, so N = prod(-q) / prod(scale^2),
+    with no Fraction until that one.
     """
     if sig.s > 0:
         raise DegenerateForm("lifting requires a regular signature")
     form = BilinearForm.from_signature(sig)
-    rows = m.rows() if isinstance(m, IsometryMatrix) else _linalg.to_matrix(m)
-    vectors = cartan_dieudonne_factor(form, rows)  # raises DimensionMismatch, NotAnIsometry
+    axes = _cartan_dieudonne_axes(form, _scaled_isometry(m))  # raises DimensionMismatch, NotAnIsometry
     element = Multivector.one(sig)
-    n_value = Fraction(1)
-    for w in vectors:
-        element = geometric_product(element, embed_vector(w, sig))
-        n_value *= -quadratic_value(form, w)
+    n_numerator = n_denominator = 1
+    for w, w_scale, q in axes:
+        vector = {1 << i: x for i, x in enumerate(w) if x}
+        element = Multivector._scaled(sig, core_algebra._product(element._ints, vector, sig), element._scale * w_scale)
+        n_numerator *= -q
+        n_denominator *= w_scale * w_scale
+    n_value = Fraction(n_numerator, n_denominator)
     needs_normalization = False
     if n_value not in (1, -1):
         if _is_rational_square(abs(n_value)):
-            scale = _rational_sqrt(abs(n_value))
-            element = scalar_mul(1 / scale, element)
-            n_value = n_value / (scale * scale)
+            root = _rational_sqrt(abs(n_value))
+            element = scalar_mul(1 / root, element)
+            n_value = n_value / (root * root)
         else:
             needs_normalization = True
-    return LiftResult(element, n_value, len(vectors), needs_normalization)
+    return LiftResult(element, n_value, len(axes), needs_normalization)

@@ -42,6 +42,10 @@ def _freeze(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(_rational(x) for x in row) for row in rows)
 
 
+# the generator squares of a signature, one Fraction each
+_SQUARES = {1: Fraction(1), -1: Fraction(-1), 0: Fraction(0)}
+
+
 @dataclass(frozen=True)
 class BilinearForm:
     """An n x n symmetric rational matrix.
@@ -76,8 +80,14 @@ class BilinearForm:
 
     @classmethod
     def from_signature(cls, sig: Signature) -> "BilinearForm":
-        """Standard diagonal form: +1 (p times), -1 (q times), 0 (s times)."""
-        return cls.diagonal([sig.generator_square(i) for i in range(1, sig.n + 1)])
+        """Standard diagonal form: +1 (p times), -1 (q times), 0 (s times).
+
+        The entries are the three shared Fractions of _SQUARES: no entry is
+        converted.
+        """
+        squares = [_SQUARES[1]] * sig.p + [_SQUARES[-1]] * sig.q + [_SQUARES[0]] * sig.s
+        zero = _SQUARES[0]
+        return cls(tuple(tuple(d if i == j else zero for j in range(sig.n)) for i, d in enumerate(squares)))
 
     @property
     def n(self) -> int:
@@ -223,44 +233,64 @@ def is_degenerate(form: BilinearForm) -> bool:
     return signature_of(form)[2] > 0
 
 
+def _reflection_rows(form: BilinearForm, w) -> ScaledMatrix:
+    """s_w for an integer axis W, as integer rows over |q|, q = W^T G W; not yet certified.
+
+    With G the integer numerators of the form, entry (r, c) of s_w is
+    (delta_rc q - 2 (G W)_c W_r) / q, and every row is negated when q < 0,
+    so that the scale is positive.  q = 0 exactly when Phi(w) = 0, which is
+    IsotropicVector.  reflection_matrix, the reflect command and the
+    recomposition of factor all build their reflections here.
+    """
+    if len(w) != form.n:
+        raise DimensionMismatch(f"expected a vector of length {form.n}")
+    g, _ = form._integer_form
+    gw, q = _integer_phi(g, w)  # gw_i is phi(e_i, w), up to a factor > 0
+    if q == 0:
+        raise IsotropicVector("reflection axis must be anisotropic")
+    scale = abs(q)
+    twice = [(2 if q > 0 else -2) * x for x in gw]
+    rows = [[-w_r * x for x in twice] for w_r in w]
+    for i, row in enumerate(rows):
+        row[i] += scale
+    return ScaledMatrix(rows, scale)
+
+
+def _certified_reflection(form: BilinearForm, w) -> ScaledMatrix:
+    """_reflection_rows(form, w), certified as an isometry on its integer rows (NotAnIsometry)."""
+    matrix = _reflection_rows(form, w)
+    if not is_isometry(form, matrix):
+        raise NotAnIsometry("matrix does not preserve the bilinear form")
+    return matrix
+
+
 def reflection_matrix(form: BilinearForm, x) -> IsometryMatrix:
     """Hyperplane reflection s_x(u) = u - (2 phi(u,x) / Phi(x)) x.
 
     Requires Phi(x) != 0.  Fixes the hyperplane orthogonal to x, negates x,
     has determinant -1, and depends only on the line through x.
 
-    With X the integer numerators of x and G those of the form, entry (r, c)
-    is (delta_rc q - 2 (G X)_c X_r) / q for q = X^T G X, one Fraction each;
-    q = 0 exactly when Phi(x) = 0.  The result is still certified by
-    IsometryMatrix.
+    The rows come from _reflection_rows on the integer numerators of x, one
+    Fraction per entry; the result is still certified by IsometryMatrix.
     """
-    x = _linalg.to_vector(x)
-    if len(x) != form.n:
-        raise DimensionMismatch(f"expected a vector of length {form.n}")
-    (numerators,) = ScaledMatrix.of([x]).rows
-    g, _ = form._integer_form
-    gx, q = _integer_phi(g, numerators)  # gx_i is phi(e_i, x), up to a factor > 0
-    if q == 0:
-        raise IsotropicVector("reflection axis must be anisotropic")
-    rows = [
-        [Fraction((q if r == c else 0) - 2 * gx_c * x_r, q) for c, gx_c in enumerate(gx)]
-        for r, x_r in enumerate(numerators)
-    ]
-    return IsometryMatrix.from_rows(form, rows)
+    (numerators,) = ScaledMatrix.of([_linalg.to_vector(x)]).rows
+    return IsometryMatrix(form, tuple(map(tuple, _reflection_rows(form, numerators).fractions())))
 
 
-def is_isometry(form: BilinearForm, rows) -> bool:
+def is_isometry(form: BilinearForm, m) -> bool:
     """Exact check M^T B M = B and M invertible; False for a matrix of the wrong shape.
 
+    M is a ScaledMatrix, read as it is, or rows of entries, scaled once.
     The identity is compared as ScaledMatrix values, in int arithmetic.  M
     must also have full rank, which _linalg's one elimination reads off.
     That test matters on a degenerate form: there a singular M can satisfy
     the identity.
     """
-    rows = [list(row) for row in rows]
+    rows = m.rows if isinstance(m, ScaledMatrix) else [list(row) for row in m]
     if len(rows) != form.n or any(len(r) != form.n for r in rows):
         return False
-    m = ScaledMatrix.of(rows)
+    if not isinstance(m, ScaledMatrix):
+        m = ScaledMatrix.of(rows)
     g = ScaledMatrix(*form._integer_form)
     return m.transpose() @ g @ m == g and len(_linalg._integer_rref(m.rows)[1]) == form.n
 
@@ -277,9 +307,10 @@ def det_sign(m) -> int:
 def cartan_dieudonne_factor(form: BilinearForm, m) -> list[list[Fraction]]:
     """Anisotropic vectors w_1..w_k with s_{w_1} o ... o s_{w_k} = M, k <= 2n.
 
-    The form must be regular and M an exact isometry of it.  The composition
-    is matrix-product order: the product of the reflection matrices taken in
-    list order equals M.
+    The form must be regular and M an exact isometry of it, given as rows,
+    an IsometryMatrix or a ScaledMatrix.  The composition is matrix-product
+    order: the product of the reflection matrices taken in list order
+    equals M.
 
     C starts at M and settles the form's own orthogonal basis v_1..v_n in
     order.  s_w with w = C v_i - v_i maps C v_i back to v_i when w is
@@ -287,48 +318,91 @@ def cartan_dieudonne_factor(form: BilinearForm, m) -> list[list[Fraction]]:
     after s_{C v_i + v_i} does the same job.  Each fixes every earlier v_j,
     so at most 2n reflections are emitted before C reaches the identity.
 
-    The loop runs in int arithmetic.  C = c / d holds integer columns c over
-    one denominator d > 0, and the form is its integer numerator matrix G.  A
-    reflection through an integer axis W with q = W^T G W maps each column
-    to q col - 2 (col^T G W) W and d to d q; the content gcd(d, c) is then
-    divided out, so d stays the least positive denominator instead of growing
-    as the product of every q, and C = I exactly when d = 1 and c = I.
+    The loop, _cartan_dieudonne_axes, runs in int arithmetic on M as one
+    ScaledMatrix.  C = c / d holds integer columns c over one denominator
+    d > 0, and the form is its integer numerator matrix G.  A reflection
+    through an integer axis W with q = W^T G W maps each column to
+    q col - 2 (col^T G W) W and d to d q (_reflect_columns); the content
+    gcd(d, c) is then divided out, so d stays the least positive
+    denominator instead of growing as the product of every q, and C = I
+    exactly when d = 1 and c = I.  It returns each axis as integers W over
+    a scale, with its q; lift_isometry and the factor command read those,
+    and this function turns each into one Fraction vector.
     """
-    rows = m.rows() if isinstance(m, IsometryMatrix) else _linalg.to_matrix(m)
+    return [[Fraction(x, scale) for x in w] for w, scale, _ in _cartan_dieudonne_axes(form, _scaled_isometry(m))]
+
+
+def _orthogonal_basis(form: BilinearForm) -> ScaledMatrix | None:
+    """The basis vectors of orthogonal_diagonalize(form), one per row over one scale; None when s > 0.
+
+    A regular diagonal form, such as that of a regular signature, needs no
+    elimination: orthogonal_diagonalize finds each pivot in place and
+    nothing to clear, so its basis is I.  The form is regular and diagonal
+    exactly when its n diagonal entries are its only nonzero ones.
+    """
+    g, _ = form._integer_form
+    n = form.n
+    if all(g[i][i] for i in range(n)) and sum(map(bool, itertools.chain.from_iterable(g))) == n:
+        return ScaledMatrix.identity(n)
     diagonalization = orthogonal_diagonalize(form)
     if diagonalization.signature[2] > 0:
+        return None
+    # one common scale for every v: scaling an axis W by k changes no reflection
+    return ScaledMatrix.of(_linalg.transpose(diagonalization.basis_rows()))
+
+
+def _reflect_columns(columns: list, d: int, g, w: list) -> tuple[int, int]:
+    """(q, d'): s_w applied in place to C = columns / d, for an integer axis W with q = W^T G W.
+
+    Each column maps to q col - 2 (col^T G W) W and d to d q; the content
+    gcd(d, c) is then divided out, with the sign of d, so d' > 0 is the
+    least denominator of the new C.  When q = 0 nothing changes and the
+    result is (0, d).
+    """
+    gw, q = _integer_phi(g, w)
+    if q == 0:
+        return 0, d
+    for column in columns:
+        t = 2 * sum(map(operator.mul, column, gw))
+        column[:] = [q * x - t * y for x, y in zip(column, w)]
+    d *= q
+    content = math.gcd(d, *itertools.chain.from_iterable(columns))
+    if d < 0:
+        content = -content
+    if content != 1:
+        d //= content
+        for column in columns:
+            column[:] = [x // content for x in column]
+    return q, d
+
+
+def _cartan_dieudonne_axes(form: BilinearForm, m: ScaledMatrix) -> list[tuple[list[int], int, int]]:
+    """(W, scale, q) for each vector w = W / scale of cartan_dieudonne_factor, q = W^T G W.
+
+    M is read as the ScaledMatrix it is, with no Fraction; scale > 0, and
+    Phi(w) = q / (scale^2 g) for the form B = G / g.  The checks and their
+    order are cartan_dieudonne_factor's.
+    """
+    basis = _orthogonal_basis(form)
+    if basis is None:
         raise DegenerateForm("factorization requires a regular form")
-    if len(rows) != form.n or any(len(r) != form.n for r in rows):
-        raise DimensionMismatch(f"expected a {form.n}x{form.n} matrix")
-    if not is_isometry(form, rows):
+    n = form.n
+    if len(m.rows) != n or any(len(r) != n for r in m.rows):
+        raise DimensionMismatch(f"expected a {n}x{n} matrix")
+    if not is_isometry(form, m):
         raise NotAnIsometry("matrix does not preserve the bilinear form")
     g, _ = form._integer_form
-    start = ScaledMatrix.of(_linalg.transpose(rows))
-    columns, d = start.rows, start.scale
-    vectors = []
+    columns, d = _linalg.transpose(m.rows), m.scale
+    axes = []
 
     def reflect(w, scale) -> bool:
-        """Apply s_w to every column of C, w = W / scale; False, changing nothing, when Phi(w) = 0."""
+        """Apply s_w to C for w = W / scale; False, changing nothing, when Phi(w) = 0."""
         nonlocal d
-        gw, q = _integer_phi(g, w)
-        if q == 0:
-            return False
-        vectors.append([Fraction(x, scale) for x in w])
-        for column in columns:
-            t = 2 * sum(map(operator.mul, column, gw))
-            column[:] = [q * x - t * y for x, y in zip(column, w)]
-        d *= q
-        content = math.gcd(d, *itertools.chain.from_iterable(columns))
-        if d < 0:
-            content = -content
-        if content != 1:
-            d //= content
-            for column in columns:
-                column[:] = [x // content for x in column]
-        return True
+        q, d = _reflect_columns(columns, d, g, w)
+        if q:
+            axes.append((w, scale, q))
+        return q != 0
 
-    # one common scale for every v: scaling an axis W by k changes no reflection
-    basis = ScaledMatrix.of(_linalg.transpose(diagonalization.basis_rows()))
     for v in basis.rows:
         image = [sum(map(operator.mul, row, v)) for row in zip(*columns)]  # c v = d C v
         dv = [d * x for x in v]
@@ -337,36 +411,54 @@ def cartan_dieudonne_factor(form: BilinearForm, m) -> list[list[Fraction]]:
         if not reflect([x - y for x, y in zip(image, dv)], d * basis.scale):
             reflect([x + y for x, y in zip(image, dv)], d * basis.scale)
             reflect(v, basis.scale)
-    if ScaledMatrix(columns, d) != ScaledMatrix.identity(form.n):
+    if ScaledMatrix(columns, d) != ScaledMatrix.identity(n):
         raise NotAnIsometry("factorization did not terminate at the identity")
-    return vectors
+    return axes
+
+
+def _scaled_isometry(m) -> ScaledMatrix:
+    """M given as rows, an IsometryMatrix or a ScaledMatrix, as one ScaledMatrix (to_matrix's errors)."""
+    if isinstance(m, ScaledMatrix):
+        return m
+    return ScaledMatrix.of(m.rows() if isinstance(m, IsometryMatrix) else m)
 
 
 # text format shared with the CLI
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/(\d+))?")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
+def _rational_parts(text: str) -> tuple[int, int]:
+    """(a, b) for exactly "a" or "a/b" with b > 0, unreduced; b = 1 for "a".
+
+    int() reads the digits the pattern matched: a digit is any decimal
+    digit (\\d), which is what int() accepts.  The zero denominator is
+    found before any int() call, and so is a part past MAX_LITERAL_DIGITS.
+    """
+    stripped = text.strip()
+    match = _RATIONAL_RE.fullmatch(stripped)
+    if not match or (match[2] is not None and not any(map(unicodedata.decimal, match[2]))):
+        raise ParseError(f"bad rational {stripped!r}; expected \"a\" or \"a/b\"")
+    numerator, denominator = match.groups()
+    if len(numerator.lstrip("+-")) > MAX_LITERAL_DIGITS or len(denominator or "") > MAX_LITERAL_DIGITS:
+        raise ParseError(f"rational has more than {MAX_LITERAL_DIGITS} digits")
+    return int(numerator), int(denominator) if denominator else 1
 
 
 def parse_rational(text: str) -> Fraction:
     """Exactly "a" or "a/b" with b > 0; floats and exponents are rejected."""
-    stripped = text.strip()
-    match = _RATIONAL_RE.fullmatch(stripped)
-    if not match or (match[1] is not None and not any(map(unicodedata.decimal, match[1]))):
-        raise ParseError(f"bad rational {stripped!r}; expected \"a\" or \"a/b\"")
-    if any(len(part.lstrip("+-")) > MAX_LITERAL_DIGITS for part in stripped.split("/")):
-        raise ParseError(f"rational has more than {MAX_LITERAL_DIGITS} digits")
-    return Fraction(stripped)
+    return Fraction(*_rational_parts(text))
 
 
-def parse_vector(text: str) -> list[Fraction]:
+def _vector_parts(text: str) -> list[tuple[int, int]]:
     entries = text.split(",")
     if not any(e.strip() for e in entries):
         raise ParseError("empty vector text")
-    return [parse_rational(e) for e in entries]
+    return [_rational_parts(e) for e in entries]
 
 
-def parse_matrix(text: str) -> list[list[Fraction]]:
+def _matrix_parts(text: str) -> list[list[tuple[int, int]]]:
     pieces = text.split(";")
     if not any(piece.strip() for piece in pieces):
         raise ParseError("empty matrix text")
@@ -375,11 +467,30 @@ def parse_matrix(text: str) -> list[list[Fraction]]:
         # a blank row is refused as parse_vector refuses a blank entry
         if not piece.strip():
             raise ParseError("empty matrix row")
-        rows.append(parse_vector(piece))
+        rows.append(_vector_parts(piece))
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseError("matrix rows have differing lengths")
     return rows
+
+
+def parse_vector(text: str) -> list[Fraction]:
+    return [Fraction(a, b) for a, b in _vector_parts(text)]
+
+
+def parse_scaled_vector(text: str) -> tuple[list[int], int]:
+    """parse_vector(text) as integer numerators over their least positive scale, with no Fraction."""
+    m = ScaledMatrix.of_ratios([_vector_parts(text)])
+    return m.rows[0], m.scale
+
+
+def parse_matrix(text: str) -> list[list[Fraction]]:
+    return [[Fraction(a, b) for a, b in row] for row in _matrix_parts(text)]
+
+
+def parse_scaled_matrix(text: str) -> ScaledMatrix:
+    """parse_matrix(text) as one ScaledMatrix over the least scale, with the same errors and no Fraction."""
+    return ScaledMatrix.of_ratios(_matrix_parts(text))
 
 
 def format_rational(value) -> str:

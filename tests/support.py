@@ -15,12 +15,17 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+import unicodedata
 from fractions import Fraction
 
 from cliffalg import (
     BilinearForm,
     CoefficientTooLarge,
+    DegenerateForm,
+    DimensionMismatch,
     Multivector,
+    NotAnIsometry,
     ParseError,
     Signature,
     add,
@@ -1061,6 +1066,122 @@ def reference_cartan_dieudonne(form: BilinearForm, m):
             vectors.append(mat_vec(basis, w))
     assert mat_eq(current, _linalg.identity(n)), "factorization did not reach the identity"
     return vectors
+
+
+def fraction_cartan_dieudonne_factor(form: BilinearForm, m):
+    """cartan_dieudonne_factor as it read M before it carried one ScaledMatrix: Fraction rows in, Fraction vectors out.
+
+    The loop is the same integer reflection of the columns of C = c / d, but
+    M arrives as Fraction rows and is scaled here, the orthogonal basis always
+    comes from orthogonal_diagonalize, each axis becomes a Fraction vector
+    as soon as it is found, and the isometry check is reference_is_isometry.
+    Its errors, and their order, are the library's.
+    """
+    rows = _linalg.to_matrix(m)
+    diagonalization = orthogonal_diagonalize(form)
+    if diagonalization.signature[2] > 0:
+        raise DegenerateForm("factorization requires a regular form")
+    if len(rows) != form.n or any(len(r) != form.n for r in rows):
+        raise DimensionMismatch(f"expected a {form.n}x{form.n} matrix")
+    if not reference_is_isometry(form, rows):
+        raise NotAnIsometry("matrix does not preserve the bilinear form")
+    g, _ = form._integer_form
+    start = _linalg.ScaledMatrix.of(_linalg.transpose(rows))
+    columns, d = start.rows, start.scale
+    vectors = []
+
+    def reflect(w, scale) -> bool:
+        nonlocal d
+        gw = [sum(a * b for a, b in zip(row, w)) for row in g]
+        q = sum(a * b for a, b in zip(w, gw))
+        if q == 0:
+            return False
+        vectors.append([Fraction(x, scale) for x in w])
+        for column in columns:
+            t = 2 * sum(a * b for a, b in zip(column, gw))
+            column[:] = [q * x - t * y for x, y in zip(column, w)]
+        d *= q
+        content = math.gcd(d, *itertools.chain.from_iterable(columns))
+        if d < 0:
+            content = -content
+        d //= content
+        for column in columns:
+            column[:] = [x // content for x in column]
+        return True
+
+    basis = _linalg.ScaledMatrix.of(_linalg.transpose(diagonalization.basis_rows()))
+    for v in basis.rows:
+        image = [sum(a * b for a, b in zip(row, v)) for row in zip(*columns)]
+        dv = [d * x for x in v]
+        if image == dv:
+            continue
+        if not reflect([x - y for x, y in zip(image, dv)], d * basis.scale):
+            reflect([x + y for x, y in zip(image, dv)], d * basis.scale)
+            reflect(v, basis.scale)
+    if not mat_eq(_linalg.ScaledMatrix(columns, d).fractions(), _linalg.identity(form.n)):
+        raise NotAnIsometry("factorization did not terminate at the identity")
+    return vectors
+
+
+def fraction_lift_isometry(sig: Signature, m):
+    """(element, n_value, reflection_count, needs_normalization) of lift_isometry, the way it ran on Fractions.
+
+    Each vector of fraction_cartan_dieudonne_factor is embedded and multiplied
+    on by reference_product, and N is the product of -Phi(w) by
+    reference_evaluate_form; the rescaling onto norm +-1 is the library's rule.
+    """
+    if sig.s > 0:
+        raise DegenerateForm("lifting requires a regular signature")
+    form = BilinearForm.from_signature(sig)
+    vectors = fraction_cartan_dieudonne_factor(form, m)
+    element = Multivector.one(sig)
+    n_value = Fraction(1)
+    for w in vectors:
+        element = reference_product(element, Multivector(sig, {1 << i: x for i, x in enumerate(w)}))
+        n_value *= -reference_evaluate_form(form, w, w)
+    needs_normalization = False
+    if n_value not in (1, -1):
+        num, den = abs(n_value).numerator, abs(n_value).denominator
+        if math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den:
+            root = Fraction(math.isqrt(num), math.isqrt(den))
+            element = scalar_mul(1 / root, element)
+            n_value /= root * root
+        else:
+            needs_normalization = True
+    return element, n_value, len(vectors), needs_normalization
+
+
+def reference_parse_rational(text: str) -> Fraction:
+    """parse_rational as it read text before its integer reader: the same checks, then Fraction(text)."""
+    stripped = text.strip()
+    match = re.fullmatch(r"[+-]?\d+(?:/(\d+))?", stripped)
+    if not match or (match[1] is not None and not any(map(unicodedata.decimal, match[1]))):
+        raise ParseError(f"bad rational {stripped!r}; expected \"a\" or \"a/b\"")
+    if any(len(part.lstrip("+-")) > MAX_LITERAL_DIGITS for part in stripped.split("/")):
+        raise ParseError(f"rational has more than {MAX_LITERAL_DIGITS} digits")
+    return Fraction(stripped)
+
+
+def reference_parse_vector(text: str) -> list:
+    entries = text.split(",")
+    if not any(e.strip() for e in entries):
+        raise ParseError("empty vector text")
+    return [reference_parse_rational(e) for e in entries]
+
+
+def reference_parse_matrix(text: str) -> list:
+    """parse_matrix as it read text before its integer reader, one Fraction(text) per entry."""
+    pieces = text.split(";")
+    if not any(piece.strip() for piece in pieces):
+        raise ParseError("empty matrix text")
+    rows = []
+    for piece in pieces:
+        if not piece.strip():
+            raise ParseError("empty matrix row")
+        rows.append(reference_parse_vector(piece))
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ParseError("matrix rows have differing lengths")
+    return rows
 
 
 # exact models for the worked-example isomorphisms

@@ -25,6 +25,7 @@ from cliffalg import (
     UnexpectedDimension,
     _linalg,
     blade_name,
+    cartan_dieudonne_factor,
     cli,
     embed_vector,
     faithful_ideal,
@@ -32,12 +33,19 @@ from cliffalg import (
     groups,
     lift_isometry,
     pretty_print,
+    quadratic_space,
     quadratic_value,
     reflection_matrix,
     spinors,
 )
 from cliffalg.cli import _merge_option_values, _twisted_adjoint_matches, parse_signature, run
-from support import all_signatures, count_products, reference_rep_matrix, reference_twisted_adjoint
+from support import (
+    all_signatures,
+    count_products,
+    reference_reflection_matrix,
+    reference_rep_matrix,
+    reference_twisted_adjoint,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
@@ -601,11 +609,12 @@ class TestLiftCheck:
     @given(regular_lifts(), st.integers(0, 31), st.fractions(-3, 3, max_denominator=3))
     def test_agrees_with_twisted_adjoint_matrix(self, case, mask, weight):
         m, x = case
-        assert _twisted_adjoint_matches(x, m) is True
+        scaled = _linalg.ScaledMatrix.of(m)
+        assert _twisted_adjoint_matches(x, scaled) is True
         assert reference_matches(x, m) is True
         blade = Multivector.basis_blade(x.sig, mask % (1 << x.sig.n), weight)
         for tampered in (x + blade, x * blade, blade * x, weight * x):
-            assert _twisted_adjoint_matches(tampered, m) == reference_matches(tampered, m)
+            assert _twisted_adjoint_matches(tampered, scaled) == reference_matches(tampered, m)
 
 
 BUDGET_EDGE = 1 << 8191  # 8192 bits: the largest numerator or denominator format_rational renders
@@ -644,6 +653,55 @@ class TestScaledRendering:
                 cli._scaled_mat(matrix)
         else:
             assert cli._scaled_mat(matrix) == expected
+
+
+class TestReflectAndFactor:
+    """reflect and factor read the text into integers, and certify and render from them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([sig for sig in all_signatures(4) if sig.n]), st.data())
+    def test_reflect_matches_fraction_formula(self, sig, data):
+        entry = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+        v = data.draw(st.lists(entry, min_size=sig.n, max_size=sig.n))
+        text = ",".join(format_rational(x) for x in v)
+        code, out, err = TestRepCheck.run(["reflect", "--json", "--sig", f"{sig.p},{sig.q},{sig.s}", "--vector=" + text])
+        expected = reference_reflection_matrix(BilinearForm.from_signature(sig), v)
+        if expected is None:
+            assert (code, err) == (1, "error: reflection axis must be anisotropic\n")
+        else:
+            assert code == 0, err
+            assert json.loads(out)["result"]["matrix"] == [[format_rational(x) for x in row] for row in expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(regular_lifts())
+    def test_factor_prints_the_library_vectors(self, case):
+        m, x = case
+        sig = x.sig
+        text = ";".join(",".join(format_rational(e) for e in row) for row in m)
+        code, out, err = TestRepCheck.run(["factor", "--json", "--sig", f"{sig.p},{sig.q}", "--matrix=" + text])
+        assert code == 0, err
+        payload = json.loads(out)
+        vectors = cartan_dieudonne_factor(BilinearForm.from_signature(sig), m)
+        assert payload["result"]["vectors"] == [[format_rational(e) for e in w] for w in vectors]
+        assert payload["checks"] == {"recomposition": True, "count_le_2n": True}
+
+    FACTOR = ["factor", "--json", "--sig", "2,1", "--matrix", "0,1,0;1,0,0;0,0,-1"]
+
+    def test_uncertified_reflection_is_refused(self, capsys, monkeypatch):
+        # a reflection built at twice its scale is no isometry: both commands exit 1
+        build = quadratic_space._reflection_rows
+        monkeypatch.setattr(
+            quadratic_space, "_reflection_rows", lambda form, w: _linalg.ScaledMatrix(build(form, w).rows, 2 * build(form, w).scale)
+        )
+        for argv in (self.FACTOR, ["reflect", "--sig", "2,1", "--vector", "1,2,0"]):
+            code, out, err = run_text(capsys, argv)
+            assert (code, out, err) == (1, "", "error: matrix does not preserve the bilinear form\n")
+
+    def test_wrong_reflection_fails_recomposition(self, capsys, monkeypatch):
+        # the identity is an isometry, so it passes the certificate, but the product is then I, not M
+        assert run_json(capsys, self.FACTOR)["checks"]["recomposition"] is True
+        monkeypatch.setattr(quadratic_space, "_reflection_rows", lambda form, w: _linalg.ScaledMatrix.identity(form.n))
+        assert run_json(capsys, self.FACTOR)["checks"]["recomposition"] is False
 
 
 class TestRepCheck:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cliffalg import _linalg, core_algebra, groups
+from cliffalg import _linalg, core_algebra, groups, quadratic_space
 from cliffalg import (
     BilinearForm,
     DegenerateForm,
@@ -24,6 +24,7 @@ from cliffalg import (
     SignatureMismatch,
     blade_mul,
     blade_name,
+    cartan_dieudonne_factor,
     clifford_conjugation,
     embed_vector,
     geometric_product,
@@ -43,12 +44,17 @@ from cliffalg.groups import membership
 from support import (
     all_signatures,
     count_products,
+    fraction_cartan_dieudonne_factor,
+    fraction_lift_isometry,
     mat_eq,
     mat_vec,
     rand_anisotropic_vector,
     rand_isometry,
     rand_vector,
+    reference_evaluate_form,
+    reference_mat_mul,
     reference_membership,
+    reference_reflection_matrix,
     reference_twisted_adjoint,
 )
 
@@ -479,7 +485,59 @@ class TestPinSpin:
             in_spin(x, Signature(2, 0))
 
 
+@st.composite
+def rational_reflection_products(draw):
+    """(sig, M): a regular signature with n <= 6 and a product of 0..2n reflections through axes a/b.
+
+    The matrices are formed in Fractions by reference_reflection_matrix; an
+    isotropic axis is skipped, so M may hold fewer reflections than drawn.
+    """
+    sig = draw(st.sampled_from(all_signatures(6, degenerate=False)))
+    form = BilinearForm.from_signature(sig)
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+    m = _linalg.identity(sig.n)
+    for w in draw(st.lists(st.lists(entry, min_size=sig.n, max_size=sig.n), max_size=2 * sig.n)):
+        reflection = reference_reflection_matrix(form, w)
+        if reflection is not None:
+            m = reference_mat_mul(m, reflection)
+    return sig, m
+
+
+# a reflection of the Euclidean plane with N = -4/5, not a rational square
+NON_SQUARE_NORM = (Signature(2, 0), [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]])
+
+
 class TestLift:
+    @settings(max_examples=120, deadline=None)
+    @given(rational_reflection_products())
+    @example(NON_SQUARE_NORM)
+    @example((Signature(1, 1), [[Fraction(5, 3), Fraction(4, 3)], [Fraction(-4, 3), Fraction(-5, 3)]]))
+    @example((Signature(0, 3), [[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+    def test_matches_fraction_path(self, case):
+        sig, m = case
+        form = BilinearForm.from_signature(sig)
+        vectors = fraction_cartan_dieudonne_factor(form, m)
+        assert cartan_dieudonne_factor(form, m) == vectors
+        assert cartan_dieudonne_factor(form, _linalg.ScaledMatrix.of(m)) == vectors
+        axes = quadratic_space._cartan_dieudonne_axes(form, _linalg.ScaledMatrix.of(m))
+        assert [[Fraction(x, scale) for x in w] for w, scale, _ in axes] == vectors
+        for (w, scale, q), v in zip(axes, vectors):
+            assert scale > 0 and Fraction(q, scale * scale) == reference_evaluate_form(form, v, v)
+        element, n_value, count, needs_normalization = fraction_lift_isometry(sig, m)
+        for given_m in (m, _linalg.ScaledMatrix.of(m)):
+            result = lift_isometry(sig, given_m)
+            assert (result.element._ints, result.element._scale) == (element._ints, element._scale)
+            assert result.n_value == n_value
+            assert result.reflection_count == count == len(vectors)
+            assert result.needs_normalization is needs_normalization
+
+    def test_non_square_norm_left_unscaled(self):
+        sig, m = NON_SQUARE_NORM
+        result = lift_isometry(sig, m)
+        assert result.needs_normalization
+        assert result.n_value == Fraction(-4, 5)
+        assert twisted_adjoint_matrix(result.element).rows() == m
+
     def test_identity_lift(self):
         result = lift_isometry(Signature(2, 0), _linalg.identity(2))
         assert result.element == Multivector.one(Signature(2, 0))

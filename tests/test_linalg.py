@@ -89,6 +89,17 @@ class Exploding(int):
     __rmul__ = __mul__
 
 
+class TestToMatrix:
+    def test_ragged_rows_rejected(self):
+        for rows in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]]):
+            with pytest.raises(DimensionMismatch, match="^ragged rows in matrix$"):
+                _linalg.to_matrix(rows)
+            with pytest.raises(DimensionMismatch, match="^ragged rows in matrix$"):
+                ScaledMatrix.of(rows)
+        assert _linalg.to_matrix([]) == []
+        assert _linalg.to_matrix([[1, Fraction(1, 2)]]) == [[Fraction(1), Fraction(1, 2)]]
+
+
 class TestScaledMatrix:
     @settings(max_examples=200, deadline=None)
     @given(matrix_pairs())
@@ -120,6 +131,22 @@ class TestScaledMatrix:
         m = ScaledMatrix.of([[Fraction(1, 2), 3], [0, Fraction(-2, 3)]])
         assert (m.rows, m.scale) == ([[3, 18], [0, -4]], 6)
         assert ScaledMatrix.of([[2, -1]]) == ScaledMatrix([[2, -1]], 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 36)), min_size=cols, max_size=cols), max_size=4
+            )
+        )
+    )
+    @example([[(2, 4), (6, 8)], [(1, 3), (0, 1)]])
+    @example([[(0, 7)]])
+    def test_of_ratios_takes_the_least_scale(self, pairs):
+        # unreduced a / b pairs give what ScaledMatrix.of gives on their Fractions
+        m = ScaledMatrix.of_ratios(pairs)
+        expected = ScaledMatrix.of([[Fraction(a, b) for a, b in row] for row in pairs])
+        assert (m.rows, m.scale) == (expected.rows, expected.scale)
 
     def test_equal_at_different_scales(self):
         m = ScaledMatrix([[3, 18], [0, -4]], 6)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cliffalg import _linalg
+from cliffalg import _linalg, quadratic_space
 from cliffalg import (
     BilinearForm,
     DegenerateForm,
@@ -35,6 +35,8 @@ from cliffalg import (
     reflection_matrix,
     signature_of,
 )
+from cliffalg.core_algebra import MAX_LITERAL_DIGITS
+from cliffalg.quadratic_space import parse_scaled_matrix, parse_scaled_vector
 from support import (
     mat_eq,
     mat_vec,
@@ -45,6 +47,9 @@ from support import (
     reference_cartan_dieudonne,
     reference_evaluate_form,
     reference_is_isometry,
+    reference_parse_matrix,
+    reference_parse_rational,
+    reference_parse_vector,
     reference_reflection_matrix,
 )
 
@@ -337,6 +342,22 @@ class TestIsometryChecks:
         with pytest.raises(NotAnIsometry):
             IsometryMatrix.from_rows(form, [[2, 0], [0, 1]])
 
+    def test_certified_wrapper_checks_size(self):
+        form = BilinearForm.diagonal([1, -1])
+        for rows in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0]], [[1, 0]]):
+            with pytest.raises(DimensionMismatch, match="^isometry matrix size does not match the form$"):
+                IsometryMatrix.from_rows(form, rows)
+        assert IsometryMatrix.from_rows(form, [[1, 0], [0, -1]]).n == 2
+        assert reflection_matrix(BilinearForm.diagonal([1, 1, 1]), [1, 2, 3]).n == 3
+
+    def test_scaled_matrix_read_as_it_is(self):
+        form = BilinearForm.diagonal([1, -1])
+        # (5/3, 4/3; 4/3, 5/3) over scale 3, and the same value over scale 6
+        assert is_isometry(form, _linalg.ScaledMatrix([[5, 4], [4, 5]], 3))
+        assert is_isometry(form, _linalg.ScaledMatrix([[10, 8], [8, 10]], 6))
+        assert not is_isometry(form, _linalg.ScaledMatrix([[5, 4], [4, 5]], 2))
+        assert not is_isometry(form, _linalg.ScaledMatrix([[1, 0, 0], [0, 1, 0]], 1))
+
     def test_det_sign(self):
         assert det_sign([[0, -1], [1, 0]]) == 1
         assert det_sign([[0, 1], [1, 0]]) == -1
@@ -467,6 +488,25 @@ class TestCartanDieudonne:
         with pytest.raises(NotAnIsometry):
             cartan_dieudonne_factor(form, [[2, 0], [0, 1]])
 
+    @settings(max_examples=150, deadline=None)
+    @given(forms(regular=False))
+    @example(BilinearForm.from_rows([[1, 1], [1, 2]]))
+    @example(BilinearForm.diagonal([2, 0, -3]))
+    def test_orthogonal_basis_is_the_diagonalization(self, form):
+        # the regular diagonal shortcut gives orthogonal_diagonalize's basis, and None exactly when s > 0
+        result = orthogonal_diagonalize(form)
+        basis = quadratic_space._orthogonal_basis(form)
+        if result.signature[2]:
+            assert basis is None
+        else:
+            assert basis == _linalg.ScaledMatrix.of(_linalg.transpose(result.basis_rows()))
+
+    def test_unfinished_factorization_raises(self, monkeypatch):
+        # a reflection step that reports its axis as anisotropic but leaves C as it was
+        monkeypatch.setattr(quadratic_space, "_reflect_columns", lambda columns, d, g, w: (1, d))
+        with pytest.raises(NotAnIsometry, match="^factorization did not terminate at the identity$"):
+            cartan_dieudonne_factor(BilinearForm.diagonal([1, 1]), [[0, 1], [1, 0]])
+
     def test_wrong_size_rejected(self):
         # a wrong size is reported as such, after a degenerate form
         with pytest.raises(DimensionMismatch, match="^expected a 2x2 matrix$"):
@@ -518,3 +558,111 @@ class TestTextFormats:
         # as parse_vector refuses "1,,2": a blank row is not skipped
         with pytest.raises(ParseError, match="empty matrix row"):
             parse_matrix(text)
+
+
+def _outcome(parse, text):
+    """("value", parse(text)) or ("error", the ParseError text)."""
+    try:
+        return "value", parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+DECIMAL_DIGITS = "0123456789" + "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669" + "\uff10\uff11\uff15\uff19"
+LONG_DIGITS = [
+    "7" * MAX_LITERAL_DIGITS,
+    "7" * (MAX_LITERAL_DIGITS + 1),
+    "0" * (MAX_LITERAL_DIGITS + 1),
+    "0" * (MAX_LITERAL_DIGITS - 1) + "3",
+]
+NOT_RATIONALS = ["", "1.5", "1e3", "/2", "1/", "a", "\u00bd", "\u00b2", "1 2", "2/-3", "--1", "+-1", "1/+2", "1//2", "0x10", "1_000"]
+
+
+@st.composite
+def rational_texts(draw):
+    """An entry as a user might type it: a sign, decimal digits of any script with leading
+    zeros, an optional denominator (zero ones too), surrounding whitespace; or no rational."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from(NOT_RATIONALS))
+
+    def digits():
+        if draw(st.integers(0, 19)) == 0:
+            return draw(st.sampled_from(LONG_DIGITS))
+        if draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from(["0", "00", "\u0660", "007", "010"]))
+        return draw(st.text(st.sampled_from(DECIMAL_DIGITS), min_size=1, max_size=4).filter(lambda t: t.strip("0")))
+
+    text = draw(st.sampled_from(["", "", "+", "-"])) + digits()
+    if draw(st.booleans()):
+        text += "/" + digits()
+    space = st.sampled_from(["", "", " ", "\t", "\u3000", "\xa0 "])
+    return draw(space) + text + draw(space)
+
+
+@st.composite
+def matrix_texts(draw):
+    """Rows of rational_texts, now and then ragged or blank."""
+    width = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 11)) == 0:
+            rows.append(draw(st.sampled_from(["", " ", " , "])))
+            continue
+        size = width if draw(st.integers(0, 7)) else draw(st.integers(1, 5))
+        rows.append(",".join(draw(st.lists(rational_texts(), min_size=size, max_size=size))))
+    return ";".join(rows)
+
+
+class TestIntegerReader:
+    """The integer reader against the Fraction(text) reader it replaced: same values, same ParseError text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rational_texts())
+    @example("\u0663/\u0664")
+    @example(" -007/0010 ")
+    @example("5/0")
+    @example("5/00")
+    @example("-" + "9" * MAX_LITERAL_DIGITS)
+    @example("1/" + "9" * (MAX_LITERAL_DIGITS + 1))
+    @example("1/" + "0" * 5000)
+    def test_rational_matches_fraction(self, text):
+        outcome = _outcome(parse_rational, text)
+        assert outcome == _outcome(reference_parse_rational, text)
+        if outcome[0] == "value":
+            assert outcome[1] == Fraction(text)
+            assert type(outcome[1]) is Fraction
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(rational_texts(), min_size=1, max_size=4).map(",".join))
+    @example(" , ")
+    @example("\u0663,-\u0664/\u0665")
+    def test_vector_matches_fraction(self, text):
+        outcome = _outcome(parse_vector, text)
+        assert outcome == _outcome(reference_parse_vector, text)
+        scaled = _outcome(parse_scaled_vector, text)
+        if outcome[0] == "error":
+            assert scaled == outcome
+        else:
+            expected = _linalg.ScaledMatrix.of([outcome[1]])
+            assert scaled == ("value", (expected.rows[0], expected.scale))
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_texts())
+    @example("\u0660,1;1,0")
+    @example("3/5,4/5;4/5,-3/5")
+    @example("2/4,6/8;1/3,0")
+    @example("1,0;0")
+    @example("1,0;;0,1")
+    @example(" ; ")
+    @example("1/0,0;0,1")
+    @example("1/00,0;0")
+    def test_matrix_matches_fraction(self, text):
+        outcome = _outcome(parse_matrix, text)
+        assert outcome == _outcome(reference_parse_matrix, text)
+        scaled = _outcome(parse_scaled_matrix, text)
+        if outcome[0] == "error":
+            assert scaled == outcome
+        else:
+            # the least scale, as ScaledMatrix.of takes it
+            expected = _linalg.ScaledMatrix.of(outcome[1])
+            assert (scaled[1].rows, scaled[1].scale) == (expected.rows, expected.scale)
