@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows.  Entries may be int or Fraction, and anything
-else (a float, a string) is a TypeError; every result entry is a Fraction.
+else (a float, a string) is a TypeError; every entry of a Fraction helper's
+result (identity, mat_mul, determinant, rref, solve) is a Fraction.
 Every function is pure: arguments are never mutated, results are freshly
 allocated.  All pivoting is lowest-index-first, so results are
 deterministic.
@@ -70,22 +71,22 @@ class ScaledMatrix:
     def of_ratios(cls, rows) -> "ScaledMatrix":
         """Rows of (a, b) int pairs, b > 0, read as a / b, over their least common denominator.
 
-        Over S = lcm(b) the entries are A / S, and the least common
-        denominator is S / gcd(S, A_1, A_2, ...).  No Fraction is built.
+        Over S = lcm(b) the entries are A / S, brought to the least scale by
+        least().  No Fraction is built.
         """
         scale = math.lcm(*(b for row in rows for _, b in row))
-        if scale == 1:
-            return cls([[a for a, _ in row] for row in rows])
-        ints = [[a * (scale // b) for a, b in row] for row in rows]
-        content = math.gcd(scale, *itertools.chain.from_iterable(ints))
-        if content != 1:
-            scale //= content
-            ints = [[x // content for x in row] for row in ints]
-        return cls(ints, scale)
+        return cls([[a * (scale // b) for a, b in row] for row in rows], scale).least()
 
     @classmethod
     def identity(cls, n) -> "ScaledMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
+
+    def least(self) -> "ScaledMatrix":
+        """The same value over the least scale, s / gcd(s, A_1, A_2, ...); self when that is s."""
+        content = math.gcd(self.scale, *itertools.chain.from_iterable(self.rows))
+        if content == 1:
+            return self
+        return ScaledMatrix([[x // content for x in row] for row in self.rows], self.scale // content)
 
     def transpose(self) -> "ScaledMatrix":
         return ScaledMatrix(transpose(self.rows), self.scale)

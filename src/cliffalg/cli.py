@@ -44,14 +44,13 @@ from .quadratic_space import (
     BilinearForm,
     _cartan_dieudonne_axes,
     _certified_reflection,
-    classify_vector,
+    _classified,
     format_rational,
     orthogonal_diagonalize,
     parse_matrix,
     parse_scaled_matrix,
     parse_scaled_vector,
     parse_vector,
-    quadratic_value,
 )
 from .spinors import (
     _idempotents,
@@ -190,9 +189,7 @@ def cmd_eval(args, sig: Signature):
 
 def cmd_classify(args, sig: Signature):
     v = parse_vector(args.vector)
-    form = BilinearForm.from_signature(sig)
-    kind = classify_vector(form, v)
-    value = quadratic_value(form, v)
+    value, kind = _classified(BilinearForm.from_signature(sig), v)
     result = {"vector": _vec(v), "quadratic_value": format_rational(value), "class": kind}
     lines = [
         f"vector: {','.join(result['vector'])}",
@@ -213,7 +210,7 @@ def cmd_diagonalize(args, sig: Signature):
     # certify P^T B P = diag here so the report never lies
     p = ScaledMatrix.of(basis)
     d = [[diagonal[i] if i == j else 0 for j in range(form.n)] for i in range(form.n)]
-    congruent = p.transpose() @ ScaledMatrix.of(form.rows()) @ p == ScaledMatrix.of(d)
+    congruent = p.transpose() @ ScaledMatrix(form._ints, form._scale) @ p == ScaledMatrix.of(d)
     result = {
         "basis": _mat(basis),
         "diagonal": _vec(diagonal),

@@ -10,8 +10,9 @@ Every stability decision and twisted adjoint matrix runs on the integer
 numerators X = x._ints: grade_involution(X) * e_i is the relabelling e_i * X
 (core_algebra._blade_times) negated on the blades holding e_i, and one
 product with the numerators of the inverse (or with conjugate(X) when the
-norm is a scalar) gives a multiple of rho_x(e_i), one Fraction per entry at
-the end.
+norm is a scalar) gives a multiple of rho_x(e_i).  twisted_adjoint_matrix
+keeps those integers, and twisted_adjoint_apply builds one Fraction per
+coordinate at the end.
 
 Membership forms those images only where a theorem does not decide first: a
 nonzero scalar norm on a regular signature puts x in the group exactly when
@@ -130,15 +131,15 @@ def _off_vector(image: dict) -> int | None:
     return next((mask for mask, value in image.items() if value and mask.bit_count() != 1), None)
 
 
-def _vector(image: dict, scale: int, n: int) -> list[Rational]:
-    """Coordinates of image / scale; NotStable names the first component outside V."""
+def _vector(image: dict, n: int) -> list[int]:
+    """The integer coordinates of a map on the generators; NotStable names the first component outside V."""
     mask = _off_vector(image)
     if mask is not None:
         raise NotStable(
             "twisted adjoint leaves the vector space: "
             f"component {blade_name(mask, n)} has grade {mask.bit_count()}"
         )
-    return [Fraction(image.get(1 << i, 0), scale) for i in range(n)]
+    return [image.get(1 << i, 0) for i in range(n)]
 
 
 def twisted_adjoint_apply(x: Multivector, coords) -> list[Rational]:
@@ -150,15 +151,15 @@ def twisted_adjoint_apply(x: Multivector, coords) -> list[Rational]:
     # image, whose first blade outside V is the one NotStable names
     left = _nonzero(core_algebra._product(x_hat._ints, v._ints, x.sig))
     image = core_algebra._product(left, y._ints, x.sig)
-    return _vector(image, x_hat._scale * v._scale * y._scale, x.sig.n)
+    scale = x_hat._scale * v._scale * y._scale
+    return [Fraction(c, scale) for c in _vector(image, x.sig.n)]
 
 
 def twisted_adjoint_matrix(x: Multivector) -> IsometryMatrix:
-    """Matrix with columns rho_x(e_i), certified against the standard form."""
+    """Matrix with columns rho_x(e_i), integer images over x._scale * y._scale, certified against the standard form."""
     y = inverse(x)
-    scale = x._scale * y._scale
-    columns = [_vector(image, scale, x.sig.n) for image in _twisted_images(x._ints, y._ints, x.sig)]
-    return IsometryMatrix.from_rows(BilinearForm.from_signature(x.sig), zip(*columns))
+    columns = [_vector(image, x.sig.n) for image in _twisted_images(x._ints, y._ints, x.sig)]
+    return IsometryMatrix(BilinearForm.from_signature(x.sig), list(zip(*columns)), x._scale * y._scale)
 
 
 @dataclass(frozen=True)
@@ -260,15 +261,12 @@ def in_spin(x: Multivector, sig: Signature | None = None) -> bool:
     return membership(x).in_spin
 
 
-def _is_rational_square(value: Fraction) -> bool:
-    if value < 0:
-        return False
-    num, den = value.numerator, value.denominator
-    return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
-
-
-def _rational_sqrt(value: Fraction) -> Fraction:
-    return Fraction(math.isqrt(value.numerator), math.isqrt(value.denominator))
+def _rational_sqrt(value: Fraction) -> Fraction | None:
+    """The rational root of value >= 0, or None when value is not the square of a rational."""
+    num, den = math.isqrt(value.numerator), math.isqrt(value.denominator)
+    if num * num != value.numerator or den * den != value.denominator:
+        return None
+    return Fraction(num, den)
 
 
 def lift_isometry(sig: Signature, m) -> LiftResult:
@@ -304,10 +302,10 @@ def lift_isometry(sig: Signature, m) -> LiftResult:
     n_value = Fraction(n_numerator, n_denominator)
     needs_normalization = False
     if n_value not in (1, -1):
-        if _is_rational_square(abs(n_value)):
-            root = _rational_sqrt(abs(n_value))
+        root = _rational_sqrt(abs(n_value))
+        if root is None:
+            needs_normalization = True
+        else:
             element = scalar_mul(1 / root, element)
             n_value = n_value / (root * root)
-        else:
-            needs_normalization = True
     return LiftResult(element, n_value, len(axes), needs_normalization)

@@ -17,7 +17,7 @@ import math
 import operator
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
@@ -38,89 +38,87 @@ from .errors import (
 )
 
 
-def _freeze(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(_rational(x) for x in row) for row in rows)
+class _IntegerRows:
+    """A rational matrix held as integer rows _ints over their least positive scale _scale.
 
-
-# the generator squares of a signature, one Fraction each
-_SQUARES = {1: Fraction(1), -1: Fraction(-1), 0: Fraction(0)}
-
-
-@dataclass(frozen=True)
-class BilinearForm:
-    """An n x n symmetric rational matrix.
-
-    It is also held as integer numerators G over one denominator g,
-    B = G / g, which every integer evaluation of the form reads.
+    This is how a Multivector holds its coefficients, so equal values have
+    equal fields; mat and rows() are their Fractions.
     """
 
-    mat: tuple[tuple[Fraction, ...], ...]
-    _integer_form: tuple[tuple[tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.mat)
-        if any(len(row) != n for row in self.mat):
-            raise DimensionMismatch("bilinear form matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if self.mat[i][j] != self.mat[j][i]:
-                    raise ValueError("bilinear form matrix must be symmetric")
-        g = ScaledMatrix.of(self.mat)
-        object.__setattr__(self, "_integer_form", (tuple(map(tuple, g.rows)), g.scale))
-
-    @classmethod
-    def from_rows(cls, rows) -> "BilinearForm":
-        return cls(_freeze(rows))
-
-    @classmethod
-    def diagonal(cls, entries) -> "BilinearForm":
-        entries = [_rational(x) for x in entries]
-        n = len(entries)
-        return cls(_freeze([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]))
-
-    @classmethod
-    def from_signature(cls, sig: Signature) -> "BilinearForm":
-        """Standard diagonal form: +1 (p times), -1 (q times), 0 (s times).
-
-        The entries are the three shared Fractions of _SQUARES: no entry is
-        converted.
-        """
-        squares = [_SQUARES[1]] * sig.p + [_SQUARES[-1]] * sig.q + [_SQUARES[0]] * sig.s
-        zero = _SQUARES[0]
-        return cls(tuple(tuple(d if i == j else zero for j in range(sig.n)) for i, d in enumerate(squares)))
+    def _settle(self) -> ScaledMatrix:
+        """Bring the fields to tuples over the least scale; returns that value."""
+        m = ScaledMatrix(self._ints, self._scale).least()
+        m.rows = tuple(map(tuple, m.rows))
+        object.__setattr__(self, "_ints", m.rows)
+        object.__setattr__(self, "_scale", m.scale)
+        return m
 
     @property
     def n(self) -> int:
-        return len(self.mat)
+        return len(self._ints)
+
+    @property
+    def mat(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(map(tuple, self.rows()))
 
     def rows(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.mat]
+        return ScaledMatrix(self._ints, self._scale).fractions()
 
 
 @dataclass(frozen=True)
-class IsometryMatrix:
-    """An invertible rational matrix M with M^T B M = B, certified on construction."""
+class BilinearForm(_IntegerRows):
+    """An n x n symmetric rational matrix B = G / g, held as its integer rows G over the least g."""
 
-    form: BilinearForm
-    mat: tuple[tuple[Fraction, ...], ...]
+    _ints: tuple[tuple[int, ...], ...]
+    _scale: int = 1
 
     def __post_init__(self):
-        rows = [list(r) for r in self.mat]
-        if len(rows) != self.form.n or any(len(r) != self.form.n for r in rows):
-            raise DimensionMismatch("isometry matrix size does not match the form")
-        if not is_isometry(self.form, rows):
+        n = len(self._ints)
+        if any(len(row) != n for row in self._ints):
+            raise DimensionMismatch("bilinear form matrix must be square")
+        g = self._settle().rows
+        if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("bilinear form matrix must be symmetric")
+
+    @classmethod
+    def from_rows(cls, rows) -> "BilinearForm":
+        try:
+            g = ScaledMatrix.of(rows)
+        except DimensionMismatch:  # ragged rows
+            raise DimensionMismatch("bilinear form matrix must be square") from None
+        return cls(g.rows, g.scale)
+
+    @classmethod
+    def diagonal(cls, entries) -> "BilinearForm":
+        entries = list(entries)
+        return cls.from_rows([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
+
+    @classmethod
+    def from_signature(cls, sig: Signature) -> "BilinearForm":
+        """Standard diagonal form: +1 (p times), -1 (q times), 0 (s times), as integers over 1."""
+        squares = [1] * sig.p + [-1] * sig.q + [0] * sig.s
+        return cls(tuple(tuple(d if i == j else 0 for j in range(sig.n)) for i, d in enumerate(squares)))
+
+
+@dataclass(frozen=True)
+class IsometryMatrix(_IntegerRows):
+    """An invertible rational matrix M with M^T B M = B: integer rows over the least scale, certified on build."""
+
+    form: BilinearForm
+    _ints: tuple[tuple[int, ...], ...]
+    _scale: int = 1
+
+    def __post_init__(self):
+        if not is_isometry(self.form, self._settle()):
             raise NotAnIsometry("matrix does not preserve the bilinear form")
 
     @classmethod
     def from_rows(cls, form: BilinearForm, rows) -> "IsometryMatrix":
-        return cls(form, _freeze(rows))
-
-    @property
-    def n(self) -> int:
-        return self.form.n
-
-    def rows(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.mat]
+        rows = [list(r) for r in rows]
+        if len(rows) != form.n or any(len(r) != form.n for r in rows):
+            raise DimensionMismatch("isometry matrix size does not match the form")
+        m = ScaledMatrix.of(rows)
+        return cls(form, m.rows, m.scale)
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,7 @@ def evaluate_form(form: BilinearForm, u, v) -> Fraction:
         raise DimensionMismatch(f"expected vectors of length {form.n}")
     uv = ScaledMatrix.of([u, v])
     (u_int, v_int), s = uv.rows, uv.scale
-    g, g_scale = form._integer_form
-    return Fraction(sum(map(operator.mul, u_int, _integer_phi(g, v_int)[0])), s * s * g_scale)
+    return Fraction(sum(map(operator.mul, u_int, _integer_phi(form._ints, v_int)[0])), s * s * form._scale)
 
 
 def quadratic_value(form: BilinearForm, u) -> Fraction:
@@ -159,15 +156,16 @@ def quadratic_value(form: BilinearForm, u) -> Fraction:
 
 def classify_vector(form: BilinearForm, v) -> str:
     """"timelike" (Phi > 0), "spacelike" (Phi < 0), or "lightlike" (Phi = 0)."""
+    return _classified(form, v)[1]
+
+
+def _classified(form: BilinearForm, v) -> tuple[Fraction, str]:
+    """(Phi(v), the class of v), with Phi evaluated once; ZeroVector for v = 0, before any length check."""
     v = _linalg.to_vector(v)
     if all(x == 0 for x in v):
         raise ZeroVector("cannot classify the zero vector")
     value = quadratic_value(form, v)
-    if value > 0:
-        return "timelike"
-    if value < 0:
-        return "spacelike"
-    return "lightlike"
+    return value, "timelike" if value > 0 else "spacelike" if value < 0 else "lightlike"
 
 
 def orthogonal_diagonalize(form: BilinearForm) -> DiagonalizationResult:
@@ -222,7 +220,7 @@ def orthogonal_diagonalize(form: BilinearForm) -> DiagonalizationResult:
     p = sum(1 for d in diag if d > 0)
     q = sum(1 for d in diag if d < 0)
     s = n - p - q
-    return DiagonalizationResult(_freeze(basis), tuple(diag), (p, q, s))
+    return DiagonalizationResult(tuple(map(tuple, basis)), tuple(diag), (p, q, s))
 
 
 def signature_of(form: BilinearForm) -> tuple[int, int, int]:
@@ -244,8 +242,7 @@ def _reflection_rows(form: BilinearForm, w) -> ScaledMatrix:
     """
     if len(w) != form.n:
         raise DimensionMismatch(f"expected a vector of length {form.n}")
-    g, _ = form._integer_form
-    gw, q = _integer_phi(g, w)  # gw_i is phi(e_i, w), up to a factor > 0
+    gw, q = _integer_phi(form._ints, w)  # gw_i is phi(e_i, w), up to a factor > 0
     if q == 0:
         raise IsotropicVector("reflection axis must be anisotropic")
     scale = abs(q)
@@ -270,11 +267,12 @@ def reflection_matrix(form: BilinearForm, x) -> IsometryMatrix:
     Requires Phi(x) != 0.  Fixes the hyperplane orthogonal to x, negates x,
     has determinant -1, and depends only on the line through x.
 
-    The rows come from _reflection_rows on the integer numerators of x, one
-    Fraction per entry; the result is still certified by IsometryMatrix.
+    The integer rows of _reflection_rows on the numerators of x are passed
+    as they are, and IsometryMatrix certifies them.
     """
-    (numerators,) = ScaledMatrix.of([_linalg.to_vector(x)]).rows
-    return IsometryMatrix(form, tuple(map(tuple, _reflection_rows(form, numerators).fractions())))
+    (numerators,) = ScaledMatrix.of([x]).rows
+    m = _reflection_rows(form, numerators)
+    return IsometryMatrix(form, m.rows, m.scale)
 
 
 def is_isometry(form: BilinearForm, m) -> bool:
@@ -291,14 +289,13 @@ def is_isometry(form: BilinearForm, m) -> bool:
         return False
     if not isinstance(m, ScaledMatrix):
         m = ScaledMatrix.of(rows)
-    g = ScaledMatrix(*form._integer_form)
+    g = ScaledMatrix(form._ints, form._scale)
     return m.transpose() @ g @ m == g and len(_linalg._integer_rref(m.rows)[1]) == form.n
 
 
 def det_sign(m) -> int:
     """Sign of the determinant: +1 or -1 for any invertible matrix."""
-    rows = m.rows() if isinstance(m, IsometryMatrix) else _linalg.to_matrix(m)
-    det = _linalg.determinant(rows)
+    det = _linalg.determinant(m._ints if isinstance(m, IsometryMatrix) else _linalg.to_matrix(m))
     if det == 0:
         raise ValueError("matrix is singular")
     return 1 if det > 0 else -1
@@ -340,7 +337,7 @@ def _orthogonal_basis(form: BilinearForm) -> ScaledMatrix | None:
     nothing to clear, so its basis is I.  The form is regular and diagonal
     exactly when its n diagonal entries are its only nonzero ones.
     """
-    g, _ = form._integer_form
+    g = form._ints
     n = form.n
     if all(g[i][i] for i in range(n)) and sum(map(bool, itertools.chain.from_iterable(g))) == n:
         return ScaledMatrix.identity(n)
@@ -391,7 +388,7 @@ def _cartan_dieudonne_axes(form: BilinearForm, m: ScaledMatrix) -> list[tuple[li
         raise DimensionMismatch(f"expected a {n}x{n} matrix")
     if not is_isometry(form, m):
         raise NotAnIsometry("matrix does not preserve the bilinear form")
-    g, _ = form._integer_form
+    g = form._ints
     columns, d = _linalg.transpose(m.rows), m.scale
     axes = []
 
@@ -420,7 +417,7 @@ def _scaled_isometry(m) -> ScaledMatrix:
     """M given as rows, an IsometryMatrix or a ScaledMatrix, as one ScaledMatrix (to_matrix's errors)."""
     if isinstance(m, ScaledMatrix):
         return m
-    return ScaledMatrix.of(m.rows() if isinstance(m, IsometryMatrix) else m)
+    return ScaledMatrix(m._ints, m._scale) if isinstance(m, IsometryMatrix) else ScaledMatrix.of(m)
 
 
 # text format shared with the CLI

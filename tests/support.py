@@ -1085,7 +1085,7 @@ def fraction_cartan_dieudonne_factor(form: BilinearForm, m):
         raise DimensionMismatch(f"expected a {form.n}x{form.n} matrix")
     if not reference_is_isometry(form, rows):
         raise NotAnIsometry("matrix does not preserve the bilinear form")
-    g, _ = form._integer_form
+    g = form._ints
     start = _linalg.ScaledMatrix.of(_linalg.transpose(rows))
     columns, d = start.rows, start.scale
     vectors = []

@@ -520,6 +520,14 @@ class TestApprox:
         assert payload["result"]["quadratic_value"] == "8"
         assert payload["result"]["quadratic_value_approx"] == 8.0
 
+    def test_classify_evaluates_the_form_once(self, capsys, monkeypatch):
+        calls = []
+        evaluate = quadratic_space.evaluate_form
+        monkeypatch.setattr(quadratic_space, "evaluate_form", lambda *args: calls.append(args) or evaluate(*args))
+        payload = run_json(capsys, ["classify", "--sig", "1,1", "--json", "3,1"])
+        assert (payload["result"]["quadratic_value"], payload["result"]["class"]) == ("8", "timelike")
+        assert len(calls) == 1
+
 
 class TestJsonEnvelope:
     def test_sorted_and_stable(self, capsys):

@@ -538,6 +538,24 @@ class TestLift:
         assert result.n_value == Fraction(-4, 5)
         assert twisted_adjoint_matrix(result.element).rows() == m
 
+    @pytest.mark.parametrize(
+        "sig, m, n_value",
+        [
+            # |N| = 4/5: a square numerator over a non-square denominator
+            (*NON_SQUARE_NORM, Fraction(-4, 5)),
+            # |N| = 8/25: a non-square numerator over a square denominator
+            (Signature(0, 2), [[Fraction(24, 25), Fraction(7, 25)], [Fraction(-7, 25), Fraction(24, 25)]], Fraction(8, 25)),
+        ],
+        ids=["square-over-non-square", "non-square-over-square"],
+    )
+    def test_half_square_norm_left_unscaled(self, sig, m, n_value):
+        result = lift_isometry(sig, m)
+        assert result.n_value == n_value
+        assert result.needs_normalization is fraction_lift_isometry(sig, m)[3] is True
+        assert twisted_adjoint_matrix(result.element).rows() == m
+        assert groups._rational_sqrt(abs(n_value)) is None
+        assert groups._rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+
     def test_identity_lift(self):
         result = lift_isometry(Signature(2, 0), _linalg.identity(2))
         assert result.element == Multivector.one(Signature(2, 0))

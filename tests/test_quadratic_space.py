@@ -1,6 +1,7 @@
 """Quadratic forms: diagonalization, classification, reflections, the
 constructive isometry factorization, and the shared text formats."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -55,15 +56,22 @@ from support import (
 
 
 @st.composite
-def forms_and_vectors(draw):
-    """A symmetric form with n <= 5, dense and with denominators, and two vectors of length n."""
+def symmetric_rows(draw):
+    """A symmetric Fraction matrix with n <= 5, dense and with denominators."""
     n = draw(st.integers(0, 5))
     entries = st.fractions(min_value=-50, max_value=50, max_denominator=12)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = draw(entries)
-    vector = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), min_size=n, max_size=n)
+    return rows
+
+
+@st.composite
+def forms_and_vectors(draw):
+    """A form of symmetric_rows and two vectors of length n."""
+    rows = draw(symmetric_rows())
+    vector = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), min_size=len(rows), max_size=len(rows))
     return BilinearForm.from_rows(rows), draw(vector), draw(vector)
 
 
@@ -173,9 +181,32 @@ class TestBilinearForm:
 
     def test_integer_numerators_held(self):
         form = BilinearForm.from_rows([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 6)]])
-        assert form._integer_form == (((2, 3), (3, -1)), 6)
+        assert (form._ints, form._scale) == (((2, 3), (3, -1)), 6)
         assert form == BilinearForm.from_rows(form.rows())
         assert hash(form) == hash(BilinearForm.from_rows(form.rows()))
+
+    def test_signature_form_from_fraction_rows(self):
+        squares = [1, 1, -1, 0]
+        rows = [[Fraction(d) if i == j else Fraction(0) for j in range(4)] for i, d in enumerate(squares)]
+        form = BilinearForm.from_signature(Signature(2, 1, 1))
+        assert BilinearForm.from_rows(rows) == form
+        assert hash(BilinearForm.from_rows(rows)) == hash(form)
+        # the same value written over 3 is held over 1
+        tripled = BilinearForm(tuple(tuple(3 * x for x in row) for row in form._ints), 3)
+        assert (tripled._ints, tripled._scale) == (form._ints, 1)
+        assert tripled == form and hash(tripled) == hash(form)
+
+    @settings(max_examples=80, deadline=None)
+    @given(symmetric_rows())
+    def test_rows_and_mat_match_fraction_oracle(self, rows):
+        form = BilinearForm.from_rows(rows)
+        assert form.rows() == rows
+        assert form.mat == tuple(map(tuple, rows))
+        assert form.n == len(rows)
+        # held over the least scale, the lcm of the reduced denominators, whatever scale it was written over
+        assert form._scale == math.lcm(*(x.denominator for row in rows for x in row))
+        doubled = BilinearForm(tuple(tuple(2 * x for x in row) for row in form._ints), 2 * form._scale)
+        assert (doubled._ints, doubled._scale) == (form._ints, form._scale)
 
     @settings(max_examples=80, deadline=None)
     @given(forms_and_vectors())
@@ -278,6 +309,14 @@ class TestReflection:
                 # depends only on the line through x
                 scaled = [Fraction(-7, 3) * c for c in _linalg.to_vector(x)]
                 assert reflection_matrix(form, scaled).rows() == rows
+
+    def test_equal_lines_give_equal_values(self):
+        form = BilinearForm.diagonal([1, -1, Fraction(1, 2)])
+        w = [1, 2, 1]
+        a, b = reflection_matrix(form, w), reflection_matrix(form, [3 * x for x in w])
+        # 3w has q nine times larger, so its integer rows are brought down to the same least scale
+        assert (a._ints, a._scale) == (b._ints, b._scale)
+        assert a == b and hash(a) == hash(b)
 
     def test_fixes_orthogonal_complement(self):
         form = BilinearForm.diagonal([1, 1, 1])
