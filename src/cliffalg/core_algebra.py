@@ -239,6 +239,12 @@ def blade_mul(a: Blade, b: Blade, sig: Signature) -> tuple[Rational, Blade]:
     return _SIGN_COEFFICIENTS[sign], a ^ b
 
 
+def _blade_square(mask: Blade, sig: Signature) -> int:
+    """e_mask * e_mask as an int in {1, -1, 0}, read from the _sign_masks of mask with no range check."""
+    flips, null = _sign_masks(mask, _negative_mask(sig), _zero_mask(sig))
+    return 0 if mask & null else -1 if (mask & flips).bit_count() & 1 else 1
+
+
 def _blade_times(mask: Blade, x: dict, sig: Signature) -> dict:
     """e_mask * X for an int or Fraction map X: blade b moves to mask ^ b with its sign, in X's order.
 

@@ -27,7 +27,11 @@ The rows of such an ideal split the blades, so a representation matrix is
 read through one blade index (_index_read).  One coset-leader rule gives
 every Peirce space l * A * f of such an f with l = 1 or l a product over
 the same basis, and interbasis_element reads E_ji off E_ij by relabellings
-whenever E_ij is one.
+whenever E_ij is one.  Each public function certifies each generator it
+receives once (_require_idempotent returns _product_form's result) and
+passes the certificate on: to _blade_image_span, which takes those of both
+sides, and to the IdealBasis that left_ideal_basis builds, whose rows of
+the form e_p * F then pass with one relabelling each.
 
 Wedderburn: Cl(p,q) is one or two copies of M_m(D) for a single division
 ring D, so f * A * f is a division ring exactly when its dimension is
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 from . import _linalg, core_algebra
@@ -50,11 +54,11 @@ from .core_algebra import (
     DEFAULT_DIMENSION_CAP,
     Multivector,
     Signature,
+    _blade_square,
     _blade_times,
     _nonzero,
     _times_blade,
     add,
-    blade_mul,
     blade_name,
     geometric_product,
 )
@@ -123,10 +127,12 @@ def _anticommute(a: int, b: int) -> bool:
 def _admissible(mask: int, chosen, sig: Signature) -> str | None:
     """None when mask may join the chosen blades, else the message of the first test it fails.
 
-    Once the square test has passed, mask holds no null generator, so
+    The square is read from mask's sign masks (core_algebra._blade_square),
+    with no range check and no Fraction: every caller passes a mask below
+    2^n.  Once the square test has passed, mask holds no null generator, so
     _anticommute decides commutation.
     """
-    if blade_mul(mask, mask, sig)[0] != 1:
+    if _blade_square(mask, sig) != 1:
         return "blade {} does not square to +1"
     if any(_anticommute(mask, other) for other in chosen):
         return "blade {} does not commute with the set"
@@ -230,7 +236,8 @@ class IdempotentSet:
     """All 2^k products prod (1 + eps_t u_t) / 2: a complete set of primitive orthogonal idempotents.
 
     Checked: k = idempotent_count_exponent blades on a regular signature,
-    2^k nonzero members, each idempotent, summing to 1.  Over Q, x -> x * f_i
+    2^k nonzero members, each idempotent, summing to 1 (one pass of
+    core_algebra._sum over their integer maps).  Over Q, x -> x * f_i
     is idempotent, so its rank is its trace 2^n <f_i>_0, and the ranks add
     up to 2^n.  So A = sum A * f_i is direct, and f_j = f_j * f_j =
     sum_i f_j * f_i (each term in A * f_i) forces f_j * f_i = 0 for i != j.
@@ -250,7 +257,10 @@ class IdempotentSet:
             raise ValueError(f"expected {1 << k} nonzero members")
         if not all(map(_is_idempotent, self.idems)):
             raise ValueError("member is not idempotent")
-        if sum(self.idems, Multivector.zero(sig)) != Multivector.one(sig):
+        for f in self.idems:
+            if f.sig != sig:
+                raise SignatureMismatch(f"signatures differ: {sig} vs {f.sig}")
+        if core_algebra._sum(sig, [(f._ints, f._scale) for f in self.idems]) != Multivector.one(sig):
             raise ValueError("idempotents do not sum to 1")
 
 
@@ -277,9 +287,12 @@ def build_idempotent_set(blades: CommutingBladeSet) -> IdempotentSet:
 
 
 def _blade_image_span(
-    left: Multivector, right: Multivector
+    left: Multivector, right: Multivector, left_form, right_form
 ) -> tuple[tuple[Multivector, ...], tuple[int, ...]]:
     """RREF basis of left * A * right and its pivot blade masks.
+
+    left_form and right_form are the _product_form certificates of left and
+    right, which the caller has already computed ({} for left = 1).
 
     left and right are idempotents, so x -> left * x * right is a projector
     (left * (left * x * right) * right = left * x * right), and over Q the
@@ -328,15 +341,16 @@ def _blade_image_span(
     order are the unique RREF.
     """
     sig = left.sig
-    form, left_form = _product_form(right), _product_form(left)
-    if form is not None and left_form is not None and (not left_form or left_form.keys() == form.keys()):
-        lead = sum(1 << (v.bit_length() - 1) for v in form)
+    if right_form is not None and left_form is not None and (
+        not left_form or left_form.keys() == right_form.keys()
+    ):
+        lead = sum(1 << (v.bit_length() - 1) for v in right_form)
         leaders = [c for c in range(1 << sig.n) if not c & lead]
         if left_form:
             leaders = [
                 c
                 for c in leaders
-                if all(_anticommute(c, v) == (left_form[v] != sigma) for v, sigma in form.items())
+                if all(_anticommute(c, v) == (left_form[v] != sigma) for v, sigma in right_form.items())
             ]
         rows = (Multivector._scaled(sig, _blade_times(c, right._ints, sig), 1) for c in leaders)
         return tuple(rows), tuple(leaders)
@@ -408,7 +422,7 @@ def _sandwich_ranks(left: Multivector, right: Multivector, span, leaders) -> dic
     for m, value in left._ints.items():
         c = full ^ m if m.bit_count() & 1 else m
         if m in right._ints and not any((v & c).bit_count() & 1 for v in span):
-            square = blade_mul(m, m, sig)[0].numerator
+            square = _blade_square(m, sig)
             characters.append((c, (value * right._ints[m] * square) << len(span)))
     return {
         b: _trace_rank(sum(-w if (b & c).bit_count() & 1 else w for c, w in characters), scale)
@@ -416,9 +430,15 @@ def _sandwich_ranks(left: Multivector, right: Multivector, span, leaders) -> dic
     }
 
 
-def _require_idempotent(f: Multivector) -> None:
-    if not _is_idempotent(f):
+def _require_idempotent(f: Multivector) -> dict[int, int] | None:
+    """f's certificate _product_form(f), the one call for f; NotIdempotent unless f * f = f.
+
+    A certified f is idempotent; any other f is checked by one product.
+    """
+    form = _product_form(f)
+    if form is None and geometric_product(f, f) != f:
         raise NotIdempotent("element does not satisfy f*f = f")
+    return form
 
 
 @dataclass(frozen=True)
@@ -444,6 +464,21 @@ class IdealBasis:
     sigma_v b, and conversely each factor then fixes b.  Any other f, such
     as a conjugated idempotent, is checked by the product b * f.
 
+    One relabelling per row.  With f = F / 2^k so certified, a row over
+    scale 1 that equals e_p * F, p its own pivot, needs no more: the e_v
+    commute with every blade of the span S of the v, and F lies in S, so
+    F * e_v = e_v * F = sigma_v F and (e_p * F) * e_v = sigma_v (e_p * F).
+    Every row that left_ideal_basis builds is such a row; any other row
+    takes the k relabellings, so a bad row fails as before.  The
+    certificate is computed here, or passed by left_ideal_basis from its
+    own _product_form call on the same generator (_form).
+
+    The pivot test reads each row's keys against the set of pivots, and
+    checks that the pivots are distinct: row i is the basis scale at p_i
+    and holds no other pivot.  That is the dim^2 test "row i is the scale
+    at p_i and 0 at every other p_j", since the integer maps hold no zero;
+    two equal pivots p_i = p_j would ask row i for the scale and for 0 there.
+
     Blade index.  For such an f = F / 2^k every row of a basis that passes
     these checks is e_p * F over scale 1, with p its pivot, so the rows
     split the blades: _blade_rows maps blade d to the one row j(d) that
@@ -465,19 +500,22 @@ class IdealBasis:
     pivots: tuple[int, ...]  # RREF pivot blade masks, used for coordinate reads
     _integer_basis: tuple[list[dict], int] = field(init=False, repr=False, compare=False)
     _blade_rows: tuple[list[int], list[int]] | None = field(init=False, repr=False, compare=False)
+    _form: InitVar[dict[int, int] | None] = ...  # _product_form(generator), when the caller has it
 
-    def __post_init__(self):
+    def __post_init__(self, _form):
         if any(b.sig != self.sig for b in self.basis):
             raise SignatureMismatch(f"a basis element does not lie in Cl{self.sig}")
         generator, generator_scale = self.generator._ints, self.generator._scale
         scale = math.lcm(*(b._scale for b in self.basis))
         rows = [{m: v * (scale // b._scale) for m, v in b._ints.items()} for b in self.basis]
-        form = _product_form(self.generator)
-        for row in rows:
+        form = _product_form(self.generator) if _form is ... else _form
+        for row, p in itertools.zip_longest(rows, self.pivots[: len(rows)]):
             if form is None:
                 # b * f = b reads B * F = scale_f * B with f = F / scale_f
                 fixed = {m: generator_scale * v for m, v in row.items()}
                 stable = _nonzero(core_algebra._product(row, generator, self.sig)) == fixed
+            elif scale == 1 and row.get(p) == 1 and row == _blade_times(p, generator, self.sig):
+                stable = True  # e_p * F, see "One relabelling per row"
             else:
                 stable = all(
                     _times_blade(row, v, self.sig) == {m: sigma * c for m, c in row.items()}
@@ -485,10 +523,9 @@ class IdealBasis:
                 )
             if not stable:
                 raise ValueError("basis element is not stabilized by the generator")
-        if len(self.pivots) != len(rows) or any(
-            row.get(p, 0) != (scale if i == j else 0)
-            for i, row in enumerate(rows)
-            for j, p in enumerate(self.pivots)
+        pivot_set = set(self.pivots)
+        if len(self.pivots) != len(rows) or len(pivot_set) != len(rows) or any(
+            row.get(p) != scale or len(pivot_set.intersection(row)) != 1 for row, p in zip(rows, self.pivots)
         ):
             raise ValueError("basis is not 1 on its own pivot and 0 on the others")
         object.__setattr__(self, "_integer_basis", (rows, scale))
@@ -522,9 +559,9 @@ def left_ideal_basis(f: Multivector) -> IdealBasis:
     each block's row is a blade relabelling of f, with no product
     (_blade_image_span).
     """
-    _require_idempotent(f)
-    basis, pivots = _blade_image_span(Multivector.one(f.sig), f)
-    return IdealBasis(f, basis, len(basis), pivots)
+    form = _require_idempotent(f)
+    basis, pivots = _blade_image_span(Multivector.one(f.sig), f, {}, form)
+    return IdealBasis(f, basis, len(basis), pivots, _form=form)
 
 
 def left_ideal_dimension(f: Multivector) -> int:
@@ -587,8 +624,8 @@ def division_ring_info(f: Multivector) -> DivisionRingInfo:
     division ring, and then it is a copy of D.  Any other dimension is
     reported as UnexpectedDimension.
     """
-    _require_idempotent(f)
-    basis, _ = _blade_image_span(f, f)
+    form = _require_idempotent(f)
+    basis, _ = _blade_image_span(f, f, form, form)
     # a simple Cl(p,q) is M_m(D) with m = 2^k, so 2^n = m^2 dim D; a split
     # one is two copies of M_m(D) with 2^k = 2m, so 2^n = 2 m^2 dim D
     regular = Signature(f.sig.p, f.sig.q)
@@ -633,7 +670,7 @@ def is_simple(sig: Signature) -> bool:
     central idempotents); z*z = -1 leaves the algebra simple.
     """
     masks = _central_masks(sig)
-    return len(masks) == 1 or blade_mul(masks[1], masks[1], sig)[0] == -1
+    return len(masks) == 1 or _blade_square(masks[1], sig) == -1
 
 
 def faithful_ideal(sig: Signature, cap: int = DEFAULT_DIMENSION_CAP) -> IdealBasis:
@@ -772,19 +809,18 @@ def interbasis_element(f_i: Multivector, f_j: Multivector):
     E_ij * v = f_i and v * E_ij = f_j over the span of f_j * A * f_i,
     reduced by _linalg._integer_rref.
     """
-    _require_idempotent(f_i)
-    _require_idempotent(f_j)
+    form_i, form_j = _require_idempotent(f_i), _require_idempotent(f_j)
     if f_i.sig != f_j.sig:
         raise SignatureMismatch(f"signatures differ: {f_i.sig} vs {f_j.sig}")
     if f_i == f_j:
         return f_i, f_i
     sig = f_i.sig
-    space_ij, pivots = _blade_image_span(f_i, f_j)
+    space_ij, pivots = _blade_image_span(f_i, f_j, form_i, form_j)
     if not space_ij:
         raise NotSimple("f_i * A * f_j is zero; the idempotents sit in different components")
     e_ij, c = space_ij[0], pivots[0]
     e_c_f_j = _blade_times(c, f_j._ints, sig)
-    square = blade_mul(c, c, sig)[0].numerator
+    square = _blade_square(c, sig)
     if (
         square
         and e_ij._scale == 1
@@ -793,7 +829,7 @@ def interbasis_element(f_i: Multivector, f_j: Multivector):
     ):
         e_c_f_i = _blade_times(c, f_i._ints, sig)
         return e_ij, Multivector._scaled(sig, {m: square * v for m, v in e_c_f_i.items()}, f_i._scale**2)
-    space_ji, _ = _blade_image_span(f_j, f_i)
+    space_ji, _ = _blade_image_span(f_j, f_i, form_j, form_i)
     if not space_ji:
         raise NotSimple("f_j * A * f_i is zero; the idempotents sit in different components")
     # e_ji = sum_w t_w w over the rows w = W / s_w of f_j * A * f_i.  With e_ij = E / s and

@@ -1,0 +1,153 @@
+"""Byte-identity of the command line across revisions, on one fixed corpus of argvs.
+
+    python3 tests/identical.py                    # one line per argv, this tree
+    python3 tests/identical.py --against HEAD~1   # the argvs whose line differs at HEAD~1
+
+Standard library only; pytest does not collect this file.  The corpus, each
+argv in text and in --json:
+  - every argv of the four benchmark workloads at seeds 1-3, as
+    perfbench/workloads.build makes them;
+  - idempotents, ideal, ideal --faithful, rep e1 and center on every regular
+    signature with n <= 6;
+  - the argvs of the golden files in tests/golden.
+
+Each argv runs through cli.run in one process, as perfbench/run.py runs it,
+and gives one line: the sha256 of the argv (as JSON), the exit code (or the
+name of an exception that escaped cli.run), and the sha256 of stdout and of
+stderr.  The corpus is always built from this tree, so both sides of a
+comparison run the same argvs.
+
+--against REV extracts REV's src/ with `git archive` into a temporary
+directory, which leaves no worktree behind in the repository, and runs the
+corpus on it and on this tree, each in a fresh interpreter.  It prints every
+argv whose line differs, with both lines, and exits 1 if any does.  This
+compares two live runs and stores no expected output; perfbench/oracle.py
+and the golden tests still check what the output says.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import shlex
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# (command and options, positionals) of the spinor commands
+SPINOR_COMMANDS = (
+    (["idempotents"], []),
+    (["ideal"], []),
+    (["ideal", "--faithful"], []),
+    (["rep"], ["e1"]),
+    (["center"], []),
+)
+
+
+def _in_both_modes(argv: list) -> list:
+    """argv without --json and with it; options end where "--" starts the positionals."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    options = [token for token in argv[:end] if token != "--json"]
+    rest = argv[end:]
+    return [options + rest, options + ["--json"] + rest]
+
+
+def corpus() -> list:
+    """The argvs, in a fixed order, each once."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    bases = []
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            bases += [op.argv for op in workloads.build(workload, seed)]
+    for n in range(7):
+        for p in range(n + 1):
+            for command, positionals in SPINOR_COMMANDS:
+                bases.append([*command, "--sig", f"{p},{n - p}", *positionals])
+    for path in sorted((ROOT / "tests" / "golden").glob("*.json")):
+        bases.append(json.loads(path.read_text())["argv"])
+    argvs = {}
+    for argv in bases:
+        for variant in _in_both_modes(argv):
+            argvs.setdefault(json.dumps(variant), variant)
+    return list(argvs.values())
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def lines(src: Path, argvs: list) -> list:
+    """One line per argv: sha256(argv) exit-code sha256(stdout) sha256(stderr), cliffalg imported from src."""
+    sys.path.insert(0, str(src))
+    from cliffalg import cli
+
+    out = []
+    for argv in argvs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.run(argv)
+            except Exception as exc:  # a fault in the program: record it, go on
+                code = type(exc).__name__
+        out.append(f"{_sha(json.dumps(argv))} {code} {_sha(stdout.getvalue())} {_sha(stderr.getvalue())}")
+    return out
+
+
+def _run_on(src: Path) -> list:
+    """The lines of a fresh interpreter running this script on src."""
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--src", str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    return done.stdout.splitlines()
+
+
+def against(rev: str, argvs: list) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+            capture_output=True, check=True,
+        ).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        theirs = _run_on(Path(tmp) / "src")
+    ours = _run_on(ROOT / "src")
+    assert len(ours) == len(theirs) == len(argvs), "the two runs read different corpora"
+    differ = 0
+    for argv, mine, other in zip(argvs, ours, theirs):
+        if mine != other:
+            differ += 1
+            print(shlex.join(argv))
+            print(f"  {rev}: {other}")
+            print(f"  tree: {mine}")
+    print(f"{differ} of {len(argvs)} argvs differ from {rev}", file=sys.stderr)
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV", help="compare with this git revision")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the cliffalg sources to run")
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    argvs = corpus()
+    if args.against:
+        code = against(args.against, argvs)
+    else:
+        print("\n".join(lines(args.src, argvs)))
+        code = 0
+    print(f"{len(argvs)} argvs in {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

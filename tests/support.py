@@ -42,7 +42,7 @@ from cliffalg import (
     reversion,
     scalar_mul,
 )
-from cliffalg import _linalg, core_algebra, expr
+from cliffalg import _linalg, core_algebra, expr, spinors
 from cliffalg.core_algebra import (
     MAX_COEFFICIENT_BITS,
     MAX_LITERAL_DIGITS,
@@ -135,6 +135,23 @@ def count_products(monkeypatch):
         return product(*args)
 
     monkeypatch.setattr(core_algebra, "_product", counted_product)
+    return calls
+
+
+def count_certificates(monkeypatch):
+    """A one-element list counting the calls to spinors._product_form from now on.
+
+    Every spinor function looks the certificate up in the module, so the
+    wrapper sees each one.
+    """
+    calls = [0]
+    product_form = spinors._product_form
+
+    def counted_product_form(f):
+        calls[0] += 1
+        return product_form(f)
+
+    monkeypatch.setattr(spinors, "_product_form", counted_product_form)
     return calls
 
 
@@ -757,6 +774,29 @@ def pairwise_orthogonal(idems) -> bool:
         geometric_product(f, g).is_zero() and geometric_product(g, f).is_zero()
         for i, f in enumerate(idems)
         for g in idems[i + 1 :]
+    )
+
+
+def reference_rows_stable(f: Multivector, basis) -> bool:
+    """b * e_v = sigma_v b for every b in basis and every factor (1 + sigma_v e_v)/2 of f, by products.
+
+    The k-relabelling test IdealBasis ran on every row of a certified f
+    before rows of the form e_p * F passed with one relabelling; f must have
+    a _product_form certificate.
+    """
+    form = spinors._product_form(f)
+    assert form is not None
+    return all(
+        reference_product(b, Multivector.basis_blade(f.sig, v)) == scalar_mul(sigma, b)
+        for b in basis
+        for v, sigma in form.items()
+    )
+
+
+def reference_pivots_hold(basis, pivots) -> bool:
+    """Basis element i is 1 at pivot i and 0 at every other pivot: the dim^2 test IdealBasis ran."""
+    return len(pivots) == len(basis) and all(
+        b.coefficient(p) == (1 if i == j else 0) for i, b in enumerate(basis) for j, p in enumerate(pivots)
     )
 
 

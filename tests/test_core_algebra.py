@@ -43,7 +43,7 @@ from cliffalg import (
     scalar_mul,
 )
 from cliffalg import core_algebra
-from cliffalg.core_algebra import _blade_times, _product, _sum, _times_blade
+from cliffalg.core_algebra import _blade_square, _blade_times, _product, _sum, _times_blade
 from support import (
     all_signatures,
     dense_inverse,
@@ -51,6 +51,7 @@ from support import (
     rand_multivector,
     rand_vector,
     reference_add,
+    reference_blade_product,
     reference_blade_times,
     reference_int_product,
     reference_product,
@@ -319,6 +320,14 @@ class TestBladeTimes:
             dense = {m: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for m in order}
             for mask in range(dim):
                 check_blade_times(sig, mask, dense)
+
+
+class TestBladeSquare:
+    def test_every_blade_of_every_small_signature(self):
+        # the square spinors reads for its blade search, traces and simplicity
+        for sig in all_signatures(7):
+            for mask in range(1 << sig.n):
+                assert _blade_square(mask, sig) == reference_blade_product(mask, mask, sig)[0], (sig, mask)
 
 
 class TestTimesBlade:

@@ -4,12 +4,13 @@ faithful ideals, matrix representations, and intertwiners."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cliffalg import _linalg, spinors
+from cliffalg import _linalg, cli, spinors
 from cliffalg import (
     CommutingBladeSet,
     DegenerateForm,
@@ -46,6 +47,7 @@ from cliffalg import (
 from cliffalg.spinors import _admissible, _blade_image_span, _product_form
 from support import (
     all_signatures,
+    count_certificates,
     count_products,
     full_blade_image_span,
     mat_add,
@@ -59,8 +61,10 @@ from support import (
     reference_division_ring,
     reference_idempotents,
     reference_interbasis,
+    reference_pivots_hold,
     reference_product,
     reference_rep_matrix,
+    reference_rows_stable,
 )
 
 REGULAR_SIGS_4 = [s for s in all_signatures(4, degenerate=False)]
@@ -508,7 +512,7 @@ class TestBladeImageSpan:
         expected = full_blade_image_span(
             left.sig, lambda b: geometric_product(geometric_product(left, b), right)
         )
-        assert _blade_image_span(left, right) == expected
+        assert _blade_image_span(left, right, _product_form(left), _product_form(right)) == expected
 
 
 class TestRankPath:
@@ -605,7 +609,8 @@ class TestProductForm:
         expected = full_blade_image_span(sig, lambda b: geometric_product(b, f))
         assert (ideal.basis, ideal.pivots) == expected
         expected = full_blade_image_span(sig, lambda b: geometric_product(geometric_product(f, b), f))
-        assert _blade_image_span(f, f) == expected
+        form = _product_form(f)
+        assert _blade_image_span(f, f, form, form) == expected
         if f != 1:
             assert division_ring_info(f).basis == expected[0]
 
@@ -1216,7 +1221,7 @@ class TestInterbasis:
         sig = Signature(1, 0, 1)
         half = Fraction(1, 2)
         f_i, f_j = (Multivector(sig, {0: half, 0b1: sign * half}) for sign in (1, -1))
-        space, pivots = _blade_image_span(f_i, f_j)
+        space, pivots = _blade_image_span(f_i, f_j, _product_form(f_i), _product_form(f_j))
         assert pivots[0] == 0b10 and space[0] == Multivector(sig, {0b10: 1, 0b11: 1})
         with pytest.raises(NoSolution):
             interbasis_element(f_i, f_j)
@@ -1228,8 +1233,8 @@ class TestInterbasis:
         f1, f2 = canonical_idempotents(Signature(2, 2))[:2]
         span = spinors._blade_image_span
 
-        def planted(left, right):
-            rows, pivots = span(left, right)
+        def planted(left, right, *forms):
+            rows, pivots = span(left, right, *forms)
             return ((2 * rows[0], *rows[1:]), pivots) if (left, right) == (f1, f2) else (rows, pivots)
 
         monkeypatch.setattr(spinors, "_blade_image_span", planted)
@@ -1291,3 +1296,151 @@ class TestIntertwiner:
         monkeypatch.setattr(spinors, "interbasis_element", lambda f_i, f_j: planted)
         with pytest.raises(NoSolution, match=f"{which} leaves"):
             representation_intertwiner(f1, f2)
+
+    def test_non_inverse_pair_rejected(self, monkeypatch):
+        # 2 * E_ji still lies in A * f_i, so both membership checks pass; only
+        # the identity check sees that psi -> psi * 2 E_ji inverts phi twice over
+        f1, f2 = canonical_idempotents(Signature(2, 2))[:2]
+        e12, e21 = interbasis_element(f1, f2)
+        monkeypatch.setattr(spinors, "interbasis_element", lambda f_i, f_j: (e12, scalar_mul(2, e21)))
+        with pytest.raises(NoSolution, match="intertwiner is not invertible"):
+            representation_intertwiner(f1, f2)
+
+
+COUNT_SIGS = [Signature(2, 2), Signature(3, 0), Signature(5, 5), Signature(2, 1)]  # the last is split
+
+
+class TestCertificateCounts:
+    """Each public spinor function calls _product_form once per idempotent it receives.
+
+    left_ideal_basis passes the certificate to _blade_image_span and to the
+    IdealBasis it builds, division_ring_info and interbasis_element pass
+    theirs to _blade_image_span, and the CLI commands call each public
+    function once.  The repeated certificates gave 4, 4, 3, 4, 12, 4 and 7.
+    """
+
+    @pytest.mark.parametrize("sig", COUNT_SIGS, ids=str)
+    @pytest.mark.parametrize(
+        "name, count",
+        [
+            ("left_ideal_basis", 1),
+            ("faithful_ideal", 1),
+            ("division_ring_info", 1),
+            ("interbasis_element", 2),
+            ("representation_intertwiner", 4),
+            ("build_idempotent_set", None),  # one per member, 2^k
+        ],
+    )
+    def test_library(self, monkeypatch, sig, name, count):
+        idems = canonical_idempotents(sig)
+        f = idems[0]
+        g = next(h for h in idems[1:] if peirce_dimension(f, h))  # in f's simple component
+        args = {
+            "faithful_ideal": (sig,),
+            "interbasis_element": (f, g),
+            "representation_intertwiner": (f, g),
+            "build_idempotent_set": (find_commuting_blades(sig),),
+        }.get(name, (f,))
+        calls = count_certificates(monkeypatch)
+        getattr(spinors, name)(*args)
+        if count is None:
+            assert calls[0] == len(idems)
+        else:
+            assert calls[0] <= count if name == "representation_intertwiner" else calls[0] == count
+
+    @pytest.mark.parametrize("sig", COUNT_SIGS, ids=str)
+    @pytest.mark.parametrize("command", ["rep", "ideal", "ideal --faithful", "idempotents"])
+    def test_cli(self, monkeypatch, capsys, sig, command):
+        # ideal and ideal --faithful: the ideal, then division_ring_info, each
+        # certifying once; a split faithful generator has no division ring
+        expected = {
+            "rep": 1,
+            "ideal": 2,
+            "ideal --faithful": 2 if is_simple(sig) else 1,
+            "idempotents": 1 << idempotent_count_exponent(sig),
+        }[command]
+        argv = [*command.split(), "--sig", f"{sig.p},{sig.q}"] + (["e{1}"] if command == "rep" else [])
+        calls = count_certificates(monkeypatch)
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert calls[0] == expected
+
+
+IDEAL_PLANTS = ["none", "negated term", "row doubled", "pivots swapped", "duplicated pivot", "stable, not e_p F"]
+
+
+def planted_ideal(f, plant, i, j):
+    """(basis, pivots) of A * f with one plant at row i, and row or term j.
+
+    negated term: term j (mod the row's size) of row i negated; row doubled:
+    row i times 2; pivots swapped: pivots i and j exchanged; duplicated
+    pivot: row i and its pivot copied over row j and its pivot; stable, not
+    e_p F: row j added to row i.
+    """
+    ideal = left_ideal_basis(f)
+    basis, pivots = list(ideal.basis), list(ideal.pivots)
+    b = basis[i]
+    if plant == "negated term":
+        mask = sorted(b._ints)[j % len(b._ints)]
+        basis[i] = Multivector._scaled(f.sig, {m: -c if m == mask else c for m, c in b._ints.items()}, b._scale)
+    elif plant == "row doubled":
+        basis[i] = scalar_mul(2, b)
+    elif plant == "pivots swapped":
+        pivots[i], pivots[j] = pivots[j], pivots[i]
+    elif plant == "duplicated pivot":
+        basis[j], pivots[j] = b, pivots[i]
+    elif plant == "stable, not e_p F":
+        basis[i] = add(b, basis[j])
+    return tuple(basis), tuple(pivots)
+
+
+@st.composite
+def ideal_plants(draw):
+    """(f, plant, i, j) for planted_ideal: f a canonical idempotent of a regular
+    signature with n <= 7, or its split faithful generator."""
+    n = draw(st.integers(0, 7))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    pool = list(canonical_idempotents(sig))
+    if not is_simple(sig):
+        pool.append(faithful_ideal(sig).generator)
+    f = draw(st.sampled_from(pool))
+    plant = draw(st.sampled_from(IDEAL_PLANTS))
+    dim = left_ideal_dimension(f)
+    i = draw(st.integers(0, dim - 1))
+    if plant in ("pivots swapped", "duplicated pivot", "stable, not e_p F"):
+        assume(dim > 1)
+        j = draw(st.integers(0, dim - 1).filter(lambda j: j != i))
+    else:
+        j = draw(st.integers(0, 1 << n))
+    return f, plant, i, j
+
+
+class TestIdealBasisChecks:
+    """IdealBasis passes a row e_p * F with one relabelling and tests the pivots
+    through their set; the k relabellings and the dim^2 loop are the oracles."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(ideal_plants())
+    # a copied row whose pivot lies off the generator's support: the rebuild
+    # of f, the rank and the blade index all pass, and only the distinctness
+    # of the pivots rejects it
+    @example((canonical_idempotents(Signature(3, 3))[0], "duplicated pivot", 1, 2))
+    @example((faithful_ideal(Signature(2, 1)).generator, "duplicated pivot", 2, 1))
+    @example((Multivector.one(Signature(0, 2)), "negated term", 1, 0))  # k = 0: -e_p is stable
+    def test_checks_match_the_oracles(self, case):
+        f, plant, i, j = case
+        basis, pivots = planted_ideal(f, plant, i, j)
+        if not reference_rows_stable(f, basis):
+            expected = "basis element is not stabilized by the generator"
+        elif not reference_pivots_hold(basis, pivots):
+            expected = "basis is not 1 on its own pivot and 0 on the others"
+        else:
+            expected = None
+        if plant == "none":
+            assert expected is None
+            assert IdealBasis(f, basis, len(basis), pivots) == left_ideal_basis(f)
+        else:
+            assert expected is not None
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                IdealBasis(f, basis, len(basis), pivots)
