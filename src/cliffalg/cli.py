@@ -24,6 +24,7 @@ import sys
 from ._linalg import ScaledMatrix
 from .core_algebra import (
     DEFAULT_DIMENSION_CAP,
+    MAX_CAP,
     Multivector,
     Signature,
     _blade_times,
@@ -64,8 +65,6 @@ from .spinors import (
     is_simple,
     left_ideal_basis,
 )
-
-MAX_CAP = 16
 
 
 def parse_signature(text: str) -> Signature:
@@ -419,7 +418,8 @@ def _cap_type(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The top parser, and the map from each command name to its subparser."""
     parser = argparse.ArgumentParser(
         prog="cliffalg",
         description="Exact computation in real Clifford algebras Cl(p,q,s).",
@@ -473,12 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("center", parents=[common, sig_opt], help="center basis and simplicity")
 
-    return parser
+    return parser, sub.choices
 
 
-# Built once: parse_args leaves the parser unchanged and fills a new namespace
-# on every call, so runs share nothing through it.
-_PARSER = build_parser()
+# Built once: parse_args leaves the parsers unchanged and fills a new
+# namespace on every call, so runs share nothing through them.
+_PARSER, _COMMAND_PARSERS = build_parser()
 
 _VALUE_OPTIONS = ("--sig", "--matrix", "--vector", "--cap")
 
@@ -505,9 +505,64 @@ def _merge_option_values(argv: list) -> list:
     return out
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """_PARSER.parse_args(argv), with one parse when argv[0] names a command.
+
+    The top parser hands every token after the command to that command's
+    subparser and copies the result into its namespace, so calling the
+    subparser directly gives the same namespace.  Everything else, no argv,
+    an unknown command, an option before the command or tokens the
+    subparser leaves over, goes through _PARSER, whose text it prints.
+    """
+    command_parser = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    if command_parser is not None:
+        args, extras = command_parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
+
+
+_quote = json.encoder.encode_basestring_ascii  # json.dumps's C string quoting
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """The text json.dumps gives with a two-space indent and sorted keys, byte
+    for byte, on str-keyed payloads of str, int, float, bool, None, list,
+    tuple and dict.
+
+    CPython's C encoder runs only when no indent is asked for, so json.dumps
+    with one walks the payload in pure Python.  Here every string is quoted
+    by the C function json.dumps uses, each list is joined at once, None, the
+    bools and the ints are rendered as json renders them, and a float is
+    json.dumps of it alone, for NaN and the infinities.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_quote(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_quote(item) if isinstance(item, str) else _json_text(item, inner) for item in value]
+        brackets = "[]"
+    elif value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    elif isinstance(value, int):
+        return int.__repr__(value)  # as both of json's encoders render an int
+    else:
+        return json.dumps(value)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def run(argv) -> int:
     try:
-        args = _PARSER.parse_args(_merge_option_values(list(argv)))
+        args = _parse(_merge_option_values(list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
@@ -536,7 +591,7 @@ def run(argv) -> int:
             "result": result,
             "checks": checks,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         for line in lines:
             print(line)

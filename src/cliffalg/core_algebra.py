@@ -29,6 +29,7 @@ would.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,9 @@ Rational = Fraction
 Blade = int
 
 DEFAULT_DIMENSION_CAP = 10
+# Largest dimension cap the command line accepts, and the largest n whose
+# blade names come from the half tables of _name_halves.
+MAX_CAP = 16
 
 # Largest numerator or denominator, in bits, that powers and rendering accept.
 # It sits below CPython's 4300-digit limit on converting an int to text.
@@ -127,13 +131,40 @@ def blade_from_indices(indices, n: int) -> Blade:
 
 
 def blade_name(mask: Blade, n: int) -> str:
-    """Display name of a blade: "1", "e12", or "e{1,2}" when n > 9."""
+    """Display name of a blade: "1", "e12", or "e{1,2}" when n > 9.
+
+    For n <= MAX_CAP and a mask below 2^n the name joins two table entries,
+    the indices of the low h = n // 2 bits and those of the rest, with ","
+    between them past n = 9 when both are non-empty.
+    """
     if mask == 0:
         return "1"
-    indices = blade_indices(mask)
+    if n > MAX_CAP or mask >> n:
+        indices = blade_indices(mask)
+        return "e" + "".join(map(str, indices)) if n <= 9 else "e{" + ",".join(map(str, indices)) + "}"
+    h, low, high = _name_halves(n)
+    low_name, high_name = low[mask & ((1 << h) - 1)], high[mask >> h]
     if n <= 9:
-        return "e" + "".join(str(i) for i in indices)
-    return "e{" + ",".join(str(i) for i in indices) + "}"
+        return "e" + low_name + high_name
+    if low_name and high_name:
+        return "e{" + low_name + "," + high_name + "}"
+    return "e{" + low_name + high_name + "}"
+
+
+@functools.cache
+def _name_halves(n: int) -> tuple:
+    """(h, low, high): the joined indices of every mask of the low h = n // 2 bits, and of the high n - h bits.
+
+    At most MAX_CAP entries, since n = 0 names only the scalar, each of at
+    most 2 * 256 strings, built on the first name at each n.
+    """
+    h = n // 2
+    separator = "," if n > 9 else ""
+
+    def names(width: int, offset: int) -> tuple:
+        return tuple(separator.join(str(i + offset) for i in blade_indices(m)) for m in range(1 << width))
+
+    return h, names(h, 0), names(n - h, h)
 
 
 def _rational(value) -> Rational:

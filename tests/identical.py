@@ -4,12 +4,21 @@
     python3 tests/identical.py --against HEAD~1   # the argvs whose line differs at HEAD~1
 
 Standard library only; pytest does not collect this file.  The corpus, each
-argv in text and in --json:
+argv in text, --json, --approx and --json --approx:
   - every argv of the four benchmark workloads at seeds 1-3, as
     perfbench/workloads.build makes them;
   - idempotents, ideal, ideal --faithful, rep e1 and center on every regular
     signature with n <= 6;
+  - table, and eval of a dense element and of its square, on every
+    signature with n <= 4;
+  - blade names on both sides of n = 9 and up to n = 16: idempotents and
+    eval at n = 9, 10 and 16;
+  - the nesting limit (100 and 101 levels) and the coefficient budget
+    (2^8191, 2^8192, an 8192-bit and an 8193-bit scale);
   - the argvs of the golden files in tests/golden.
+Then the argparse paths of cli.run, each exactly as written: help, usage
+errors, abbreviated and repeated options, "--", an unknown command, an
+option before the command and a trailing extra argument.
 
 Each argv runs through cli.run in one process, as perfbench/run.py runs it,
 and gives one line: the sha256 of the argv (as JSON), the exit code (or the
@@ -51,12 +60,66 @@ SPINOR_COMMANDS = (
 )
 
 
-def _in_both_modes(argv: list) -> list:
-    """argv without --json and with it; options end where "--" starts the positionals."""
+MODES = ([], ["--json"], ["--approx"], ["--json", "--approx"])
+# run as written, not in every mode: what cli.run hands to argparse
+ARGPARSE_ARGVS = (
+    [],
+    ["--help"],
+    ["-h"],
+    ["eval", "--help"],
+    ["eval", "--sig", "2,0", "-h", "e1"],
+    ["eval", "--js", "--sig", "2,0", "e1"],
+    ["ideal", "--faith", "--sig", "0,3"],
+    ["ideal", "--f", "--sig", "0,3"],
+    ["eval", "--sig", "2,0", "--sig", "3,0", "e3"],
+    ["eval", "--sig=", "e1"],
+    ["eval", "--sig=2,0", "e1"],
+    ["eval", "--sig", "2,0", "--", "-e1"],
+    ["eval", "--", "--sig", "2,0"],
+    ["eval", "--sig", "2,0", "--", "e1", "--"],
+    ["frobnicate", "--sig", "2,0"],
+    ["--json", "eval", "--sig", "2,0", "e1"],
+    ["--sig", "2,0", "eval", "e1"],
+    ["--", "eval", "--sig", "2,0", "e1"],
+    ["eval", "--sig", "2,0", "e1", "e2"],
+    ["center", "--sig", "2,0", "extra"],
+    ["center", "--sig", "2,0", "--bogus"],
+    ["eval", "--sig", "2,0"],
+    ["eval", "e1"],
+    ["diagonalize", "--sig", "2,0", "--matrix", "1,0;0,1"],
+    ["table", "--sig", "2,0", "--cap", "20"],
+    ["table", "--sig", "2,0", "--cap", "abc"],
+    ["table", "--sig", "2,0", "--cap"],
+    ["-x"],
+    ["eval", "--sig", "2,0", "-x", "e1"],
+    ["--version"],
+)
+
+
+def _in_every_mode(argv: list) -> list:
+    """argv in each of MODES; options end where "--" starts the positionals."""
     end = argv.index("--") if "--" in argv else len(argv)
-    options = [token for token in argv[:end] if token != "--json"]
+    options = [token for token in argv[:end] if token not in ("--json", "--approx")]
     rest = argv[end:]
-    return [options + rest, options + ["--json"] + rest]
+    return [options + mode + rest for mode in MODES]
+
+
+def _name(mask: int, n: int) -> str:
+    indices = [str(i + 1) for i in range(n) if mask >> i & 1]
+    return "e" + "".join(indices) if n <= 9 else "e{" + ",".join(indices) + "}"
+
+
+def _element(masks, n: int) -> str:
+    """A sum of the blades of masks with coefficients -3..3 and halves, none zero."""
+    terms = []
+    for k, mask in enumerate(masks):
+        coefficient = f"{k % 7 - 3 or 5}/{1 + k % 2}"
+        terms.append(coefficient if mask == 0 else f"{coefficient}*{_name(mask, n)}")
+    return " + ".join(terms)
+
+
+def _signatures(n: int) -> list:
+    return [f"{p},{q},{n - p - q}" for p in range(n + 1) for q in range(n - p + 1)]
 
 
 def corpus() -> list:
@@ -72,12 +135,38 @@ def corpus() -> list:
         for p in range(n + 1):
             for command, positionals in SPINOR_COMMANDS:
                 bases.append([*command, "--sig", f"{p},{n - p}", *positionals])
+    for n in range(5):
+        for sig in _signatures(n):
+            dense = _element(range(1 << n), n)
+            bases += [
+                ["table", "--sig", sig],
+                ["eval", "--sig", sig, "--", dense],
+                ["eval", "--sig", sig, "--", f"({dense})^2"],
+            ]
+    for sig in ("5,4", "4,4,1", "5,5", "6,4"):
+        n = sum(map(int, sig.split(",")))
+        bases += [
+            ["idempotents", "--sig", sig],
+            ["eval", "--sig", sig, "--", _element(range(1 << n), n)],
+            ["eval", "--sig", sig, "--", f"(1 + {_name(1 | 1 << (n - 1), n)}) * ({_element([2, 3, 1 << (n - 1)], n)})"],
+        ]
+    bases += [
+        ["idempotents", "--cap", "16", "--sig", "8,8"],
+        ["eval", "--cap", "16", "--sig", "8,8", "--", _element(range(1, 1 << 16, 331), 16)],
+    ]
+    for opener, closer in (("(", ")"), ("rev(", ")"), ("-", "")):
+        for levels in (100, 101):
+            bases.append(["eval", "--sig", "2,0", "--", opener * levels + "1+e1" + closer * levels])
+    for text in ("2^8191", "-2^8191*e1", "2^8192", "2^8191*e1 + 1/2^8191", "1/2^8192", "2^4096*2^4096"):
+        bases.append(["eval", "--sig", "1,0", "--", text])
     for path in sorted((ROOT / "tests" / "golden").glob("*.json")):
         bases.append(json.loads(path.read_text())["argv"])
     argvs = {}
     for argv in bases:
-        for variant in _in_both_modes(argv):
+        for variant in _in_every_mode(argv):
             argvs.setdefault(json.dumps(variant), variant)
+    for argv in ARGPARSE_ARGVS:
+        argvs.setdefault(json.dumps(argv), list(argv))
     return list(argvs.values())
 
 

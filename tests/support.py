@@ -49,7 +49,6 @@ from cliffalg.core_algebra import (
     _blade_mul_signs,
     _negative_mask,
     _zero_mask,
-    blade_name,
     check_coefficient_bits,
 )
 from cliffalg.expr import FUNCTIONS, MAX_NESTING_DEPTH, Token
@@ -655,6 +654,22 @@ def reference_parse(text: str, sig: Signature) -> Multivector:
     return value
 
 
+def reference_blade_name(mask: int, n: int) -> str:
+    """The display name of a blade read off its bits one at a time, as blade_name built it before its tables."""
+    if mask == 0:
+        return "1"
+    indices = []
+    index = 1
+    while mask:
+        if mask & 1:
+            indices.append(str(index))
+        mask >>= 1
+        index += 1
+    if n <= 9:
+        return "e" + "".join(indices)
+    return "e{" + ",".join(indices) + "}"
+
+
 def reference_pretty_print(x: Multivector) -> str:
     """The canonical text of x through its Fraction coefficients, as pretty_print built it before integers.
 
@@ -671,7 +686,7 @@ def reference_pretty_print(x: Multivector) -> str:
         return "0"
     pieces = []
     for position, (mask, coef) in enumerate(terms):
-        name = blade_name(mask, x.sig.n)
+        name = reference_blade_name(mask, x.sig.n)
         magnitude = abs(coef)
         if mask == 0:
             body = str(magnitude)

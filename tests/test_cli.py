@@ -38,7 +38,8 @@ from cliffalg import (
     reflection_matrix,
     spinors,
 )
-from cliffalg.cli import _merge_option_values, _twisted_adjoint_matches, parse_signature, run
+from cliffalg.cli import _json_text, _merge_option_values, _parse, _twisted_adjoint_matches, parse_signature, run
+from identical import ARGPARSE_ARGVS
 from support import (
     all_signatures,
     count_products,
@@ -56,6 +57,16 @@ _rng = random.Random("oversized results")
 A, B, C = (str(_rng.randrange(10**2399, 10**2400)) for _ in range(3))
 
 
+USAGE_ERRORS = [
+    ["frobnicate", "--sig", "2,0"],
+    ["eval", "1"],
+    ["table", "--sig", "2,0", "--cap", "20"],
+    ["table", "--sig", "2,0", "--cap", "0"],
+    ["table", "--sig", "2,0", "--cap", "abc"],
+    [],
+]
+
+
 def run_json(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
@@ -67,6 +78,25 @@ def run_text(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cliffalg_process(argv, **popen):
+    """`python -m cliffalg *argv` in a child process, importing the cliffalg under test."""
+    package_root = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "cliffalg", *argv], env=env, **popen)
+
+
+def parsed(parse, argv):
+    """(vars of the namespace or None, exit code or None, stdout, stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, code = vars(parse(argv)), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
 
 
 class TestGolden:
@@ -150,17 +180,7 @@ class TestExitCodes:
         argv = [command, "--sig", "2,0", "--matrix", "1,0,0;0,1,0;0,0,1"]
         assert run_text(capsys, argv) == (1, "", "error: expected a 2x2 matrix\n")
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["frobnicate", "--sig", "2,0"],
-            ["eval", "1"],
-            ["table", "--sig", "2,0", "--cap", "20"],
-            ["table", "--sig", "2,0", "--cap", "0"],
-            ["table", "--sig", "2,0", "--cap", "abc"],
-            [],
-        ],
-    )
+    @pytest.mark.parametrize("argv", USAGE_ERRORS)
     def test_usage_errors_exit_2(self, capsys, argv):
         code, out, err = run_text(capsys, argv)
         assert code == 2
@@ -245,16 +265,8 @@ class TestExitCodes:
     def test_closed_stdout_exits_1_without_traceback(self):
         # as in `cliffalg table --sig 4,4 | head -c 50`: the table is far
         # larger than a pipe buffer, so the reader closes while it is written
-        package_root = pathlib.Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
         read_end, write_end = os.pipe()
-        process = subprocess.Popen(
-            [sys.executable, "-m", "cliffalg", "table", "--sig", "4,4"],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
+        process = cliffalg_process(["table", "--sig", "4,4"], stdout=write_end, stderr=subprocess.PIPE)
         os.close(write_end)
         assert os.read(read_end, 50)
         os.close(read_end)
@@ -430,6 +442,99 @@ class TestArgumentHandling:
         for bad in ("2", "1,2,3,4", "a,b", "-1,0", "1.5,0"):
             with pytest.raises(ParseError):
                 parse_signature(bad)
+
+
+# argv tokens for the dispatch test: commands, options of every kind, values, "--"
+ARGV_TOKENS = sorted(cli._COMMAND_PARSERS) + [
+    "frobnicate", "--json", "--js", "--approx", "--ap", "--cap", "--cap=3", "--cap=99", "--sig", "--sig=2,0", "--sig=",
+    "--faithful", "--faith", "--matrix", "--vector", "--", "-h", "--help", "-x", "--bogus",
+    "2,0", "1,0;0,1", "e1", "-e1", "3", "abc",
+]
+
+
+class TestDispatch:
+    """run parses argv once, through the command's subparser, and must act as _PARSER.parse_args."""
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS + [list(argv) for argv in ARGPARSE_ARGVS])
+    def test_matches_top_parser(self, argv):
+        merged = _merge_option_values(argv)
+        assert parsed(_parse, merged) == parsed(cli._PARSER.parse_args, merged)
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS + [list(argv) for argv in ARGPARSE_ARGVS])
+    def test_run_prints_what_the_top_parser_prints(self, capsys, argv):
+        namespace, code, out, err = parsed(cli._PARSER.parse_args, _merge_option_values(argv))
+        if namespace is None:
+            assert run_text(capsys, argv) == (0 if code in (0, None) else code, out, err)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(ARGV_TOKENS), st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
+    @example("eval", ["--sig", "2,0", "e1", "--", "e1"])
+    @example("ideal", ["--faith", "--sig=2,0", "--json"])
+    def test_generated_argvs_match_top_parser(self, first, rest):
+        merged = _merge_option_values([first, *rest])
+        assert parsed(_parse, merged) == parsed(cli._PARSER.parse_args, merged)
+
+
+_json_strings = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00", "\x1f\x7f", "\u2028", "é", "\U0001d11e", "a\"b\\c\n"]),
+)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(1 << 200), max_value=1 << 200),
+    st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]),
+    _json_strings,
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_json_strings, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=400, deadline=None)
+    @given(_json_values)
+    @example({"a": [], "b": {}, "c": ()})
+    @example({"result": {"entries": [["1", "-e1"], ["e1", "1"]]}, "signature": [1, 0, 0]})
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("path", GOLDEN_FILES, ids=[p.stem for p in GOLDEN_FILES])
+    def test_golden_payloads(self, path):
+        expected = json.loads(path.read_text())["expected"]
+        assert _json_text(expected) == json.dumps(expected, indent=2, sort_keys=True)
+
+
+class TestMain:
+    """cli.main through __main__.py, in a child process."""
+
+    def test_success_exits_0(self):
+        process = cliffalg_process(["eval", "--sig", "2,0", "e1"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = process.communicate(timeout=60)
+        assert (process.returncode, out, err) == (0, b"e1\n", b"")
+
+    def test_usage_error_exits_2(self):
+        process = cliffalg_process(["eval", "--sig", "2,0"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = process.communicate(timeout=60)
+        assert process.returncode == 2
+        assert out == b"" and b"required" in err and b"Traceback" not in err
+
+    def test_reader_closing_after_one_line_exits_1(self):
+        # as in `cliffalg table --sig 5,5 | head -n 1`
+        process = cliffalg_process(["table", "--sig", "5,5"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert process.stdout.readline().endswith(b"\n")
+        process.stdout.close()
+        err = process.stderr.read()
+        assert process.wait(timeout=60) == 1
+        assert b"Traceback" not in err
 
 
 class TestTextMode:

@@ -43,7 +43,7 @@ from cliffalg import (
     scalar_mul,
 )
 from cliffalg import core_algebra
-from cliffalg.core_algebra import _blade_square, _blade_times, _product, _sum, _times_blade
+from cliffalg.core_algebra import MAX_CAP, _blade_square, _blade_times, _name_halves, _product, _sum, _times_blade
 from support import (
     all_signatures,
     dense_inverse,
@@ -51,6 +51,7 @@ from support import (
     rand_multivector,
     rand_vector,
     reference_add,
+    reference_blade_name,
     reference_blade_product,
     reference_blade_times,
     reference_int_product,
@@ -130,6 +131,37 @@ class TestBladeHelpers:
         assert blade_name(0, 3) == "1"
         assert blade_name(0b101, 3) == "e13"
         assert blade_name(0b101, 10) == "e{1,3}"
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_blade_name_every_mask_matches_bit_loop(self, n):
+        # every mask on both sides of n = 9, where the separator becomes ","
+        for mask in range(1 << n):
+            assert blade_name(mask, n) == reference_blade_name(mask, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, MAX_CAP).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+    @example((16, (1 << 16) - 1))
+    @example((16, 1 << 15))
+    @example((11, 0b11111))
+    def test_blade_name_drawn_masks_match_bit_loop(self, case):
+        n, mask = case
+        assert blade_name(mask, n) == reference_blade_name(mask, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 40), mask=st.integers(0, (1 << 40) - 1))
+    @example(n=3, mask=0b1000)
+    @example(n=17, mask=1 << 16)
+    def test_blade_name_past_the_tables_matches_bit_loop(self, n, mask):
+        # a mask past 2^n, or n past MAX_CAP, is named without the tables
+        assert blade_name(mask, n) == reference_blade_name(mask, n)
+
+    def test_name_tables_are_bounded(self):
+        for n in range(2 * MAX_CAP):
+            blade_name((1 << n) - 1, n)
+        assert _name_halves.cache_info().currsize <= MAX_CAP
+        for n in range(1, MAX_CAP + 1):
+            h, low, high = _name_halves(n)
+            assert h == n // 2 and len(low) == 1 << h and len(high) == 1 << (n - h) <= 256
 
     def test_from_indices_errors(self):
         with pytest.raises(ValueError):
