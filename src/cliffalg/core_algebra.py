@@ -675,7 +675,12 @@ def inverse(x: Multivector) -> Multivector:
 
 
 def _inverse_given_norm(x: Multivector, value: Multivector) -> Multivector:
-    """inverse(x) for a nonzero x whose norm the caller already holds as value."""
+    """inverse(x) for a nonzero x whose norm the caller already holds as value.
+
+    When s > 0 the part a of x free of null generators is inverted from the
+    part of value free of them, which is N(a): dropping the null generators
+    is an algebra map that commutes with conjugation (see inverse).
+    """
     if value and value.is_scalar():
         return scalar_mul(1 / value.scalar_part(), clifford_conjugation(x))
     sig = x.sig
@@ -683,9 +688,11 @@ def _inverse_given_norm(x: Multivector, value: Multivector) -> Multivector:
         return _faddeev_leverrier_inverse(x)
     regular = Signature(sig.p, sig.q)
     limit = 1 << regular.n
-    a = Multivector._scaled(regular, {m: v for m, v in x._ints.items() if m < limit}, x._scale)
+    a, a_norm = (
+        Multivector._scaled(regular, {m: v for m, v in z._ints.items() if m < limit}, z._scale) for z in (x, value)
+    )
     try:
-        a_inverse = inverse(a)
+        a_inverse = _inverse_given_norm(a, a_norm)
     except NotInvertible:
         raise NotInvertible("element has no inverse modulo the null generators") from None
     y = Multivector._scaled(sig, a_inverse._ints, a_inverse._scale)

@@ -17,8 +17,14 @@ coordinate at the end.
 Membership forms those images only where a theorem does not decide first: a
 nonzero scalar norm on a regular signature puts x in the group exactly when
 its blades are all even or all odd if n <= 5, and rules out mixed parity at
-any n.  The images still run for a homogeneous x at n >= 6 and for every
-candidate when s > 0 (see membership for the proof).
+any n.  When s > 0, the map pi that sends each null generator to 0 is an
+algebra map onto Cl(p,q) that commutes with the involutions, maps V onto
+V(p,q) and keeps invertibility, so pi(x^ * v * x^-1) = pi(x)^ * pi(v) *
+pi(x)^-1 puts pi(x) in Gamma(p,q) whenever x is in Gamma(p,q,s).  Then
+pi(N(x)) = N(pi(x)) is a nonzero scalar and pi(x) has one parity; a
+candidate that fails either is out, read off the N already formed.  The
+images still run for a homogeneous x at n >= 6 and for every other
+candidate when s > 0 (see membership for the proofs).
 
 Lifts are projective: the twisted adjoint is unchanged under rescaling, so a
 lift is rescaled onto norm +-1 only when that is possible inside the
@@ -180,7 +186,8 @@ def membership(x: Multivector) -> Membership:
     suffices); in Pin iff also its norm is +1 or -1; in Spin iff also even.
     N = 0 makes x a zero divisor.  A non-scalar N rules x out when s = 0
     (Lounesto, 2001) but not when s > 0 (1 - e123 in Cl(0,0,3)): only then
-    does the inverse run, from the N already formed, on its numerators.
+    does the inverse run, from the N already formed, on its numerators, and
+    only for a candidate that passes the quotient rule below.
 
     A nonzero scalar N = x * conjugate(x) = lambda gives x^-1 = conjugate(x) / N.
     When s = 0 the parity of the blades of x decides without an image:
@@ -188,7 +195,8 @@ def membership(x: Multivector) -> Membership:
     - (=>) On a regular form the twisted adjoint of a group element is an
       isometry, so by Cartan-Dieudonne it equals that of a product of
       anisotropic vectors w; ker rho is the nonzero scalars, so x is a scalar
-      times w and is even or odd.  Mixed parity puts x outside, at any n.
+      c times w and is even or odd, and N = c^2 * N(w) is a nonzero scalar.
+      Mixed parity puts x outside, at any n.
     - (<=) Let x be even or odd, so grade_involution(x) = eps*x with
       eps = +-1.  For a vector v, y = x^ * v * conjugate(x) / lambda is odd,
       and conjugate(y) = x * (-v) * eps*conjugate(x) / lambda = -y, so y lies
@@ -202,10 +210,40 @@ def membership(x: Multivector) -> Membership:
     and for s > 0 mixed parity is no bar (1 + e1 in Cl(0,0,1)).  There, with
     X the integer numerators of x, stability is read off the integer
     products X^ * e_i * conjugate(X), a nonzero multiple of rho_x(e_i).
+
+    When s > 0 the quotient by the null generators decides first.  Let
+    pi: Cl(p,q,s) -> Cl(p,q) keep the blades below 1 << (p+q) and drop the
+    rest.  The blades that hold a null generator span a two-sided ideal J
+    with J^(s+1) = 0, and Cl(p,q) is a subalgebra complementing it, so pi
+    is the quotient map onto Cl(p,q), an algebra map.  It keeps each
+    remaining blade and its grade, so it commutes with the grade involution
+    and with conjugation, and it maps V onto V(p,q) with pi(w) = w there.
+    As J is nilpotent, x is invertible exactly when pi(x) is
+    (core_algebra.inverse), and then pi(x^-1) = pi(x)^-1.
+
+    - pi(Gamma(p,q,s)) lies in Gamma(p,q): for x in the group and w in
+      V(p,q), v = x^ * w * x^-1 lies in V, so
+      pi(x)^ * w * pi(x)^-1 = pi(v) lies in V(p,q).
+    - By (=>) above, pi(x) then has a nonzero scalar norm and one parity,
+      and pi(N(x)) = pi(x) * pi(conjugate(x)) = N(pi(x)).  So a nonzero N
+      whose blades below 1 << (p+q) are not a nonzero scalar, or an x whose
+      blades there mix parities, rules x out with no product and no image.
+    - When the rule passes, pi(x) is invertible, so x is, and the images
+      decide: with conjugate(X) when N is a nonzero scalar, else with the
+      numerators of x^-1, inverted from the N already formed.  Candidates
+      that pass and lie outside reach them:
+      (-2*e145 + e236) * (1 + e7) in Cl(3,3,1) has N = -3, and its quotient
+      is the n = 6 example above.
     """
     value = norm(x)
     n_value = value.scalar_part() if value.is_scalar() else None
     sig = x.sig
+    limit = 1 << (sig.p + sig.q)
+    if sig.s and value and (
+        {mask for mask in value._ints if mask < limit} != {0}
+        or len({mask.bit_count() & 1 for mask in x._ints if mask < limit}) != 1
+    ):
+        return Membership(False, False, False, n_value)  # pi(x) is outside Gamma(p,q)
     group = False
     parities = None
     y = None
@@ -215,10 +253,7 @@ def membership(x: Multivector) -> Membership:
         if sig.s or (group and sig.n > 5):
             y = _involuted(x._ints, "conjugate")
     elif n_value is None and sig.s:
-        try:
-            y = _inverse_given_norm(x, value)._ints
-        except NotInvertible:
-            pass
+        y = _inverse_given_norm(x, value)._ints
     if y is not None:
         group = all(_off_vector(image) is None for image in _twisted_images(x._ints, y, sig))
     pin = group and n_value in (1, -1)

@@ -13,6 +13,9 @@ argv in text, --json, --approx and --json --approx:
     signature with n <= 4;
   - blade names on both sides of n = 9 and up to n = 16: idempotents and
     eval at n = 9, 10 and 16;
+  - check of a dense Cl(4,4,1) element and of (-2*e145 + e236)*(1 + e7) in
+    Cl(3,3,1): a quotient by the null generator outside the group, and one
+    inside Gamma(3,3)'s norm and parity rule that the images rule out;
   - the nesting limit (100 and 101 levels) and the coefficient budget
     (2^8191, 2^8192, an 8192-bit and an 8193-bit scale);
   - the argvs of the golden files in tests/golden.
@@ -151,6 +154,8 @@ def corpus() -> list:
             ["eval", "--sig", sig, "--", f"(1 + {_name(1 | 1 << (n - 1), n)}) * ({_element([2, 3, 1 << (n - 1)], n)})"],
         ]
     bases += [
+        ["check", "--sig", "4,4,1", "--", _element(range(1 << 9), 9)],
+        ["check", "--sig", "3,3,1", "--", "(-2*e145 + e236)*(1 + e7)"],
         ["idempotents", "--cap", "16", "--sig", "8,8"],
         ["eval", "--cap", "16", "--sig", "8,8", "--", _element(range(1, 1 << 16, 331), 16)],
     ]

@@ -325,11 +325,20 @@ class TestCheck:
 
     @pytest.mark.parametrize(
         "sig, element",
-        [("2,0", "1+e1"), ("3,0", "1+e1+e23"), ("1,3", "1+e2+e134"), ("0,6", "1+e1")],
+        [
+            ("2,0", "1+e1"),
+            ("3,0", "1+e1+e23"),
+            ("1,3", "1+e2+e134"),
+            ("0,6", "1+e1"),
+            ("2,1,1", "1+e1+e23"),
+            ("2,0,2", "e1+e2+e3+e12"),
+        ],
     )
     def test_non_group_element_forms_norm_only(self, capsys, monkeypatch, sig, element):
         # on a regular form N that is zero or not a scalar rules x out, and so
-        # does mixed parity at any n (N = 2 for 1 + e1 in Cl(0,6))
+        # does mixed parity at any n (N = 2 for 1 + e1 in Cl(0,6)); when s > 0
+        # so does a quotient by the null generators outside Gamma(p,q), here
+        # of mixed parity, with no inverse and no image
         counts = count_membership_products(monkeypatch)
         payload = run_json(capsys, ["check", "--sig", sig, "--json", element])
         assert counts == [1]

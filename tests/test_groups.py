@@ -54,6 +54,7 @@ from support import (
     reference_evaluate_form,
     reference_mat_mul,
     reference_membership,
+    reference_product,
     reference_reflection_matrix,
     reference_twisted_adjoint,
 )
@@ -216,17 +217,62 @@ def count_norms(monkeypatch):
     return calls
 
 
+def quotient(x: Multivector) -> Multivector:
+    """pi(x) in Cl(p,q): the blades of x free of null generators."""
+    sig = x.sig
+    limit = 1 << (sig.p + sig.q)
+    return Multivector(Signature(sig.p, sig.q), {mask: value for mask, value in x.terms() if mask < limit})
+
+
+@st.composite
+def quotient_outside_cases(draw):
+    """Elements of Cl(p,q,s) with s > 0, p+q > 0 and n <= 5 whose quotient pi(x) is outside Gamma(p,q).
+
+    Forms: a dense element with every coefficient nonzero, so pi(x) has
+    blades of both parities; a sum of an even and an odd blade free of null
+    generators; and d * (1 +- u) with d the even part of a dense element
+    and u != 1 a blade free of null generators with u^2 = 1, so pi(x) is a
+    zero divisor, of one parity when u is even.  The last two add up to
+    three blades that hold a null generator.  Each has N = 0, or an N whose
+    part free of null generators is not a nonzero scalar, or mixed parity
+    there.
+    """
+    sig = draw(st.sampled_from([s for s in all_signatures(5) if s.s and s.p + s.q]))
+    dim, limit = 1 << sig.n, 1 << (sig.p + sig.q)
+    form = draw(st.sampled_from(["dense", "mixed parity", "zero divisor"]))
+    units = [m for m in range(1, limit) if blade_mul(m, m, sig)[0] == 1]
+    dense = Multivector(sig, dict(enumerate(draw(st.lists(small_fractions().filter(bool), min_size=dim, max_size=dim)))))
+    masks = draw(st.lists(st.sampled_from(range(limit, dim)), max_size=3, unique=True))
+    values = draw(st.lists(small_fractions().filter(bool), min_size=len(masks), max_size=len(masks)))
+    radical = Multivector(sig, dict(zip(masks, values)))
+    if form == "mixed parity":
+        even = draw(st.sampled_from([m for m in range(limit) if m.bit_count() % 2 == 0]))
+        odd = draw(st.sampled_from([m for m in range(limit) if m.bit_count() % 2]))
+        c, d = draw(st.lists(small_fractions().filter(bool), min_size=2, max_size=2))
+        return Multivector(sig, {even: c, odd: d}) + radical
+    if form == "zero divisor" and units:
+        # for u of grade 2 mod 4, N(pi(x)) = 0 while the radical part keeps N nonzero
+        u = Multivector.basis_blade(sig, draw(st.sampled_from(units)), draw(st.sampled_from([1, -1])))
+        even = Multivector(sig, {mask: value for mask, value in dense.terms() if mask.bit_count() % 2 == 0})
+        return geometric_product(even, Multivector.one(sig) + u) + radical
+    return dense
+
+
 @st.composite
 def membership_cases(draw):
     """Elements of every Cl(p,q,s) with n <= 5, degenerate ones included.
 
     Kinds: a versor (product of up to three random vectors), a null vector,
-    a zero divisor x * (1 +- u) with u^2 = 1, a dense element, and a versor
-    times 1 + c*m.  For the last, s > 0 and m is a product of at least
-    min(s, 3) null generators; from three of them on N is not a scalar, yet
-    the element is often in the group.
+    a zero divisor x * (1 +- u) with u^2 = 1, a dense element, a versor
+    times 1 + c*m, and a degenerate element whose quotient by the null
+    generators is outside the group (quotient_outside_cases).  For the
+    versor times 1 + c*m, s > 0 and m is a product of at least min(s, 3)
+    null generators; from three of them on N is not a scalar, yet the
+    element is often in the group.
     """
-    kind = draw(st.sampled_from(["versor", "null vector", "zero divisor", "unipotent", "dense"]))
+    kind = draw(st.sampled_from(["versor", "null vector", "zero divisor", "unipotent", "dense", "quotient outside"]))
+    if kind == "quotient outside":
+        return draw(quotient_outside_cases())
     sigs = all_signatures(5)
     if kind == "unipotent":
         sigs = [s for s in sigs if s.s]
@@ -322,15 +368,63 @@ class TestMembership:
         assert facts.in_clifford_group and facts.n_value is None
 
     def test_degenerate_path_forms_each_norm_once(self, monkeypatch):
-        # N of 1 - e123, then N of its part 1 in Cl(0,0) inside the inverse
+        # N of 1 - e123 only: the inverse takes the N of its part 1 in
+        # Cl(0,0) from the blades of that N free of null generators
         calls = count_norms(monkeypatch)
         x = Multivector(Signature(0, 0, 3), {0: 1, 0b111: -1})
         assert membership(x).in_clifford_group
-        assert calls == [2]
+        assert calls == [1]
         calls[0] = 0
         with pytest.raises(NotInGroup):
             GroupElement.from_multivector(x)
+        assert calls == [1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(quotient_outside_cases())
+    @example(Multivector(Signature(1, 1, 1), {0: 1, 0b011: 1, 0b111: 1}))  # N = 2*e123, pi(x) = 1 + e12 has N = 0
+    def test_quotient_outside_forms_norm_only(self, x):
+        # pi(Gamma(p,q,s)) lies in Gamma(p,q): the N already formed rules x
+        # out, with no inverse and no twisted image
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_products(patch)
+            facts = membership(x)
+        assert calls == [1]
+        assert not facts.in_clifford_group
+        assert (facts.in_clifford_group, facts.in_pin, facts.in_spin, facts.n_value) == reference_membership(x)
+
+    def test_quotient_inside_yet_outside_the_group(self, monkeypatch):
+        # pi(x) = -2*e145 + e236 has N = -3 and one parity, so the rule
+        # passes; x is outside, as pi(x) is in Cl(3,3), and the images decide:
+        # N, then the image of e1, which leaves V
+        sig = Signature(3, 3, 1)
+        x = geometric_product(Multivector(sig, {0b011001: -2, 0b100110: 1}), Multivector(sig, {0: 1, 1 << 6: 1}))
+        calls = count_products(monkeypatch)
+        facts = membership(x)
+        monkeypatch.undo()
         assert calls == [2]
+        assert (facts.in_clifford_group, facts.n_value) == (False, -3)
+        assert (facts.in_clifford_group, facts.in_pin, facts.in_spin, facts.n_value) == reference_membership(x)
+
+
+class TestQuotient:
+    """pi: Cl(p,q,s) -> Cl(p,q), each null generator sent to 0, is an algebra map that keeps the norm."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_algebra_map_keeps_norm(self, data):
+        sig = data.draw(st.sampled_from([s for s in all_signatures(6) if 1 <= s.s <= 3]))
+        blades = st.lists(st.sampled_from(range(1 << sig.n)), max_size=12, unique=True)
+
+        def element():
+            masks = data.draw(blades)
+            values = data.draw(st.lists(small_fractions(), min_size=len(masks), max_size=len(masks)))
+            return Multivector(sig, dict(zip(masks, values)))
+
+        x, y = element(), element()
+        assert quotient(reference_product(x, y)) == reference_product(quotient(x), quotient(y))
+        expected = reference_product(quotient(x), clifford_conjugation(quotient(x)))
+        assert quotient(reference_product(x, clifford_conjugation(x))) == expected
+        assert quotient(norm(x)) == expected
 
 
 class TestTwistedAdjointMatrix:
