@@ -79,7 +79,10 @@ class ScaledMatrix:
 
     @classmethod
     def identity(cls, n) -> "ScaledMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        rows = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = 1
+        return cls(rows)
 
     def least(self) -> "ScaledMatrix":
         """The same value over the least scale, s / gcd(s, A_1, A_2, ...); self when that is s."""
@@ -120,10 +123,17 @@ class ScaledMatrix:
         )
 
     def __eq__(self, other) -> bool:
-        """A / s == B / t read as A t == B s, stopping at the first unequal entry."""
+        """A / s == B / t read as A t == B s, stopping at the first unequal entry; A == B when s == t.
+
+        Rows may be lists or tuples (BilinearForm._ints holds tuples), so
+        equal scales compare the rows as tuples.
+        """
         if not isinstance(other, ScaledMatrix):
             return NotImplemented
         s, t = self.scale, other.scale
+        if s == t:
+            rows = map(operator.eq, map(tuple, self.rows), map(tuple, other.rows))
+            return len(self.rows) == len(other.rows) and all(rows)
         return len(self.rows) == len(other.rows) and all(
             len(a) == len(b) and all(x * t == y * s for x, y in zip(a, b))
             for a, b in zip(self.rows, other.rows)

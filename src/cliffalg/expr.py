@@ -33,22 +33,25 @@ ASCII digits, ASCII whitespace between tokens, at most MAX_LITERAL_DIGITS
 digits per literal and at most 3 per braced index; only the first term may
 go without a sign, and it may not carry "+".  Any other text, a zero
 denominator, an index outside 1..n or the digit form past 9 generators
-make it return None, and the tokenizer and the general reader below read
-the text instead; they are the only source of errors.  The monomial reader
+make it return None, and the general reader below reads the text
+instead; it is the only source of errors.  The monomial reader
 cannot raise: its literals pass the coefficient budget, and the general
 reader checks no budget on a sum.  It builds the same value, in the same
 key order.
 
-The general reader, _evaluate, is one loop over the tokens with an explicit
-stack of frames, one per open parenthesis or function call: the terms so
-far, the product so far, the sign of the next term and the pending unary
-minuses.  It does the work of the grammar above at the same tokens as a
-recursive descent would, so it cannot change what is evaluated when: a
-product is formed, and its budget checked, as soon as its right factor is
-complete; "^" applies to the atom before the pending unary minuses; a term
-is complete when the next token is not "*"; a frame closes at its ")" and
-adds its terms then.  A sum cannot raise, so adding the terms at the close
-rather than one by one changes no error.
+The general reader, _evaluate, takes the token strings from one scan,
+_TOKEN.findall, and reads each token's kind off its first character; an
+error scans again up to its token for the character position.  It is one
+loop over the token strings with an explicit stack of frames, one per open
+parenthesis or function call: the terms so far, the product so far, the
+sign of the next term and the pending unary minuses.  It does the work of
+the grammar above at the same tokens as a recursive descent would, so it
+cannot change what is evaluated when: a product is formed, and its budget
+checked, as soon as its right factor is complete; "^" applies to the atom
+before the pending unary minuses; a term is complete when the next token is
+not "*"; a frame closes at its ")" and adds its terms then.  A sum cannot
+raise, so adding the terms at the close rather than one by one changes no
+error.
 
 Limits: nesting (parentheses, function calls, unary minus) deeper than
 MAX_NESTING_DEPTH and integer literals longer than MAX_LITERAL_DIGITS are
@@ -64,8 +67,8 @@ is malformed further on ("2^9000 )"; "e1^2 )" is a ParseError).
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import NamedTuple
 
 from .core_algebra import (
     MAX_LITERAL_DIGITS,
@@ -97,64 +100,52 @@ FUNCTIONS = {
     "N": norm,
 }
 
-_SYMBOLS = set("+-*/^(){},")
-
 # Parentheses, function calls and unary minus each nest one level.  The
 # reader keeps its own stack, so this no longer guards the Python stack; it
 # stays as the documented input limit (README, test_cli.py).
 MAX_NESTING_DEPTH = 100
 
-
-class Token(NamedTuple):
-    kind: str  # "number", "name", "symbol", "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        # isdecimal is exactly what int() reads: "²" is no digit here
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("number", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
-            tokens.append(Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token("symbol", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", len(text)))
-    return tokens
+# One match per token: decimal digits, a name, a symbol or any other visible
+# character.  re's Unicode classes: \d is str.isdecimal, what int() reads
+# ("²" is no digit), [^\W_] is str.isalnum (\w adds "_"), and findall skips
+# what \S leaves out, exactly the characters str.isspace accepts.
+_TOKEN = re.compile(r"\d+|[^\W\d_][^\W_]*|[-+*/^(){},]|\S")
+# a character that is not whitespace, a letter, a digit or a symbol
+_OUTSIDE = re.compile(r"[^\s\w+\-*/^(){},]|_")
 
 
-def _integer(text: str, pos: int) -> int:
-    if len(text) > MAX_LITERAL_DIGITS:
-        raise ParseError(f"number has more than {MAX_LITERAL_DIGITS} digits", pos)
-    return int(text)
+def _outside(text: str) -> int | None:
+    r"""The position of the first character outside the token set, or None.
+
+    A name starts with a letter (str.isalpha), but [^\W\d_] also matches
+    numerals that are no letters, such as "²", "½" and "Ⅷ"; ASCII text has
+    none, and other text checks the first character of each token for them.
+    """
+    found = _OUTSIDE.search(text)
+    end = found.start() if found else len(text)
+    if not text.isascii():
+        for match in _TOKEN.finditer(text, 0, end):
+            first = match[0][0]
+            if first.isnumeric() and not first.isdecimal() and not first.isalpha():
+                return match.start()
+    return end if found else None
 
 
-def _expected(symbol: str, token: Token) -> ParseError:
-    return ParseError(f"expected {symbol!r}, found {token.text!r}", token.pos)
+def _error(message: str, text: str, index: int) -> ParseError:
+    """A ParseError at token index of text; the scan runs again to find its position, len(text) at the end."""
+    match = next(itertools.islice(_TOKEN.finditer(text), index, None), None)
+    return ParseError(message, len(text) if match is None else match.start())
 
 
-def _too_deep(pos: int) -> ParseError:
-    return ParseError(f"expression nests deeper than {MAX_NESTING_DEPTH} levels", pos)
+def _integer(text: str, tokens: list[str], index: int) -> int:
+    digits = tokens[index]
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise _error(f"number has more than {MAX_LITERAL_DIGITS} digits", text, index)
+    return int(digits)
+
+
+def _expected(symbol: str, text: str, tokens: list[str], index: int) -> ParseError:
+    return _error(f"expected {symbol!r}, found {tokens[index]!r}", text, index)
 
 
 def _blade_word(indices, negative_mask: int, zero_mask: int) -> tuple[int, int]:
@@ -174,22 +165,28 @@ def _blade_word(indices, negative_mask: int, zero_mask: int) -> tuple[int, int]:
     return sign, mask
 
 
-def _evaluate(tokens: list[Token], sig: Signature) -> Multivector:
-    """The value of a token list, read in one loop with an explicit stack of frames.
+def _evaluate(text: str, sig: Signature) -> Multivector:
+    """The value of text, read in one loop over its token strings with an explicit stack of frames.
 
-    The open frame is a parenthesis, a function call or the whole text.  It
-    holds its terms so far, the product so far, the sign of the next term,
-    the pending unary minuses and its opener; a "(" or "fn(" pushes it and
-    the matching ")" pops it.  Values are Multivectors: a literal is
-    Multivector._scaled of its numerator over its denominator, a blade its
-    sign, and minus, "^" and functions are the Multivector operations.  A
-    scalar factor rescales the other one; any other product is
-    geometric_product, checked against the budget.  At its close a frame
-    returns a single term as it is and passes several to core_algebra._sum
-    once, which keeps add's key order.  The loop evaluates in the grammar's
-    order (see the module docstring), so every error and every key order is
-    the same.
+    A character outside the token set raises before anything is evaluated.
+    The empty string ends _TOKEN.findall's tokens.  The open frame is a
+    parenthesis, a function call or the whole text.  It holds its terms so
+    far, the product so far, the sign of the next term, the pending unary
+    minuses and its opener; a "(" or "fn(" pushes it and the matching ")"
+    pops it.  Values are Multivectors: a literal is Multivector._scaled of
+    its numerator over its denominator, a blade its sign, and minus, "^"
+    and functions are the Multivector operations.  A scalar factor
+    rescales the other one; any other product is geometric_product,
+    checked against the budget.  At its close a frame returns a single term
+    as it is and passes several to core_algebra._sum once, which keeps
+    add's key order.  The loop evaluates in the grammar's order (see the
+    module docstring), so every error and every key order is the same.
     """
+    bad = _outside(text)
+    if bad is not None:
+        raise ParseError(f"unexpected character {text[bad]!r}", bad)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of the text
     n = sig.n
     negative_mask = _negative_mask(sig)
     zero_mask = _zero_mask(sig)
@@ -199,84 +196,78 @@ def _evaluate(tokens: list[Token], sig: Signature) -> Multivector:
     index = 0
     while True:
         # a factor starts here: unary minuses, an opener or an atom
-        kind, text, pos = tokens[index]
+        token = tokens[index]
         index += 1
-        if text == "-":
+        if token == "-":
             if depth == MAX_NESTING_DEPTH:
-                raise _too_deep(pos)
+                raise _error(f"expression nests deeper than {MAX_NESTING_DEPTH} levels", text, index - 1)
             depth += 1
             minuses += 1
             continue
-        if text == "(" or kind == "name" and text in FUNCTIONS:
-            if text != "(":
-                token = tokens[index]
-                if token.text != "(":
-                    raise _expected("(", token)
-                pos = token.pos
+        if token == "(" or token in FUNCTIONS:
+            if token != "(":
+                if tokens[index] != "(":
+                    raise _expected("(", text, tokens, index)
                 index += 1
             if depth == MAX_NESTING_DEPTH:
-                raise _too_deep(pos)
+                raise _error(f"expression nests deeper than {MAX_NESTING_DEPTH} levels", text, index - 1)
             depth += 1
             stack.append((terms, product, negate, minuses, opener))
-            terms, product, negate, minuses, opener = [], None, False, 0, text
+            terms, product, negate, minuses, opener = [], None, False, 0, token
             continue
-        if kind == "number":
-            numerator = _integer(text, pos)
+        if token.isdecimal():
+            numerator = _integer(text, tokens, index - 1)
             denominator = 1
-            if tokens[index].text == "/":
-                kind, text, pos = tokens[index + 1]
-                if kind != "number":
-                    raise ParseError("expected denominator digits", pos)
+            if tokens[index] == "/":
                 index += 2
-                denominator = _integer(text, pos)
+                if not tokens[index - 1].isdecimal():
+                    raise _error("expected denominator digits", text, index - 1)
+                denominator = _integer(text, tokens, index - 1)
                 if not denominator:
-                    raise ParseError("zero denominator", pos)
+                    raise _error("zero denominator", text, index - 1)
             value = Multivector._scaled(sig, {0: numerator}, denominator)
-        elif kind == "name" and text[0] == "e":
-            if len(text) > 1:
-                digits = text[1:]
+        elif token[:1] == "e":
+            name = index - 1
+            if len(token) > 1:
+                digits = token[1:]
                 if not digits.isdecimal():
-                    raise ParseError(f"unknown name {text!r}", pos)
+                    raise _error(f"unknown name {token!r}", text, name)
                 if n > 9:
-                    raise ParseError(
-                        "digit blade form is ambiguous beyond 9 generators; use e{i,j,...}", pos
-                    )
+                    raise _error("digit blade form is ambiguous beyond 9 generators; use e{i,j,...}", text, name)
                 indices = [int(d) for d in digits]
             else:
                 # bare "e": braced form e{1,2,...}
                 indices = []
                 separator = tokens[index]
-                if separator.text != "{":
-                    raise _expected("{", separator)
+                if separator != "{":
+                    raise _expected("{", text, tokens, index)
                 index += 1
-                while separator.text != "}":
-                    number = tokens[index]
-                    if number.kind != "number":
-                        raise ParseError("expected generator index", number.pos)
-                    indices.append(_integer(number.text, number.pos))
+                while separator != "}":
+                    if not tokens[index].isdecimal():
+                        raise _error("expected generator index", text, index)
+                    indices.append(_integer(text, tokens, index))
                     separator = tokens[index + 1]
-                    if separator.text != "," and separator.text != "}":
-                        raise _expected("}", separator)
+                    if separator != "," and separator != "}":
+                        raise _expected("}", text, tokens, index + 1)
                     index += 2
             for i in indices:
                 if i < 1 or i > n:
-                    raise ParseError(f"generator index {i} out of range 1..{n}", pos)
+                    raise _error(f"generator index {i} out of range 1..{n}", text, name)
             sign, mask = _blade_word(indices, negative_mask, zero_mask)
             value = Multivector._scaled(sig, {mask: sign}, 1)
-        elif kind == "name":
-            raise ParseError(f"unknown name {text!r}", pos)
+        elif token.isalnum():
+            raise _error(f"unknown name {token!r}", text, index - 1)
         else:
-            raise ParseError(f"unexpected token {text!r}", pos)
+            raise _error(f"unexpected token {token!r}", text, index - 1)
 
         # an atom is complete: finish the factor, then every term, sum and
         # frame that the next token closes
         while True:
-            if tokens[index].text == "^":
-                kind, text, pos = tokens[index + 1]
-                if kind != "number":
-                    raise ParseError("exponent must be a non-negative integer", pos)
+            if tokens[index] == "^":
                 index += 2
-                value = value ** _integer(text, pos)  # checks the budget per squaring
+                if not tokens[index - 1].isdecimal():
+                    raise _error("exponent must be a non-negative integer", text, index - 1)
+                value = value ** _integer(text, tokens, index - 1)  # checks the budget per squaring
             if minuses:
                 if minuses & 1:
                     value = -value
@@ -298,25 +289,24 @@ def _evaluate(tokens: list[Token], sig: Signature) -> Multivector:
                     )
                 check_coefficient_bits(product)
             token = tokens[index]
-            text = token.text
-            if text == "*":
+            if token == "*":
                 index += 1
                 break
             # the term is complete
             terms.append(-product if negate else product)
             product = None
-            if text == "+" or text == "-":
-                negate = text == "-"
+            if token == "+" or token == "-":
+                negate = token == "-"
                 index += 1
                 break
             # the sum is complete: it ends the text or closes the open frame
             value = terms[0] if len(terms) == 1 else _sum(sig, [(t._ints, t._scale) for t in terms])
             if opener is None:
-                if token.kind != "end":
-                    raise ParseError(f"unexpected token {text!r}", token.pos)
+                if token:
+                    raise _error(f"unexpected token {token!r}", text, index)
                 return value
-            if text != ")":
-                raise _expected(")", token)
+            if token != ")":
+                raise _expected(")", text, tokens, index)
             index += 1
             if opener != "(":
                 value = FUNCTIONS[opener](value)
@@ -402,7 +392,7 @@ def parse_multivector(text: str, sig: Signature) -> Multivector:
     value = _monomial_sum(text, sig)
     if value is not None:
         return value
-    return _evaluate(_tokenize(text), sig)
+    return _evaluate(text, sig)
 
 
 # the short public name: the same function object, not a wrapper

@@ -19,7 +19,8 @@ argv in text, --json, --approx and --json --approx:
   - the nesting limit (100 and 101 levels) and the coefficient budget
     (2^8191, 2^8192, an 8192-bit and an 8193-bit scale);
   - the argvs of the golden files in tests/golden.
-Then the argparse paths of cli.run, each exactly as written: help, usage
+Then the reader edge cases of READER_TEXTS, in text and --json mode only,
+and the argparse paths of cli.run, each exactly as written: help, usage
 errors, abbreviated and repeated options, "--", an unknown command, an
 option before the command and a trailing extra argument.
 
@@ -98,6 +99,38 @@ ARGPARSE_ARGVS = (
     ["--version"],
 )
 
+# (signature, eval text) through the general reader: each of its ParseError
+# messages once, Unicode digits and whitespace, "_", numerals that are no
+# digits, non-ASCII names and a trailing "\x1c", which is whitespace
+READER_TEXTS = (
+    ("2,0", "1 + $"),
+    ("2,0", "1" * 2458),
+    ("2,0", "rev 1"),
+    ("2,0", "e 1"),
+    ("2,0", "e{1 2}"),
+    ("2,0", "(e1"),
+    ("2,0", "-" * 101 + "e1"),
+    ("2,0", "1/e1"),
+    ("2,0", "1/0"),
+    ("2,0", "foo"),
+    ("10,0", "e1 + 1/2"),
+    ("2,0", "e{}"),
+    ("2,0", "e3"),
+    ("2,0", "e1)"),
+    ("2,0", "e1^-1"),
+    ("2,0", "٣*e1 - e١٢"),
+    ("2,0", "e{١,2} + ٣/٤"),
+    ("2,0", "1\u3000+\u00a0e1\u2028"),
+    ("2,0", "e1 + 1\x1c"),
+    ("2,0", "e1_2"),
+    ("2,0", "1²"),
+    ("2,0", "e²"),
+    ("2,0", "e1 + ½"),
+    ("2,0", "Ⅷ*e1"),
+    ("2,0", "é1 + e1"),
+    ("2,0", "(1 + αβ"),
+)
+
 
 def _in_every_mode(argv: list) -> list:
     """argv in each of MODES; options end where "--" starts the positionals."""
@@ -170,6 +203,10 @@ def corpus() -> list:
     for argv in bases:
         for variant in _in_every_mode(argv):
             argvs.setdefault(json.dumps(variant), variant)
+    for sig, text in READER_TEXTS:
+        for mode in ([], ["--json"]):
+            argv = ["eval", "--sig", sig, *mode, "--", text]
+            argvs.setdefault(json.dumps(argv), argv)
     for argv in ARGPARSE_ARGVS:
         argvs.setdefault(json.dumps(argv), list(argv))
     return list(argvs.values())

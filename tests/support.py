@@ -18,6 +18,7 @@ import random
 import re
 import unicodedata
 from fractions import Fraction
+from typing import NamedTuple
 
 from cliffalg import (
     BilinearForm,
@@ -51,7 +52,7 @@ from cliffalg.core_algebra import (
     _zero_mask,
     check_coefficient_bits,
 )
-from cliffalg.expr import FUNCTIONS, MAX_NESTING_DEPTH, Token
+from cliffalg.expr import FUNCTIONS, MAX_NESTING_DEPTH
 
 
 def mat_add(a, b):
@@ -485,6 +486,50 @@ def reference_value(tree, sig: Signature) -> Multivector:
     return REFERENCE_FUNCTIONS[name](reference_value(argument, sig))
 
 
+class Token(NamedTuple):
+    kind: str  # "number", "name", "symbol", "end"
+    text: str
+    pos: int
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """The tokens of text, one character at a time, as expr read them before its one-pattern scan.
+
+    A digit is str.isdecimal, what int() reads, so "²" is no digit; a name
+    is a str.isalpha character, then str.isalnum ones; whitespace is
+    str.isspace.  Any other character outside "+-*/^(){}," is a ParseError
+    at its position.  The list ends with an "end" token at len(text).
+    """
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(Token("number", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(text) and text[j].isalnum():
+                j += 1
+            tokens.append(Token("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/^(){},":
+            tokens.append(Token("symbol", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(Token("end", "", len(text)))
+    return tokens
+
+
 class _Parser:
     """The recursive-descent evaluator parse_multivector used before its one-loop reader.
 
@@ -641,12 +686,12 @@ class _Parser:
 
 
 def reference_parse(text: str, sig: Signature) -> Multivector:
-    """parse_multivector's general path as a recursive descent over expr._tokenize's tokens.
+    """parse_multivector's general path as a recursive descent over reference_tokenize's tokens.
 
     It evaluates in the same order and raises the same errors at the same
     positions, with the Python stack as its frame stack.
     """
-    parser = _Parser(expr._tokenize(text), sig)
+    parser = _Parser(reference_tokenize(text), sig)
     value = parser.parse_expr()
     trailing = parser.peek()
     if trailing.kind != "end":

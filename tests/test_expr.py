@@ -1,8 +1,9 @@
-"""Expression language: tokenizer, grammar, blade-symbol semantics,
+"""Expression language: token scan, grammar, blade-symbol semantics,
 function atoms, error positions, and the canonical printer round trip."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from support import (
     reference_blade_word,
     reference_parse,
     reference_pretty_print,
+    reference_tokenize,
     reference_value,
     render_expression,
     render_parenthesized,
@@ -366,8 +368,8 @@ class TestPrettyPrint:
 
 
 def general_parse(text, sig):
-    """parse_multivector's general path alone: tokens and the one-loop reader."""
-    return expr._evaluate(expr._tokenize(text), sig)
+    """parse_multivector's general path alone: the one-pattern scan and the one-loop reader."""
+    return expr._evaluate(text, sig)
 
 
 @st.composite
@@ -552,7 +554,7 @@ def general_texts(draw):
     text = draw(st.sampled_from([render_expression, render_parenthesized]))(tree)
     edit = draw(st.sampled_from(["none", "delete", "duplicate", "swap"]))
     if edit != "none":
-        tokens = [token.text for token in expr._tokenize(text)[:-1]]
+        tokens = expr._TOKEN.findall(text)
         i = draw(st.integers(0, len(tokens) - 1))
         if edit == "delete":
             del tokens[i]
@@ -685,3 +687,72 @@ class TestGeneralReader:
         assert value(f"{full} + {full} * {full}", S20) == 2
         assert value("-" * 100 + "e1 * " + "-" * 100 + "e1", S20) == 1
         assert value("-" * 50 + "(" * 50 + "e1" + ")" * 50 + "^2", S20) == 1
+
+
+# every code point, lone surrogates included, in ascending order
+CODE_POINTS = "".join(map(chr, range(0x110000)))
+SYMBOLS = "+-*/^(){},"
+
+
+def code_points(pattern):
+    """The code points pattern matches, in ascending order."""
+    return "".join(re.findall(pattern, CODE_POINTS))
+
+
+def code_points_where(predicate):
+    return "".join(filter(predicate, CODE_POINTS))
+
+
+@st.composite
+def unicode_texts(draw):
+    """(signature, text): up to 12 pieces, with Unicode digits, numerals
+    that are no digits, letters ("一" is also a numeral), "_" and Unicode
+    whitespace among the ASCII tokens."""
+    pieces = ["٣", "²", "½", "Ⅷ", "é", "一", "_", "\x1c", "\u3000", " ", "$", "x"]
+    pieces += ["1", "20", "0", "e", "e1", "e12", "rev", "N", *SYMBOLS]
+    sig = draw(st.sampled_from([S20, S01, Signature(1, 1, 1), S10]))
+    return sig, "".join(draw(st.lists(st.sampled_from(pieces), max_size=12)))
+
+
+class TestScan:
+    def test_classes_are_the_str_predicates(self):
+        # the scan is this one alternation of re's Unicode classes, with no re.ASCII
+        assert expr._TOKEN.pattern == r"\d+|[^\W\d_][^\W_]*|[-+*/^(){},]|\S"
+        assert not expr._TOKEN.flags & re.ASCII
+        # findall skips what \S leaves out: whitespace
+        assert code_points(r"\s") == code_points_where(str.isspace)
+        assert code_points(r"\d") == code_points_where(str.isdecimal)
+        # a name continues with letters and digits; \w also matches "_"
+        assert code_points(r"[^\W_]") == code_points_where(str.isalnum)
+        # a name starts with a letter: the class also holds 1131 numerals, which _outside reports
+        starts = code_points(r"[^\W\d_]")
+        letters = code_points_where(str.isalpha)
+        assert "".join(c for c in starts if expr._outside(c) is None) == letters
+        assert len(starts) - len(letters) == 1131
+        # every other character but whitespace and the symbols is outside the token set
+        kept = expr._OUTSIDE.sub("", CODE_POINTS)
+        assert kept == code_points_where(lambda c: c.isspace() or c.isalnum() and c != "_" or c in SYMBOLS)
+
+    def test_first_character_outside_wins(self):
+        # a numeral that is no letter before a character _OUTSIDE finds, and after it
+        assert expr._outside("e1 + ½ $") == 5
+        assert expr._outside("e1 $ ½") == 3
+        assert expr._outside("1²") == 1
+        assert expr._outside("e² + é1 + \u3000٣ \x1c") is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(unicode_texts())
+    @example((S20, "e1_2"))
+    @example((S20, "1²"))
+    @example((S20, "e² + ٣*e1\x1c"))
+    @example((S20, "(1 +\u3000é1"))
+    def test_matches_reference_on_unicode(self, case):
+        sig, text = case
+        assert outcome(parse_multivector, text, sig) == outcome(reference_parse, text, sig)
+        try:
+            reference = reference_tokenize(text)
+        except ParseError as error:
+            assert expr._outside(text) == error.position
+        else:
+            assert expr._outside(text) is None
+            assert expr._TOKEN.findall(text) == [token.text for token in reference[:-1]]

@@ -100,6 +100,43 @@ class TestToMatrix:
         assert _linalg.to_matrix([[1, Fraction(1, 2)]]) == [[Fraction(1), Fraction(1, 2)]]
 
 
+def cross_multiplied(m, other):
+    """A / s == B / t as A t == B s entry by entry, on rows of equal length, for any two scales."""
+    s, t = m.scale, other.scale
+    return len(m.rows) == len(other.rows) and all(
+        len(a) == len(b) and all(x * t == y * s for x, y in zip(a, b)) for a, b in zip(m.rows, other.rows)
+    )
+
+
+@st.composite
+def scaled_matrix_pairs(draw):
+    """Two ScaledMatrix values with list or tuple rows: the second is the first
+    as it is, at a multiple of its scale, with one entry changed, or drawn
+    afresh, so equal values, equal scales and unequal shapes all occur."""
+
+    def matrix(rows, cols):
+        entries = st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+        return draw(entries), draw(st.integers(1, 4))
+
+    def rows_of(entries):
+        row = draw(st.sampled_from([list, tuple]))
+        return [row(r) for r in entries]
+
+    entries, scale = matrix(draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    how = draw(st.sampled_from(["same", "multiple", "edit", "fresh"]))
+    if how == "same":
+        other, other_scale = entries, scale
+    elif how == "multiple":
+        k = draw(st.integers(1, 3))
+        other, other_scale = [[k * x for x in r] for r in entries], k * scale
+    elif how == "edit" and entries and entries[0]:
+        other, other_scale = [list(r) for r in entries], scale
+        other[-1][-1] += draw(st.sampled_from([-1, 1]))
+    else:
+        other, other_scale = matrix(draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    return ScaledMatrix(rows_of(entries), scale), ScaledMatrix(rows_of(other), other_scale)
+
+
 class TestScaledMatrix:
     @settings(max_examples=200, deadline=None)
     @given(matrix_pairs())
@@ -166,6 +203,17 @@ class TestScaledMatrix:
 
     def test_equality_stops_at_the_first_unequal_entry(self):
         assert ScaledMatrix([[1], [Exploding(2)]]) != ScaledMatrix([[2], [0]])
+        assert ScaledMatrix([[1], [Exploding(2)]], 2) != ScaledMatrix([[1], [0]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_matrix_pairs())
+    @example((ScaledMatrix([[1, 0], [0, 1]]), ScaledMatrix(((1, 0), (0, 1)))))
+    @example((ScaledMatrix([[1, 0]], 2), ScaledMatrix([(1, 0)], 2)))
+    @example((ScaledMatrix([[1, 0]], 2), ScaledMatrix([(1,)], 2)))
+    @example((ScaledMatrix([[]], 2), ScaledMatrix([], 2)))
+    def test_equality_is_the_cross_multiplied_rule(self, pair):
+        m, other = pair
+        assert (m == other) is (other == m) is cross_multiplied(m, other)
 
     def test_transpose(self):
         m = ScaledMatrix([[1, 2, 3], [4, 5, 6]], 7)
