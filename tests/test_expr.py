@@ -689,18 +689,7 @@ class TestGeneralReader:
         assert value("-" * 50 + "(" * 50 + "e1" + ")" * 50 + "^2", S20) == 1
 
 
-# every code point, lone surrogates included, in ascending order
-CODE_POINTS = "".join(map(chr, range(0x110000)))
 SYMBOLS = "+-*/^(){},"
-
-
-def code_points(pattern):
-    """The code points pattern matches, in ascending order."""
-    return "".join(re.findall(pattern, CODE_POINTS))
-
-
-def code_points_where(predicate):
-    return "".join(filter(predicate, CODE_POINTS))
 
 
 @st.composite
@@ -716,6 +705,15 @@ def unicode_texts(draw):
 
 class TestScan:
     def test_classes_are_the_str_predicates(self):
+        # every code point, lone surrogates included, in ascending order
+        every = "".join(map(chr, range(0x110000)))
+
+        def code_points(pattern):
+            return "".join(re.findall(pattern, every))
+
+        def code_points_where(predicate):
+            return "".join(filter(predicate, every))
+
         # the scan is this one alternation of re's Unicode classes, with no re.ASCII
         assert expr._TOKEN.pattern == r"\d+|[^\W\d_][^\W_]*|[-+*/^(){},]|\S"
         assert not expr._TOKEN.flags & re.ASCII
@@ -730,8 +728,8 @@ class TestScan:
         assert "".join(c for c in starts if expr._outside(c) is None) == letters
         assert len(starts) - len(letters) == 1131
         # every other character but whitespace and the symbols is outside the token set
-        kept = expr._OUTSIDE.sub("", CODE_POINTS)
-        assert kept == code_points_where(lambda c: c.isspace() or c.isalnum() and c != "_" or c in SYMBOLS)
+        kept = expr._OUTSIDE.sub("", every)
+        assert kept == code_points_where(lambda c: c.isspace() or c.isalnum() or c in SYMBOLS)
 
     def test_first_character_outside_wins(self):
         # a numeral that is no letter before a character _OUTSIDE finds, and after it
