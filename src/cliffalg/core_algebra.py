@@ -5,11 +5,11 @@ factor, with factors always in ascending index order.  The product of two
 blades lands on the XOR of their masks, with a sign from the transposition
 parity of interleaving the factors times the squares of shared generators.
 Every such sign comes from one kernel, _sign_masks: two masks per left
-blade, read by one AND and one popcount per right blade.  _product, the
-blade relabellings, blade_mul, multiplication_table and the expression
-reader's blade words all read them.  Coefficients are exact rationals, so
-every identity used downstream is decided exactly.  All values are
-immutable and all operations are pure.
+blade, read by one AND and one popcount per right blade.  _product,
+_sandwich, the blade relabellings, blade_mul, multiplication_table and the
+expression reader's blade words all read them.  Coefficients are exact
+rationals, so every identity used downstream is decided exactly.  All
+values are immutable and all operations are pure.
 
 A Multivector holds integer numerators over one positive scale,
 _ints[mask] / _scale, the least scale, so gcd(_scale, *_ints) = 1 and equal
@@ -21,10 +21,12 @@ parts at their least common scale, for add and the expression readers.
 Every geometric product is _product on the two integer maps, one int
 product per term pair, over the product of the scales, with each pair's
 sign read in the loop; groups, spinors and the CLI read _ints and _scale
-and run _product themselves.  The cost grows with the bit length of the
-scale, so an element whose denominators are many distinct primes adds,
-multiplies, parses and prints slower than one Fraction per coefficient
-would.
+and run _product themselves.  The one other product kernel is _sandwich,
+X * e_v * conjugate(X) from the unordered term pairs, for the norm and
+the twisted images of an even or odd element.  The cost grows with the
+bit length of the scale, so an element whose denominators are many
+distinct primes adds, multiplies, parses and prints slower than one
+Fraction per coefficient would.
 """
 
 from __future__ import annotations
@@ -503,11 +505,12 @@ def _require_same_signature(x: Multivector, y: Multivector) -> None:
 def _product(x: dict, y: dict, sig: Signature) -> dict:
     """Product of two coefficient maps; the result may hold zeros.
 
-    Every product of the library runs here on integer maps, the _ints of
-    its operands, one int product per term pair; geometric_product divides
-    by the product of the two scales once.  Each row a of x takes its
-    _sign_masks once, and each pair reads its sign from them in the loop:
-    no sign list is built per row.
+    Every product of the library but the sandwiches X * e_v * conjugate(X)
+    of _sandwich runs here on integer maps, the _ints of its operands, one
+    int product per term pair; geometric_product divides by the product of
+    the two scales once.  Each row a of x takes its _sign_masks once, and
+    each pair reads its sign from them in the loop: no sign list is built
+    per row.
     """
     neg_mask = _negative_mask(sig)
     zero_mask = _zero_mask(sig)
@@ -520,6 +523,56 @@ def _product(x: dict, y: dict, sig: Signature) -> dict:
                 continue
             mask = a ^ b
             term = -(ca * cb) if (b & flips).bit_count() & 1 else ca * cb
+            prior = acc.get(mask)
+            acc[mask] = term if prior is None else prior + term
+    return acc
+
+
+def _sandwich(x: dict, v: Blade, sig: Signature) -> dict:
+    """X * e_v * conjugate(X) for an integer map X, from the unordered term pairs; the result may hold zeros.
+
+    Write sigma(c) = +-1 for the conjugation sign of blade c, -1 on grades
+    1 and 2 mod 4.  The pair (a, b) adds X_a * sigma(b)X_b * e_a e_v e_b,
+    with e_a e_v e_b = t * e_c, c = a ^ v ^ b and t in {1, -1, 0}.
+    Conjugation reverses products, so conjugate(e_a e_v e_b) =
+    sigma(a)sigma(v)sigma(b) * e_b e_v e_a, and it is a bijection, so the
+    (a, b) and (b, a) terms vanish together.  Otherwise e_b e_v e_a =
+    sigma(a)sigma(v)sigma(b)sigma(c) * t * e_c, and the two terms add to
+    (1 + sigma(v)sigma(c)) times the (a, b) one: 0 when sigma(c) differs
+    from sigma(v), twice it when they agree.  So each a < b (in X's order)
+    counts twice when sigma(c) = sigma(v) and not at all otherwise, and
+    the diagonal a = b, landing on v, counts once: half the term pairs of
+    _product, of which about half are kept.
+
+    Row a reads its signs from the _sign_masks of a ^ v, and its left
+    factor e_a e_v = +-e_(a^v) is the term X * e_v of _times_blade (absent
+    when the two share a null generator, so the whole row vanishes); when
+    v = 0 that factor is X_a itself.
+    """
+    neg_mask = _negative_mask(sig)
+    zero_mask = _zero_mask(sig)
+    keep = (v.bit_count() + 1) & 2  # 2 when sigma(v) = -1
+    terms = list(_involuted(x, "conjugate").items())
+    rows = _times_blade(x, v, sig) if v else x
+    acc: dict = {}
+    for i, (a, ca) in enumerate(terms):
+        row = a ^ v
+        left = rows.get(row)
+        if left is None:
+            continue
+        flips, null = _sign_masks(row, neg_mask, zero_mask)
+        if not a & null:
+            term = -(left * ca) if (a & flips).bit_count() & 1 else left * ca
+            prior = acc.get(v)
+            acc[v] = term if prior is None else prior + term
+        left *= 2
+        for b, cb in terms[i + 1 :]:
+            if b & null:
+                continue
+            mask = row ^ b
+            if (mask.bit_count() + 1) & 2 != keep:
+                continue
+            term = -(left * cb) if (b & flips).bit_count() & 1 else left * cb
             prior = acc.get(mask)
             acc[mask] = term if prior is None else prior + term
     return acc
@@ -635,9 +688,14 @@ def norm(x: Multivector) -> Multivector:
     """The full product x * conjugate(x).
 
     A multivector in general; a nonzero scalar when x lies in the
-    Clifford-Lipschitz group of a regular form.
+    Clifford-Lipschitz group of a regular form.  It is _sandwich(X, 0) over
+    scale^2 for X = x._ints: conjugation reverses products, so
+    conjugate(e_a * conjugate(e_b)) = e_b * conjugate(e_a), and the (a, b)
+    and (b, a) terms cancel on the blades that conjugation negates and are
+    equal on the rest.  Only the unordered pairs landing on grades 0 and 3
+    mod 4 are multiplied, once each.
     """
-    return geometric_product(x, clifford_conjugation(x))
+    return Multivector._scaled(x.sig, _sandwich(x._ints, 0, x.sig), x._scale * x._scale)
 
 
 def embed_vector(coords, sig: Signature) -> Multivector:

@@ -12,7 +12,13 @@ numerators X = x._ints: grade_involution(X) * e_i is the relabelling e_i * X
 product with the numerators of the inverse (or with conjugate(X) when the
 norm is a scalar) gives a multiple of rho_x(e_i).  twisted_adjoint_matrix
 keeps those integers, and twisted_adjoint_apply builds one Fraction per
-coordinate at the end.
+coordinate at the end.  For an even or odd X, X^ = eps*X with eps = +-1,
+so the image with conjugate(X) is eps * X * e_i * conjugate(X), a sandwich
+like the norm X * conjugate(X).  Conjugation reverses products, so it maps
+the (a, b) term of a sandwich X * e_v * conjugate(X) onto the (b, a) one,
+up to the conjugation signs of e_v and of the target blade:
+core_algebra._sandwich forms each unordered pair once, and keeps it
+(doubled) only where those signs agree.
 
 Membership forms those images only where a theorem does not decide first: a
 nonzero scalar norm on a regular signature puts x in the group exactly when
@@ -121,13 +127,29 @@ def _hat_times_generator(x: dict, i: int, sig: Signature) -> dict:
     return {t: c if t & g else -c for t, c in _blade_times(g, x, sig).items()}
 
 
-def _twisted_images(x: dict, y: dict, sig: Signature):
+def _twisted_images(x: dict, y: dict | None, sig: Signature):
     """X^ * e_i * Y for each generator in turn, as integer maps that may hold zeros.
 
     For X = s*x and Y = t*x^-1 each image is s*t*rho_x(e_i); for
     Y = conjugate(X) = s*N*x^-1 it is s*s*N*rho_x(e_i).  Every stability
     decision and matrix of the library is read from these.
+
+    y = None stands for Y = conjugate(X) with X even or odd.  Then
+    X^ = eps*X, eps = -1 for odd X, so each image is
+    eps * X * e_i * conjugate(X), from core_algebra._sandwich: conjugation
+    reverses products, so conjugate(e_a * e_i * conjugate(e_b)) =
+    -e_b * e_i * conjugate(e_a), and the (a, b) and (b, a) terms cancel on
+    the grades 0 and 3 mod 4 and are equal on the rest.  Only the unordered
+    pairs landing on grades 1 and 2 mod 4 are multiplied, once each.  Every
+    other Y, and a conjugate(X) of mixed parity, runs on
+    core_algebra._product.
     """
+    if y is None:
+        odd = next(iter(x)).bit_count() & 1
+        for i in range(sig.n):
+            image = core_algebra._sandwich(x, 1 << i, sig)
+            yield {mask: -value for mask, value in image.items()} if odd else image
+        return
     for i in range(sig.n):
         yield core_algebra._product(_hat_times_generator(x, i, sig), y, sig)
 
@@ -209,7 +231,9 @@ def membership(x: Multivector) -> Membership:
     the rule fails (-2*e145 + e236 in Cl(3,3) has N = -3 and is outside),
     and for s > 0 mixed parity is no bar (1 + e1 in Cl(0,0,1)).  There, with
     X the integer numerators of x, stability is read off the integer
-    products X^ * e_i * conjugate(X), a nonzero multiple of rho_x(e_i).
+    products X^ * e_i * conjugate(X), a nonzero multiple of rho_x(e_i):
+    eps * X * e_i * conjugate(X) from half the term pairs when x is even or
+    odd (_twisted_images), a full product when its parity is mixed.
 
     When s > 0 the quotient by the null generators decides first.  Let
     pi: Cl(p,q,s) -> Cl(p,q) keep the blades below 1 << (p+q) and drop the
@@ -246,16 +270,18 @@ def membership(x: Multivector) -> Membership:
         return Membership(False, False, False, n_value)  # pi(x) is outside Gamma(p,q)
     group = False
     parities = None
-    y = None
+    images = None
     if n_value:
         parities = {mask.bit_count() & 1 for mask in x._ints}
         group = len(parities) == 1
-        if sig.s or (group and sig.n > 5):
-            y = _involuted(x._ints, "conjugate")
+        if group and (sig.s or sig.n > 5):
+            images = _twisted_images(x._ints, None, sig)
+        elif sig.s:
+            images = _twisted_images(x._ints, _involuted(x._ints, "conjugate"), sig)
     elif n_value is None and sig.s:
-        y = _inverse_given_norm(x, value)._ints
-    if y is not None:
-        group = all(_off_vector(image) is None for image in _twisted_images(x._ints, y, sig))
+        images = _twisted_images(x._ints, _inverse_given_norm(x, value)._ints, sig)
+    if images is not None:
+        group = all(_off_vector(image) is None for image in images)
     pin = group and n_value in (1, -1)
     spin = pin and parities == {0}
     return Membership(group, pin, spin, n_value)

@@ -9,13 +9,15 @@ argv in text, --json, --approx and --json --approx:
     perfbench/workloads.build makes them;
   - idempotents, ideal, ideal --faithful, rep e1 and center on every regular
     signature with n <= 6;
-  - table, and eval of a dense element and of its square, on every
-    signature with n <= 4;
+  - table, and eval of a dense element, of its square and of its norm
+    N(...), on every signature with n <= 4;
   - blade names on both sides of n = 9 and up to n = 16: idempotents and
     eval at n = 9, 10 and 16;
   - check of a dense Cl(4,4,1) element and of (-2*e145 + e236)*(1 + e7) in
     Cl(3,3,1): a quotient by the null generator outside the group, and one
     inside Gamma(3,3)'s norm and parity rule that the images rule out;
+  - check of the even and odd members and non-members of CHECK_TEXTS, at
+    n = 6 and 7, which the twisted images decide;
   - the nesting limit (100 and 101 levels) and the coefficient budget
     (2^8191, 2^8192, an 8192-bit and an 8193-bit scale);
   - the argvs of the golden files in tests/golden.
@@ -99,6 +101,24 @@ ARGPARSE_ARGVS = (
     ["--version"],
 )
 
+# (signature, check text): an even and an odd member, each a product of
+# anisotropic vectors, and an even and an odd non-member with a scalar norm,
+# at n = 6 and 7, regular and with a null generator
+CHECK_TEXTS = (
+    ("3,3", "(e1 + 2*e4)*(e2 + e3 - e5)*(e3 + 2*e6)*(2*e1 - e2 + e6)"),
+    ("3,3", "(e1 + 2*e4)*(e2 + e3 - e5)*(e3 + 2*e6)"),
+    ("3,3", "-e1245 - 2*e36"),
+    ("3,3", "-2*e145 + e236"),
+    ("4,3", "(e1 + 2*e5 + e7)*(e2 + e3 - e6)*(e4 + 3*e7)*(2*e1 - e2 + e6)"),
+    ("4,3", "(e1 + 2*e5 + e7)*(e2 + e3 - e6)*(e4 + 2*e7)"),
+    ("4,3", "-e123456 - 2*e37"),
+    ("4,3", "-2*e147 + 2*e23567"),
+    ("4,2,1", "(e1 + 2*e5 + e7)*(e2 + e3 - e6)*(e4 + 3*e7)*(2*e1 - e2 + e6)"),
+    ("4,2,1", "(e1 + 2*e5 + e7)*(e2 + e3 - e6)*(e4 - e7)"),
+    ("4,2,1", "2*e12 + 2*e1237 - 2*e3467"),
+    ("4,2,1", "-2*e126 - e347"),
+)
+
 # (signature, eval text) through the general reader: each of its ParseError
 # messages once, Unicode digits and whitespace, "_", numerals that are no
 # digits, non-ASCII names and a trailing "\x1c", which is whitespace
@@ -178,6 +198,7 @@ def corpus() -> list:
                 ["table", "--sig", sig],
                 ["eval", "--sig", sig, "--", dense],
                 ["eval", "--sig", sig, "--", f"({dense})^2"],
+                ["eval", "--sig", sig, "--", f"N({dense})"],
             ]
     for sig in ("5,4", "4,4,1", "5,5", "6,4"):
         n = sum(map(int, sig.split(",")))
@@ -189,6 +210,7 @@ def corpus() -> list:
     bases += [
         ["check", "--sig", "4,4,1", "--", _element(range(1 << 9), 9)],
         ["check", "--sig", "3,3,1", "--", "(-2*e145 + e236)*(1 + e7)"],
+        *(["check", "--sig", sig, "--", text] for sig, text in CHECK_TEXTS),
         ["idempotents", "--cap", "16", "--sig", "8,8"],
         ["eval", "--cap", "16", "--sig", "8,8", "--", _element(range(1, 1 << 16, 331), 16)],
     ]

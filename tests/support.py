@@ -123,18 +123,24 @@ def reference_solve(a, b):
 
 
 def count_products(monkeypatch):
-    """A one-element list counting the calls to core_algebra._product from now on.
+    """A one-element list counting the calls to both product kernels from now on.
 
-    Every geometric product, norm and inverse step goes through _product.
+    Every geometric product and inverse step goes through
+    core_algebra._product; every norm, and each twisted image of an even or
+    odd element with the conjugate, through core_algebra._sandwich.  A call
+    to either counts once.
     """
     calls = [0]
-    product = core_algebra._product
 
-    def counted_product(*args):
-        calls[0] += 1
-        return product(*args)
+    def counted(kernel):
+        def counted_kernel(*args):
+            calls[0] += 1
+            return kernel(*args)
 
-    monkeypatch.setattr(core_algebra, "_product", counted_product)
+        return counted_kernel
+
+    for name in ("_product", "_sandwich"):
+        monkeypatch.setattr(core_algebra, name, counted(getattr(core_algebra, name)))
     return calls
 
 

@@ -43,7 +43,16 @@ from cliffalg import (
     scalar_mul,
 )
 from cliffalg import core_algebra
-from cliffalg.core_algebra import MAX_CAP, _blade_square, _blade_times, _name_halves, _product, _sum, _times_blade
+from cliffalg.core_algebra import (
+    MAX_CAP,
+    _blade_square,
+    _blade_times,
+    _name_halves,
+    _product,
+    _sandwich,
+    _sum,
+    _times_blade,
+)
 from support import (
     all_signatures,
     dense_inverse,
@@ -437,6 +446,57 @@ class TestFusedKernel:
     def test_blade_times_matches_sign_list_form(self, case):
         sig, x, _, mask = case
         assert list(_blade_times(mask, x, sig).items()) == list(reference_blade_times(mask, x, sig).items())
+
+
+@st.composite
+def sandwich_cases(draw):
+    """(sig, X, v): an int map and a blade of one Cl(p,q,s), n <= 7 and s <= 2.
+
+    v is 0, a generator or any blade.  X is one term, a sparse or dense map
+    with small or 200-bit values, or a zero divisor d * (1 +- u) with d
+    dense and u a blade with u^2 = 1 and conjugate(u) = -u, so that
+    N(X) = d * (1 - u^2) * conjugate(d) = 0 cancels term by term.
+    """
+    n = draw(st.integers(0, 7))
+    s = draw(st.integers(0, min(n, 2)))
+    p = draw(st.integers(0, n - s))
+    sig = Signature(p, n - s - p, s)
+    dim = 1 << n
+    v = draw(st.one_of(st.just(0), st.sampled_from([1 << i for i in range(n)] or [0]), st.integers(0, dim - 1)))
+    values = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG)).filter(bool)
+    units = [u for u in range(dim) if u.bit_count() % 4 in (1, 2) and _blade_square(u, sig) == 1]
+    kind = draw(st.sampled_from(["one term", "sparse", "dense", "zero divisor"]))
+    if kind == "zero divisor" and units:
+        d = Multivector(sig, {m: draw(st.integers(-9, 9)) for m in range(dim)})
+        u = Multivector.basis_blade(sig, draw(st.sampled_from(units)), draw(st.sampled_from([1, -1])))
+        return sig, geometric_product(d, 1 + u)._ints, v
+    if kind == "one term":
+        masks = [draw(st.integers(0, dim - 1))]
+    elif kind == "sparse":
+        masks = draw(st.lists(st.integers(0, dim - 1), unique=True, min_size=min(2, dim), max_size=12))
+    else:
+        masks = draw(st.permutations(range(dim)))
+    return sig, {m: draw(values) for m in masks}, v
+
+
+class TestSandwich:
+    """_sandwich(X, v) against X * e_v * conjugate(X) in reference_product, which shares no sign code with it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sandwich_cases())
+    # zero divisors d * (1 + u), N = 0: u = e1 in Cl(1,0) and Cl(2,0,1), u = e12 in Cl(1,1)
+    @example((Signature(1, 0), {0: 1, 0b1: 1}, 0))
+    @example((Signature(2, 0, 1), {1: 1, 0: 1, 3: -2, 2: 2, 5: -1, 4: 1, 7: 1, 6: 1}, 0))
+    @example((Signature(1, 1), {3: -2, 0: -2, 2: 3, 1: 3}, 0))
+    @example((Signature(3, 3), {0b011001: -2, 0b100110: 1}, 0b1))  # odd, n = 6
+    @example((Signature(2, 1, 2), {0: 1, 0b10000: 3, 0b11001: -2}, 0b10000))  # v null
+    def test_matches_reference(self, case):
+        sig, x, v = case
+        value = Multivector(sig, x)
+        expected = reference_product(
+            reference_product(value, Multivector.basis_blade(sig, v)), clifford_conjugation(value)
+        )
+        assert Multivector._scaled(sig, _sandwich(x, v, sig), 1) == expected
 
 
 class TestAlgebraLaws:

@@ -306,6 +306,8 @@ def membership_cases(draw):
     return x
 
 
+DEGENERATE_SIGS = tuple(s for s in all_signatures(6) if 1 <= s.s <= 2 and s.n >= 2)
+
 # nonzero scalar norm N, yet outside the group: 1 + e1 in Cl(0,1) sends e1 to
 # the scalar 1, and 1 + e123456 sends e1 to a vector plus a 5-vector
 SCALAR_NORM_OUTSIDE = [
@@ -317,14 +319,15 @@ SCALAR_NORM_OUTSIDE = [
 
 
 @st.composite
-def homogeneous_scalar_norm_cases(draw):
-    """Sums of 2-4 distinct blades of one parity, coefficients +-1 and +-2, s = 0 and n <= 6.
+def homogeneous_scalar_norm_cases(draw, sigs=tuple(s for s in all_signatures(6, degenerate=False) if s.n >= 2)):
+    """Sums of 2-4 distinct blades of one parity, coefficients +-1 and +-2, in one of sigs (s = 0 and n <= 6).
 
     Filtered on a nonzero scalar N.  At n <= 5 membership decides these from
     N and the parity alone; at n = 6 they still reach the twisted images, and
-    some are outside the group (-2*e145 + e236 in Cl(3,3)).
+    some are outside the group (-2*e145 + e236 in Cl(3,3)).  When s > 0,
+    those that pass the quotient rule reach the images at any n.
     """
-    sig = draw(st.sampled_from([s for s in all_signatures(6, degenerate=False) if s.n >= 2]))
+    sig = draw(st.sampled_from(sigs))
     parity = draw(st.integers(0, 1))
     blades = [m for m in range(1 << sig.n) if m.bit_count() % 2 == parity]
     chosen = draw(st.lists(st.sampled_from(blades), min_size=2, max_size=4, unique=True))
@@ -351,12 +354,19 @@ class TestMembership:
         expected = reference_membership(x)
         assert (facts.in_clifford_group, facts.in_pin, facts.in_spin, facts.n_value) == expected
 
-    @settings(max_examples=200, deadline=None)
-    @given(homogeneous_scalar_norm_cases().filter(has_nonzero_scalar_norm))
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.one_of(homogeneous_scalar_norm_cases(), homogeneous_scalar_norm_cases(DEGENERATE_SIGS)).filter(
+            has_nonzero_scalar_norm
+        )
+    )
     @example(Multivector(Signature(3, 3), {0b011001: -2, 0b100110: 1}))  # -2*e145 + e236, N = -3
     @example(Multivector(Signature(0, 0, 3), {0: 1, 0b111: -1}))  # 1 - e123, mixed parity
+    @example(Multivector(Signature(3, 3, 1), {0b011001: -2, 0b100110: 1, 0b1011001: -2, 0b1100110: 1}))
     def test_parity_rule_matches_reference(self, x):
-        # N and the parity decide at n <= 5; the images decide at n = 6 and for 1 - e123
+        # N and the parity decide at n <= 5 when s = 0; the images decide at
+        # n = 6, for 1 - e123, and for every one-parity candidate with s > 0
+        # that passes the quotient rule
         facts = membership(x)
         expected = reference_membership(x)
         assert (facts.in_clifford_group, facts.in_pin, facts.in_spin, facts.n_value) == expected
@@ -403,6 +413,77 @@ class TestMembership:
         monkeypatch.undo()
         assert calls == [2]
         assert (facts.in_clifford_group, facts.n_value) == (False, -3)
+        assert (facts.in_clifford_group, facts.in_pin, facts.in_spin, facts.n_value) == reference_membership(x)
+
+
+def vector_product(sig: Signature, *rows) -> Multivector:
+    """The product of the vectors with the given coordinates, in order."""
+    x = Multivector.one(sig)
+    for row in rows:
+        x = geometric_product(x, embed_vector(row, sig))
+    return x
+
+
+@st.composite
+def one_parity_versors(draw, sigs):
+    """Products of 3-5 vectors with integer coordinates -2..2 and a nonzero square, in one of sigs: even or odd members."""
+    sig = draw(st.sampled_from(sigs))
+    squares = [sig.generator_square(i) for i in range(1, sig.n + 1)]
+    vectors = st.lists(st.integers(-2, 2), min_size=sig.n, max_size=sig.n).filter(
+        lambda coords: sum(c * c * g for c, g in zip(coords, squares))
+    )
+    return vector_product(sig, *[draw(vectors) for _ in range(draw(st.integers(3, 5)))])
+
+
+SIGS_2_7 = [s for s in all_signatures(7) if s.n >= 2 and s.s <= 2]
+SIGS_6 = [s for s in SIGS_2_7 if s.n == 6]
+
+
+# n = 7: an even and an odd member, each a product of anisotropic vectors,
+# and an even and an odd non-member with a scalar norm, regular and with a
+# null generator
+N7_CASES = [
+    vector_product(Signature(4, 3), [1, 0, 0, 0, 2, 0, 1], [0, 1, 1, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0, 3], [2, -1, 0, 0, 0, 1, 0]),
+    vector_product(Signature(4, 3), [1, 0, 0, 0, 2, 0, 1], [0, 1, 1, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0, 2]),
+    Multivector(Signature(4, 3), {0b0111111: -1, 0b1000100: -2}),  # -e123456 - 2*e37, N = -3
+    Multivector(Signature(4, 3), {0b1001001: -2, 0b1110110: 2}),  # -2*e147 + 2*e23567, N = 8
+    vector_product(Signature(4, 2, 1), [1, 0, 0, 0, 2, 0, 1], [0, 1, 1, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0, 3], [2, -1, 0, 0, 0, 1, 0]),
+    vector_product(Signature(4, 2, 1), [1, 0, 0, 0, 2, 0, 1], [0, 1, 1, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0, -1]),
+    Multivector(Signature(4, 2, 1), {0b0000011: 2, 0b1000111: 2, 0b1101100: -2}),  # 2*e12 + 2*e1237 - 2*e3467, N = 4
+    Multivector(Signature(4, 2, 1), {0b0100011: -2, 0b1001100: -1}),  # -2*e126 - e347, N = 4
+]
+
+
+class TestImagesOfOneParity:
+    """An even or odd x: its images with conjugate(x) come from core_algebra._sandwich, and decide membership when N is a nonzero scalar."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(one_parity_versors(SIGS_2_7), homogeneous_scalar_norm_cases(SIGS_2_7)))
+    @example(Multivector(Signature(3, 3), {0b011001: -2, 0b100110: 1}))  # odd
+    @example(Multivector(Signature(1, 0), {0: 2}))
+    def test_images_match_reference(self, x):
+        # X^ * e_i * conjugate(X), X^ = eps*X, against two reference products
+        sig = x.sig
+        x_hat, x_conj = grade_involution(x), clifford_conjugation(x)
+        images = list(groups._twisted_images(x._ints, None, sig))
+        assert len(images) == sig.n
+        for i, image in enumerate(images, 1):
+            expected = reference_product(reference_product(x_hat, Multivector.generator(sig, i)), x_conj)
+            assert Multivector._scaled(sig, image, x._scale * x._scale) == expected
+
+    @settings(max_examples=8, deadline=None)
+    @given(one_parity_versors(SIGS_6))
+    def test_members_at_n6_match_reference(self, x):
+        facts = membership(x)
+        assert facts.in_clifford_group
+        assert (facts.in_clifford_group, facts.in_pin, facts.in_spin, facts.n_value) == reference_membership(x)
+
+    @pytest.mark.parametrize("k", range(len(N7_CASES)))
+    def test_n7_matches_reference(self, k):
+        x = N7_CASES[k]
+        facts = membership(x)
+        assert facts.n_value and len({mask.bit_count() & 1 for mask in x._ints}) == 1
+        assert facts.in_clifford_group == (k % 4 < 2)
         assert (facts.in_clifford_group, facts.in_pin, facts.in_spin, facts.n_value) == reference_membership(x)
 
 
