@@ -27,7 +27,6 @@ from .core_algebra import (
     MAX_CAP,
     Multivector,
     Signature,
-    _blade_times,
     blade_name,
     format_ratio,
     geometric_product,
@@ -40,7 +39,7 @@ from .errors import (
     ParseError,
 )
 from .expr import parse_multivector, pretty_print
-from .groups import _hat_times_generator, lift_isometry, membership
+from .groups import _twisted_adjoint_matches, lift_isometry, membership
 from .quadratic_space import (
     BilinearForm,
     _cartan_dieudonne_axes,
@@ -111,37 +110,6 @@ def _approx(convert, *args):
 
 def _approx_terms(x: Multivector) -> dict:
     return {blade_name(mask, x.sig.n): _approx(float, value) for mask, value in x.terms()}
-
-
-def _twisted_adjoint_matches(x: Multivector, m: ScaledMatrix) -> bool:
-    """True iff the twisted adjoint of x is M, checked without inverting x.
-
-    lift_isometry has refused s > 0 and checked that M is an isometry, so
-    M = rho_y for some y in the Clifford group.  If gi(x)*e_i = (M e_i)*x for
-    every i, then z = y^-1 * x has gi(z)*e_i = e_i*z for every i.  Blade by
-    blade, gi(e_A)*e_i = -e_i*e_A when e_i is in A, and e_i is invertible, so
-    z has no blade holding any e_i: z is a scalar, and x != 0 gives
-    rho_x = rho_y = M.  In integers, with x = X / s and M the ScaledMatrix
-    of integer rows over c > 0 that lift read from its text, column i of M
-    is C / c and the check reads c * gi(X)*e_i = C*X.  gi(X)*e_i is a
-    signed relabelling of the terms of X, and so is each e_j*X:
-    C*X = sum_j C_j*(e_j*X) reads n relabellings formed once, not n sign
-    lists per column.
-    """
-    if x.is_zero():
-        return False
-    sig = x.sig
-    left = [_blade_times(1 << j, x._ints, sig) for j in range(sig.n)]  # left[j] = e_j * X
-    for i, column in enumerate(zip(*m.rows)):
-        acc = [0] * (1 << sig.n)  # C*X, dense over the blades
-        for j, entry in enumerate(column):
-            if entry:
-                for mask, c in left[j].items():
-                    acc[mask] += entry * c
-        hat = _hat_times_generator(x._ints, i, sig)
-        if len(acc) - acc.count(0) != len(hat) or any(acc[a] != m.scale * c for a, c in hat.items()):
-            return False
-    return True
 
 
 def _form_from_matrix_text(text: str) -> BilinearForm:

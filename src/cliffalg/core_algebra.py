@@ -108,7 +108,9 @@ def blade_grade(mask: Blade) -> int:
 
 
 def blade_indices(mask: Blade) -> tuple[int, ...]:
-    """Ascending 1-based generator indices of a blade mask."""
+    """Ascending 1-based generator indices of a blade mask; ValueError for a negative one."""
+    if mask < 0:
+        raise ValueError(f"blade mask {mask} out of range")
     out = []
     index = 1
     while mask:
@@ -137,7 +139,8 @@ def blade_name(mask: Blade, n: int) -> str:
 
     For n <= MAX_CAP and a mask below 2^n the name joins two table entries,
     the indices of the low h = n // 2 bits and those of the rest, with ","
-    between them past n = 9 when both are non-empty.
+    between them past n = 9 when both are non-empty.  A negative mask is a
+    ValueError, from blade_indices.
     """
     if mask == 0:
         return "1"
@@ -740,7 +743,9 @@ def _inverse_given_norm(x: Multivector, value: Multivector) -> Multivector:
     is an algebra map that commutes with conjugation (see inverse).
     """
     if value and value.is_scalar():
-        return scalar_mul(1 / value.scalar_part(), clifford_conjugation(x))
+        # conjugate(x) / N in integers: conjugate(X) * b / (s * a) for x = X / s and N = a / b
+        conjugate = {m: c * value._scale for m, c in _involuted(x._ints, "conjugate").items()}
+        return Multivector._scaled(x.sig, conjugate, x._scale * value._ints[0])
     sig = x.sig
     if not sig.s:
         return _faddeev_leverrier_inverse(x)

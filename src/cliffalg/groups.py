@@ -6,19 +6,15 @@ the whole group its image preserves the standard diagonal form of the
 signature.  Lifting an isometry multiplies the integer axes produced by the
 factorization in quadratic_space, on their numerators.
 
-Every stability decision and twisted adjoint matrix runs on the integer
-numerators X = x._ints: grade_involution(X) * e_i is the relabelling e_i * X
-(core_algebra._blade_times) negated on the blades holding e_i, and one
-product with the numerators of the inverse (or with conjugate(X) when the
-norm is a scalar) gives a multiple of rho_x(e_i).  twisted_adjoint_matrix
-keeps those integers, and twisted_adjoint_apply builds one Fraction per
-coordinate at the end.  For an even or odd X, X^ = eps*X with eps = +-1,
-so the image with conjugate(X) is eps * X * e_i * conjugate(X), a sandwich
-like the norm X * conjugate(X).  Conjugation reverses products, so it maps
-the (a, b) term of a sandwich X * e_v * conjugate(X) onto the (b, a) one,
-up to the conjugation signs of e_v and of the target blade:
-core_algebra._sandwich forms each unordered pair once, and keeps it
-(doubled) only where those signs agree.
+Every stability decision, twisted adjoint matrix and lift certificate runs
+on the integer numerators X = x._ints.  grade_involution(X) * e_i is the
+relabelling e_i * X (core_algebra._blade_times) negated on the blades
+holding e_i, and one product of it with the numerators of the inverse
+gives a multiple of rho_x(e_i).  twisted_adjoint_matrix keeps those
+integers, twisted_adjoint_apply builds one Fraction per coordinate at the
+end, and the lift certificate compares relabellings with no inverse.
+membership takes these images, or for an even or odd x with a scalar norm
+the sandwiches of core_algebra._sandwich (see membership).
 
 Membership forms those images only where a theorem does not decide first: a
 nonzero scalar norm on a regular signature puts x in the group exactly when
@@ -45,16 +41,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core_algebra
+from ._linalg import ScaledMatrix
 from .core_algebra import (
     Multivector,
     Rational,
     Signature,
     _blade_times,
     _inverse_given_norm,
-    _involuted,
     _nonzero,
     blade_name,
-    clifford_conjugation,
     embed_vector,
     grade_involution,
     inverse,
@@ -88,8 +83,8 @@ class GroupElement:
     def from_multivector(cls, x: Multivector) -> "GroupElement":
         """NotInvertible for a non-invertible x, else NotInGroup unless N is a scalar.
 
-        N = x * conjugate(x) is formed once; a nonzero scalar N gives
-        x^-1 = conjugate(x) / N, and N = 0 makes x a zero divisor.
+        N = x * conjugate(x) is formed once, and the inverse is read from it
+        (core_algebra._inverse_given_norm); N = 0 makes x a zero divisor.
         """
         value = norm(x)
         if not value.is_scalar():
@@ -98,7 +93,7 @@ class GroupElement:
         n_value = value.scalar_part()
         if not n_value:
             raise NotInvertible("element is a zero divisor")
-        return cls(x, scalar_mul(1 / n_value, clifford_conjugation(x)), n_value)
+        return cls(x, _inverse_given_norm(x, value), n_value)
 
 
 @dataclass(frozen=True)
@@ -127,31 +122,44 @@ def _hat_times_generator(x: dict, i: int, sig: Signature) -> dict:
     return {t: c if t & g else -c for t, c in _blade_times(g, x, sig).items()}
 
 
-def _twisted_images(x: dict, y: dict | None, sig: Signature):
+def _twisted_images(x: dict, y: dict, sig: Signature):
     """X^ * e_i * Y for each generator in turn, as integer maps that may hold zeros.
 
-    For X = s*x and Y = t*x^-1 each image is s*t*rho_x(e_i); for
-    Y = conjugate(X) = s*N*x^-1 it is s*s*N*rho_x(e_i).  Every stability
-    decision and matrix of the library is read from these.
-
-    y = None stands for Y = conjugate(X) with X even or odd.  Then
-    X^ = eps*X, eps = -1 for odd X, so each image is
-    eps * X * e_i * conjugate(X), from core_algebra._sandwich: conjugation
-    reverses products, so conjugate(e_a * e_i * conjugate(e_b)) =
-    -e_b * e_i * conjugate(e_a), and the (a, b) and (b, a) terms cancel on
-    the grades 0 and 3 mod 4 and are equal on the rest.  Only the unordered
-    pairs landing on grades 1 and 2 mod 4 are multiplied, once each.  Every
-    other Y, and a conjugate(X) of mixed parity, runs on
-    core_algebra._product.
+    For X = s*x and Y = t*x^-1 each image is s*t*rho_x(e_i).
     """
-    if y is None:
-        odd = next(iter(x)).bit_count() & 1
-        for i in range(sig.n):
-            image = core_algebra._sandwich(x, 1 << i, sig)
-            yield {mask: -value for mask, value in image.items()} if odd else image
-        return
     for i in range(sig.n):
         yield core_algebra._product(_hat_times_generator(x, i, sig), y, sig)
+
+
+def _twisted_adjoint_matches(x: Multivector, m: ScaledMatrix) -> bool:
+    """True iff the twisted adjoint of x is M, checked without inverting x.
+
+    The lift certificate: lift_isometry has refused s > 0 and checked that
+    M is an isometry, so M = rho_y for some y in the Clifford group.  If
+    gi(x)*e_i = (M e_i)*x for every i, then z = y^-1 * x has
+    gi(z)*e_i = e_i*z for every i.  Blade by blade, gi(e_A)*e_i = -e_i*e_A
+    when e_i is in A, and e_i is invertible, so z has no blade holding any
+    e_i: z is a scalar, and x != 0 gives rho_x = rho_y = M.  In integers,
+    with x = X / s and M integer rows over c > 0, column i of M is C / c
+    and the check reads c * gi(X)*e_i = C*X.  gi(X)*e_i is a signed
+    relabelling of the terms of X, and so is each e_j*X:
+    C*X = sum_j C_j*(e_j*X) reads n relabellings formed once, not n sign
+    lists per column.
+    """
+    if x.is_zero():
+        return False
+    sig = x.sig
+    left = [_blade_times(1 << j, x._ints, sig) for j in range(sig.n)]  # left[j] = e_j * X
+    for i, column in enumerate(zip(*m.rows)):
+        acc = [0] * (1 << sig.n)  # C*X, dense over the blades
+        for j, entry in enumerate(column):
+            if entry:
+                for mask, c in left[j].items():
+                    acc[mask] += entry * c
+        hat = _hat_times_generator(x._ints, i, sig)
+        if len(acc) - acc.count(0) != len(hat) or any(acc[a] != m.scale * c for a, c in hat.items()):
+            return False
+    return True
 
 
 def _off_vector(image: dict) -> int | None:
@@ -207,9 +215,7 @@ def membership(x: Multivector) -> Membership:
     keeps every e_i in V (v maps linearly to the image, so the basis
     suffices); in Pin iff also its norm is +1 or -1; in Spin iff also even.
     N = 0 makes x a zero divisor.  A non-scalar N rules x out when s = 0
-    (Lounesto, 2001) but not when s > 0 (1 - e123 in Cl(0,0,3)): only then
-    does the inverse run, from the N already formed, on its numerators, and
-    only for a candidate that passes the quotient rule below.
+    (Lounesto, 2001) but not when s > 0 (1 - e123 in Cl(0,0,3)).
 
     A nonzero scalar N = x * conjugate(x) = lambda gives x^-1 = conjugate(x) / N.
     When s = 0 the parity of the blades of x decides without an image:
@@ -229,11 +235,7 @@ def membership(x: Multivector) -> Membership:
 
     So for s = 0 a homogeneous x is in the group when n <= 5.  At n >= 6
     the rule fails (-2*e145 + e236 in Cl(3,3) has N = -3 and is outside),
-    and for s > 0 mixed parity is no bar (1 + e1 in Cl(0,0,1)).  There, with
-    X the integer numerators of x, stability is read off the integer
-    products X^ * e_i * conjugate(X), a nonzero multiple of rho_x(e_i):
-    eps * X * e_i * conjugate(X) from half the term pairs when x is even or
-    odd (_twisted_images), a full product when its parity is mixed.
+    and for s > 0 mixed parity is no bar (1 + e1 in Cl(0,0,1)).
 
     When s > 0 the quotient by the null generators decides first.  Let
     pi: Cl(p,q,s) -> Cl(p,q) keep the blades below 1 << (p+q) and drop the
@@ -252,12 +254,26 @@ def membership(x: Multivector) -> Membership:
       and pi(N(x)) = pi(x) * pi(conjugate(x)) = N(pi(x)).  So a nonzero N
       whose blades below 1 << (p+q) are not a nonzero scalar, or an x whose
       blades there mix parities, rules x out with no product and no image.
-    - When the rule passes, pi(x) is invertible, so x is, and the images
-      decide: with conjugate(X) when N is a nonzero scalar, else with the
-      numerators of x^-1, inverted from the N already formed.  Candidates
-      that pass and lie outside reach them:
+    - When the rule passes, pi(x) is invertible, so x is.  Candidates that
+      pass and lie outside exist:
       (-2*e145 + e236) * (1 + e7) in Cl(3,3,1) has N = -3, and its quotient
       is the n = 6 example above.
+
+    Where neither rule decides, the twisted images do, on the integer
+    numerators X = s*x, in one of two ways:
+
+    - An even or odd x with a nonzero scalar N, at n >= 6 or when s > 0,
+      takes the sandwiches X * e_i * conjugate(X) from
+      core_algebra._sandwich, which forms half the term pairs.  As
+      x^ = eps*x and x^-1 = conjugate(x) / N, each is eps*N*s^2 times
+      rho_x(e_i); a map times a nonzero constant keeps the same blades, so
+      V holds the one iff it holds the other, and eps is never applied.
+    - Every other candidate with s > 0 that passes the quotient rule, of
+      mixed parity or with a non-scalar N, takes X^ * e_i * Y from
+      _twisted_images, with Y the numerators of x^-1 from
+      core_algebra._inverse_given_norm and the N already formed.  For a
+      nonzero scalar N that inverse is conjugate(x) / N and forms no
+      product.
     """
     value = norm(x)
     n_value = value.scalar_part() if value.is_scalar() else None
@@ -270,17 +286,14 @@ def membership(x: Multivector) -> Membership:
         return Membership(False, False, False, n_value)  # pi(x) is outside Gamma(p,q)
     group = False
     parities = None
-    images = None
     if n_value:
         parities = {mask.bit_count() & 1 for mask in x._ints}
         group = len(parities) == 1
-        if group and (sig.s or sig.n > 5):
-            images = _twisted_images(x._ints, None, sig)
-        elif sig.s:
-            images = _twisted_images(x._ints, _involuted(x._ints, "conjugate"), sig)
-    elif n_value is None and sig.s:
+    if group and (sig.s or sig.n > 5):
+        images = (core_algebra._sandwich(x._ints, 1 << i, sig) for i in range(sig.n))
+        group = all(_off_vector(image) is None for image in images)
+    elif sig.s and value:
         images = _twisted_images(x._ints, _inverse_given_norm(x, value)._ints, sig)
-    if images is not None:
         group = all(_off_vector(image) is None for image in images)
     pin = group and n_value in (1, -1)
     spin = pin and parities == {0}

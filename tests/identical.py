@@ -16,6 +16,9 @@ argv in text, --json, --approx and --json --approx:
   - check of a dense Cl(4,4,1) element and of (-2*e145 + e236)*(1 + e7) in
     Cl(3,3,1): a quotient by the null generator outside the group, and one
     inside Gamma(3,3)'s norm and parity rule that the images rule out;
+  - check of 1 - e123 in Cl(0,0,3) and of 1 + e1 in Cl(0,0,1): members
+    with s > 0 whose images take the inverse, one with a non-scalar norm
+    and one of mixed parity with a scalar norm;
   - check of the even and odd members and non-members of CHECK_TEXTS, at
     n = 6 and 7, which the twisted images decide;
   - the nesting limit (100 and 101 levels) and the coefficient budget
@@ -210,6 +213,8 @@ def corpus() -> list:
     bases += [
         ["check", "--sig", "4,4,1", "--", _element(range(1 << 9), 9)],
         ["check", "--sig", "3,3,1", "--", "(-2*e145 + e236)*(1 + e7)"],
+        ["check", "--sig", "0,0,3", "--", "1 - e123"],
+        ["check", "--sig", "0,0,1", "--", "1 + e1"],
         *(["check", "--sig", sig, "--", text] for sig, text in CHECK_TEXTS),
         ["idempotents", "--cap", "16", "--sig", "8,8"],
         ["eval", "--cap", "16", "--sig", "8,8", "--", _element(range(1, 1 << 16, 331), 16)],

@@ -38,7 +38,8 @@ from cliffalg import (
     reflection_matrix,
     spinors,
 )
-from cliffalg.cli import _json_text, _merge_option_values, _parse, _twisted_adjoint_matches, parse_signature, run
+from cliffalg.cli import _json_text, _merge_option_values, _parse, parse_signature, run
+from cliffalg.groups import _twisted_adjoint_matches
 from identical import ARGPARSE_ARGVS
 from support import (
     all_signatures,

@@ -172,6 +172,15 @@ class TestBladeHelpers:
             h, low, high = _name_halves(n)
             assert h == n // 2 and len(low) == 1 << h and len(high) == 1 << (n - h) <= 256
 
+    def test_negative_mask_rejected(self):
+        # a negative mask has no generators; shifting it right never reaches 0
+        with pytest.raises(ValueError, match="blade mask -1 out of range"):
+            blade_indices(-1)
+        with pytest.raises(ValueError, match="blade mask -5 out of range"):
+            blade_name(-5, 3)
+        with pytest.raises(ValueError, match="blade mask -1 out of range"):
+            blade_name(-1, 20)
+
     def test_from_indices_errors(self):
         with pytest.raises(ValueError):
             blade_from_indices([0], 3)

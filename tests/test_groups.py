@@ -349,6 +349,10 @@ class TestMembership:
     @example(SCALAR_NORM_OUTSIDE[1])
     @example(SCALAR_NORM_OUTSIDE[2])
     @example(SCALAR_NORM_OUTSIDE[3])
+    @example(Multivector(Signature(0, 0, 1), {0: 1, 0b1: 1}))  # 1 + e1: mixed parity, N = 1, a member
+    @example(  # (-2*e145 + e236)*(1 + e7): mixed parity, N = -3, outside
+        Multivector(Signature(3, 3, 1), {0b011001: -2, 0b100110: 1, 0b1011001: -2, 0b1100110: 1})
+    )
     def test_matches_reference(self, x):
         facts = membership(x)
         expected = reference_membership(x)
@@ -388,6 +392,15 @@ class TestMembership:
         with pytest.raises(NotInGroup):
             GroupElement.from_multivector(x)
         assert calls == [1]
+
+    def test_mixed_parity_scalar_norm_forms_one_product_per_image(self, monkeypatch):
+        # N, then one image per generator: the inverse conjugate(x) / N forms no product
+        x = Multivector(Signature(0, 0, 1), {0: 1, 0b1: 1})
+        calls = count_products(monkeypatch)
+        facts = membership(x)
+        monkeypatch.undo()
+        assert calls == [1 + x.sig.n]
+        assert (facts.in_clifford_group, facts.n_value) == (True, 1)
 
     @settings(max_examples=100, deadline=None)
     @given(quotient_outside_cases())
@@ -455,20 +468,20 @@ N7_CASES = [
 
 
 class TestImagesOfOneParity:
-    """An even or odd x: its images with conjugate(x) come from core_algebra._sandwich, and decide membership when N is a nonzero scalar."""
+    """An even or odd x: its images come from core_algebra._sandwich, and decide membership when N is a nonzero scalar."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(one_parity_versors(SIGS_2_7), homogeneous_scalar_norm_cases(SIGS_2_7)))
     @example(Multivector(Signature(3, 3), {0b011001: -2, 0b100110: 1}))  # odd
     @example(Multivector(Signature(1, 0), {0: 2}))
     def test_images_match_reference(self, x):
-        # X^ * e_i * conjugate(X), X^ = eps*X, against two reference products
+        # X * e_i * conjugate(X) = eps * X^ * e_i * conjugate(X), X^ = eps*X, against two reference products
         sig = x.sig
+        eps = -1 if next(iter(x._ints)).bit_count() & 1 else 1
         x_hat, x_conj = grade_involution(x), clifford_conjugation(x)
-        images = list(groups._twisted_images(x._ints, None, sig))
-        assert len(images) == sig.n
-        for i, image in enumerate(images, 1):
-            expected = reference_product(reference_product(x_hat, Multivector.generator(sig, i)), x_conj)
+        for i in range(1, sig.n + 1):
+            image = core_algebra._sandwich(x._ints, 1 << (i - 1), sig)
+            expected = eps * reference_product(reference_product(x_hat, Multivector.generator(sig, i)), x_conj)
             assert Multivector._scaled(sig, image, x._scale * x._scale) == expected
 
     @settings(max_examples=8, deadline=None)
