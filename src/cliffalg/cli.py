@@ -386,6 +386,22 @@ def _cap_type(text: str) -> int:
     return value
 
 
+class _Value(argparse.Action):
+    """Store an option's value, a value of "--" included.
+
+    argparse before 3.13 drops such a "--" and stores []; this stores "--",
+    converted by the option's type, as 3.13 does.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            try:
+                values = "--" if self.type is None else self.type("--")
+            except argparse.ArgumentTypeError as exc:
+                raise argparse.ArgumentError(self, str(exc)) from None
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> tuple:
     """The top parser, and the map from each command name to its subparser."""
     parser = argparse.ArgumentParser(
@@ -399,12 +415,13 @@ def build_parser() -> tuple:
     )
     common.add_argument(
         "--cap",
+        action=_Value,
         type=_cap_type,
         default=DEFAULT_DIMENSION_CAP,
         help=f"dimension cap on n (default {DEFAULT_DIMENSION_CAP}, max {MAX_CAP})",
     )
     sig_opt = argparse.ArgumentParser(add_help=False)
-    sig_opt.add_argument("--sig", required=True, help='signature "p,q" or "p,q,s"')
+    sig_opt.add_argument("--sig", action=_Value, required=True, help='signature "p,q" or "p,q,s"')
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -417,16 +434,16 @@ def build_parser() -> tuple:
     p.add_argument("vector", help='coordinates "v1,...,vn"')
 
     p = sub.add_parser("diagonalize", parents=[common], help="diagonalize a symmetric form")
-    p.add_argument("--matrix", required=True, help='rows "a,b;c,d"')
+    p.add_argument("--matrix", action=_Value, required=True, help='rows "a,b;c,d"')
 
     p = sub.add_parser("reflect", parents=[common, sig_opt], help="hyperplane reflection matrix")
-    p.add_argument("--vector", required=True, help='axis coordinates "v1,...,vn"')
+    p.add_argument("--vector", action=_Value, required=True, help='axis coordinates "v1,...,vn"')
 
     p = sub.add_parser("factor", parents=[common, sig_opt], help="factor an isometry into reflections")
-    p.add_argument("--matrix", required=True, help='rows "a,b;c,d"')
+    p.add_argument("--matrix", action=_Value, required=True, help='rows "a,b;c,d"')
 
     p = sub.add_parser("lift", parents=[common, sig_opt], help="lift an isometry to the Pin group")
-    p.add_argument("--matrix", required=True, help='rows "a,b;c,d"')
+    p.add_argument("--matrix", action=_Value, required=True, help='rows "a,b;c,d"')
 
     p = sub.add_parser("check", parents=[common, sig_opt], help="group membership of an element")
     p.add_argument("expression")
@@ -448,7 +465,33 @@ def build_parser() -> tuple:
 # namespace on every call, so runs share nothing through them.
 _PARSER, _COMMAND_PARSERS = build_parser()
 
-_VALUE_OPTIONS = ("--sig", "--matrix", "--vector", "--cap")
+
+def _reader_entry(parser: argparse.ArgumentParser) -> tuple:
+    """(flags, value options, positional dest, defaults) of a subparser.
+
+    flags maps each flag to (dest, const) and value options maps each option
+    to (dest, type); -h/--help, whose default is SUPPRESS, is left to argparse.
+    """
+    flags, values, defaults = {}, {}, {}
+    positional = None
+    for action in parser._actions:  # argparse has no public list of its actions
+        if action.default is argparse.SUPPRESS:
+            continue
+        defaults[action.dest] = action.default
+        if not action.option_strings:
+            positional = action.dest
+        for option in action.option_strings:
+            if action.nargs == 0:
+                flags[option] = (action.dest, action.const)
+            else:
+                values[option] = (action.dest, action.type)
+    return flags, values, positional, defaults
+
+
+_READER_TABLE = {command: _reader_entry(parser) for command, parser in _COMMAND_PARSERS.items()}
+
+# every option that takes a value, in any command: --sig, --matrix, --vector and --cap
+_VALUE_OPTIONS = frozenset(option for entry in _READER_TABLE.values() for option in entry[1])
 
 
 def _merge_option_values(argv: list) -> list:
@@ -473,22 +516,61 @@ def _merge_option_values(argv: list) -> list:
     return out
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """_PARSER.parse_args(argv), with one parse when argv[0] names a command.
+def _read_argv(argv: list) -> argparse.Namespace | None:
+    """_PARSER.parse_args(argv) of a well-formed argv, read in one pass over
+    its tokens; None for anything argparse must handle.
 
-    The top parser hands every token after the command to that command's
-    subparser and copies the result into its namespace, so calling the
-    subparser directly gives the same namespace.  Everything else, no argv,
-    an unknown command, an option before the command or tokens the
-    subparser leaves over, goes through _PARSER, whose text it prints.
+    Reads exact flags, --opt=value for the value options (as
+    _merge_option_values gives them) and one positional, optionally as the
+    last token after "--".  Everything else is refused: no argv, an unknown
+    command or an option before it, -h, abbreviations and other tokens that
+    start with "-" (negative numbers among them), --flag=, an empty token, a
+    second positional, a --cap that _cap_type refuses, and a dest left at a
+    default of None, which every required option and positional has.
     """
-    command_parser = _COMMAND_PARSERS.get(argv[0]) if argv else None
-    if command_parser is not None:
-        args, extras = command_parser.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return _PARSER.parse_args(argv)
+    entry = _READER_TABLE.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    flags, values, positional, defaults = entry
+    read = dict(defaults, command=argv[0])
+    for i in range(1, len(argv)):
+        token = argv[i]
+        if token in flags:
+            dest, const = flags[token]
+            read[dest] = const
+        elif token == "--":
+            if i != len(argv) - 2 or positional is None or read[positional] is not None:
+                return None
+            read[positional] = argv[-1]
+            break
+        elif token[:1] == "-":
+            name, equals, value = token.partition("=")
+            option = values.get(name) if equals else None
+            if option is None:
+                return None
+            dest, convert = option
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except argparse.ArgumentTypeError:
+                    return None
+            read[dest] = value
+        elif token and positional is not None and read[positional] is None:
+            read[positional] = token
+        else:
+            return None
+    if None in read.values():
+        return None
+    args = argparse.Namespace()
+    vars(args).update(read)  # a third of the time Namespace(**read) takes
+    return args
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """_PARSER.parse_args(argv): from _read_argv when it reads argv, else from
+    argparse, which prints the help, usage and error text."""
+    args = _read_argv(argv)
+    return _PARSER.parse_args(argv) if args is None else args
 
 
 _quote = json.encoder.encode_basestring_ascii  # json.dumps's C string quoting

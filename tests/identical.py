@@ -27,7 +27,8 @@ argv in text, --json, --approx and --json --approx:
 Then the reader edge cases of READER_TEXTS, in text and --json mode only,
 and the argparse paths of cli.run, each exactly as written: help, usage
 errors, abbreviated and repeated options, "--", an unknown command, an
-option before the command and a trailing extra argument.
+option before the command, a trailing extra argument, and the tokens
+cli._read_argv leaves to argparse (a negative number, "", "-", --flag=).
 
 Each argv runs through cli.run in one process, as perfbench/run.py runs it,
 and gives one line: the sha256 of the argv (as JSON), the exit code (or the
@@ -102,6 +103,14 @@ ARGPARSE_ARGVS = (
     ["-x"],
     ["eval", "--sig", "2,0", "-x", "e1"],
     ["--version"],
+    # refused by cli._read_argv: a negative number, "", "-", --flag= and a flag the command lacks
+    ["eval", "--sig", "2,0", "-1"],
+    ["eval", "--sig", "2,0", ""],
+    ["eval", "--sig", "2,0", "-"],
+    ["table", "--json=", "--sig", "2,0"],
+    ["rep", "--faithful", "--sig", "2,0", "e1"],
+    # read by cli._read_argv: a repeated flag
+    ["eval", "--approx", "--approx", "--sig", "2,0", "e1"],
 )
 
 # (signature, check text): an even and an odd member, each a product of
@@ -181,15 +190,22 @@ def _signatures(n: int) -> list:
     return [f"{p},{q},{n - p - q}" for p in range(n + 1) for q in range(n - p + 1)]
 
 
-def corpus() -> list:
-    """The argvs, in a fixed order, each once."""
+def workload_argvs() -> list:
+    """Every argv of the four benchmark workloads at seeds 1-3, as perfbench/workloads.build makes them."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    bases = []
-    for workload in workloads.WORKLOADS:
-        for seed in (1, 2, 3):
-            bases += [op.argv for op in workloads.build(workload, seed)]
+    return [op.argv for workload in workloads.WORKLOADS for seed in (1, 2, 3) for op in workloads.build(workload, seed)]
+
+
+def golden_argvs() -> list:
+    """The argvs of the golden files in tests/golden."""
+    return [json.loads(path.read_text())["argv"] for path in sorted((ROOT / "tests" / "golden").glob("*.json"))]
+
+
+def corpus() -> list:
+    """The argvs, in a fixed order, each once."""
+    bases = workload_argvs()
     for n in range(7):
         for p in range(n + 1):
             for command, positionals in SPINOR_COMMANDS:
@@ -224,8 +240,7 @@ def corpus() -> list:
             bases.append(["eval", "--sig", "2,0", "--", opener * levels + "1+e1" + closer * levels])
     for text in ("2^8191", "-2^8191*e1", "2^8192", "2^8191*e1 + 1/2^8191", "1/2^8192", "2^4096*2^4096"):
         bases.append(["eval", "--sig", "1,0", "--", text])
-    for path in sorted((ROOT / "tests" / "golden").glob("*.json")):
-        bases.append(json.loads(path.read_text())["argv"])
+    bases += golden_argvs()
     argvs = {}
     for argv in bases:
         for variant in _in_every_mode(argv):

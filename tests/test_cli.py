@@ -38,9 +38,9 @@ from cliffalg import (
     reflection_matrix,
     spinors,
 )
-from cliffalg.cli import _json_text, _merge_option_values, _parse, parse_signature, run
+from cliffalg.cli import _json_text, _merge_option_values, _parse, _read_argv, parse_signature, run
 from cliffalg.groups import _twisted_adjoint_matches
-from identical import ARGPARSE_ARGVS
+from identical import ARGPARSE_ARGVS, golden_argvs, workload_argvs
 from support import (
     all_signatures,
     count_products,
@@ -65,6 +65,14 @@ USAGE_ERRORS = [
     ["table", "--sig", "2,0", "--cap", "0"],
     ["table", "--sig", "2,0", "--cap", "abc"],
     [],
+    # a value of "--": argparse before 3.13 dropped it and handed [] to the command
+    ["table", "--sig", "--"],
+    ["table", "--sig=--"],
+    ["table", "--sig=--", "--js"],
+    ["diagonalize", "--matrix", "--"],
+    ["reflect", "--sig", "2,0", "--vector", "--"],
+    ["table", "--sig", "2,0", "--cap", "--"],
+    ["table", "--sig", "2,0", "--cap=--", "--js"],
 ]
 
 
@@ -185,6 +193,7 @@ class TestExitCodes:
     def test_usage_errors_exit_2(self, capsys, argv):
         code, out, err = run_text(capsys, argv)
         assert code == 2
+        assert "error:" in err
 
     def test_deep_nesting_rejected_cleanly(self, capsys):
         deep = "(" * 400 + "1+e1" + ")" * 400
@@ -454,16 +463,18 @@ class TestArgumentHandling:
                 parse_signature(bad)
 
 
-# argv tokens for the dispatch test: commands, options of every kind, values, "--"
+# argv tokens for the dispatch test: commands, options of every kind, values, "--",
+# and tokens the reader refuses: negative numbers, "-", "", --flag= and a bad --cap
 ARGV_TOKENS = sorted(cli._COMMAND_PARSERS) + [
     "frobnicate", "--json", "--js", "--approx", "--ap", "--cap", "--cap=3", "--cap=99", "--sig", "--sig=2,0", "--sig=",
     "--faithful", "--faith", "--matrix", "--vector", "--", "-h", "--help", "-x", "--bogus",
     "2,0", "1,0;0,1", "e1", "-e1", "3", "abc",
+    "-1", "-", "", "--json=", "--cap=0", "--cap=abc", "--matrix=-1,0;0,1", "a=b",
 ]
 
 
 class TestDispatch:
-    """run parses argv once, through the command's subparser, and must act as _PARSER.parse_args."""
+    """run reads argv with _read_argv, or else through _PARSER, and must act as _PARSER.parse_args."""
 
     @pytest.mark.parametrize("argv", USAGE_ERRORS + [list(argv) for argv in ARGPARSE_ARGVS])
     def test_matches_top_parser(self, argv):
@@ -480,9 +491,66 @@ class TestDispatch:
     @given(st.sampled_from(ARGV_TOKENS), st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
     @example("eval", ["--sig", "2,0", "e1", "--", "e1"])
     @example("ideal", ["--faith", "--sig=2,0", "--json"])
+    @example("table", ["--sig", "--"])
+    @example("table", ["--sig", "--", "--js"])
+    @example("table", ["--cap", "--", "--sig=2,0"])
+    @example("eval", ["--sig=2,0", "--", "--"])
+    @example("table", ["--sig"])
     def test_generated_argvs_match_top_parser(self, first, rest):
         merged = _merge_option_values([first, *rest])
-        assert parsed(_parse, merged) == parsed(cli._PARSER.parse_args, merged)
+        namespace, *printed = parsed(cli._PARSER.parse_args, merged)
+        # argparse before 3.13 drops a value of "--" and stores []; cli._Value stores "--" as 3.13 does
+        assert not any(isinstance(value, list) for value in (namespace or {}).values())
+        assert parsed(_parse, merged) == (namespace, *printed)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--sig", "2,0", "-1"],
+            ["eval", "--sig", "2,0", ""],
+            ["eval", "--sig", "2,0", "-"],
+            ["table", "--json=", "--sig", "2,0"],
+            ["table", "--js", "--sig", "2,0"],
+            ["table", "--sig", "2,0", "--cap", "0"],
+            ["eval", "--sig", "2,0", "e1", "e2"],
+            ["eval", "--sig", "2,0", "--", "e1", "--"],
+            ["eval", "--sig", "2,0"],
+            ["eval", "--sig", "2,0", "e1", "--sig"],
+            ["table", "--sig"],
+            ["rep", "--faithful", "--sig", "2,0", "e1"],
+            ["--json", "eval", "--sig", "2,0", "e1"],
+            ["frobnicate"],
+            [],
+        ],
+    )
+    def test_reader_refuses(self, argv):
+        assert _read_argv(_merge_option_values(argv)) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--approx", "--approx", "--sig", "2,0", "e1"],
+            ["eval", "--sig", "2,0", "--sig", "3,0", "e3"],
+            ["lift", "--matrix", "-1,0;0,1", "--json", "--sig=0,2", "--cap=4"],
+            ["eval", "e1", "--sig", "2,0"],
+            ["eval", "--sig", "2,0", "--", "-e1"],
+            ["eval", "--sig", "2,0", "a=b"],
+            ["table", "--sig", "--"],
+        ],
+    )
+    def test_reader_reads(self, argv):
+        merged = _merge_option_values(argv)
+        assert vars(_read_argv(merged)) == vars(cli._PARSER.parse_args(merged))
+
+    def test_reader_reads_every_benchmark_and_golden_argv(self):
+        # so the benchmark times the reader, not the argparse fallback
+        argvs = workload_argvs() + golden_argvs()
+        assert len(argvs) > 900
+        for argv in argvs:
+            merged = _merge_option_values(argv)
+            read = _read_argv(merged)
+            assert read is not None, argv
+            assert vars(read) == vars(cli._PARSER.parse_args(merged)), argv
 
 
 _json_strings = st.one_of(
